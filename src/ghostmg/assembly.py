@@ -2,17 +2,24 @@
 
 Every active cell contributes the stiffness of its interior part; cut cells
 with a Dirichlet chord additionally contribute the penalty and consistency
-chord integrals, and Neumann chords load the right-hand side.  Interior
-polygon integrals use a centroid fan triangulation with a degree-2 rule for
-stiffness and a degree-4 rule for sources; chord integrals use 3-point Gauss.
-All of those are exact for the polynomial integrands at hand (the source rule
-is exact through cubics).  Nodes outside every active cell keep identity rows
-so the global numbering stays Cartesian.
+chord integrals, and Neumann chords load the right-hand side.  Nodes outside
+every active cell keep identity rows so the global numbering stays Cartesian.
+
+Cut cells are integrated in one batched pass, `cut_cell_batch`: the list from
+`extract_cut_geometry` is stacked into arrays, polygons grouped by vertex
+count (3, 4 or 5) so each group keeps its own centroid fan, and each integral
+is one einsum over the batch.  Polygon integrals use a degree-2 rule per fan
+triangle for stiffness and a degree-4 rule for sources; chord integrals use
+3-point Gauss.  All of those are exact for the polynomial integrands at hand
+(the source rule is exact through cubics).  f and each g are evaluated once,
+on all of their quadrature points.  The stabilization sizes its penalties
+from the same stiffness S and chord flux Gram B, and the per-cell kernels
+(`q1_cell_stiffness`, `nitsche_chord_terms`, ...) are batch-of-one calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,12 +30,10 @@ from ghostmg.geometry import (
     NEUMANN,
     CartesianGrid,
     CellClassification,
-    CutCellGeometry,
     LevelSet,
     SnappedNodeField,
     classify_cells,
     extract_cut_geometry,
-    polygon_area,
     snap_nodes,
 )
 
@@ -37,9 +42,6 @@ class AssemblyError(Exception):
     """Geometry handed to the assembler is unusable (degenerate polygon or a
     Dirichlet cut cell without a stabilization value)."""
 
-
-# Corner order BL, BR, TR, TL in local coordinates (xi, eta) in [0, 1]^2.
-_CORNERS = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 _GAUSS_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 9.0
@@ -59,7 +61,8 @@ _TRI4_W = np.array([_TRI4_W1, _TRI4_W1, _TRI4_W1, _TRI4_W2, _TRI4_W2, _TRI4_W2])
 
 
 def shape_values(xi, eta) -> np.ndarray:
-    """The four bilinear shape functions at local (xi, eta); shape (4, ...)."""
+    """The four bilinear shape functions at local (xi, eta) in [0, 1]^2,
+    corners BL, BR, TR, TL; shape (4, ...)."""
     return np.array([
         (1.0 - xi) * (1.0 - eta),
         xi * (1.0 - eta),
@@ -87,62 +90,170 @@ def full_cell_stiffness() -> np.ndarray:
     ])
 
 
-def _fan_triangles(polygon: np.ndarray):
-    """Centroid fan of a convex CCW polygon: yields (v0, v1, v2, area)."""
-    centroid = polygon.mean(axis=0)
-    m = len(polygon)
-    for k in range(m):
-        v1 = polygon[k]
-        v2 = polygon[(k + 1) % m]
-        area = 0.5 * ((v1[0] - centroid[0]) * (v2[1] - centroid[1])
-                      - (v2[0] - centroid[0]) * (v1[1] - centroid[1]))
-        yield centroid, v1, v2, area
+def cell_nodes(grid: CartesianGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Global corner nodes (BL, BR, TR, TL) of cells (i, j); shape (K, 4)."""
+    nps = grid.nodes_per_side
+    base = i + j * nps
+    return np.stack([base, base + 1, base + nps + 1, base + nps], axis=1)
+
+
+def _local(points: np.ndarray, origins: np.ndarray, h: float):
+    """Local (xi, eta) of physical points (K, ..., 2) in the cells whose
+    lower-left corners are `origins` (K, 2)."""
+    o = origins.reshape((-1,) + (1,) * (points.ndim - 2) + (2,))
+    return (points[..., 0] - o[..., 0]) / h, (points[..., 1] - o[..., 1]) / h
+
+
+def _at_points(fn: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fn at the points (x, y), broadcast to their shape so that data
+    returning a scalar works too."""
+    return np.broadcast_to(np.asarray(fn(x, y), dtype=float), x.shape)
+
+
+def fan_kernels(polygons: np.ndarray, origins: np.ndarray, h: float):
+    """Centroid-fan integrals of K convex CCW polygons with one vertex count m.
+
+    Returns the stiffness (K, 4, 4) from the edge-midpoint rule per fan
+    triangle, the areas (K,), and the source rule, cell by cell: its points
+    (6 m K, 2) and its weights times the shape values (6 m K, 4).
+    """
+    centroid = np.broadcast_to(polygons.mean(axis=1, keepdims=True),
+                               polygons.shape)
+    v1, v2 = polygons, np.roll(polygons, -1, axis=1)
+    area = 0.5 * ((v1[..., 0] - centroid[..., 0]) * (v2[..., 1] - centroid[..., 1])
+                  - (v2[..., 0] - centroid[..., 0]) * (v1[..., 1] - centroid[..., 1]))
+    tri = np.stack([centroid, v1, v2], axis=2)                 # (K, m, 3, 2)
+    mids = 0.5 * (tri + np.roll(tri, -1, axis=2))
+    G = shape_gradients(*_local(mids, origins, h), h)         # (4, 2, K, m, 3)
+    S = np.einsum("kt,iaktq,jaktq->kij", area / 3.0, G, G)
+    points = np.einsum("pv,ktvd->ktpd", _TRI4_BARY, tri)       # (K, m, 6, 2)
+    N = shape_values(*_local(points, origins, h))             # (4, K, m, 6)
+    wN = np.einsum("kt,p,iktp->ktpi", area, _TRI4_W, N)
+    return S, area.sum(axis=1), points.reshape(-1, 2), wN.reshape(-1, 4)
+
+
+def chord_kernels(chords: np.ndarray, normals: np.ndarray, origins: np.ndarray,
+                  h: float):
+    """3-point Gauss integrals on K chords (K, 2, 2) with unit normals (K, 2).
+
+    Returns the points (K, 3, 2), the weights times the shape values and
+    times their normal derivatives (both (K, 3, 4)), and the (K, 4, 4)
+    matrices B_ij = int (n . grad N_i)(n . grad N_j), mass_ij = int N_i N_j
+    and consistency_ij = int N_i (n . grad N_j).
+    """
+    d = chords[:, 1] - chords[:, 0]
+    w = 0.5 * np.hypot(d[:, 0], d[:, 1])[:, None] * _GAUSS_W    # (K, 3)
+    points = (0.5 * (chords[:, 0] + chords[:, 1]))[:, None, :] \
+        + _GAUSS_X[:, None] * (0.5 * d)[:, None, :]
+    xi, eta = _local(points, origins, h)
+    N = np.moveaxis(shape_values(xi, eta), 0, -1)             # (K, 3, 4)
+    nd = np.einsum("iakq,ka->kqi", shape_gradients(xi, eta, h), normals)
+    wN, wnd = w[..., None] * N, w[..., None] * nd
+    return (points, wN, wnd, np.einsum("kqi,kqj->kij", wnd, nd),
+            np.einsum("kqi,kqj->kij", wN, N), np.einsum("kqi,kqj->kij", wN, nd))
+
+
+@dataclass
+class CutCellBatch:
+    """The K cut cells of a grid, in `extract_cut_geometry` order, stacked
+    into arrays with every cut-cell integral that does not depend on data."""
+
+    h: float
+    cells: list                # (i, j) per cell
+    nodes: np.ndarray          # (K, 4) global corner nodes
+    vertices: np.ndarray       # (K,) polygon vertex count, 3, 4 or 5
+    theta: np.ndarray          # (K, 2) crossing fractions
+    dirichlet: np.ndarray      # (K,) chord boundary condition masks
+    neumann: np.ndarray
+    area: np.ndarray           # (K,) interior polygon area
+    S: np.ndarray              # (K, 4, 4) interior stiffness
+    B: np.ndarray              # (K, 4, 4) chord matrices, see `chord_kernels`
+    mass: np.ndarray
+    consistency: np.ndarray
+    chord_points: np.ndarray   # chord quadrature, see `chord_kernels`
+    chord_wN: np.ndarray
+    chord_wnd: np.ndarray
+    fan_points: np.ndarray     # source quadrature, see `fan_kernels`
+    fan_wN: np.ndarray
+    fan_cell: np.ndarray       # cut cell of each source point
+
+    def loads(self, lam: np.ndarray, f: Optional[Callable],
+              g_dirichlet: Optional[Callable],
+              g_neumann: Optional[Callable]) -> np.ndarray:
+        """Cut-cell load vectors (K, 4): the polygon source of f, the
+        Dirichlet chord load lam int g N_i - int (n . grad N_i) g with lam
+        over the Dirichlet cells, and the Neumann chord load int g N_i.  Each
+        datum is evaluated once, on all of its quadrature points."""
+        F = np.zeros((len(self.cells), 4))
+        if f is not None:
+            fq = _at_points(f, self.fan_points[:, 0], self.fan_points[:, 1])
+            np.add.at(F, self.fan_cell, fq[:, None] * self.fan_wN)
+        d, n = self.dirichlet, self.neumann
+        if g_dirichlet is not None and d.any():
+            p = self.chord_points[d]
+            gq = _at_points(g_dirichlet, p[..., 0], p[..., 1])
+            F[d] += (lam[:, None] * np.einsum("kq,kqi->ki", gq, self.chord_wN[d])
+                     - np.einsum("kq,kqi->ki", gq, self.chord_wnd[d]))
+        if g_neumann is not None and n.any():
+            p = self.chord_points[n]
+            gq = _at_points(g_neumann, p[..., 0], p[..., 1])
+            F[n] += np.einsum("kq,kqi->ki", gq, self.chord_wN[n])
+        return F
+
+
+def cut_cell_batch(cut_cells: list, grid: CartesianGrid) -> CutCellBatch:
+    """Stack the cut cells and run every cut-cell kernel once over the batch.
+
+    Polygons are grouped by vertex count (3, 4 or 5) so each group keeps its
+    own centroid fan, with no padding.
+    """
+    h = grid.h
+    K = len(cut_cells)
+    cells = [cut.cell for cut in cut_cells]
+    origins = (np.asarray(grid.origin, dtype=float)
+               + h * np.array(cells, dtype=float).reshape(K, 2))
+    vertices = np.array([len(cut.polygon) for cut in cut_cells], dtype=int)
+    S = np.empty((K, 4, 4))
+    area = np.empty(K)
+    fan = []
+    for m in (3, 4, 5):
+        index = np.flatnonzero(vertices == m)
+        polygons = np.array([cut_cells[k].polygon for k in index]).reshape(-1, m, 2)
+        S[index], area[index], points, wN = fan_kernels(polygons, origins[index], h)
+        fan.append((np.repeat(index, 6 * m), points, wN))
+    fan_cell, fan_points, fan_wN = map(np.concatenate, zip(*fan))
+    chord_points, chord_wN, chord_wnd, B, mass, consistency = chord_kernels(
+        np.array([cut.chord for cut in cut_cells]).reshape(K, 2, 2),
+        np.array([cut.normal for cut in cut_cells]).reshape(K, 2), origins, h)
+    bc = np.array([cut.bc for cut in cut_cells], dtype=object)
+    return CutCellBatch(
+        h=h, cells=cells,
+        nodes=np.array([cut.nodes for cut in cut_cells], dtype=np.intp).reshape(K, 4),
+        vertices=vertices,
+        theta=np.array([cut.theta for cut in cut_cells], dtype=float).reshape(K, 2),
+        dirichlet=bc == DIRICHLET, neumann=bc == NEUMANN, area=area,
+        S=S, B=B, mass=mass, consistency=consistency, chord_points=chord_points,
+        chord_wN=chord_wN, chord_wnd=chord_wnd, fan_cell=fan_cell,
+        fan_points=fan_points, fan_wN=fan_wN,
+    )
+
+
+def _one(kernel, *arrays, h: float) -> list:
+    """A kernel run on a batch of one cell."""
+    return kernel(*(np.asarray(a, dtype=float)[None] for a in arrays), h)
 
 
 def q1_cell_stiffness(polygon: np.ndarray, h: float,
                       cell_origin: tuple) -> np.ndarray:
-    """Stiffness integral of the four shape functions over the polygon.
-
-    Uses the 3-midpoint rule per fan triangle, exact for the quadratic
-    integrand grad(N_i) . grad(N_j).
-    """
-    K = np.zeros((4, 4))
-    ox, oy = cell_origin
-    for v0, v1, v2, area in _fan_triangles(polygon):
-        mids = np.array([0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)])
-        xi = (mids[:, 0] - ox) / h
-        eta = (mids[:, 1] - oy) / h
-        G = shape_gradients(xi, eta, h)  # (4, 2, 3)
-        w = area / 3.0
-        K += w * np.einsum("iaq,jaq->ij", G, G)
-    return K
+    """Stiffness integral of the four shape functions over the polygon."""
+    return _one(fan_kernels, polygon, cell_origin, h=h)[0][0]
 
 
 def polygon_source(polygon: np.ndarray, h: float, cell_origin: tuple,
                    f: Callable) -> np.ndarray:
-    """Load integral of f against the shape functions over the polygon,
-    degree-4 rule per fan triangle."""
-    F = np.zeros(4)
-    ox, oy = cell_origin
-    for v0, v1, v2, area in _fan_triangles(polygon):
-        verts = np.array([v0, v1, v2])
-        pts = _TRI4_BARY @ verts
-        xi = (pts[:, 0] - ox) / h
-        eta = (pts[:, 1] - oy) / h
-        N = shape_values(xi, eta)  # (4, 6)
-        fq = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        F += area * (N * (_TRI4_W * fq)).sum(axis=1)
-    return F
-
-
-def _chord_quadrature(chord: np.ndarray):
-    """3-point Gauss points and weights along a straight chord."""
-    mid = 0.5 * (chord[0] + chord[1])
-    half = 0.5 * (chord[1] - chord[0])
-    length = float(np.hypot(*(chord[1] - chord[0])))
-    pts = mid[None, :] + _GAUSS_X[:, None] * half[None, :]
-    wts = 0.5 * length * _GAUSS_W
-    return pts, wts
+    """Load integral of f against the shape functions over the polygon."""
+    *_, points, wN = _one(fan_kernels, polygon, cell_origin, h=h)
+    return _at_points(f, points[:, 0], points[:, 1]) @ wN
 
 
 def nitsche_chord_terms(chord: np.ndarray, normal: np.ndarray, lam: float,
@@ -153,55 +264,22 @@ def nitsche_chord_terms(chord: np.ndarray, normal: np.ndarray, lam: float,
     consistency_ij = int (n . grad N_j) N_i dS; the cell matrix gains
     penalty - consistency - consistency^T.
     """
-    pts, wts = _chord_quadrature(chord)
-    ox, oy = cell_origin
-    xi = (pts[:, 0] - ox) / h
-    eta = (pts[:, 1] - oy) / h
-    N = shape_values(xi, eta)                      # (4, q)
-    G = shape_gradients(xi, eta, h)                # (4, 2, q)
-    nd = np.einsum("iaq,a->iq", G, normal)         # (4, q)
-    penalty = lam * np.einsum("iq,jq,q->ij", N, N, wts)
-    consistency = np.einsum("iq,jq,q->ij", N, nd, wts)
-    return penalty, consistency
+    *_, mass, consistency = _one(chord_kernels, chord, normal, cell_origin, h=h)
+    return lam * mass[0], consistency[0]
 
 
 def chord_normal_gram(chord: np.ndarray, normal: np.ndarray, h: float,
                       cell_origin: tuple) -> np.ndarray:
     """Gram matrix int (n . grad N_i)(n . grad N_j) dS over the chord; the K
     of the local stabilization pencil."""
-    pts, wts = _chord_quadrature(chord)
-    ox, oy = cell_origin
-    xi = (pts[:, 0] - ox) / h
-    eta = (pts[:, 1] - oy) / h
-    G = shape_gradients(xi, eta, h)
-    nd = np.einsum("iaq,a->iq", G, normal)
-    return np.einsum("iq,jq,q->ij", nd, nd, wts)
-
-
-def chord_dirichlet_load(chord: np.ndarray, normal: np.ndarray, lam: float,
-                         h: float, cell_origin: tuple, g: Callable) -> np.ndarray:
-    """Dirichlet chord load lam * int g N_i - int (n . grad N_i) g."""
-    pts, wts = _chord_quadrature(chord)
-    ox, oy = cell_origin
-    xi = (pts[:, 0] - ox) / h
-    eta = (pts[:, 1] - oy) / h
-    N = shape_values(xi, eta)
-    G = shape_gradients(xi, eta, h)
-    nd = np.einsum("iaq,a->iq", G, normal)
-    gq = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-    return lam * N @ (wts * gq) - nd @ (wts * gq)
+    return _one(chord_kernels, chord, normal, cell_origin, h=h)[3][0]
 
 
 def chord_neumann_load(chord: np.ndarray, h: float, cell_origin: tuple,
                        g: Callable) -> np.ndarray:
-    """Neumann chord load int g N_i dS."""
-    pts, wts = _chord_quadrature(chord)
-    ox, oy = cell_origin
-    xi = (pts[:, 0] - ox) / h
-    eta = (pts[:, 1] - oy) / h
-    N = shape_values(xi, eta)
-    gq = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-    return N @ (wts * gq)
+    """Neumann chord load int g N_i dS (the normal does not enter it)."""
+    points, wN, *_ = _one(chord_kernels, chord, np.zeros(2), cell_origin, h=h)
+    return _at_points(g, points[0, :, 0], points[0, :, 1]) @ wN[0]
 
 
 @dataclass
@@ -305,79 +383,60 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
     field = snap_nodes(grid, levelset, problem.alpha)
     classification = classify_cells(field)
     cut_cells = extract_cut_geometry(field, classification)
+    batch = cut_cell_batch(cut_cells, grid)
+    area_floor = 1e-14 * h * h
+    degenerate = batch.area < area_floor
+    if degenerate.any():
+        k = np.argmax(degenerate)
+        raise AssemblyError(
+            f"cut cell {batch.cells[k]} has degenerate interior polygon "
+            f"(area {batch.area[k]:.3e} < {area_floor:.3e})"
+        )
+    unknown = ~(batch.dirichlet | batch.neumann)
+    if unknown.any():
+        cut = cut_cells[np.argmax(unknown)]
+        raise AssemblyError(f"cut cell {cut.cell} has unknown bc {cut.bc!r}")
     stabilization = build_stabilization(
-        cut_cells, grid, gamma=problem.gamma, mode=problem.lambda_mode,
+        batch, grid, gamma=problem.gamma, mode=problem.lambda_mode,
         method=problem.stabilization_method,
     )
+    dirichlet = np.flatnonzero(batch.dirichlet)
+    lam = np.array([stabilization.lam.get(batch.cells[k], np.nan)
+                    for k in dirichlet])
+    unpenalized = ~(lam > 0.0)
+    if unpenalized.any():
+        k = dirichlet[np.argmax(unpenalized)]
+        raise AssemblyError(
+            f"Dirichlet cut cell {batch.cells[k]} lacks a positive penalty")
 
-    nps = grid.nodes_per_side
     num_nodes = grid.num_nodes
-    x0, y0 = grid.origin
-    rows_acc: list[np.ndarray] = []
-    cols_acc: list[np.ndarray] = []
-    vals_acc: list[np.ndarray] = []
     F = np.zeros(num_nodes)
 
     # Internal cells all share the reference stiffness.
     in_js, in_is = np.nonzero(classification.internal)
-    if in_is.size:
-        base = in_is + in_js * nps
-        nodes = np.stack([base, base + 1, base + nps + 1, base + nps], axis=1)
-        rows_acc.append(np.repeat(nodes, 4, axis=1).ravel())
-        cols_acc.append(np.tile(nodes, (1, 4)).ravel())
-        vals_acc.append(np.tile(full_cell_stiffness().ravel(), in_is.size))
-        if problem.f is not None:
-            F += _internal_source(problem.f, grid, in_is, in_js, nodes)
+    internal_nodes = cell_nodes(grid, in_is, in_js)
+    if in_is.size and problem.f is not None:
+        F += _internal_source(problem.f, grid, in_is, in_js, internal_nodes)
 
-    area_floor = 1e-14 * h * h
-    for cut in cut_cells:
-        i, j = cut.cell
-        origin = (x0 + i * h, y0 + j * h)
-        area = polygon_area(cut.polygon)
-        if area < area_floor:
-            raise AssemblyError(
-                f"cut cell {cut.cell} has degenerate interior polygon "
-                f"(area {area:.3e} < {area_floor:.3e})"
-            )
-        K = q1_cell_stiffness(cut.polygon, h, origin)
-        if cut.bc == DIRICHLET:
-            lam = stabilization.lam.get(cut.cell)
-            if lam is None or not lam > 0.0:
-                raise AssemblyError(
-                    f"Dirichlet cut cell {cut.cell} lacks a positive penalty"
-                )
-            penalty, consistency = nitsche_chord_terms(
-                cut.chord, cut.normal, lam, h, origin)
-            K = K + penalty - consistency - consistency.T
-            # Entries (i, j) and (j, i) accumulate the same three terms in
-            # different orders, so they can drift apart by one ulp; average
-            # the halves to keep the assembled operator bitwise symmetric.
-            K = 0.5 * (K + K.T)
-            if problem.g_dirichlet is not None:
-                F[cut.nodes] += chord_dirichlet_load(
-                    cut.chord, cut.normal, lam, h, origin, problem.g_dirichlet)
-        elif cut.bc == NEUMANN:
-            if problem.g_neumann is not None:
-                F[cut.nodes] += chord_neumann_load(
-                    cut.chord, h, origin, problem.g_neumann)
-        else:
-            raise AssemblyError(f"cut cell {cut.cell} has unknown bc {cut.bc!r}")
-        if problem.f is not None:
-            F[cut.nodes] += polygon_source(cut.polygon, h, origin, problem.f)
-        rows_acc.append(np.repeat(cut.nodes, 4))
-        cols_acc.append(np.tile(cut.nodes, 4))
-        vals_acc.append(K.ravel())
+    cut_K = batch.S.copy()
+    consistency = batch.consistency[dirichlet]
+    cut_K[dirichlet] = (cut_K[dirichlet] + lam[:, None, None] * batch.mass[dirichlet]
+                        - consistency - consistency.transpose(0, 2, 1))
+    # Entries (i, j) and (j, i) accumulate the terms in different orders, so
+    # they can drift apart by one ulp; average the halves to keep the
+    # assembled operator bitwise symmetric.
+    cut_K = 0.5 * (cut_K + cut_K.transpose(0, 2, 1))
+    np.add.at(F, batch.nodes, batch.loads(lam, problem.f, problem.g_dirichlet,
+                                          problem.g_neumann))
 
     active = classification.active_nodes
     inactive_idx = np.flatnonzero(~active)
-    if inactive_idx.size:
-        rows_acc.append(inactive_idx)
-        cols_acc.append(inactive_idx)
-        vals_acc.append(np.ones(inactive_idx.size))
-
+    nodes = np.concatenate([internal_nodes, batch.nodes])
     A = sp.csr_matrix(
-        (np.concatenate(vals_acc),
-         (np.concatenate(rows_acc), np.concatenate(cols_acc))),
+        (np.concatenate([np.tile(full_cell_stiffness().ravel(), in_is.size),
+                         cut_K.ravel(), np.ones(inactive_idx.size)]),
+         (np.concatenate([np.repeat(nodes, 4, axis=1).ravel(), inactive_idx]),
+          np.concatenate([np.tile(nodes, (1, 4)).ravel(), inactive_idx]))),
         shape=(num_nodes, num_nodes),
     )
     A.sum_duplicates()
@@ -427,7 +486,7 @@ def _internal_source(f: Callable, grid: CartesianGrid, in_is: np.ndarray,
     cy = y0 + in_js * h
     xq = cx[:, None] + xi_q[None, :] * h   # (cells, 9)
     yq = cy[:, None] + eta_q[None, :] * h
-    fq = np.asarray(f(xq, yq), dtype=float)
+    fq = _at_points(f, xq, yq)
     loads = (fq * w_q[None, :]) @ N.T      # (cells, 4)
     F = np.zeros(grid.num_nodes)
     np.add.at(F, nodes, loads)

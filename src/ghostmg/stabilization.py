@@ -7,10 +7,13 @@ local trace-inverse inequality
 
 over the bilinear shape functions v of the cell; gamma > 1 then makes the
 discrete form coercive.  The sharp C(K) is the largest generalized eigenvalue
-of the 4x4 pencil (B, S) with B the chord flux Gram matrix and S the cell
-stiffness restricted to the interior polygon; `local_eig_C` computes it with
-a null-space-deflated dense solve and is the authoritative path for every cut
-shape.
+of the 4x4 pencil (B, S), with B the chord flux Gram matrix and S the cell
+stiffness restricted to the interior polygon, both from the batched cut-cell
+kernel `assembly.cut_cell_batch`.  The constants span the null space of both,
+so `pencil_max` deflates them analytically, by dropping one corner; a stacked
+3x3 Cholesky of the reduced S and `eigvalsh` then solve every pencil of the
+batch at once.  The general deflating solver `linalg.generalized_eig_max` is
+the oracle the tests check it against.
 
 Closed forms by shape
 ---------------------
@@ -30,13 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import compress
+from typing import Optional
 
 import numpy as np
 
 from ghostmg import assembly
-from ghostmg.geometry import DIRICHLET, CartesianGrid, CutCellGeometry
-from ghostmg.linalg import generalized_eig_max
+from ghostmg.geometry import CartesianGrid, CutCellGeometry
+from ghostmg.linalg import DegeneratePencilError, generalized_eig_max
 
 
 def c_one_dim(theta1: float, h: float) -> float:
@@ -54,22 +58,25 @@ def c_one_dim(theta1: float, h: float) -> float:
     return 1.0 / (theta1 * h)
 
 
-def c_triangle(theta1: float, theta2: float, h: float) -> float:
+def c_triangle(theta1, theta2, h: float):
     """Sharp trace constant of a triangular cut with legs theta1 h, theta2 h.
 
     Largest generalized eigenvalue of the chord flux Gram matrix against the
     interior-triangle stiffness, in closed form.  Symmetric in the two
     fractions; equals 3 sqrt(2) / h when both fractions are 1 (the half-cell
-    triangle whose chord is the diagonal).
+    triangle whose chord is the diagonal).  The fractions may be arrays.
     """
-    t1, t2 = float(theta1), float(theta2)
-    if not (0.0 < t1 <= 1.0 and 0.0 < t2 <= 1.0):
+    t1 = np.asarray(theta1, dtype=float)
+    t2 = np.asarray(theta2, dtype=float)
+    if not np.all((0.0 < t1) & (t1 <= 1.0) & (0.0 < t2) & (t2 <= 1.0)):
         raise ValueError(f"need fractions in (0, 1], got ({theta1}, {theta2})")
     if h <= 0.0:
         raise ValueError(f"need h > 0, got {h}")
-    s = t1 * t1 + t2 * t2
-    root = math.sqrt(3.0 * (t1 ** 8 + 10.0 * t1 ** 4 * t2 ** 4 + t2 ** 8))
-    return math.sqrt(s) * (3.0 * t1 ** 4 + 3.0 * t2 ** 4 + root) / (h * t1 * t2 * s * s)
+    a, b = t1 * t1, t2 * t2
+    s = a + b
+    a2, b2 = a * a, b * b
+    root = np.sqrt(3.0 * (a2 * a2 + 10.0 * a2 * b2 + b2 * b2))
+    return np.sqrt(s) * (3.0 * a2 + 3.0 * b2 + root) / (h * t1 * t2 * s * s)
 
 
 def c_pentagon(h: float) -> float:
@@ -84,66 +91,69 @@ def c_pentagon(h: float) -> float:
     return 3.0 * math.sqrt(2.0) / h
 
 
-def transcribed_quadrilateral_constant(theta1: float, theta2: float, h: float,
-                                       *, allow_unvalidated: bool = False) -> float:
-    """A closed-form candidate for the trapezoid constant, retained verbatim
-    for reference.
+# The three corners kept when corner k is dropped.
+_OTHERS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
 
-    The expression is internally inconsistent (mixed powers of h across the
-    sum, ambiguous grouping) and no reading of it reproduces `local_eig_C`,
-    so it must never feed assembly; trapezoids use the eigensolve instead.
-    Evaluation is locked behind ``allow_unvalidated=True``.
+
+def pencil_max(B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each pencil B_k v = C S_k v, for stacks (n, 4, 4)
+    whose common null space is the constants.
+
+    The constants are deflated by dropping the row and column of one corner,
+    which is exact because B 1 = S 1 = 0.  Dropping the corner with the
+    largest stiffness diagonal keeps the tiny entries of a thin cut in rows
+    of their own, so the 3x3 Cholesky resolves them to full relative
+    accuracy.  NaN marks a pencil whose reduced stiffness is not positive
+    definite (a non-positive Cholesky pivot).
     """
-    if not allow_unvalidated:
-        raise ValueError(
-            "the closed-form trapezoid candidate fails validation against "
-            "local_eig_C and is retained for reference only; pass "
-            "allow_unvalidated=True to evaluate it anyway"
+    keep = _OTHERS[np.argmax(np.diagonal(S, axis1=1, axis2=2), axis=1)]
+    index = (np.arange(len(S))[:, None, None], keep[:, :, None], keep[:, None, :])
+    Sr, Br = S[index], B[index]
+    L = np.zeros_like(Sr)
+    ok = np.ones(len(Sr), dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(3):
+            pivot = Sr[:, j, j] - np.einsum("kp,kp->k", L[:, j, :j], L[:, j, :j])
+            ok &= pivot > 0.0
+            L[:, j, j] = np.sqrt(pivot)
+            L[:, j + 1:, j] = (Sr[:, j + 1:, j] - np.einsum(
+                "kip,kp->ki", L[:, j + 1:, :j], L[:, j, :j])) / L[:, j, j, None]
+    Linv = np.linalg.inv(L[ok])
+    C = np.full(len(Sr), np.nan)
+    C[ok] = np.linalg.eigvalsh(Linv @ Br[ok] @ Linv.transpose(0, 2, 1))[:, -1]
+    return C
+
+
+def cell_constants(batch: "assembly.CutCellBatch", index: np.ndarray,
+                   method: str = "closed_form") -> np.ndarray:
+    """Trace constants of the batch cells `index`.
+
+    method "closed_form" uses the triangle and pentagon formulas and the
+    eigensolve for quadrilaterals; "local_eig" solves every pencil.
+    """
+    vertices = batch.vertices[index]
+    eig = vertices == 4 if method == "closed_form" else np.ones(index.size, dtype=bool)
+    C = np.empty(index.size)
+    tri = ~eig & (vertices == 3)
+    C[tri] = c_triangle(batch.theta[index[tri], 0], batch.theta[index[tri], 1], batch.h)
+    C[~eig & (vertices == 5)] = c_pentagon(batch.h)
+    C[eig] = pencil_max(batch.B[index[eig]], batch.S[index[eig]])
+    bad = np.flatnonzero(np.isnan(C))
+    if bad.size:
+        raise DegeneratePencilError(
+            f"cut cell {batch.cells[index[bad[0]]]}: the interior stiffness is "
+            "singular off the constants, so the stabilization constant is "
+            "unbounded"
         )
-    t1, t2 = float(theta1), float(theta2)
-    a = 1.0 + t1 ** 2 - 2.0 * t1 * t2 + t2 ** 2
-    b = (t1 ** 6 + 2.0 * t1 ** 3 * t2 + t2 ** 2 - t1 ** 4 * t2 ** 2 + t2 ** 6
-         + 2.0 * t1 * (t2 + t2 ** 3))
-    c = -1.0 + 2.0 * t2 ** 2 + t2 ** 4
-    P = (t1 ** 14 + 2.0 * t1 ** 13 * t2 + t1 ** 12 * (1.0 - 5.0 * t2 ** 2)
-         - 4.0 * t1 ** 11 * t2 * (-4.0 + 7.0 * t2 ** 2)
-         - 2.0 * t1 ** 9 * t2 * (-6.0 + 20.0 * t2 ** 2 + 17.0 * t2 ** 4)
-         + t1 ** 10 * (10.0 - 22.0 * t2 ** 2 + 73.0 * t2 ** 4)
-         + t1 ** 8 * (10.0 - 38.0 * t2 ** 2 + 63.0 * t2 ** 4 - 69.0 * t2 ** 6)
-         + 8.0 * t1 ** 7 * t2 * (4.0 - 4.0 * t2 ** 2 + 3.0 * t2 ** 4 + 15.0 * t2 ** 6)
-         + t1 ** 6 * (1.0 - 32.0 * t2 ** 2 + 136.0 * t2 ** 4 - 84.0 * t2 ** 6
-                      - 69.0 * t2 ** 8)
-         + 2.0 * t1 * t2 ** 5 * (5.0 + 16.0 * t2 ** 2 + 6.0 * t2 ** 4 + 8.0 * t2 ** 6
-                                 + t2 ** 8)
-         - 4.0 * t1 ** 3 * t2 ** 3 * (5.0 + 14.0 * t2 ** 2 + 8.0 * t2 ** 4
-                                      + 10.0 * t2 ** 6 + 7.0 * t2 ** 8)
-         - 2.0 * t1 ** 5 * t2 * (-5.0 + 28.0 * t2 ** 2 + 88.0 * t2 ** 4
-                                 - 12.0 * t2 ** 6 + 17.0 * t2 ** 8)
-         + t2 ** 4 * (1.0 + t2 ** 2 + 10.0 * t2 ** 4 + 10.0 * t2 ** 6 + t2 ** 8
-                      + t2 ** 10)
-         - t1 ** 2 * t2 ** 2 * (2.0 + t2 ** 2 + 32.0 * t2 ** 4 + 38.0 * t2 ** 6
-                                + 22.0 * t2 ** 8 + 5.0 * t2 ** 10)
-         + t1 ** 4 * (1.0 - t2 ** 2 + 104.0 * t2 ** 4 + 136.0 * t2 ** 6
-                      + 63.0 * t2 ** 8 + 73.0 * t2 ** 10))
-    D = (t1 ** 7 + t1 ** 6 * t2 + t1 ** 5 * (2.0 - 3.0 * t2 ** 2)
-         + t1 ** 3 * (-1.0 + t2 ** 2) ** 2 + t2 ** 3 * (1.0 + t2 ** 2) ** 2
-         + t1 ** 4 * t2 * (6.0 + t2 ** 2)
-         + t1 * t2 ** 2 * (5.0 + 6.0 * t2 ** 2 + t2 ** 4)
-         + t1 ** 2 * (5.0 * t2 - 2.0 * t2 ** 3 - 3.0 * t2 ** 5))
-    return (3.0 * h * math.sqrt(a) * b - t1 ** 2 * c
-            + math.sqrt(3.0 * h ** 2 * P) / (h ** 2 * D))
+    return C
 
 
 def local_eig_C(cut: CutCellGeometry, grid: CartesianGrid) -> float:
     """Sharp trace constant of one cut cell via the 4x4 generalized
     eigenproblem (chord flux Gram matrix against interior-polygon
     stiffness)."""
-    h = grid.h
-    i, j = cut.cell
-    origin = (grid.origin[0] + i * h, grid.origin[1] + j * h)
-    B = assembly.chord_normal_gram(cut.chord, cut.normal, h, origin)
-    S = assembly.q1_cell_stiffness(cut.polygon, h, origin)
-    return generalized_eig_max(B, S).value
+    batch = assembly.cut_cell_batch([cut], grid)
+    return float(cell_constants(batch, np.zeros(1, dtype=int), "local_eig")[0])
 
 
 def c_quadrilateral(theta1: float, theta2: float, h: float) -> float:
@@ -167,17 +177,14 @@ def c_quadrilateral(theta1: float, theta2: float, h: float) -> float:
     normal = np.array([tangent[1], -tangent[0]]) / np.hypot(*tangent)
     B = assembly.chord_normal_gram(chord, normal, h, (0.0, 0.0))
     S = assembly.q1_cell_stiffness(polygon, h, (0.0, 0.0))
-    return generalized_eig_max(B, S).value
+    return float(pencil_max(B[None], S[None])[0])
 
 
 def closed_form_C(cut: CutCellGeometry, grid: CartesianGrid) -> float:
     """Constant for one cut cell by shape: triangles and pentagons use their
     closed forms, trapezoids the eigensolve."""
-    if cut.shape == "triangle":
-        return c_triangle(cut.theta[0], cut.theta[1], grid.h)
-    if cut.shape == "pentagon":
-        return c_pentagon(grid.h)
-    return local_eig_C(cut, grid)
+    batch = assembly.cut_cell_batch([cut], grid)
+    return float(cell_constants(batch, np.zeros(1, dtype=int))[0])
 
 
 @dataclass
@@ -201,16 +208,19 @@ _MODES = ("local", "global")
 _METHODS = ("closed_form", "local_eig")
 
 
-def build_stabilization(cut_cells: Iterable[CutCellGeometry], grid: CartesianGrid,
-                        gamma: float = 2.0, mode: str = "local",
+def build_stabilization(cut_cells, grid: CartesianGrid, gamma: float = 2.0,
+                        mode: str = "local",
                         method: str = "closed_form") -> StabilizationField:
     """Size the chord penalty of every Dirichlet cut cell.
 
-    mode "local" sets lam(K) = gamma * C(K) per cell; "global" sets every
-    penalty to gamma * max_K C(K).  method "closed_form" dispatches on the
-    cut shape (trapezoids still use the eigensolve); "local_eig" solves the
-    pencil on every cell.  gamma must exceed 1 for coercivity; smaller values
-    are accepted for experimentation but the system may become indefinite.
+    cut_cells is the list from `extract_cut_geometry` or its
+    `assembly.CutCellBatch` (which `assemble` passes, so the batch kernel
+    runs once).  mode "local" sets lam(K) = gamma * C(K) per cell; "global"
+    sets every penalty to gamma * max_K C(K).  method "closed_form"
+    dispatches on the cut shape (trapezoids still use the eigensolve);
+    "local_eig" solves the pencil on every cell.  gamma must exceed 1 for
+    coercivity; smaller values are accepted for experimentation but the
+    system may become indefinite.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -218,21 +228,18 @@ def build_stabilization(cut_cells: Iterable[CutCellGeometry], grid: CartesianGri
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if gamma <= 0.0:
         raise ValueError(f"need gamma > 0, got {gamma}")
-    C: dict = {}
-    for cut in cut_cells:
-        if cut.bc != DIRICHLET:
-            continue
-        if method == "local_eig":
-            C[cut.cell] = local_eig_C(cut, grid)
-        else:
-            C[cut.cell] = closed_form_C(cut, grid)
-    global_C = max(C.values()) if C else None
-    if mode == "global" and C:
-        lam = {cell: gamma * global_C for cell in C}
-    else:
-        lam = {cell: gamma * value for cell, value in C.items()}
+    batch = (cut_cells if isinstance(cut_cells, assembly.CutCellBatch)
+             else assembly.cut_cell_batch(list(cut_cells), grid))
+    values = cell_constants(batch, np.flatnonzero(batch.dirichlet), method)
+    cells = list(compress(batch.cells, batch.dirichlet))
+    global_C = float(values.max()) if values.size else None
+    lam = gamma * values
+    if mode == "global" and values.size:
+        lam[:] = gamma * global_C
     return StabilizationField(gamma=gamma, mode=mode, method=method,
-                              C=C, lam=lam, global_C=global_C)
+                              C=dict(zip(cells, values.tolist())),
+                              lam=dict(zip(cells, lam.tolist())),
+                              global_C=global_C)
 
 
 def global_C(system, dense: bool = False) -> float:
@@ -247,13 +254,13 @@ def global_C(system, dense: bool = False) -> float:
     """
     if dense:
         return dense_global_C_2d(system)
-    values = [local_eig_C(cut, system.grid) for cut in system.cut_cells
-              if cut.bc == DIRICHLET]
-    if not values:
+    value = build_stabilization(system.cut_cells, system.grid,
+                                method="local_eig").global_C
+    if value is None:
         raise ValueError(
             "the domain has no weak Dirichlet chords, so the boundary trace "
             "constant is undefined")
-    return max(values)
+    return value
 
 
 def dense_global_C_1d(n: int, theta1: float, theta2: float) -> float:
@@ -287,25 +294,19 @@ def dense_global_C_2d(system) -> float:
     per-cell path, since it is dense in the number of nodes.
     """
     grid = system.grid
-    h = grid.h
-    x0, y0 = grid.origin
-    nps = grid.nodes_per_side
     nn = grid.num_nodes
+    batch = assembly.cut_cell_batch(system.cut_cells, grid)
+    in_js, in_is = np.nonzero(system.classification.internal)
+    internal = assembly.cell_nodes(grid, in_is, in_js)
+    d = batch.dirichlet
     B = np.zeros((nn, nn))
     S = np.zeros((nn, nn))
-    in_js, in_is = np.nonzero(system.classification.internal)
-    ref = assembly.full_cell_stiffness()
-    for i, j in zip(in_is.tolist(), in_js.tolist()):
-        base = i + j * nps
-        nodes = np.array([base, base + 1, base + nps + 1, base + nps])
-        S[np.ix_(nodes, nodes)] += ref
-    for cut in system.cut_cells:
-        i, j = cut.cell
-        origin = (x0 + i * h, y0 + j * h)
-        S[np.ix_(cut.nodes, cut.nodes)] += assembly.q1_cell_stiffness(
-            cut.polygon, h, origin)
-        if cut.bc == DIRICHLET:
-            B[np.ix_(cut.nodes, cut.nodes)] += assembly.chord_normal_gram(
-                cut.chord, cut.normal, h, origin)
+
+    def scatter(M, nodes, blocks):
+        np.add.at(M, (nodes[:, :, None], nodes[:, None, :]), blocks)
+
+    scatter(S, internal, assembly.full_cell_stiffness())
+    scatter(S, batch.nodes, batch.S)
+    scatter(B, batch.nodes[d], batch.B[d])
     free = np.flatnonzero(system.free_dofs)
     return generalized_eig_max(B[np.ix_(free, free)], S[np.ix_(free, free)]).value

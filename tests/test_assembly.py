@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from ghostmg import stabilization
 from ghostmg.assembly import (
     AssemblyError,
     ProblemSpec,
@@ -76,6 +77,28 @@ def test_polygon_source_integrates_constants():
     # Loads of f = 1 sum to the polygon area.
     assert F.sum() == pytest.approx(h * h, rel=1e-14)
     np.testing.assert_allclose(F, h * h / 4.0, rtol=1e-13)
+
+
+def test_polygon_source_additivity():
+    # A chord splits the cell into a triangle and a pentagon; their loads of
+    # a quadratic f (degree-4 integrand, so every rule here is exact) sum to
+    # the load over the whole cell.
+    h, origin = 0.5, (0.3, -0.2)
+    ox, oy = origin
+
+    def f(x, y):
+        return 1.0 + x - 2.0 * y + 3.0 * x * y + x * x
+
+    def cell(points):
+        return np.array([(ox + h * a, oy + h * b) for a, b in points])
+
+    square = cell([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    triangle = cell([(0.0, 0.0), (0.7, 0.0), (0.0, 0.4)])
+    pentagon = cell([(0.7, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.4)])
+    F = (polygon_source(triangle, h, origin, f)
+         + polygon_source(pentagon, h, origin, f))
+    np.testing.assert_allclose(F, polygon_source(square, h, origin, f),
+                               rtol=1e-13)
 
 
 def test_chord_kernels_partition_of_unity():
@@ -216,6 +239,48 @@ def test_degenerate_sliver_raises():
     ls = LevelSet("sliver", (lambda x, y: x + y - 1e-8,), (DIRICHLET,))
     with pytest.raises(AssemblyError):
         assemble(ProblemSpec(ls, 0.5, alpha=30.0))
+
+
+def test_dirichlet_cell_without_penalty_raises(monkeypatch):
+    # A stabilization field that drops one Dirichlet cell is caught, and the
+    # error names the first cell without a positive penalty.
+    build = stabilization.build_stabilization
+    dropped = []
+
+    def lossy(*args, **kwargs):
+        field = build(*args, **kwargs)
+        cell = next(iter(field.lam))
+        dropped.append(cell)
+        field.lam[cell] = 0.0
+        return field
+
+    monkeypatch.setattr(stabilization, "build_stabilization", lossy)
+    with pytest.raises(AssemblyError, match="lacks a positive penalty") as err:
+        assemble(ProblemSpec(domain_catalog("disk"), 1.0 / 16))
+    assert str(dropped[0]) in str(err.value)
+
+
+def test_degenerate_sliver_error_names_the_cell():
+    ls = LevelSet("sliver", (lambda x, y: x + y - 1e-8,), (DIRICHLET,))
+    with pytest.raises(AssemblyError, match=r"cut cell \(0, 0\) has degenerate"):
+        assemble(ProblemSpec(ls, 0.5, alpha=30.0))
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus"])
+def test_scalar_data_matches_array_data(name):
+    # Data returning a plain float is broadcast to the quadrature points and
+    # gives exactly the right-hand side of its array-valued form.
+    ls = domain_catalog(name)
+    h = ls.art_extent / 32
+    scalar = assemble(ProblemSpec(ls, h, f=lambda x, y: 1.0,
+                                  g_dirichlet=lambda x, y: 0.5,
+                                  g_neumann=lambda x, y: -2.0))
+    array = assemble(ProblemSpec(
+        ls, h, f=lambda x, y: np.ones_like(x),
+        g_dirichlet=lambda x, y: np.full_like(x, 0.5),
+        g_neumann=lambda x, y: np.full_like(x, -2.0)))
+    np.testing.assert_array_equal(scalar.F, array.F)
+    assert np.any(scalar.F != 0.0)
 
 
 def test_residual_zeroes_constrained_entries():

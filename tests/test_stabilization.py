@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghostmg.assembly import ProblemSpec, assemble
+from ghostmg.assembly import ProblemSpec, assemble, cut_cell_batch
 from ghostmg.geometry import (
     DIRICHLET,
     CartesianGrid,
+    CheckerboardCellError,
+    CutCellGeometry,
     LevelSet,
     SnappedNodeField,
     domain_catalog,
     extract_cut_geometry,
 )
+from ghostmg.linalg import DegeneratePencilError, generalized_eig_max
 from ghostmg.stabilization import (
     build_stabilization,
     c_one_dim,
@@ -25,7 +30,7 @@ from ghostmg.stabilization import (
     dense_global_C_2d,
     global_C,
     local_eig_C,
-    transcribed_quadrilateral_constant,
+    pencil_max,
 )
 
 
@@ -149,16 +154,6 @@ def test_constants_blow_up_monotonically_for_thin_cuts():
         assert all(a < b for a, b in zip(seq, seq[1:]))
 
 
-def test_transcribed_candidate_is_locked():
-    with pytest.raises(ValueError):
-        transcribed_quadrilateral_constant(0.5, 0.5, 1.0)
-    # Unlocked, it evaluates but disagrees with the eigensolve; that
-    # disagreement is exactly why it is locked.
-    value = transcribed_quadrilateral_constant(0.5, 0.5, 1.0,
-                                               allow_unvalidated=True)
-    assert not np.isclose(value, c_quadrilateral(0.5, 0.5, 1.0), rtol=1e-3)
-
-
 def test_closed_form_dispatch():
     tri, grid = cut_from_values([-1.0, 3.0, 1.0, 5.0])
     assert closed_form_C(tri, grid) == c_triangle(0.25, 0.5, 1.0)
@@ -257,3 +252,66 @@ def test_global_constant_requires_dirichlet_chords():
     system = assemble(ProblemSpec(neumann, 1.0 / 8))
     with pytest.raises(ValueError):
         global_C(system)
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel against the general eigensolver
+# ---------------------------------------------------------------------------
+
+def test_pencil_max_matches_oracle_on_catalog_cuts():
+    for name in ("disk", "annulus", "flower", "leaf", "hourglass"):
+        ls = domain_catalog(name)
+        system = assemble(ProblemSpec(ls, ls.art_extent / 32))
+        batch = cut_cell_batch(system.cut_cells, system.grid)
+        C = pencil_max(batch.B, batch.S)
+        for k in range(len(C)):
+            oracle = generalized_eig_max(batch.B[k], batch.S[k]).value
+            assert C[k] == pytest.approx(oracle, rel=1e-10)
+
+
+def test_singular_reduced_stiffness_raises_naming_the_cell():
+    # A quadrilateral collapsed onto its chord has zero interior stiffness.
+    h = 0.25
+    chord = np.array([[h, 0.0], [h, h]])
+    cut = CutCellGeometry(cell=(3, 5), shape="quadrilateral", theta=(1.0, 1.0),
+                          polygon=np.array([[h, 0.0], [h, 0.0], [h, h], [h, h]]),
+                          chord=chord, normal=np.array([1.0, 0.0]),
+                          bc=DIRICHLET, nodes=np.arange(4))
+    grid = CartesianGrid(8, (-0.75, -1.25), 2.0)
+    batch = cut_cell_batch([cut], grid)
+    assert np.isnan(pencil_max(batch.B, batch.S)).all()
+    with pytest.raises(DegeneratePencilError, match=r"\(3, 5\)"):
+        build_stabilization([cut], grid)
+    with pytest.raises(DegeneratePencilError, match=r"\(3, 5\)"):
+        local_eig_C(cut, grid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=32, max_value=128),
+       cx=st.floats(0.35, 0.65), cy=st.floats(0.35, 0.65),
+       radius=st.floats(0.1, 0.3), aspect=st.floats(0.5, 1.0),
+       ellipse=st.booleans())
+def test_random_disks_and_ellipses_match_the_oracle(n, cx, cy, radius, aspect,
+                                                    ellipse):
+    """On random disks and axis-aligned ellipses, with cuts at arbitrary
+    fractions, every batched trace constant matches the general eigensolver,
+    S annihilates the constants and the operator is bitwise symmetric."""
+    rx, ry = radius, radius * aspect if ellipse else radius
+
+    def psi(x, y):
+        return ((x - cx) / rx) ** 2 + ((y - cy) / ry) ** 2 - 1.0
+
+    ls = LevelSet("ellipse", (psi,), (DIRICHLET,))
+    try:
+        system = assemble(ProblemSpec(ls, 1.0 / n,
+                                      stabilization_method="local_eig"))
+    except CheckerboardCellError:
+        return
+    assert (system.A - system.A.T).nnz == 0
+    batch = cut_cell_batch(system.cut_cells, system.grid)
+    np.testing.assert_allclose(batch.S @ np.ones(4), 0.0, atol=1e-13)
+    C = system.stabilization.C
+    assert set(C) == {cell for cell, d in zip(batch.cells, batch.dirichlet) if d}
+    for k in np.flatnonzero(batch.dirichlet):
+        oracle = generalized_eig_max(batch.B[k], batch.S[k]).value
+        assert C[batch.cells[k]] == pytest.approx(oracle, rel=1e-10)
