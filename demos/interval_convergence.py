@@ -26,7 +26,7 @@ def convergence_factor(n: int, theta1: float, lam: float) -> float:
     """Windowed mean factor of a homogeneous two-grid run."""
     system = assemble_1d(n, theta1, THETA2, lam)
     config = mg.CycleConfig(nu1=2, nu2=1, gamma_star=1, coarsest_n=n // 2)
-    hierarchy = mg.build_hierarchy_1d(system, config)
+    hierarchy = mg.build_hierarchy(system, config)
     _, trace = mg.solve(hierarchy, np.zeros(n + 1), u0=np.ones(n + 1),
                         max_iters=50)
     return trace.rho_mean(41, 50)

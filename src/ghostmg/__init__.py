@@ -10,8 +10,8 @@ operators come from the shape-function refinement identity.
 Subpackages
 -----------
 linalg
-    CSR helpers, smoother sweeps, Galerkin triple product, deflated
-    generalized eigensolver.
+    CSR helpers, Galerkin triple product, deflated generalized
+    eigensolver.
 geometry
     Background grids, level sets, node snapping, cell classification and cut
     geometry extraction, plus the catalog of benchmark domains.
@@ -25,8 +25,9 @@ stabilization
     Penalty constants: closed forms for 1D/triangle/pentagon cuts, local
     eigensolve for any cut, global constants.
 multigrid
-    Transfer operators, level hierarchies, smoothing, cycles, convergence
-    traces, and the 1D residual splitting identity.
+    Transfer operators, one hierarchy builder for 1D and 2D with every
+    level on its free DOFs, smoothing, cycles, convergence traces, and the
+    1D residual splitting identity.
 experiments
     Config parsing, parameter sweeps, accuracy studies, CSV output.
 cli

@@ -278,35 +278,25 @@ def _cycle_config(config: ExperimentConfig, n: int, eta: int) -> mg.CycleConfig:
                           omega=config.omega)
 
 
-def _run_homogeneous(hierarchy: mg.Hierarchy, num_dofs: int,
-                     iterations: int) -> mg.ConvergenceTrace:
-    F = np.zeros(num_dofs)
-    _, trace = mg.solve(hierarchy, F, u0=np.ones(num_dofs),
-                        max_iters=iterations)
-    return trace
-
-
-def _point_1d(config: ExperimentConfig, n: int, t1: float, gamma: float,
-              eta: int) -> ResultRow:
-    h = 1.0 / n
-    row = ResultRow(experiment=config.experiment, domain="interval", dim=1,
-                    n=n, h=h, theta1=t1, theta2=config.theta2,
-                    gamma=None if config.lambda_mode == "inverse_h2" else gamma,
-                    eta=eta, cycle=config.cycle,
-                    lambda_mode=config.lambda_mode)
-    start = time.perf_counter()
-    # The 1D trace constant is 1/(theta1 h) whether sized per cell or
-    # globally (a single Dirichlet cell), so local and global coincide.
-    lam = (1.0 / h ** 2 if config.lambda_mode == "inverse_h2"
-           else gamma / (t1 * h))
-    system = assemble_1d(n, t1, config.theta2, lam)
-    hierarchy = mg.build_hierarchy_1d(system, _cycle_config(config, n, eta))
-    trace = _run_homogeneous(hierarchy, n + 1, config.iterations)
+def _run_homogeneous(row: ResultRow, system, config: ExperimentConfig):
+    """Fill row's metrics from the homogeneous problem on `system`."""
+    hierarchy = mg.build_hierarchy(system,
+                                   _cycle_config(config, row.n, row.eta))
+    m = system.A.shape[0]
+    _, trace = mg.solve(hierarchy, np.zeros(m), u0=np.ones(m),
+                        max_iters=config.iterations)
     row.rho_mean = trace.rho_mean(*config.window)
     row.final_residual = float(trace.residual_norms[-1])
     row.iters = trace.iterations
-    row.wall_ms = 1e3 * (time.perf_counter() - start)
-    return row
+
+
+def _point_1d(config: ExperimentConfig, row: ResultRow):
+    # The 1D trace constant is 1/(theta1 h) whether sized per cell or
+    # globally (a single Dirichlet cell), so local and global coincide.
+    lam = (1.0 / row.h ** 2 if config.lambda_mode == "inverse_h2"
+           else row.gamma / (row.theta1 * row.h))
+    _run_homogeneous(row, assemble_1d(row.n, row.theta1, config.theta2, lam),
+                     config)
 
 
 def _levelset_for(config: ExperimentConfig, h: float,
@@ -316,28 +306,13 @@ def _levelset_for(config: ExperimentConfig, h: float,
     return domain_catalog(config.domain)
 
 
-def _point_2d(config: ExperimentConfig, n: int, theta: Optional[float],
-              gamma: float, eta: int) -> ResultRow:
-    extent = _artificial_extent(config.domain)
-    h = extent / n
-    row = ResultRow(experiment=config.experiment, domain=config.domain, dim=2,
-                    n=n, h=h, theta1=theta, theta2=theta, gamma=gamma,
-                    eta=eta, cycle=config.cycle,
-                    lambda_mode=config.lambda_mode)
-    start = time.perf_counter()
-    levelset = _levelset_for(config, h, theta)
+def _point_2d(config: ExperimentConfig, row: ResultRow):
+    levelset = _levelset_for(config, row.h, row.theta1)
     problem = ProblemSpec(
-        levelset=levelset, h=h, gamma=gamma, lambda_mode=config.lambda_mode,
-        alpha=config.alpha,
+        levelset=levelset, h=row.h, gamma=row.gamma,
+        lambda_mode=config.lambda_mode, alpha=config.alpha,
         strong_predicate=levelset.params.get("strong_predicate"))
-    system = assemble(problem)
-    hierarchy = mg.build_hierarchy(system, _cycle_config(config, n, eta))
-    trace = _run_homogeneous(hierarchy, system.A.shape[0], config.iterations)
-    row.rho_mean = trace.rho_mean(*config.window)
-    row.final_residual = float(trace.residual_norms[-1])
-    row.iters = trace.iterations
-    row.wall_ms = 1e3 * (time.perf_counter() - start)
-    return row
+    _run_homogeneous(row, assemble(problem), config)
 
 
 def run_experiment(config: ExperimentConfig) -> list:
@@ -348,31 +323,31 @@ def run_experiment(config: ExperimentConfig) -> list:
     point yields a row with empty metrics and the error recorded on it.
     """
     rows = []
-    positions: Sequence = ((config.theta1 if config.dimension == 1
-                            else config.theta) or (None,))
+    one_d = config.dimension == 1
+    point = _point_1d if one_d else _point_2d
+    extent = _artificial_extent(config.domain)
+    positions: Sequence = (config.theta1 if one_d else config.theta) \
+        or (None,)
     for n in config.ns:
         for position in positions:
             for gamma in config.gamma:
                 for eta in config.eta:
+                    row = ResultRow(
+                        experiment=config.experiment, domain=config.domain,
+                        dim=config.dimension, n=n, h=extent / n,
+                        theta1=position,
+                        theta2=config.theta2 if one_d else position,
+                        gamma=(None if config.lambda_mode == "inverse_h2"
+                               else gamma),
+                        eta=eta, cycle=config.cycle,
+                        lambda_mode=config.lambda_mode)
+                    start = time.perf_counter()
                     try:
-                        if config.dimension == 1:
-                            rows.append(_point_1d(config, n, position,
-                                                  gamma, eta))
-                        else:
-                            rows.append(_point_2d(config, n, position,
-                                                  gamma, eta))
+                        point(config, row)
+                        row.wall_ms = 1e3 * (time.perf_counter() - start)
                     except Exception as err:  # noqa: BLE001 - sweep isolation
-                        extent = (1.0 if config.dimension == 1
-                                  else _artificial_extent(config.domain))
-                        rows.append(ResultRow(
-                            experiment=config.experiment,
-                            domain=config.domain, dim=config.dimension,
-                            n=n, h=extent / n, theta1=position,
-                            theta2=(config.theta2 if config.dimension == 1
-                                    else position),
-                            gamma=gamma, eta=eta, cycle=config.cycle,
-                            lambda_mode=config.lambda_mode,
-                            error=f"{type(err).__name__}: {err}"))
+                        row.error = f"{type(err).__name__}: {err}"
+                    rows.append(row)
     return rows
 
 
@@ -430,8 +405,8 @@ def _accuracy_point_1d(config: ExperimentConfig, n: int,
     a = (1.0 - t1) * h
     system = assemble_1d(n, t1, config.theta2, gamma / (t1 * h),
                          f=None, g_a=a, g_b=1.0)
-    hierarchy = mg.build_hierarchy_1d(system, _cycle_config(config, n,
-                                                            config.eta[0]))
+    hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
+                                                         config.eta[0]))
     u, _ = mg.solve(hierarchy, system.F, max_iters=200,
                     target_residual=target_residual)
     x = h * np.arange(n + 1)

@@ -1,9 +1,9 @@
 """Sparse and dense linear-algebra kernels used by the solver stack.
 
 Sparse matrices are scipy CSR throughout; helpers here pin down the canonical
-form (sorted column indices, duplicates summed) and provide the smoother
-sweeps, the Galerkin triple product and a generalized eigensolver that handles
-the singular pencils arising from boundary-penalty estimates.
+form (sorted column indices, duplicates summed) and provide the Galerkin
+triple product and a generalized eigensolver that handles the singular
+pencils arising from boundary-penalty estimates.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
 
 
 class NotSPDError(Exception):
@@ -55,105 +54,10 @@ def canonical_csr(matrix) -> sp.csr_matrix:
     return a
 
 
-def spmv(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product y = A x."""
-    return A @ x
-
-
-def _mask_to_indices(n: int, mask) -> np.ndarray:
-    """Normalize an optional boolean mask / index array to sorted indices."""
-    if mask is None:
-        return np.arange(n)
-    mask = np.asarray(mask)
-    if mask.dtype == bool:
-        return np.flatnonzero(mask)
-    return np.unique(mask)
-
-
-def gauss_seidel_sweep(A: sp.csr_matrix, F: np.ndarray, u: np.ndarray,
-                       mask=None) -> np.ndarray:
-    """One forward Gauss-Seidel sweep, in place, over the masked rows.
-
-    Rows are visited in ascending global index order; entries outside the
-    mask are left untouched.  Equivalent to the classical update
-    u_i <- (F_i - sum_{j<i} a_ij u_j_new - sum_{j>i} a_ij u_j_old) / a_ii,
-    implemented as a lower-triangular solve for the masked correction:
-    (D + L)|_mask  delta = (F - A u)|_mask.
-
-    Parameters
-    ----------
-    A : csr_matrix
-        System matrix with nonzero diagonal on every swept row.
-    F : ndarray
-        Right-hand side.
-    u : ndarray
-        Iterate, updated in place.
-    mask : ndarray or None
-        Boolean mask or index array selecting the rows to sweep.  None sweeps
-        every row; an empty mask is a no-op.
-
-    Returns
-    -------
-    ndarray
-        The updated iterate (same array as `u`).
-    """
-    idx = _mask_to_indices(A.shape[0], mask)
-    if idx.size == 0:
-        return u
-    r = F - A @ u
-    if idx.size == A.shape[0]:
-        sub = A
-        r_sub = r
-    else:
-        sub = A[idx][:, idx]
-        r_sub = r[idx]
-    diag = sub.diagonal()
-    if np.any(diag == 0.0):
-        raise ZeroDivisionError("Gauss-Seidel sweep over a row with zero diagonal")
-    lower = sp.tril(sub, format="csr")
-    delta = spsolve_triangular(lower, r_sub, lower=True)
-    u[idx] += delta
-    return u
-
-
-def weighted_jacobi_sweep(A: sp.csr_matrix, F: np.ndarray, u: np.ndarray,
-                          omega: float) -> np.ndarray:
-    """One damped Jacobi step u <- u + omega * D^{-1} (F - A u), in place.
-
-    omega = 1 is plain Jacobi; omega = 2/3 is the classical damping that
-    makes the sweep a smoother for second-order elliptic operators.
-    """
-    diag = A.diagonal()
-    if np.any(diag == 0.0):
-        raise ZeroDivisionError("weighted Jacobi with a zero diagonal entry")
-    u += omega * (F - A @ u) / diag
-    return u
-
-
 def rap_product(R: sp.csr_matrix, A: sp.csr_matrix, P: sp.csr_matrix) -> sp.csr_matrix:
     """Galerkin triple product R A P as canonical CSR."""
     coarse = R @ A @ P
     return canonical_csr(coarse)
-
-
-def dense_solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for dense symmetric positive definite A via Cholesky.
-
-    Raises
-    ------
-    NotSPDError
-        If a non-positive pivot is met, which for the assembled systems here
-        diagnoses a stabilization parameter below the coercivity threshold.
-    """
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError(
-            f"Cholesky failed ({exc}); matrix is not positive definite. "
-            "For Nitsche systems this usually means lambda is below the "
-            "coercivity constant."
-        ) from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def generalized_eig_max(K: np.ndarray, M: np.ndarray,

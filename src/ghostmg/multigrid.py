@@ -2,13 +2,17 @@
 
 Restriction rows carry the shape-function refinement weights (1/2, 1, 1/2)
 in 1D and their tensor product in 2D, and prolongation is exactly the
-transpose.  A hierarchy masks the transfers so constrained fine DOFs (ghost
-exterior nodes, strongly eliminated nodes) contribute nothing: the masked
-restriction has zero columns there, coarse operators are Galerkin triple
-products, and coarse DOFs left with no free support become identity rows.
-Smoothing is lexicographic Gauss-Seidel (or weighted Jacobi) restricted to
-free DOFs, optionally followed by extra sweeps on the cut-cell DOFs only,
-and the coarsest level is solved exactly.
+transpose.  Every level holds its operator, transfers and vectors on its
+free DOFs only: a level's restriction is the refinement-weight matrix cut to
+the fine free DOFs and to the coarse nodes they reach, which are the coarse
+free DOFs, and coarse operators are Galerkin triple products.  Constrained
+nodes (ghost exterior nodes, strongly eliminated nodes) appear only at the
+API edge: ``solve`` and ``mg_cycle`` take and return vectors on the whole
+background grid, with constrained entries equal to F.  One builder serves
+the 1D interval and the 2D systems.  Smoothing is lexicographic
+Gauss-Seidel (or weighted Jacobi) over the free DOFs, optionally followed
+by extra sweeps on the cut-cell DOFs only, and the coarsest level is solved
+exactly.
 
 The number of levels is set by ``coarsest_n``: coarsening halves n until it
 reaches that size, so the finest n must equal ``coarsest_n * 2**L`` for some
@@ -21,7 +25,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ghostmg.assembly import AssembledSystem
-from ghostmg.geometry import CartesianGrid, classify_cells, snap_nodes
+from ghostmg.geometry import CartesianGrid
 from ghostmg.linalg import NotSPDError, canonical_csr, rap_product
 from ghostmg.one_dim import OneDimSystem, split_residual_coarse
 
@@ -38,13 +42,9 @@ _SMOOTHERS = ("gauss_seidel", "weighted_jacobi")
 #: Number of consecutive growing-residual cycles before a run is flagged.
 DIVERGENCE_PATIENCE = 5
 
-
-@dataclass(frozen=True)
-class TransferOperators:
-    """A restriction matrix and its exact-transpose prolongation."""
-
-    R: sp.csr_matrix
-    P: sp.csr_matrix
+#: Free-DOF count up to which the coarsest level is factored by dense
+#: Cholesky; larger coarsest levels use a sparse LU.
+DENSE_COARSE_LIMIT = 2500
 
 
 def restriction_1d(n: int) -> sp.csr_matrix:
@@ -57,17 +57,10 @@ def restriction_1d(n: int) -> sp.csr_matrix:
     if n % 2 != 0 or n < 2:
         raise ValueError(f"need an even number of cells >= 2, got {n}")
     nc = n // 2
-    rows, cols, vals = [], [], []
-    for I in range(nc + 1):
-        center = 2 * I
-        rows.append(I)
-        cols.append(center)
-        vals.append(1.0)
-        for neighbor in (center - 1, center + 1):
-            if 0 <= neighbor <= n:
-                rows.append(I)
-                cols.append(neighbor)
-                vals.append(0.5)
+    odd = np.arange(1, n, 2)
+    rows = np.concatenate([np.arange(nc + 1), odd // 2, odd // 2 + 1])
+    cols = np.concatenate([np.arange(0, n + 1, 2), odd, odd])
+    vals = np.repeat([1.0, 0.5], [nc + 1, 2 * nc])
     R = sp.csr_matrix((vals, (rows, cols)), shape=(nc + 1, n + 1))
     return canonical_csr(R)
 
@@ -78,49 +71,13 @@ def restriction_2d(n: int) -> sp.csr_matrix:
     return canonical_csr(sp.kron(R1, R1, format="csr"))
 
 
-def build_restriction(fine_grid: CartesianGrid,
-                      coarse_grid: CartesianGrid) -> TransferOperators:
-    """Transfer operators between two nested grids (coarse n = fine n / 2)."""
-    if fine_grid.dim != coarse_grid.dim:
-        raise ValueError(
-            f"grid dimensions differ: {fine_grid.dim} vs {coarse_grid.dim}")
-    if fine_grid.n != 2 * coarse_grid.n:
-        raise ValueError(
-            f"coarse grid must halve the fine one: fine n = {fine_grid.n}, "
-            f"coarse n = {coarse_grid.n}")
-    if (fine_grid.origin != coarse_grid.origin
-            or fine_grid.extent != coarse_grid.extent):
-        raise ValueError("grids must cover the same artificial domain")
-    R = restriction_1d(fine_grid.n) if fine_grid.dim == 1 \
-        else restriction_2d(fine_grid.n)
-    return TransferOperators(R=R, P=canonical_csr(R.T))
-
-
-def masked_transfers(R_raw: sp.csr_matrix, free_fine: np.ndarray
-                     ) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    """Zero the restriction columns of constrained fine DOFs.
-
-    Returns (R, P, dead) with P = R^T exactly and dead marking coarse DOFs
-    whose entire stencil is constrained (all-zero restriction rows); their
-    Galerkin rows come out identically zero and are replaced by identity.
-    """
-    free_fine = np.asarray(free_fine, dtype=bool)
-    R = canonical_csr(R_raw @ sp.diags(free_fine.astype(float)))
-    R.eliminate_zeros()
-    dead = np.diff(R.indptr) == 0
-    P = canonical_csr(R.T)
-    return R, P, dead
-
-
 @dataclass
 class CycleConfig:
     """Cycle shape and smoothing parameters.
 
     nu1 / nu2 pre- and post-smoothing sweeps; eta extra cut-DOF sweeps
     appended to every full sweep; gamma_star recursion count (1 = V-cycle,
-    2 = W-cycle); coarsest_n the grid size solved exactly;
-    dense_coarse_limit switches the exact coarse solve from dense Cholesky
-    to a sparse LU beyond that many free DOFs.
+    2 = W-cycle); coarsest_n the grid size solved exactly.
     """
 
     nu1: int = 2
@@ -130,7 +87,6 @@ class CycleConfig:
     coarsest_n: int = 8
     smoother: str = "gauss_seidel"
     omega: float = 2.0 / 3.0
-    dense_coarse_limit: int = 2500
 
     def __post_init__(self):
         if self.gamma_star not in (1, 2):
@@ -155,66 +111,68 @@ def _validate_depth(n: int, coarsest_n: int):
 
 
 class MgLevel:
-    """One level: its operator, DOF masks, transfers and solver caches."""
+    """One level: its operator and transfers on its free DOFs, the free and
+    cut masks over its grid's nodes, and its solver caches."""
 
     def __init__(self, A: sp.csr_matrix, free: np.ndarray, cut: np.ndarray,
-                 grid: Optional[CartesianGrid] = None, n: Optional[int] = None,
-                 index: int = 0):
+                 grid: CartesianGrid, index: int = 0):
         self.A = canonical_csr(A)
         self.free = np.asarray(free, dtype=bool)
         self.cut = np.asarray(cut, dtype=bool) & self.free
         self.grid = grid
-        self.n = n if n is not None else (grid.n if grid is not None else None)
         self.index = index
         self.R: Optional[sp.csr_matrix] = None
         self.P: Optional[sp.csr_matrix] = None
-        self.idx_free = np.flatnonzero(self.free)
-        self.idx_cut = np.flatnonzero(self.cut)
-        self.A_free_rows = self.A[self.idx_free]
-        self.A_cut_rows = self.A[self.idx_cut] if self.idx_cut.size else None
+        self.idx_cut = np.flatnonzero(self.cut[self.free])
         self._free_sweep = None
         self._cut_sweep = None
         self._sweep_key = None
         self._coarse_solve = None
 
     @property
+    def n(self) -> int:
+        return self.grid.n
+
+    @property
     def num_dofs(self) -> int:
         return self.A.shape[0]
 
-    def residual_free(self, u: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """F - A u at the free DOFs only."""
-        return F[self.idx_free] - self.A_free_rows @ u
-
     def residual(self, u: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """F - A u with zeros at constrained DOFs."""
-        r = np.zeros_like(F)
-        r[self.idx_free] = self.residual_free(u, F)
-        return r
+        """F - A u."""
+        return F - self.A @ u
 
     # -- smoothing -----------------------------------------------------------
 
-    def _build_sweep(self, idx: np.ndarray, rows: sp.csr_matrix,
-                     config: CycleConfig):
-        """Sweep closure u <- u + S^-1 (F - A u)|idx for one DOF subset."""
-        A_sub = rows[:, idx].tocsr()
+    def _build_sweep(self, idx: Optional[np.ndarray], config: CycleConfig):
+        """Sweep closure u <- u + S^-1 (F - A u) over every DOF, or over the
+        DOFs idx only."""
+        if idx is None:
+            rows = A_sub = self.A
+        else:
+            rows = self.A[idx]
+            A_sub = rows[:, idx].tocsr()
         diag = A_sub.diagonal()
         if np.any(diag == 0.0):
             raise ZeroDivisionError(
                 "smoother hit a zero diagonal; the operator is missing a "
-                "stabilization or identity contribution")
+                "stabilization contribution")
         if config.smoother == "gauss_seidel":
-            lower = spla.splu(sp.tril(A_sub, format="csc"),
-                              permc_spec="NATURAL",
-                              options={"DiagPivotThresh": 0.0,
-                                       "SymmetricMode": True})
-
-            def sweep(u, F):
-                u[idx] += lower.solve(F[idx] - rows @ u)
+            step = spla.splu(sp.tril(A_sub, format="csc"),
+                             permc_spec="NATURAL",
+                             options={"DiagPivotThresh": 0.0,
+                                      "SymmetricMode": True}).solve
         else:
             scale = config.omega / diag
 
+            def step(r):
+                return scale * r
+
+        if idx is None:
             def sweep(u, F):
-                u[idx] += scale * (F[idx] - rows @ u)
+                u += step(F - rows @ u)
+        else:
+            def sweep(u, F):
+                u[idx] += step(F[idx] - rows @ u)
 
         return sweep
 
@@ -222,15 +180,13 @@ class MgLevel:
         key = (config.smoother, config.omega)
         if self._sweep_key == key:
             return
-        self._free_sweep = self._build_sweep(self.idx_free, self.A_free_rows,
-                                             config)
+        self._free_sweep = self._build_sweep(None, config)
         if self.idx_cut.size:
-            self._cut_sweep = self._build_sweep(self.idx_cut, self.A_cut_rows,
-                                                config)
+            self._cut_sweep = self._build_sweep(self.idx_cut, config)
         self._sweep_key = key
 
     def smooth(self, u: np.ndarray, F: np.ndarray, eta: int):
-        """One full sweep over the free DOFs plus eta extra cut-DOF sweeps."""
+        """One full sweep plus eta extra cut-DOF sweeps, in place."""
         self._free_sweep(u, F)
         if self._cut_sweep is not None:
             for _ in range(eta):
@@ -238,34 +194,22 @@ class MgLevel:
 
     # -- exact coarsest solve ------------------------------------------------
 
-    def prepare_coarse_solver(self, config: CycleConfig):
-        A_ff = self.A_free_rows[:, self.idx_free].toarray() \
-            if self.idx_free.size <= config.dense_coarse_limit else None
-        if A_ff is not None:
-            try:
-                factor = scipy.linalg.cho_factor(A_ff, lower=True)
-            except scipy.linalg.LinAlgError as err:
-                raise NotSPDError(
-                    "coarsest operator is not positive definite; a penalty "
-                    "below the trace constant (gamma <= 1) can cause this"
-                ) from err
-
-            def solve_free(b):
-                return scipy.linalg.cho_solve(factor, b)
-        else:
-            lu = spla.splu(self.A_free_rows[:, self.idx_free].tocsc())
-
-            def solve_free(b):
-                return lu.solve(b)
-
-        idx = self.idx_free
-        fixed = ~self.free
+    def prepare_coarse_solver(self):
+        """Factor A: dense Cholesky up to DENSE_COARSE_LIMIT DOFs, sparse LU
+        beyond."""
+        if self.num_dofs > DENSE_COARSE_LIMIT:
+            self._coarse_solve = spla.splu(self.A.tocsc()).solve
+            return
+        try:
+            factor = scipy.linalg.cho_factor(self.A.toarray(), lower=True)
+        except scipy.linalg.LinAlgError as err:
+            raise NotSPDError(
+                "coarsest operator is not positive definite; a penalty "
+                "below the trace constant (gamma <= 1) can cause this"
+            ) from err
 
         def solve(F):
-            u = np.zeros_like(F)
-            u[fixed] = F[fixed]
-            u[idx] = solve_free(F[idx])
-            return u
+            return scipy.linalg.cho_solve(factor, F)
 
         self._coarse_solve = solve
 
@@ -288,7 +232,7 @@ class Hierarchy:
 def _finalize(levels: list, config: CycleConfig) -> Hierarchy:
     for level in levels[:-1]:
         level.prepare_smoothers(config)
-    levels[-1].prepare_coarse_solver(config)
+    levels[-1].prepare_coarse_solver()
     return Hierarchy(levels=levels, config=config)
 
 
@@ -298,56 +242,33 @@ def _symmetrized(A: sp.csr_matrix) -> sp.csr_matrix:
     return canonical_csr(0.5 * (A + A.T))
 
 
-def build_hierarchy(system: AssembledSystem, config: CycleConfig) -> Hierarchy:
-    """Hierarchy for an assembled 2D system.
+def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
+                    config: CycleConfig) -> Hierarchy:
+    """Hierarchy for an assembled 1D or 2D system.
 
-    Coarse operators are Galerkin products with masked transfers; coarse free
-    masks come from the transfer support, while coarse cut masks (used only
-    to steer the extra smoothing sweeps) come from re-classifying the level
-    set on each coarser grid.
+    Both system types supply A on their grid's nodes, the free and cut
+    masks there, and cut_mask(grid) for any coarser grid.  A level's
+    restriction is the refinement-weight matrix cut to the fine
+    free DOFs (columns) and to the coarse nodes they reach (rows), which are
+    the coarse free DOFs; coarse operators are Galerkin products.  Coarse
+    cut masks, which only steer the extra smoothing sweeps, come from the
+    system's cut_mask on each coarser grid.
     """
-    problem = system.problem
-    _validate_depth(system.grid.n, config.coarsest_n)
-    levels = [MgLevel(system.A, system.free_dofs, system.cut_dofs,
-                      grid=system.grid)]
+    grid = system.grid
+    _validate_depth(grid.n, config.coarsest_n)
+    restriction = restriction_1d if grid.dim == 1 else restriction_2d
+    free = system.free_dofs
+    levels = [MgLevel(system.A[free][:, free], free, system.cut_dofs, grid)]
     while levels[-1].n > config.coarsest_n:
         fine = levels[-1]
-        R, P, dead = masked_transfers(restriction_2d(fine.n), fine.free)
-        A_c = _symmetrized(rap_product(R, fine.A, P)) \
-            + sp.diags(dead.astype(float))
+        R = restriction(fine.n)[:, fine.free]
+        free_c = np.diff(R.indptr) > 0
+        fine.R = canonical_csr(R[free_c])
+        fine.P = canonical_csr(fine.R.T)
+        A_c = _symmetrized(rap_product(fine.R, fine.A, fine.P))
         grid_c = fine.grid.coarsen()
-        free_c = ~dead
-        cut_c = classify_cells(
-            snap_nodes(grid_c, problem.levelset, problem.alpha)).cut_nodes \
-            & free_c
-        fine.R, fine.P = R, P
-        levels.append(MgLevel(canonical_csr(A_c), free_c, cut_c, grid=grid_c,
+        levels.append(MgLevel(A_c, free_c, system.cut_mask(grid_c), grid_c,
                               index=len(levels)))
-    return _finalize(levels, config)
-
-
-def build_hierarchy_1d(system: OneDimSystem, config: CycleConfig) -> Hierarchy:
-    """Hierarchy for a 1D interval system; every node is free, and the cut
-    mask holds the two nodes of each boundary cell."""
-
-    def cut_mask(m: int) -> np.ndarray:
-        mask = np.zeros(m, dtype=bool)
-        mask[[0, 1, m - 2, m - 1]] = True
-        return mask
-
-    _validate_depth(system.n, config.coarsest_n)
-    m = system.A.shape[0]
-    levels = [MgLevel(system.A, np.ones(m, dtype=bool), cut_mask(m),
-                      n=system.n)]
-    while levels[-1].n > config.coarsest_n:
-        fine = levels[-1]
-        R = restriction_1d(fine.n)
-        P = canonical_csr(R.T)
-        A_c = _symmetrized(rap_product(R, fine.A, P))
-        nc = fine.n // 2
-        fine.R, fine.P = R, P
-        levels.append(MgLevel(A_c, np.ones(nc + 1, dtype=bool),
-                              cut_mask(nc + 1), n=nc, index=len(levels)))
     return _finalize(levels, config)
 
 
@@ -369,37 +290,28 @@ def _cycle(levels: list, k: int, u: np.ndarray, F: np.ndarray,
         level.smooth(u, F, config.eta)
 
 
-def smooth(level: MgLevel, F: np.ndarray, u: np.ndarray,
-           config: CycleConfig) -> np.ndarray:
-    """One smoothing step (full free-DOF sweep + eta cut-DOF sweeps)."""
-    level.prepare_smoothers(config)
-    u = np.array(u, dtype=float, copy=True)
-    level.smooth(u, F, config.eta)
+def _on_grid(F: np.ndarray, free: np.ndarray,
+             u_free: np.ndarray) -> np.ndarray:
+    """Full-grid iterate: u_free at the free DOFs, F at the constrained."""
+    u = np.array(F, dtype=float, copy=True)
+    u[free] = u_free
     return u
-
-
-def two_grid_cycle(hierarchy: Hierarchy, F: np.ndarray,
-                   u: np.ndarray) -> np.ndarray:
-    """One cycle of the two-grid correction scheme (exactly two levels)."""
-    if len(hierarchy.levels) != 2:
-        raise ValueError(
-            f"two-grid cycle needs exactly 2 levels, hierarchy has "
-            f"{len(hierarchy.levels)}")
-    return mg_cycle(hierarchy, F, u, gamma_star=1)
 
 
 def mg_cycle(hierarchy: Hierarchy, F: np.ndarray, u: np.ndarray,
              gamma_star: Optional[int] = None) -> np.ndarray:
-    """One recursive multigrid cycle (gamma_star 1 = V, 2 = W)."""
+    """One recursive multigrid cycle (gamma_star 1 = V, 2 = W) on full-grid
+    vectors; returns a new iterate whose constrained entries equal F."""
     if len(hierarchy.levels) < 2:
         raise ValueError("a cycle needs at least 2 levels")
     if gamma_star is None:
         gamma_star = hierarchy.config.gamma_star
     if gamma_star not in (1, 2):
         raise ValueError(f"gamma_star must be 1 or 2, got {gamma_star}")
-    u = np.array(u, dtype=float, copy=True)
-    _cycle(hierarchy.levels, 0, u, F, hierarchy.config, gamma_star)
-    return u
+    free = hierarchy.finest.free
+    u_free = np.asarray(u, dtype=float)[free]
+    _cycle(hierarchy.levels, 0, u_free, F[free], hierarchy.config, gamma_star)
+    return _on_grid(F, free, u_free)
 
 
 @dataclass
@@ -438,27 +350,29 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
           ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Run repeated cycles, recording the free-DOF residual max-norm.
 
-    Constrained DOFs (identity rows) are set to their right-hand side values
-    up front and never iterated.  With target_residual set, iteration stops
-    early once the residual norm drops to it.  A residual that grows for
-    DIVERGENCE_PATIENCE consecutive cycles flags the trace as diverged (with
-    a warning) but the run is preserved.
+    F and the returned u live on the whole background grid; constrained
+    DOFs take their right-hand side values and are never iterated.  With
+    target_residual set, iteration stops early once the residual norm drops
+    to it.  A residual that grows for DIVERGENCE_PATIENCE consecutive cycles
+    flags the trace as diverged (with a warning) but the run is preserved.
     """
     levels = hierarchy.levels
     level0 = levels[0]
-    u = np.zeros_like(F) if u0 is None else np.array(u0, dtype=float,
-                                                     copy=True)
-    fixed = ~level0.free
-    u[fixed] = F[fixed]
+    free = level0.free
+    F_free = F[free]
+    u_free = np.zeros(level0.num_dofs) if u0 is None \
+        else np.asarray(u0, dtype=float)[free]
     gamma_star = hierarchy.config.gamma_star
     start = time.perf_counter()
-    norms = [float(np.max(np.abs(level0.residual_free(u, F)), initial=0.0))]
+    norms = [float(np.max(np.abs(level0.residual(u_free, F_free)),
+                          initial=0.0))]
     rhos = []
     growing = 0
     diverged = False
     for _ in range(max_iters):
-        _cycle(levels, 0, u, F, hierarchy.config, gamma_star)
-        rn = float(np.max(np.abs(level0.residual_free(u, F)), initial=0.0))
+        _cycle(levels, 0, u_free, F_free, hierarchy.config, gamma_star)
+        rn = float(np.max(np.abs(level0.residual(u_free, F_free)),
+                          initial=0.0))
         rhos.append(rn / norms[-1] if norms[-1] > 0.0 else 0.0)
         norms.append(rn)
         growing = growing + 1 if rhos[-1] > 1.0 else 0
@@ -470,6 +384,7 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
         if target_residual is not None and rn <= target_residual:
             break
     wall_ms = 1e3 * (time.perf_counter() - start)
+    u = _on_grid(F, free, u_free)
     trace = ConvergenceTrace(u=u, residual_norms=np.array(norms),
                              rho_per_iter=np.array(rhos), wall_ms=wall_ms,
                              diverged=diverged)

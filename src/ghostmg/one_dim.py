@@ -24,6 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ghostmg.geometry import CartesianGrid
+
 
 @dataclass
 class OneDimBlocks:
@@ -68,6 +70,26 @@ class OneDimSystem:
     @property
     def h(self) -> float:
         return self.blocks.h
+
+    @property
+    def grid(self) -> CartesianGrid:
+        """The unit artificial domain with n cells."""
+        return CartesianGrid(self.n, (0.0,), 1.0)
+
+    @property
+    def free_dofs(self) -> np.ndarray:
+        return np.ones(self.n + 1, dtype=bool)
+
+    @property
+    def cut_dofs(self) -> np.ndarray:
+        return self.cut_mask(self.grid)
+
+    @staticmethod
+    def cut_mask(grid: CartesianGrid) -> np.ndarray:
+        """The nodes of the two boundary cells, on any level's grid."""
+        mask = np.zeros(grid.num_nodes, dtype=bool)
+        mask[[0, 1, -2, -1]] = True
+        return mask
 
 
 def _check_params(n: int, theta1: float, theta2: float) -> None:

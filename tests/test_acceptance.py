@@ -53,7 +53,7 @@ def interval_rho(theta1, n, penalty="tuned", cycle="two_grid", eta=0):
     else:
         config = mg.CycleConfig(nu1=2, nu2=1, eta=eta, gamma_star=2,
                                 coarsest_n=8)
-    hierarchy = mg.build_hierarchy_1d(system, config)
+    hierarchy = mg.build_hierarchy(system, config)
     _, trace = mg.solve(hierarchy, np.zeros(n + 1), u0=np.ones(n + 1),
                         max_iters=50)
     return trace.rho_mean(41, 50)

@@ -1,5 +1,7 @@
 """Tests for the sweep config format, the sweep runner and CSV output."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,32 @@ def test_a_failing_point_is_recorded_without_aborting_the_sweep():
         assert row.iters is None
     for row in passed:
         assert row.rho_mean is not None
+
+
+def test_failure_rows_follow_the_success_row_convention():
+    # A failing point's row is the same row the sweep would have filled:
+    # same h, positions and blank gamma under inverse_h2, no metrics.
+    rows = run_experiment(small_sweep(ns=(4, 16), theta1=(0.5,), cycle="v",
+                                      lambda_mode="inverse_h2"))
+    failed, passed = rows
+    assert failed.error is not None and passed.error is None
+    assert failed.gamma is None and passed.gamma is None
+    assert (failed.h, failed.theta1, failed.theta2) == (0.25, 0.5, 0.01)
+    assert failed.wall_ms is None and failed.rho_mean is None
+
+
+@pytest.mark.parametrize("config", [
+    small_sweep(ns=(16,), eta=(0, 2)),
+    ExperimentConfig("smoke", 2, (16, 32), domain="flower", eta=(0, 4),
+                     iterations=8, window=(5, 8)),
+], ids=["1d", "2d"])
+def test_rerun_rows_match_apart_from_wall_time(config):
+    def stable(rows):
+        return [replace(row, wall_ms=None) for row in rows]
+
+    first = run_experiment(config)
+    assert all(row.error is None for row in first)
+    assert stable(first) == stable(run_experiment(config))
 
 
 def test_inverse_h2_mode_blanks_gamma_and_uses_the_grid_penalty():

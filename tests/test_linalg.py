@@ -1,4 +1,6 @@
-"""Smoother sweeps, triple products and the generalized eigensolver."""
+"""Linear-algebra kernels: the level smoothers and exact coarse solve (run
+through ``MgLevel``, their one implementation), triple products and the
+generalized eigensolver."""
 
 import numpy as np
 import pytest
@@ -7,86 +9,104 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostmg import linalg
+from ghostmg import multigrid as mg
+from ghostmg.geometry import CartesianGrid
 
 
 def two_by_two():
     return sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
+def random_spd(rng, m):
+    B = rng.standard_normal((m, m))
+    return B @ B.T + m * np.eye(m)
+
+
+def level_for(A, cut=None, smoother="gauss_seidel", omega=2.0 / 3.0):
+    """A level on every row of A (all DOFs free), smoothers prepared."""
+    m = A.shape[0]
+    level = mg.MgLevel(A, np.ones(m, dtype=bool),
+                       np.zeros(m, dtype=bool) if cut is None else cut,
+                       CartesianGrid(m - 1, (0.0,), 1.0))
+    level.prepare_smoothers(mg.CycleConfig(smoother=smoother, omega=omega))
+    return level
+
+
 def test_gauss_seidel_oracle():
     # Forward sweep by hand: u0 = 1/2, then u1 = (2 - 1/2)/2 = 3/4.
-    A = two_by_two()
     u = np.zeros(2)
-    out = linalg.gauss_seidel_sweep(A, np.array([1.0, 2.0]), u)
-    assert out is u
+    level_for(two_by_two()).smooth(u, np.array([1.0, 2.0]), 0)
     np.testing.assert_allclose(u, [0.5, 0.75], rtol=0.0, atol=1e-15)
 
 
 def test_gauss_seidel_masked_rows_only():
-    A = two_by_two()
-    u = np.zeros(2)
-    linalg.gauss_seidel_sweep(A, np.array([1.0, 2.0]), u,
-                              mask=np.array([False, True]))
-    np.testing.assert_allclose(u, [0.0, 1.0], rtol=0.0, atol=1e-15)
-
-
-def test_gauss_seidel_index_mask_matches_bool_mask():
+    # Each extra cut sweep changes the cut DOFs only, by one Gauss-Seidel
+    # sweep of the cut rows: tril(A_cc) delta = (F - A u)_c.
     rng = np.random.default_rng(3)
-    B = rng.standard_normal((6, 6))
-    A = sp.csr_matrix(B @ B.T + 6.0 * np.eye(6))
+    A_dense = random_spd(rng, 6)
     F = rng.standard_normal(6)
-    mask = np.array([True, False, True, True, False, True])
-    u_bool = rng.standard_normal(6)
-    u_idx = u_bool.copy()
-    linalg.gauss_seidel_sweep(A, F, u_bool, mask=mask)
-    linalg.gauss_seidel_sweep(A, F, u_idx, mask=np.flatnonzero(mask))
-    np.testing.assert_array_equal(u_bool, u_idx)
+    cut = np.array([True, False, True, True, False, True])
+    level = level_for(sp.csr_matrix(A_dense), cut=cut)
+    u_full = rng.standard_normal(6)
+    u_cut = u_full.copy()
+    level.smooth(u_full, F, 0)
+    level.smooth(u_cut, F, 1)
+    np.testing.assert_array_equal(u_cut[~cut], u_full[~cut])
+    r = (F - A_dense @ u_full)[cut]
+    delta = np.linalg.solve(np.tril(A_dense[np.ix_(cut, cut)]), r)
+    np.testing.assert_allclose(u_cut[cut], u_full[cut] + delta, rtol=0.0,
+                               atol=1e-12)
+    assert np.all(u_cut[cut] != u_full[cut])
 
 
 def test_gauss_seidel_empty_mask_is_noop():
-    A = two_by_two()
-    u = np.array([3.0, -4.0])
-    linalg.gauss_seidel_sweep(A, np.zeros(2), u, mask=np.zeros(2, dtype=bool))
-    np.testing.assert_array_equal(u, [3.0, -4.0])
+    # With no cut DOFs, extra cut sweeps change nothing.
+    rng = np.random.default_rng(5)
+    level = level_for(sp.csr_matrix(random_spd(rng, 5)))
+    F = rng.standard_normal(5)
+    u_plain = rng.standard_normal(5)
+    u_extra = u_plain.copy()
+    level.smooth(u_plain, F, 0)
+    level.smooth(u_extra, F, 4)
+    np.testing.assert_array_equal(u_extra, u_plain)
 
 
 def test_gauss_seidel_zero_diagonal_raises():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ZeroDivisionError):
-        linalg.gauss_seidel_sweep(A, np.zeros(2), np.zeros(2))
+        level_for(A)
 
 
 def test_gauss_seidel_exact_solution_is_fixed_point():
     rng = np.random.default_rng(11)
-    B = rng.standard_normal((8, 8))
-    A = sp.csr_matrix(B @ B.T + 8.0 * np.eye(8))
+    A = sp.csr_matrix(random_spd(rng, 8))
     x = rng.standard_normal(8)
     F = A @ x
     u = x.copy()
-    linalg.gauss_seidel_sweep(A, F, u)
+    level_for(A).smooth(u, F, 0)
     np.testing.assert_allclose(u, x, rtol=0.0, atol=1e-12)
 
 
 def test_weighted_jacobi_oracle():
     # From zero, one damped step is u = omega * D^{-1} F = (2/3) F / 2.
-    A = two_by_two()
     u = np.zeros(2)
-    linalg.weighted_jacobi_sweep(A, np.ones(2), u, omega=2.0 / 3.0)
+    level_for(two_by_two(), smoother="weighted_jacobi",
+              omega=2.0 / 3.0).smooth(u, np.ones(2), 0)
     np.testing.assert_allclose(u, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
 
 
 def test_weighted_jacobi_omega_one_is_plain_jacobi():
-    A = two_by_two()
     u = np.zeros(2)
     F = np.array([1.0, -2.0])
-    linalg.weighted_jacobi_sweep(A, F, u, omega=1.0)
+    level_for(two_by_two(), smoother="weighted_jacobi",
+              omega=1.0).smooth(u, F, 0)
     np.testing.assert_allclose(u, F / 2.0, rtol=1e-15)
 
 
 def test_weighted_jacobi_zero_diagonal_raises():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ZeroDivisionError):
-        linalg.weighted_jacobi_sweep(A, np.zeros(2), np.zeros(2), omega=0.5)
+        level_for(A, smoother="weighted_jacobi", omega=0.5)
 
 
 def test_rap_matches_dense_triple_product():
@@ -106,19 +126,23 @@ def test_canonical_csr_sums_duplicates():
     np.testing.assert_array_equal(out.toarray(), [[0.0, 3.0], [5.0, 0.0]])
 
 
-def test_dense_solve_spd():
+def test_coarse_solve_dense_spd():
+    # The coarsest level's exact solve (dense Cholesky at this size).
     rng = np.random.default_rng(1)
-    B = rng.standard_normal((10, 10))
-    A = B @ B.T + 10.0 * np.eye(10)
+    A = random_spd(rng, 10)
     b = rng.standard_normal(10)
-    x = linalg.dense_solve_spd(A, b)
+    level = level_for(sp.csr_matrix(A))
+    level.prepare_coarse_solver()
+    x = level.coarse_solve(b)
     np.testing.assert_allclose(A @ x, b, rtol=0.0, atol=1e-10)
 
 
 def test_dense_solve_indefinite_raises():
     A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    level = mg.MgLevel(sp.csr_matrix(A), np.ones(2, dtype=bool),
+                       np.zeros(2, dtype=bool), CartesianGrid(1, (0.0,), 1.0))
     with pytest.raises(linalg.NotSPDError):
-        linalg.dense_solve_spd(A, np.ones(2))
+        level.prepare_coarse_solver()
 
 
 def test_generalized_eig_standard_problem():
@@ -160,15 +184,13 @@ def test_gauss_seidel_decreases_energy_norm(seed):
     """For SPD A the error of a Gauss-Seidel sweep contracts in the A-norm."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 12))
-    B = rng.standard_normal((m, m))
-    A_dense = B @ B.T + m * np.eye(m)
-    A = sp.csr_matrix(A_dense)
+    A_dense = random_spd(rng, m)
     x = rng.standard_normal(m)
-    F = A @ x
+    F = A_dense @ x
     u = rng.standard_normal(m)
     e0 = u - x
     before = float(e0 @ (A_dense @ e0))
-    linalg.gauss_seidel_sweep(A, F, u)
+    level_for(sp.csr_matrix(A_dense)).smooth(u, F, 0)
     e1 = u - x
     after = float(e1 @ (A_dense @ e1))
     assert after <= before * (1.0 + 1e-12)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble
-from ghostmg.geometry import CartesianGrid, domain_catalog
+from ghostmg.geometry import domain_catalog
 from ghostmg.linalg import NotSPDError
 from ghostmg.one_dim import assemble_1d, coarse_theta
 
@@ -24,6 +24,20 @@ def test_restriction_1d_matrix():
     ])
     np.testing.assert_array_equal(R, expected)
     np.testing.assert_array_equal(R @ np.ones(5), [1.5, 2.0, 1.5])
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_restriction_1d_matches_the_hat_coefficient_loop(n):
+    # Reference: row I has 1 at fine node 2I and 1/2 at its fine neighbours.
+    expected = np.zeros((n // 2 + 1, n + 1))
+    for I in range(n // 2 + 1):
+        expected[I, 2 * I] = 1.0
+        for neighbor in (2 * I - 1, 2 * I + 1):
+            if 0 <= neighbor <= n:
+                expected[I, neighbor] = 0.5
+    R = mg.restriction_1d(n)
+    assert R.has_canonical_format
+    np.testing.assert_array_equal(R.toarray(), expected)
 
 
 def test_restriction_1d_validation():
@@ -61,44 +75,21 @@ def test_restriction_row_sums():
     np.testing.assert_allclose(sums[1:-1, 1:-1], 4.0, rtol=1e-15)
 
 
-def test_build_restriction_transpose_pair():
-    fine = CartesianGrid(16, (0.0, 0.0), 1.0)
-    ops = mg.build_restriction(fine, fine.coarsen())
-    assert (ops.R - ops.P.T).nnz == 0
-    fine1 = CartesianGrid(8, (0.0,), 1.0)
-    ops1 = mg.build_restriction(fine1, fine1.coarsen())
-    assert ops1.R.shape == (5, 9)
-    assert (ops1.R - ops1.P.T).nnz == 0
-
-
-def test_build_restriction_validation():
-    f2 = CartesianGrid(8, (0.0, 0.0), 1.0)
-    with pytest.raises(ValueError):
-        mg.build_restriction(f2, CartesianGrid(4, (0.0,), 1.0))
-    with pytest.raises(ValueError):
-        mg.build_restriction(f2, CartesianGrid(3, (0.0, 0.0), 1.0))
-    with pytest.raises(ValueError):
-        mg.build_restriction(f2, CartesianGrid(4, (0.0, 0.0), 2.0))
-
-
-def test_masked_transfers_zero_constrained_columns():
-    R_raw = mg.restriction_1d(8)
-    free = np.ones(9, dtype=bool)
-    free[[0, 5]] = False
-    R, P, dead = mg.masked_transfers(R_raw, free)
-    assert (R - P.T).nnz == 0
-    dense = R.toarray()
-    assert np.all(dense[:, 0] == 0.0)
-    assert np.all(dense[:, 5] == 0.0)
-    np.testing.assert_array_equal(dense[:, free], R_raw.toarray()[:, free])
-    assert not dead.any()
-
-
-def test_masked_transfers_flag_dead_coarse_rows():
-    R, P, dead = mg.masked_transfers(mg.restriction_1d(8),
-                                     np.zeros(9, dtype=bool))
-    assert dead.all()
-    assert R.nnz == 0
+def test_transfers_keep_free_columns_and_reached_coarse_rows():
+    # A level's R is the refinement-weight matrix cut to the fine free DOFs
+    # and to the coarse nodes they reach; those nodes are the coarse free
+    # DOFs, and every other coarse node has no free fine support.
+    system = assemble(ProblemSpec(domain_catalog("disk"), 1.0 / 16,
+                                  gamma=2.0))
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
+    fine, coarse = hierarchy.levels
+    np.testing.assert_array_equal(fine.free, system.free_dofs)
+    raw = mg.restriction_2d(16)[:, fine.free]
+    reached = np.diff(raw.indptr) > 0
+    np.testing.assert_array_equal(coarse.free, reached)
+    assert 0 < reached.sum() < reached.size
+    np.testing.assert_array_equal(fine.R.toarray(), raw[reached].toarray())
+    assert np.all(np.diff(fine.R.indptr) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,25 +110,41 @@ def test_cycle_config_validation():
 def test_depth_validation():
     system = assemble_1d(12, 0.5, 0.5, 100.0)
     with pytest.raises(ValueError):
-        mg.build_hierarchy_1d(system, mg.CycleConfig(coarsest_n=8))
+        mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
     system8 = assemble_1d(8, 0.5, 0.5, 100.0)
     with pytest.raises(ValueError):
-        mg.build_hierarchy_1d(system8, mg.CycleConfig(coarsest_n=8))
+        mg.build_hierarchy(system8, mg.CycleConfig(coarsest_n=8))
+
+
+def _assert_compressed_galerkin(hierarchy):
+    """Levels live on their free DOFs, P = R^T exactly, and each coarse
+    operator is the bitwise-symmetric Galerkin product of its parent."""
+    for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
+        free_f, free_c = fine.free.sum(), coarse.free.sum()
+        assert fine.A.shape == (free_f, free_f)
+        assert fine.R.shape == (free_c, free_f)
+        np.testing.assert_array_equal(fine.P.toarray(), fine.R.T.toarray())
+        assert (coarse.A - coarse.A.T).nnz == 0
+        rap = (fine.R @ fine.A @ fine.P).toarray()
+        np.testing.assert_allclose(coarse.A.toarray(), rap, rtol=0.0,
+                                   atol=1e-14 * np.abs(rap).max())
 
 
 def test_hierarchy_1d_structure():
     system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16))
-    hierarchy = mg.build_hierarchy_1d(system, mg.CycleConfig(coarsest_n=4))
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
     assert [lvl.n for lvl in hierarchy.levels] == [16, 8, 4]
     for lvl in hierarchy.levels:
         assert lvl.free.all()
         m = lvl.num_dofs
         np.testing.assert_array_equal(np.flatnonzero(lvl.cut),
                                       [0, 1, m - 2, m - 1])
-    # Each coarse operator is the Galerkin product of its parent.
-    for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
-        rap = (fine.R @ fine.A @ fine.P).toarray()
-        np.testing.assert_allclose(coarse.A.toarray(), rap, atol=1e-14)
+    np.testing.assert_array_equal(hierarchy.finest.A.toarray(),
+                                  system.A.toarray())
+    for lvl in hierarchy.levels[:-1]:
+        np.testing.assert_array_equal(lvl.R.toarray(),
+                                      mg.restriction_1d(lvl.n).toarray())
+    _assert_compressed_galerkin(hierarchy)
 
 
 @pytest.mark.parametrize("theta1", [0.1, 0.5, 1.0])
@@ -159,18 +166,17 @@ def test_hierarchy_2d_structure():
     system = assemble(ProblemSpec(ls, 1.0 / 16, gamma=2.0))
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
     assert [lvl.n for lvl in hierarchy.levels] == [16, 8, 4]
-    for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
-        # Masked transfers have no support on constrained fine DOFs.
-        cols = np.asarray(np.abs(fine.R).sum(axis=0)).ravel()
-        assert np.all(cols[~fine.free] == 0.0)
-        assert (fine.R - fine.P.T).nnz == 0
-        # Coarse operators stay exactly symmetric and carry identity rows on
-        # dead DOFs.
-        assert (coarse.A - coarse.A.T).nnz == 0
-        dead = ~coarse.free
-        np.testing.assert_array_equal(coarse.A.diagonal()[dead], 1.0)
-        # Cut DOFs for the extra sweeps are always free.
-        assert not np.any(coarse.cut & ~coarse.free)
+    free = system.free_dofs
+    np.testing.assert_array_equal(hierarchy.finest.A.toarray(),
+                                  system.A[free][:, free].toarray())
+    _assert_compressed_galerkin(hierarchy)
+    # No identity rows remain: the finest level drops every constrained
+    # node.  Masks stay over each level's grid nodes, and cut DOFs for the
+    # extra sweeps are always free.
+    assert hierarchy.finest.num_dofs == free.sum() < free.size
+    for lvl in hierarchy.levels:
+        assert lvl.free.size == lvl.grid.num_nodes
+        assert not np.any(lvl.cut & ~lvl.free)
 
 
 def test_coarsest_indefinite_raises():
@@ -179,7 +185,7 @@ def test_coarsest_indefinite_raises():
     # returning garbage.
     system = assemble_1d(8, 1.0, 0.5, 0.1 / (1.0 / 8))
     with pytest.raises(NotSPDError):
-        mg.build_hierarchy_1d(system, mg.CycleConfig(coarsest_n=4))
+        mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +195,7 @@ def test_coarsest_indefinite_raises():
 def small_1d_hierarchy(n=16, coarsest=8, **cfg):
     system = assemble_1d(n, 0.3, 0.6, 1.1 / (0.3 / n))
     config = mg.CycleConfig(coarsest_n=coarsest, **cfg)
-    return system, mg.build_hierarchy_1d(system, config)
-
-
-def test_two_grid_requires_two_levels():
-    _, hierarchy = small_1d_hierarchy(n=16, coarsest=4)
-    with pytest.raises(ValueError):
-        mg.two_grid_cycle(hierarchy, np.zeros(17), np.zeros(17))
+    return system, mg.build_hierarchy(system, config)
 
 
 def test_mg_cycle_requires_multiple_levels():
@@ -206,12 +206,14 @@ def test_mg_cycle_requires_multiple_levels():
         mg.mg_cycle(single, np.zeros(17), np.zeros(17))
 
 
-def test_mg_cycle_matches_two_grid_on_two_levels():
+def test_w_and_v_cycles_coincide_on_two_levels():
+    # With one coarsening step both cycles are the two-grid method: the
+    # second coarse visit repeats the same exact solve.
     system, hierarchy = small_1d_hierarchy()
     rng = np.random.default_rng(1)
     F = rng.standard_normal(17)
     u0 = rng.standard_normal(17)
-    np.testing.assert_array_equal(mg.two_grid_cycle(hierarchy, F, u0),
+    np.testing.assert_array_equal(mg.mg_cycle(hierarchy, F, u0, gamma_star=2),
                                   mg.mg_cycle(hierarchy, F, u0, gamma_star=1))
 
 
@@ -241,8 +243,9 @@ def test_smooth_preserves_exact_solution():
     system, hierarchy = small_1d_hierarchy()
     level = hierarchy.finest
     x = np.linalg.solve(system.A.toarray(), system.F)
-    out = mg.smooth(level, system.F, x, hierarchy.config)
-    np.testing.assert_allclose(out, x, rtol=0.0, atol=1e-10)
+    u = x.copy()
+    level.smooth(u, system.F, 2)
+    np.testing.assert_allclose(u, x, rtol=0.0, atol=1e-10)
 
 
 def test_identity_transfers_solve_in_one_cycle():
@@ -252,8 +255,8 @@ def test_identity_transfers_solve_in_one_cycle():
     m = system.A.shape[0]
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool)
-    level0 = mg.MgLevel(system.A, free, cut, n=8)
-    level1 = mg.MgLevel(system.A, free, cut, n=4, index=1)
+    level0 = mg.MgLevel(system.A, free, cut, system.grid)
+    level1 = mg.MgLevel(system.A, free, cut, system.grid.coarsen(), index=1)
     eye = sp.identity(m, format="csr")
     level0.R, level0.P = eye, eye
     config = mg.CycleConfig(coarsest_n=4)
@@ -302,6 +305,25 @@ def test_solve_fixes_constrained_dofs():
                     max_iters=3)
     fixed = ~system.free_dofs
     np.testing.assert_array_equal(u[fixed], system.F[fixed])
+    # One cycle takes full-grid vectors too and sets the same entries.
+    u = mg.mg_cycle(hierarchy, system.F, np.ones_like(system.F))
+    assert u.shape == system.F.shape
+    np.testing.assert_array_equal(u[fixed], system.F[fixed])
+
+
+def test_readme_quick_start():
+    # The README's first example, as printed there.
+    problem = ProblemSpec(levelset=domain_catalog("disk"), h=1.0 / 64,
+                          f=lambda x, y: np.ones_like(x), gamma=2.0)
+    system = assemble(problem)
+    hierarchy = mg.build_hierarchy(
+        system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
+    u, trace = mg.solve(hierarchy, system.F, max_iters=100,
+                        target_residual=1e-10)
+    assert trace.iterations == 6
+    assert trace.residual_norms[-1] <= 1e-10
+    assert u.shape == (65 ** 2,)
+    assert abs(u.max() - 0.04) <= 1e-3
 
 
 def test_trace_bookkeeping():
@@ -334,7 +356,7 @@ def test_divergent_run_is_flagged_but_kept():
     system = assemble_1d(32, 0.5, 0.5, 1.1 / (0.5 / 32))
     config = mg.CycleConfig(coarsest_n=16, smoother="weighted_jacobi",
                             omega=2.5)
-    hierarchy = mg.build_hierarchy_1d(system, config)
+    hierarchy = mg.build_hierarchy(system, config)
     with pytest.warns(RuntimeWarning):
         _, trace = mg.solve(hierarchy, np.zeros(33), u0=np.ones(33),
                             max_iters=12)
