@@ -75,15 +75,34 @@ def test_restriction_row_sums():
     np.testing.assert_allclose(sums[1:-1, 1:-1], 4.0, rtol=1e-15)
 
 
-def test_transfers_keep_free_columns_and_reached_coarse_rows():
-    # A level's R is the refinement-weight matrix cut to the fine free DOFs
-    # and to the coarse nodes they reach; those nodes are the coarse free
-    # DOFs, and every other coarse node has no free fine support.
+def _disk_two_levels():
     system = assemble(ProblemSpec(domain_catalog("disk"), 1.0 / 16,
                                   gamma=2.0))
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
     fine, coarse = hierarchy.levels
+    return system, fine, coarse
+
+
+def test_masked_transfers_zero_constrained_columns():
+    # A level's R is the refinement-weight matrix cut to the fine free DOFs:
+    # scattered back onto the full grids, the constrained fine columns are
+    # zero and the free ones carry the raw weights.
+    system, fine, coarse = _disk_two_levels()
     np.testing.assert_array_equal(fine.free, system.free_dofs)
+    assert (~fine.free).any()
+    raw = mg.restriction_2d(16).toarray()
+    full = np.zeros_like(raw)
+    full[np.ix_(coarse.free, fine.free)] = fine.R.toarray()
+    assert np.all(full[:, ~fine.free] == 0.0)
+    np.testing.assert_array_equal(full[:, fine.free][coarse.free],
+                                  raw[:, fine.free][coarse.free])
+    np.testing.assert_array_equal(fine.P.toarray(), fine.R.T.toarray())
+
+
+def test_masked_transfers_flag_dead_coarse_rows():
+    # The coarse nodes reached by a free fine DOF are the coarse free DOFs;
+    # every other coarse node has no free fine support and is left out.
+    system, fine, coarse = _disk_two_levels()
     raw = mg.restriction_2d(16)[:, fine.free]
     reached = np.diff(raw.indptr) > 0
     np.testing.assert_array_equal(coarse.free, reached)
