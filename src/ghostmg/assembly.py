@@ -4,11 +4,13 @@ Every active cell contributes the stiffness of its interior part; cut cells
 with a Dirichlet chord additionally contribute the penalty and consistency
 chord integrals, and Neumann chords load the right-hand side.  Nodes outside
 every active cell keep identity rows so the global numbering stays Cartesian.
+The operator is accumulated on its fixed 9-point pattern, one array plane per
+stencil slot, and emitted as canonical CSR directly.
 
-Cut cells are integrated in one batched pass, `cut_cell_batch`: the list from
-`extract_cut_geometry` is stacked into arrays, polygons grouped by vertex
-count (3, 4 or 5) so each group keeps its own centroid fan, and each integral
-is one einsum over the batch.  Polygon integrals use a degree-2 rule per fan
+Cut cells are integrated in one batched pass, `cut_cell_batch`, over the
+arrays of `extract_cut_geometry`: polygons come grouped by vertex count (3, 4
+or 5) so each group keeps its own centroid fan, and each integral is one
+einsum over the batch.  Polygon integrals use a degree-2 rule per fan
 triangle for stiffness and a degree-4 rule for sources; chord integrals use
 3-point Gauss.  All of those are exact for the polynomial integrands at hand
 (the source rule is exact through cubics).  f and each g are evaluated once,
@@ -19,6 +21,7 @@ from the same stiffness S and chord flux Gram B, and the per-cell kernels
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,10 +29,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from ghostmg.geometry import (
+    CORNER_DX,
+    CORNER_DY,
     DIRICHLET,
     NEUMANN,
     CartesianGrid,
     CellClassification,
+    CutCells,
     LevelSet,
     SnappedNodeField,
     classify_cells,
@@ -92,9 +98,7 @@ def full_cell_stiffness() -> np.ndarray:
 
 def cell_nodes(grid: CartesianGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Global corner nodes (BL, BR, TR, TL) of cells (i, j); shape (K, 4)."""
-    nps = grid.nodes_per_side
-    base = i + j * nps
-    return np.stack([base, base + 1, base + nps + 1, base + nps], axis=1)
+    return (i[:, None] + CORNER_DX) + (j[:, None] + CORNER_DY) * grid.nodes_per_side
 
 
 def _local(points: np.ndarray, origins: np.ndarray, h: float):
@@ -155,14 +159,10 @@ def chord_kernels(chords: np.ndarray, normals: np.ndarray, origins: np.ndarray,
 
 @dataclass
 class CutCellBatch:
-    """The K cut cells of a grid, in `extract_cut_geometry` order, stacked
-    into arrays with every cut-cell integral that does not depend on data."""
+    """The K cut cells of a grid with every cut-cell integral that does not
+    depend on data."""
 
-    h: float
-    cells: list                # (i, j) per cell
-    nodes: np.ndarray          # (K, 4) global corner nodes
-    vertices: np.ndarray       # (K,) polygon vertex count, 3, 4 or 5
-    theta: np.ndarray          # (K, 2) crossing fractions
+    cut_cells: CutCells        # the geometry, in its order
     dirichlet: np.ndarray      # (K,) chord boundary condition masks
     neumann: np.ndarray
     area: np.ndarray           # (K,) interior polygon area
@@ -184,10 +184,13 @@ class CutCellBatch:
         Dirichlet chord load lam int g N_i - int (n . grad N_i) g with lam
         over the Dirichlet cells, and the Neumann chord load int g N_i.  Each
         datum is evaluated once, on all of its quadrature points."""
-        F = np.zeros((len(self.cells), 4))
+        K = len(self.area)
+        F = np.zeros((K, 4))
         if f is not None:
             fq = _at_points(f, self.fan_points[:, 0], self.fan_points[:, 1])
-            np.add.at(F, self.fan_cell, fq[:, None] * self.fan_wN)
+            slots = 4 * self.fan_cell[:, None] + np.arange(4)
+            F = np.bincount(slots.ravel(), (fq[:, None] * self.fan_wN).ravel(),
+                            minlength=4 * K).reshape(K, 4)
         d, n = self.dirichlet, self.neumann
         if g_dirichlet is not None and d.any():
             p = self.chord_points[d]
@@ -201,37 +204,25 @@ class CutCellBatch:
         return F
 
 
-def cut_cell_batch(cut_cells: list, grid: CartesianGrid) -> CutCellBatch:
-    """Stack the cut cells and run every cut-cell kernel once over the batch.
-
-    Polygons are grouped by vertex count (3, 4 or 5) so each group keeps its
-    own centroid fan, with no padding.
-    """
+def cut_cell_batch(cut_cells: CutCells) -> CutCellBatch:
+    """Run every cut-cell kernel once over the cut cells, each vertex-count
+    group of polygons with its own centroid fan, with no padding."""
+    grid = cut_cells.grid
     h = grid.h
     K = len(cut_cells)
-    cells = [cut.cell for cut in cut_cells]
-    origins = (np.asarray(grid.origin, dtype=float)
-               + h * np.array(cells, dtype=float).reshape(K, 2))
-    vertices = np.array([len(cut.polygon) for cut in cut_cells], dtype=int)
+    origins = np.asarray(grid.origin, dtype=float) + h * cut_cells.cells
     S = np.empty((K, 4, 4))
     area = np.empty(K)
     fan = []
-    for m in (3, 4, 5):
-        index = np.flatnonzero(vertices == m)
-        polygons = np.array([cut_cells[k].polygon for k in index]).reshape(-1, m, 2)
+    for m, (index, polygons) in cut_cells.polygons.items():
         S[index], area[index], points, wN = fan_kernels(polygons, origins[index], h)
         fan.append((np.repeat(index, 6 * m), points, wN))
     fan_cell, fan_points, fan_wN = map(np.concatenate, zip(*fan))
     chord_points, chord_wN, chord_wnd, B, mass, consistency = chord_kernels(
-        np.array([cut.chord for cut in cut_cells]).reshape(K, 2, 2),
-        np.array([cut.normal for cut in cut_cells]).reshape(K, 2), origins, h)
-    bc = np.array([cut.bc for cut in cut_cells], dtype=object)
+        cut_cells.chord, cut_cells.normal, origins, h)
     return CutCellBatch(
-        h=h, cells=cells,
-        nodes=np.array([cut.nodes for cut in cut_cells], dtype=np.intp).reshape(K, 4),
-        vertices=vertices,
-        theta=np.array([cut.theta for cut in cut_cells], dtype=float).reshape(K, 2),
-        dirichlet=bc == DIRICHLET, neumann=bc == NEUMANN, area=area,
+        cut_cells=cut_cells, dirichlet=cut_cells.bc == DIRICHLET,
+        neumann=cut_cells.bc == NEUMANN, area=area,
         S=S, B=B, mass=mass, consistency=consistency, chord_points=chord_points,
         chord_wN=chord_wN, chord_wnd=chord_wnd, fan_cell=fan_cell,
         fan_points=fan_points, fan_wN=fan_wN,
@@ -306,7 +297,9 @@ class ProblemSpec:
     alpha : float
         Snapping exponent, threshold h^alpha.
     strong_predicate : callable or None
-        Nodes (x, y) on the artificial boundary to constrain strongly.
+        Nodes (x, y) on the artificial boundary to constrain strongly;
+        called once on the node coordinate arrays, like f and g, so it must
+        combine conditions with | and &, not `or` and `and`.
     """
 
     levelset: LevelSet
@@ -324,19 +317,21 @@ class ProblemSpec:
 
 @dataclass
 class AssembledSystem:
-    """Assembled system A u = F with its geometry and DOF bookkeeping."""
+    """Assembled system A u = F with its geometry and DOF bookkeeping;
+    assemble_ms is the wall time `assemble` took to build it."""
 
     problem: ProblemSpec
     grid: CartesianGrid
     field: SnappedNodeField
     classification: CellClassification
-    cut_cells: list
+    cut_cells: CutCells
     stabilization: "object"
     A: sp.csr_matrix
     F: np.ndarray
     active_dofs: np.ndarray
     strong_dofs: np.ndarray
     cut_dofs: np.ndarray
+    assemble_ms: float = 0.0
 
     @property
     def free_dofs(self) -> np.ndarray:
@@ -357,18 +352,22 @@ def apply_strong_dirichlet(A: sp.csr_matrix, F: np.ndarray,
 
     Constrained rows and columns become identity with the boundary value on
     the right-hand side; the eliminated column contributions move to the
-    right-hand side of the free rows, so symmetry is preserved.
+    right-hand side of the free rows, so symmetry is preserved.  A is
+    canonical CSR with a stored diagonal at every constrained DOF; the
+    result keeps its order and drops its stored zeros.
     """
     strong = np.asarray(strong, dtype=bool)
     g_vec = np.zeros(A.shape[0])
     g_vec[strong] = np.asarray(g)[strong] if np.ndim(g) else g
     F_out = F - A @ g_vec
-    keep = sp.diags((~strong).astype(float))
-    A_out = (keep @ A @ keep + sp.diags(strong.astype(float))).tocsr()
-    A_out.eliminate_zeros()
-    A_out.sum_duplicates()
-    A_out.sort_indices()
     F_out[strong] = g_vec[strong]
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    constrained = strong[rows] | strong[A.indices]
+    keep = np.where(constrained, rows == A.indices, A.data != 0.0)
+    A_out = sp.csr_matrix((np.where(constrained, 1.0, A.data)[keep],
+                           A.indices[keep],
+                           np.concatenate(([0], np.cumsum(keep)))[A.indptr]),
+                          shape=A.shape)
     return A_out, F_out
 
 
@@ -384,46 +383,38 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
     global system."""
     from ghostmg.stabilization import build_stabilization
 
+    start = time.perf_counter()
     levelset = problem.levelset
     grid = problem.grid if problem.grid is not None else levelset.grid(problem.h)
     h = grid.h
     field = snap_nodes(grid, levelset, problem.alpha)
     classification = classify_cells(field)
     cut_cells = extract_cut_geometry(field, classification)
-    batch = cut_cell_batch(cut_cells, grid)
+    batch = cut_cell_batch(cut_cells)
     area_floor = 1e-14 * h * h
     degenerate = batch.area < area_floor
     if degenerate.any():
         k = np.argmax(degenerate)
         raise AssemblyError(
-            f"cut cell {batch.cells[k]} has degenerate interior polygon "
+            f"cut cell {cut_cells.cell(k)} has degenerate interior polygon "
             f"(area {batch.area[k]:.3e} < {area_floor:.3e})"
         )
     unknown = ~(batch.dirichlet | batch.neumann)
     if unknown.any():
-        cut = cut_cells[np.argmax(unknown)]
-        raise AssemblyError(f"cut cell {cut.cell} has unknown bc {cut.bc!r}")
+        k = np.argmax(unknown)
+        raise AssemblyError(
+            f"cut cell {cut_cells.cell(k)} has unknown bc {str(cut_cells.bc[k])!r}")
     stabilization = build_stabilization(
-        batch, grid, gamma=problem.gamma, mode=problem.lambda_mode,
+        batch, gamma=problem.gamma, mode=problem.lambda_mode,
         method=problem.stabilization_method,
     )
     dirichlet = np.flatnonzero(batch.dirichlet)
-    lam = np.array([stabilization.lam.get(batch.cells[k], np.nan)
-                    for k in dirichlet])
+    lam = stabilization.penalties
     unpenalized = ~(lam > 0.0)
     if unpenalized.any():
         k = dirichlet[np.argmax(unpenalized)]
         raise AssemblyError(
-            f"Dirichlet cut cell {batch.cells[k]} lacks a positive penalty")
-
-    num_nodes = grid.num_nodes
-    F = np.zeros(num_nodes)
-
-    # Internal cells all share the reference stiffness.
-    in_js, in_is = np.nonzero(classification.internal)
-    internal_nodes = cell_nodes(grid, in_is, in_js)
-    if in_is.size and problem.f is not None:
-        F += _internal_source(problem.f, grid, in_is, in_js, internal_nodes)
+            f"Dirichlet cut cell {cut_cells.cell(k)} lacks a positive penalty")
 
     cut_K = batch.S.copy()
     consistency = batch.consistency[dirichlet]
@@ -433,33 +424,31 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
     # they can drift apart by one ulp; average the halves to keep the
     # assembled operator bitwise symmetric.
     cut_K = 0.5 * (cut_K + cut_K.transpose(0, 2, 1))
-    np.add.at(F, batch.nodes, batch.loads(lam, problem.f, problem.g_dirichlet,
-                                          problem.g_neumann))
+    A = _stencil_operator(classification, cut_cells.nodes, cut_K)
 
+    # Loads accumulate internal cells first, then cut cells, each in
+    # row-major cell order.
+    nodes, loads = [cut_cells.nodes], [batch.loads(
+        lam, problem.f, problem.g_dirichlet, problem.g_neumann)]
+    in_js, in_is = np.nonzero(classification.internal)
+    if in_is.size and problem.f is not None:
+        nodes.insert(0, cell_nodes(grid, in_is, in_js))
+        loads.insert(0, _internal_source(problem.f, grid, in_is, in_js))
+    F = np.bincount(np.concatenate(nodes).ravel(), np.concatenate(loads).ravel(),
+                    minlength=grid.num_nodes)
     active = classification.active_nodes
-    inactive_idx = np.flatnonzero(~active)
-    nodes = np.concatenate([internal_nodes, batch.nodes])
-    A = sp.csr_matrix(
-        (np.concatenate([np.tile(full_cell_stiffness().ravel(), in_is.size),
-                         cut_K.ravel(), np.ones(inactive_idx.size)]),
-         (np.concatenate([np.repeat(nodes, 4, axis=1).ravel(), inactive_idx]),
-          np.concatenate([np.tile(nodes, (1, 4)).ravel(), inactive_idx]))),
-        shape=(num_nodes, num_nodes),
-    )
-    A.sum_duplicates()
-    A.sort_indices()
     F[~active] = 0.0
 
-    strong = np.zeros(num_nodes, dtype=bool)
+    strong = np.zeros(grid.num_nodes, dtype=bool)
     if problem.strong_predicate is not None:
         X, Y = grid.node_coordinates()
-        pred = problem.strong_predicate
-        strong = np.array([pred(x, y) for x, y in zip(X, Y)], dtype=bool) & active
+        strong = np.broadcast_to(np.asarray(problem.strong_predicate(X, Y),
+                                            dtype=bool), X.shape) & active
         if np.any(strong):
             if problem.g_dirichlet is not None:
                 g_vals = np.asarray(problem.g_dirichlet(X, Y), dtype=float)
             else:
-                g_vals = np.zeros(num_nodes)
+                g_vals = np.zeros(grid.num_nodes)
             A, F = apply_strong_dirichlet(A, F, strong, g_vals)
 
     return AssembledSystem(
@@ -474,12 +463,64 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         active_dofs=active,
         strong_dofs=strong,
         cut_dofs=classification.cut_nodes & active & ~strong,
+        assemble_ms=1e3 * (time.perf_counter() - start),
     )
 
 
+# Stencil slot 3 (dy + 1) + (dx + 1) of the coupling from cell corner a to
+# cell corner b, and the node-index shift of each slot on a grid.
+_SLOT = (3 * (CORNER_DY[None, :] - CORNER_DY[:, None] + 1)
+         + CORNER_DX[None, :] - CORNER_DX[:, None] + 1)
+# The cells around a node in row-major order (SW, SE, NW, NE) hold it as
+# their corner TR, TL, BR, BL.
+_AROUND = (2, 3, 1, 0)
+
+
+def _stencil_operator(classification: CellClassification, cut_nodes: np.ndarray,
+                      cut_K: np.ndarray) -> sp.csr_matrix:
+    """The global operator on its 9-point pattern, as canonical CSR.
+
+    Each node's couplings sum over its cells in row-major order, internal
+    cells first (shifted copies of the reference stiffness), then cut cells
+    (the element matrices cut_K, (K, 4, 4)); nodes outside every active
+    cell get identity rows.  An entry is stored where some active cell
+    holds both nodes, whatever its value.
+    """
+    grid = classification.grid
+    n, nps, N = grid.n, grid.nodes_per_side, grid.num_nodes
+    values = np.zeros((9, nps, nps))
+    stored = np.zeros((9, nps, nps), dtype=bool)
+    inside = classification.internal.astype(float)
+    active = classification.internal | classification.cut
+    reference = full_cell_stiffness()
+    # The reference stiffness holds three distinct values; scale once each.
+    scaled = {v: v * inside for v in np.unique(reference)}
+    for a in _AROUND:
+        at_a = (slice(CORNER_DY[a], CORNER_DY[a] + n),
+                slice(CORNER_DX[a], CORNER_DX[a] + n))
+        for b in range(4):
+            values[(_SLOT[a, b],) + at_a] += scaled[reference[a, b]]
+            stored[(_SLOT[a, b],) + at_a] |= active
+    values = values.reshape(9, N)
+    for a in _AROUND:
+        # Node cut_nodes[k, a] is corner a of one cell only, so each
+        # scatter writes distinct entries.
+        values[_SLOT[a][:, None], cut_nodes[:, a]] += cut_K[:, a].T
+    values[4, ~classification.active_nodes] = 1.0
+    stored = stored.reshape(9, N)
+    stored[4] = True
+    # Row-major (N, 9): a row's stored slots come in ascending column order.
+    values, stored = np.ascontiguousarray(values.T), np.ascontiguousarray(stored.T)
+    shift = (np.arange(-1, 2)[:, None] * nps + np.arange(-1, 2)).ravel()
+    columns = np.arange(N, dtype=np.int32)[:, None] + shift.astype(np.int32)
+    return sp.csr_matrix(
+        (values[stored], columns[stored],
+         np.concatenate(([0], np.cumsum(stored.sum(axis=1))))), shape=(N, N))
+
+
 def _internal_source(f: Callable, grid: CartesianGrid, in_is: np.ndarray,
-                     in_js: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized load integral over all internal cells, 3x3 tensor Gauss."""
+                     in_js: np.ndarray) -> np.ndarray:
+    """Load vectors (cells, 4) of all internal cells, 3x3 tensor Gauss."""
     h = grid.h
     x0, y0 = grid.origin
     xi_1d = 0.5 + 0.5 * _GAUSS_X
@@ -494,7 +535,4 @@ def _internal_source(f: Callable, grid: CartesianGrid, in_is: np.ndarray,
     xq = cx[:, None] + xi_q[None, :] * h   # (cells, 9)
     yq = cy[:, None] + eta_q[None, :] * h
     fq = _at_points(f, xq, yq)
-    loads = (fq * w_q[None, :]) @ N.T      # (cells, 4)
-    F = np.zeros(grid.num_nodes)
-    np.add.at(F, nodes, loads)
-    return F
+    return (fq * w_q[None, :]) @ N.T

@@ -110,6 +110,15 @@ def _validate_depth(n: int, coarsest_n: int):
             "of two >= 2, so no nested hierarchy reaches the coarsest size")
 
 
+def _lower_triangle_csc(A: sp.csr_matrix) -> sp.csc_matrix:
+    """tril(A) of a bitwise symmetric canonical CSR matrix, as CSC: the CSR
+    arrays of triu(A) are the CSC arrays of tril(A^T) = tril(A)."""
+    upper = A.indices >= np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    indptr = np.concatenate(([0], np.cumsum(upper)))[A.indptr]
+    return sp.csc_matrix((A.data[upper], A.indices[upper], indptr),
+                         shape=A.shape)
+
+
 class MgLevel:
     """One level: its operator and transfers on its free DOFs, the free and
     cut masks over its grid's nodes, and its solver caches."""
@@ -150,14 +159,14 @@ class MgLevel:
             rows = A_sub = self.A
         else:
             rows = self.A[idx]
-            A_sub = rows[:, idx].tocsr()
+            A_sub = canonical_csr(rows[:, idx])
         diag = A_sub.diagonal()
         if np.any(diag == 0.0):
             raise ZeroDivisionError(
                 "smoother hit a zero diagonal; the operator is missing a "
                 "stabilization contribution")
         if config.smoother == "gauss_seidel":
-            step = spla.splu(sp.tril(A_sub, format="csc"),
+            step = spla.splu(_lower_triangle_csc(A_sub),
                              permc_spec="NATURAL",
                              options={"DiagPivotThresh": 0.0,
                                       "SymmetricMode": True}).solve
@@ -219,14 +228,18 @@ class MgLevel:
 
 @dataclass
 class Hierarchy:
-    """Prepared multigrid levels plus the cycle configuration."""
+    """Prepared multigrid levels plus the cycle configuration; setup_ms is
+    the wall time `build_hierarchy` took to build and prepare them."""
 
     levels: list
     config: CycleConfig
+    setup_ms: float = 0.0
 
     @property
     def finest(self) -> MgLevel:
         return self.levels[0]
+
+
 
 
 def _finalize(levels: list, config: CycleConfig) -> Hierarchy:
@@ -254,6 +267,7 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
     cut masks, which only steer the extra smoothing sweeps, come from the
     system's cut_mask on each coarser grid.
     """
+    start = time.perf_counter()
     grid = system.grid
     _validate_depth(grid.n, config.coarsest_n)
     restriction = restriction_1d if grid.dim == 1 else restriction_2d
@@ -269,7 +283,9 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
         grid_c = fine.grid.coarsen()
         levels.append(MgLevel(A_c, free_c, system.cut_mask(grid_c), grid_c,
                               index=len(levels)))
-    return _finalize(levels, config)
+    hierarchy = _finalize(levels, config)
+    hierarchy.setup_ms = 1e3 * (time.perf_counter() - start)
+    return hierarchy
 
 
 def _cycle(levels: list, k: int, u: np.ndarray, F: np.ndarray,

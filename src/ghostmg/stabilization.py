@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional
 
 import numpy as np
 
 from ghostmg import assembly
-from ghostmg.geometry import CartesianGrid, CutCellGeometry
+from ghostmg.geometry import CartesianGrid, CutCellGeometry, CutCells
 from ghostmg.linalg import DegeneratePencilError, generalized_eig_max
 
 
@@ -131,17 +130,20 @@ def cell_constants(batch: "assembly.CutCellBatch", index: np.ndarray,
     method "closed_form" uses the triangle and pentagon formulas and the
     eigensolve for quadrilaterals; "local_eig" solves every pencil.
     """
-    vertices = batch.vertices[index]
+    cut_cells = batch.cut_cells
+    h = cut_cells.grid.h
+    vertices = cut_cells.vertices[index]
     eig = vertices == 4 if method == "closed_form" else np.ones(index.size, dtype=bool)
     C = np.empty(index.size)
     tri = ~eig & (vertices == 3)
-    C[tri] = c_triangle(batch.theta[index[tri], 0], batch.theta[index[tri], 1], batch.h)
-    C[~eig & (vertices == 5)] = c_pentagon(batch.h)
+    C[tri] = c_triangle(cut_cells.theta[index[tri], 0],
+                        cut_cells.theta[index[tri], 1], h)
+    C[~eig & (vertices == 5)] = c_pentagon(h)
     C[eig] = pencil_max(batch.B[index[eig]], batch.S[index[eig]])
     bad = np.flatnonzero(np.isnan(C))
     if bad.size:
         raise DegeneratePencilError(
-            f"cut cell {batch.cells[index[bad[0]]]}: the interior stiffness is "
+            f"cut cell {cut_cells.cell(index[bad[0]])}: the interior stiffness is "
             "singular off the constants, so the stabilization constant is "
             "unbounded"
         )
@@ -152,7 +154,7 @@ def local_eig_C(cut: CutCellGeometry, grid: CartesianGrid) -> float:
     """Sharp trace constant of one cut cell via the 4x4 generalized
     eigenproblem (chord flux Gram matrix against interior-polygon
     stiffness)."""
-    batch = assembly.cut_cell_batch([cut], grid)
+    batch = assembly.cut_cell_batch(CutCells.of(cut, grid))
     return float(cell_constants(batch, np.zeros(1, dtype=int), "local_eig")[0])
 
 
@@ -183,37 +185,46 @@ def c_quadrilateral(theta1: float, theta2: float, h: float) -> float:
 def closed_form_C(cut: CutCellGeometry, grid: CartesianGrid) -> float:
     """Constant for one cut cell by shape: triangles and pentagons use their
     closed forms, trapezoids the eigensolve."""
-    batch = assembly.cut_cell_batch([cut], grid)
+    batch = assembly.cut_cell_batch(CutCells.of(cut, grid))
     return float(cell_constants(batch, np.zeros(1, dtype=int))[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class StabilizationField:
     """Trace constants and penalties for the Dirichlet cut cells of a grid.
 
-    C maps cell index (i, j) to the trace constant; lam maps it to the
-    penalty actually used in assembly; global_C is the max of the local
-    constants (None when the grid has no Dirichlet chords).
+    cells (D, 2), constants and penalties (D,) follow the Dirichlet cut
+    cells in cut-cell order; C and lam map each cell (i, j) to its trace
+    constant and to the penalty used in assembly; global_C is the max of
+    the constants (None when the grid has no Dirichlet chords).
     """
 
     gamma: float
     mode: str
     method: str
-    C: dict
-    lam: dict
+    cells: np.ndarray
+    constants: np.ndarray
+    penalties: np.ndarray
     global_C: Optional[float]
+
+    @property
+    def C(self) -> dict:
+        return dict(zip(map(tuple, self.cells.tolist()), self.constants.tolist()))
+
+    @property
+    def lam(self) -> dict:
+        return dict(zip(map(tuple, self.cells.tolist()), self.penalties.tolist()))
 
 
 _MODES = ("local", "global")
 _METHODS = ("closed_form", "local_eig")
 
 
-def build_stabilization(cut_cells, grid: CartesianGrid, gamma: float = 2.0,
-                        mode: str = "local",
+def build_stabilization(cut_cells, gamma: float = 2.0, mode: str = "local",
                         method: str = "closed_form") -> StabilizationField:
     """Size the chord penalty of every Dirichlet cut cell.
 
-    cut_cells is the list from `extract_cut_geometry` or its
+    cut_cells is the `CutCells` of `extract_cut_geometry` or its
     `assembly.CutCellBatch` (which `assemble` passes, so the batch kernel
     runs once).  mode "local" sets lam(K) = gamma * C(K) per cell; "global"
     sets every penalty to gamma * max_K C(K).  method "closed_form"
@@ -229,16 +240,15 @@ def build_stabilization(cut_cells, grid: CartesianGrid, gamma: float = 2.0,
     if gamma <= 0.0:
         raise ValueError(f"need gamma > 0, got {gamma}")
     batch = (cut_cells if isinstance(cut_cells, assembly.CutCellBatch)
-             else assembly.cut_cell_batch(list(cut_cells), grid))
+             else assembly.cut_cell_batch(cut_cells))
     values = cell_constants(batch, np.flatnonzero(batch.dirichlet), method)
-    cells = list(compress(batch.cells, batch.dirichlet))
     global_C = float(values.max()) if values.size else None
     lam = gamma * values
     if mode == "global" and values.size:
         lam[:] = gamma * global_C
     return StabilizationField(gamma=gamma, mode=mode, method=method,
-                              C=dict(zip(cells, values.tolist())),
-                              lam=dict(zip(cells, lam.tolist())),
+                              cells=batch.cut_cells.cells[batch.dirichlet],
+                              constants=values, penalties=lam,
                               global_C=global_C)
 
 
@@ -254,8 +264,7 @@ def global_C(system, dense: bool = False) -> float:
     """
     if dense:
         return dense_global_C_2d(system)
-    value = build_stabilization(system.cut_cells, system.grid,
-                                method="local_eig").global_C
+    value = build_stabilization(system.cut_cells, method="local_eig").global_C
     if value is None:
         raise ValueError(
             "the domain has no weak Dirichlet chords, so the boundary trace "
@@ -295,7 +304,7 @@ def dense_global_C_2d(system) -> float:
     """
     grid = system.grid
     nn = grid.num_nodes
-    batch = assembly.cut_cell_batch(system.cut_cells, grid)
+    batch = assembly.cut_cell_batch(system.cut_cells)
     in_js, in_is = np.nonzero(system.classification.internal)
     internal = assembly.cell_nodes(grid, in_is, in_js)
     d = batch.dirichlet
@@ -306,7 +315,7 @@ def dense_global_C_2d(system) -> float:
         np.add.at(M, (nodes[:, :, None], nodes[:, None, :]), blocks)
 
     scatter(S, internal, assembly.full_cell_stiffness())
-    scatter(S, batch.nodes, batch.S)
-    scatter(B, batch.nodes[d], batch.B[d])
+    scatter(S, batch.cut_cells.nodes, batch.S)
+    scatter(B, batch.cut_cells.nodes[d], batch.B[d])
     free = np.flatnonzero(system.free_dofs)
     return generalized_eig_max(B[np.ix_(free, free)], S[np.ix_(free, free)]).value

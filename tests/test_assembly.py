@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ghostmg import stabilization
 from ghostmg.assembly import (
     AssemblyError,
     ProblemSpec,
+    _internal_source,
     apply_strong_dirichlet,
     assemble,
+    cell_nodes,
+    cut_cell_batch,
     chord_neumann_load,
     chord_normal_gram,
     full_cell_stiffness,
@@ -233,6 +237,20 @@ def test_strong_elimination_preserves_symmetry_and_values():
     np.testing.assert_allclose(u[free], u_free, atol=1e-12)
 
 
+def test_strong_elimination_drops_stored_zeros():
+    # A stored zero off the constrained rows and columns goes, as it does in
+    # diag(keep) A diag(keep); the constrained diagonal becomes 1.
+    A = sp.csr_matrix((np.array([4.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.0, 2.0, 4.0]),
+                       np.array([0, 1, 2, 0, 1, 2, 0, 1, 2]),
+                       np.array([0, 3, 6, 9])), shape=(3, 3))
+    A2, F2 = apply_strong_dirichlet(A, np.ones(3), np.array([False, False, True]),
+                                    np.array([0.0, 0.0, 3.0]))
+    np.testing.assert_array_equal(A2.indptr, [0, 1, 2, 3])
+    np.testing.assert_array_equal(A2.indices, [0, 1, 2])
+    np.testing.assert_array_equal(A2.data, [4.0, 4.0, 1.0])
+    np.testing.assert_array_equal(F2, [-2.0, -5.0, 3.0])
+
+
 def test_degenerate_sliver_raises():
     # A corner sliver with area ~5e-17 h^2 trips the degenerate-polygon
     # guard before it can poison the linear system.
@@ -249,9 +267,8 @@ def test_dirichlet_cell_without_penalty_raises(monkeypatch):
 
     def lossy(*args, **kwargs):
         field = build(*args, **kwargs)
-        cell = next(iter(field.lam))
-        dropped.append(cell)
-        field.lam[cell] = 0.0
+        dropped.append(tuple(field.cells[0].tolist()))
+        field.penalties[0] = 0.0
         return field
 
     monkeypatch.setattr(stabilization, "build_stabilization", lossy)
@@ -320,3 +337,76 @@ def test_cut_mask_reclassifies_on_any_grid():
     mask = system.cut_mask(coarse)
     assert mask.shape == (coarse.num_nodes,)
     assert 0 < mask.sum() < system.cut_dofs.sum()
+
+
+# ---------------------------------------------------------------------------
+# Pattern-built operator against the triplet construction
+# ---------------------------------------------------------------------------
+
+def triplet_reference(system):
+    """Reference: A and F as triplet (COO) sums of every internal and cut
+    cell in row-major cell order, internal cells first, then the identity
+    rows, duplicates summed; strong DOFs then eliminated as
+    diag(keep) A diag(keep) + diag(strong) with stored zeros dropped."""
+    problem, grid, cls = system.problem, system.grid, system.classification
+    batch = cut_cell_batch(system.cut_cells)
+    d = np.flatnonzero(batch.dirichlet)
+    lam = system.stabilization.penalties
+    K = batch.S.copy()
+    C = batch.consistency[d]
+    K[d] = K[d] + lam[:, None, None] * batch.mass[d] - C - C.transpose(0, 2, 1)
+    K = 0.5 * (K + K.transpose(0, 2, 1))
+    in_js, in_is = np.nonzero(cls.internal)
+    internal = cell_nodes(grid, in_is, in_js)
+    nodes = np.concatenate([internal, system.cut_cells.nodes])
+    inactive = np.flatnonzero(~cls.active_nodes)
+    N = grid.num_nodes
+    A = sp.csr_matrix(
+        (np.concatenate([np.tile(full_cell_stiffness().ravel(), in_is.size),
+                         K.ravel(), np.ones(inactive.size)]),
+         (np.concatenate([np.repeat(nodes, 4, axis=1).ravel(), inactive]),
+          np.concatenate([np.tile(nodes, (1, 4)).ravel(), inactive]))),
+        shape=(N, N))
+    A.sum_duplicates()
+    A.sort_indices()
+    F = np.zeros(N)
+    if problem.f is not None:
+        np.add.at(F, internal, _internal_source(problem.f, grid, in_is, in_js))
+    np.add.at(F, system.cut_cells.nodes, batch.loads(
+        lam, problem.f, problem.g_dirichlet, problem.g_neumann))
+    F[~cls.active_nodes] = 0.0
+    strong = system.strong_dofs
+    if strong.any():
+        X, Y = grid.node_coordinates()
+        g = np.where(strong, problem.g_dirichlet(X, Y), 0.0)
+        F = F - A @ g
+        keep = sp.diags((~strong).astype(float))
+        A = (keep @ A @ keep + sp.diags(strong.astype(float))).tocsr()
+        A.eliminate_zeros()
+        A.sum_duplicates()
+        A.sort_indices()
+        F[strong] = g[strong]
+    return A, F
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus", "flower", "leaf",
+                                  "hourglass", "rectangle"])
+def test_pattern_operator_matches_the_triplet_reference(name):
+    # Bit for bit: the same pattern (inactive identity rows included), the
+    # same sums in the same order, the same loads; the rectangle also
+    # eliminates its strong edges.
+    ls = domain_catalog(name, theta=0.3, h=1.0 / 32) if name == "rectangle" \
+        else domain_catalog(name)
+    system = assemble(ProblemSpec(
+        ls, ls.art_extent / 32,
+        f=lambda x, y: np.sin(3.0 * x) + y * y,
+        g_dirichlet=lambda x, y: 1.0 + x * y,
+        g_neumann=lambda x, y: x - 0.5 * y,
+        strong_predicate=ls.params.get("strong_predicate")))
+    assert system.strong_dofs.any() == (name == "rectangle")
+    A, F = triplet_reference(system)
+    assert system.A.has_canonical_format
+    np.testing.assert_array_equal(system.A.indptr, A.indptr)
+    np.testing.assert_array_equal(system.A.indices, A.indices)
+    np.testing.assert_array_equal(system.A.data, A.data)
+    np.testing.assert_array_equal(system.F, F)

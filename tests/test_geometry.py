@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from ghostmg import geometry
 from ghostmg.geometry import (
+    DIRICHLET,
     CartesianGrid,
     CheckerboardCellError,
+    CutCellGeometry,
+    LevelSet,
     SnappedNodeField,
     classify_cells,
     cut_fractions,
@@ -351,3 +354,154 @@ def test_random_disks_classify_and_reconstruct(seed):
         assert np.all(cut.polygon[:, 0] <= x0 + (i + 1) * h + 1e-12)
         assert np.all(cut.polygon[:, 1] >= y0 + j * h - 1e-12)
         assert np.all(cut.polygon[:, 1] <= y0 + (j + 1) * h + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Array extraction against the per-cell walk
+# ---------------------------------------------------------------------------
+
+def walk_cut_geometry(field, classification):
+    """Reference: the cut cells by walking each one's corners
+    counterclockwise, keeping interior corners and inserting the two edge
+    crossings, one cell at a time in row-major order."""
+    grid = field.grid
+    nps, h = grid.nodes_per_side, grid.h
+    V = field.values.reshape(nps, nps)
+    x0, y0 = grid.origin
+    shapes = {1: "triangle", 2: "quadrilateral", 3: "pentagon"}
+    cells = []
+    for j, i in zip(*(a.tolist() for a in np.nonzero(classification.cut))):
+        corner_idx = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+        psi = [V[cj, ci] for ci, cj in corner_idx]
+        xy = [np.array((x0 + ci * h, y0 + cj * h)) for ci, cj in corner_idx]
+        neg = [p < 0.0 for p in psi]
+        if sum(neg) == 2 and neg[0] == neg[2]:
+            raise CheckerboardCellError(
+                f"cell {(i, j)}: interior vertices on a diagonal; "
+                "refine the grid or adjust the level set")
+        polygon, crossings, thetas = [], [], []
+        for k in range(4):
+            a, b = k, (k + 1) % 4
+            if neg[a]:
+                polygon.append(xy[a])
+            if neg[a] != neg[b]:
+                if neg[a]:
+                    theta = cut_fractions(psi[a], psi[b])
+                    point = xy[a] + theta * (xy[b] - xy[a])
+                else:
+                    theta = cut_fractions(psi[b], psi[a])
+                    point = xy[b] + theta * (xy[a] - xy[b])
+                crossings.append(len(polygon))
+                thetas.append(theta)
+                polygon.append(point)
+        if len(crossings) != 2:
+            raise CheckerboardCellError(
+                f"cell {(i, j)}: expected 2 edge crossings, found {len(crossings)}")
+        poly = np.array(polygon)
+        c0, c1 = crossings
+        if (c0 + 1) % len(poly) == c1:
+            chord = np.array([poly[c0], poly[c1]])
+        else:
+            chord = np.array([poly[c1], poly[c0]])
+        t = chord[1] - chord[0]
+        length = math.hypot(t[0], t[1])
+        if length == 0.0:
+            raise CheckerboardCellError(f"cell {(i, j)}: degenerate zero-length chord")
+        mid = 0.5 * (chord[0] + chord[1])
+        cells.append(CutCellGeometry(
+            cell=(i, j), shape=shapes[sum(neg)], theta=tuple(thetas),
+            polygon=poly, chord=chord, normal=np.array((t[1], -t[0])) / length,
+            bc=field.levelset.chord_bc(mid[0], mid[1]),
+            nodes=np.array([grid.node_index(ci, cj) for ci, cj in corner_idx])))
+    return cells
+
+
+def corner_codes(field, classification):
+    """4-bit code of each cut cell, bit k set when corner k (BL, BR, TR,
+    TL) is interior."""
+    nps = field.grid.nodes_per_side
+    neg = field.values.reshape(nps, nps) < 0.0
+    js, is_ = np.nonzero(classification.cut)
+    corners = (neg[js, is_], neg[js, is_ + 1], neg[js + 1, is_ + 1], neg[js + 1, is_])
+    return {int(sum(int(c) << k for k, c in enumerate(bits))) for bits in zip(*corners)}
+
+
+def assert_extraction_matches_the_walk(field):
+    """Array extraction and walk agree bit for bit, or raise the same
+    error naming the same cell."""
+    classification = classify_cells(field)
+    try:
+        expected = walk_cut_geometry(field, classification)
+    except CheckerboardCellError as err:
+        with pytest.raises(CheckerboardCellError) as raised:
+            extract_cut_geometry(field, classification)
+        assert str(raised.value) == str(err)
+        return
+    cut_cells = extract_cut_geometry(field, classification)
+    assert len(cut_cells) == len(expected)
+    for got, want in zip(cut_cells, expected):
+        assert got.cell == want.cell
+        assert got.shape == want.shape
+        assert got.theta == want.theta
+        assert got.bc == want.bc
+        for name in ("polygon", "chord", "normal", "nodes"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("code", range(1, 15))
+def test_array_extraction_matches_the_walk_on_every_corner_code(code):
+    # One cell per code, with exterior corners strictly positive and
+    # snapped to zero; codes 5 and 10 are the two checkerboards.
+    grid = CartesianGrid(1, (0.25, -0.5), 0.5)
+    ls = LevelSet("manual", (lambda x, y: x,), (DIRICHLET,))
+    magnitudes = np.array([0.3, 1.7, 0.9, 2.5])
+    order = [0, 1, 3, 2]   # flat node order BL, BR, TL, TR
+    for exterior in (1.0, 0.0):
+        values = np.where([code >> k & 1 for k in range(4)], -magnitudes,
+                          exterior * magnitudes)[order]
+        field = SnappedNodeField(grid, ls, values, alpha=8.0, threshold=0.0,
+                                 num_snapped=0)
+        classification = classify_cells(field)
+        if classification.cut.any():
+            assert corner_codes(field, classification) == {code}
+        assert_extraction_matches_the_walk(field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["disk", "ellipse", "annulus", "signs"]),
+       seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+       n=st.integers(min_value=3, max_value=64),
+       alpha=st.floats(1.2, 3.0))
+def test_array_extraction_matches_the_walk_on_random_domains(kind, seed, n,
+                                                             alpha):
+    """Random disks, ellipses (bc by predicate), annuli (bc by the nearest
+    component) and random corner signs with zeros: the array extraction
+    equals the walk, checkerboard errors included; a coarse snapping
+    exponent puts snapped zeros on many corners."""
+    rng = np.random.default_rng(seed)
+    cx, cy = rng.uniform(0.35, 0.65, size=2)
+    if kind == "signs":
+        grid = CartesianGrid(n, (0.0, 0.0), 1.0)
+        ls = LevelSet("manual", (lambda x, y: x,), (DIRICHLET,))
+        values = rng.choice([-1.0, 0.0, 1.0], size=grid.num_nodes) \
+            * rng.uniform(0.1, 1.0, size=grid.num_nodes)
+        field = SnappedNodeField(grid, ls, values, alpha=alpha, threshold=0.0,
+                                 num_snapped=0)
+    else:
+        if kind == "disk":
+            ls = domain_catalog("disk", center=(cx, cy),
+                                radius=float(rng.uniform(0.1, 0.4)))
+        elif kind == "annulus":
+            r1 = float(rng.uniform(0.1, 0.25))
+            ls = domain_catalog("annulus", center=(cx - 0.5, cy - 0.5), r1=r1,
+                                r2=r1 + float(rng.uniform(0.1, 0.5)))
+        else:
+            rx, ry = rng.uniform(0.1, 0.4, size=2)
+
+            def psi(x, y):
+                return ((x - cx) / rx) ** 2 + ((y - cy) / ry) ** 2 - 1.0
+
+            ls = LevelSet("ellipse", (psi,), (DIRICHLET,),
+                          bc_predicate=lambda x, y: x >= cx)
+        field = snap_nodes(ls.grid(ls.art_extent / n), ls, alpha=alpha)
+    assert_extraction_matches_the_walk(field)

@@ -13,6 +13,7 @@ from ghostmg.geometry import (
     CartesianGrid,
     CheckerboardCellError,
     CutCellGeometry,
+    CutCells,
     LevelSet,
     SnappedNodeField,
     domain_catalog,
@@ -172,9 +173,8 @@ def test_build_stabilization_local_vs_global():
     ls = domain_catalog("disk")
     system = assemble(ProblemSpec(ls, 1.0 / 16))
     cuts = system.cut_cells
-    grid = system.grid
-    local = build_stabilization(cuts, grid, gamma=2.0, mode="local")
-    glob = build_stabilization(cuts, grid, gamma=2.0, mode="global")
+    local = build_stabilization(cuts, gamma=2.0, mode="local")
+    glob = build_stabilization(cuts, gamma=2.0, mode="global")
     assert local.C == glob.C
     assert local.global_C == max(local.C.values())
     for cell, C in local.C.items():
@@ -187,7 +187,7 @@ def test_build_stabilization_local_vs_global():
 def test_build_stabilization_skips_neumann_chords():
     ls = domain_catalog("annulus")
     system = assemble(ProblemSpec(ls, 2.0 / 32))
-    stab = build_stabilization(system.cut_cells, system.grid)
+    stab = build_stabilization(system.cut_cells)
     dirichlet_cells = {c.cell for c in system.cut_cells if c.bc == DIRICHLET}
     assert set(stab.C) == dirichlet_cells
     assert dirichlet_cells  # the inner circle is Dirichlet
@@ -196,22 +196,18 @@ def test_build_stabilization_skips_neumann_chords():
 
 def test_build_stabilization_validation():
     with pytest.raises(ValueError):
-        build_stabilization([], CartesianGrid(2, (0.0, 0.0), 1.0),
-                            mode="other")
+        build_stabilization([], mode="other")
     with pytest.raises(ValueError):
-        build_stabilization([], CartesianGrid(2, (0.0, 0.0), 1.0),
-                            method="exact")
+        build_stabilization([], method="exact")
     with pytest.raises(ValueError):
-        build_stabilization([], CartesianGrid(2, (0.0, 0.0), 1.0), gamma=0.0)
+        build_stabilization([], gamma=0.0)
 
 
 def test_eigensolve_method_matches_closed_form_on_disk():
     ls = domain_catalog("disk")
     system = assemble(ProblemSpec(ls, 1.0 / 16))
-    closed = build_stabilization(system.cut_cells, system.grid,
-                                 method="closed_form")
-    eig = build_stabilization(system.cut_cells, system.grid,
-                              method="local_eig")
+    closed = build_stabilization(system.cut_cells, method="closed_form")
+    eig = build_stabilization(system.cut_cells, method="local_eig")
     for cell in eig.C:
         # Triangles/trapezoids agree to solver accuracy; pentagons use an
         # upper bound, so the closed form may only exceed the eigensolve.
@@ -262,7 +258,7 @@ def test_pencil_max_matches_oracle_on_catalog_cuts():
     for name in ("disk", "annulus", "flower", "leaf", "hourglass"):
         ls = domain_catalog(name)
         system = assemble(ProblemSpec(ls, ls.art_extent / 32))
-        batch = cut_cell_batch(system.cut_cells, system.grid)
+        batch = cut_cell_batch(system.cut_cells)
         C = pencil_max(batch.B, batch.S)
         for k in range(len(C)):
             oracle = generalized_eig_max(batch.B[k], batch.S[k]).value
@@ -278,10 +274,10 @@ def test_singular_reduced_stiffness_raises_naming_the_cell():
                           chord=chord, normal=np.array([1.0, 0.0]),
                           bc=DIRICHLET, nodes=np.arange(4))
     grid = CartesianGrid(8, (-0.75, -1.25), 2.0)
-    batch = cut_cell_batch([cut], grid)
+    batch = cut_cell_batch(CutCells.of(cut, grid))
     assert np.isnan(pencil_max(batch.B, batch.S)).all()
     with pytest.raises(DegeneratePencilError, match=r"\(3, 5\)"):
-        build_stabilization([cut], grid)
+        build_stabilization(CutCells.of(cut, grid))
     with pytest.raises(DegeneratePencilError, match=r"\(3, 5\)"):
         local_eig_C(cut, grid)
 
@@ -308,10 +304,11 @@ def test_random_disks_and_ellipses_match_the_oracle(n, cx, cy, radius, aspect,
     except CheckerboardCellError:
         return
     assert (system.A - system.A.T).nnz == 0
-    batch = cut_cell_batch(system.cut_cells, system.grid)
+    batch = cut_cell_batch(system.cut_cells)
     np.testing.assert_allclose(batch.S @ np.ones(4), 0.0, atol=1e-13)
     C = system.stabilization.C
-    assert set(C) == {cell for cell, d in zip(batch.cells, batch.dirichlet) if d}
+    cells = system.cut_cells.cells
+    assert set(C) == set(map(tuple, cells[batch.dirichlet].tolist()))
     for k in np.flatnonzero(batch.dirichlet):
         oracle = generalized_eig_max(batch.B[k], batch.S[k]).value
-        assert C[batch.cells[k]] == pytest.approx(oracle, rel=1e-10)
+        assert C[system.cut_cells.cell(k)] == pytest.approx(oracle, rel=1e-10)
