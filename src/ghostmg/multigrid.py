@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -41,10 +40,6 @@ _SMOOTHERS = ("gauss_seidel", "weighted_jacobi")
 
 #: Number of consecutive growing-residual cycles before a run is flagged.
 DIVERGENCE_PATIENCE = 5
-
-#: Free-DOF count up to which the coarsest level is factored by dense
-#: Cholesky; larger coarsest levels use a sparse LU.
-DENSE_COARSE_LIMIT = 2500
 
 
 def restriction_1d(n: int) -> sp.csr_matrix:
@@ -204,23 +199,23 @@ class MgLevel:
     # -- exact coarsest solve ------------------------------------------------
 
     def prepare_coarse_solver(self):
-        """Factor A: dense Cholesky up to DENSE_COARSE_LIMIT DOFs, sparse LU
-        beyond."""
-        if self.num_dofs > DENSE_COARSE_LIMIT:
-            self._coarse_solve = spla.splu(self.A.tocsc()).solve
-            return
+        """Factor A by sparse LU with diagonal pivots only, which for a
+        symmetric A is its LDL^T: A is positive definite exactly when the
+        row and column orderings agree and every pivot, the diagonal of U,
+        is positive."""
         try:
-            factor = scipy.linalg.cho_factor(self.A.toarray(), lower=True)
-        except scipy.linalg.LinAlgError as err:
+            lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+            spd = (np.array_equal(lu.perm_r, lu.perm_c)
+                   and bool(np.all(lu.U.diagonal() > 0.0)))
+        except RuntimeError:  # exactly singular
+            spd = False
+        if not spd:
             raise NotSPDError(
                 "coarsest operator is not positive definite; a penalty "
-                "below the trace constant (gamma <= 1) can cause this"
-            ) from err
-
-        def solve(F):
-            return scipy.linalg.cho_solve(factor, F)
-
-        self._coarse_solve = solve
+                "below the trace constant (gamma <= 1) can cause this")
+        self._coarse_solve = lu.solve
 
     def coarse_solve(self, F: np.ndarray) -> np.ndarray:
         return self._coarse_solve(F)

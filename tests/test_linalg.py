@@ -127,7 +127,7 @@ def test_canonical_csr_sums_duplicates():
 
 
 def test_coarse_solve_dense_spd():
-    # The coarsest level's exact solve (dense Cholesky at this size).
+    # The coarsest level's exact solve (sparse LDL^T by diagonal-pivot LU).
     rng = np.random.default_rng(1)
     A = random_spd(rng, 10)
     b = rng.standard_normal(10)
