@@ -409,7 +409,7 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         method=problem.stabilization_method,
     )
     dirichlet = np.flatnonzero(batch.dirichlet)
-    lam = stabilization.penalties
+    lam = stabilization.lam
     unpenalized = ~(lam > 0.0)
     if unpenalized.any():
         k = dirichlet[np.argmax(unpenalized)]
@@ -491,7 +491,7 @@ def _stencil_operator(classification: CellClassification, cut_nodes: np.ndarray,
     values = np.zeros((9, nps, nps))
     stored = np.zeros((9, nps, nps), dtype=bool)
     inside = classification.internal.astype(float)
-    active = classification.internal | classification.cut
+    active = classification.active
     reference = full_cell_stiffness()
     # The reference stiffness holds three distinct values; scale once each.
     scaled = {v: v * inside for v in np.unique(reference)}

@@ -17,10 +17,9 @@ Conventions
 * Cut-cell polygons are counterclockwise; the chord is the polygon edge that
   crosses the cell, and its outward unit normal points into the positive
   region.
-* Cut cells are extracted all at once, marching-squares style: each cell's
-  4-bit corner-sign code selects its counterclockwise walk from one case
-  table, and every crossing, polygon, chord and normal is an array
-  operation over the cells sharing a code.
+* Cut cells are extracted all at once, marching-squares style: the corner
+  signs of a cell select its counterclockwise walk, and every crossing,
+  polygon, chord and normal is an array operation over all cut cells.
 """
 
 from __future__ import annotations
@@ -182,52 +181,16 @@ class CellClassification:
         return self.internal | self.cut
 
 
-@dataclass
-class CutCellGeometry:
-    """Linear reconstruction of one cut cell, as indexed from `CutCells`.
-
-    Attributes
-    ----------
-    cell : (i, j)
-        Cell indices.
-    shape : str
-        "triangle", "quadrilateral" or "pentagon" by the count of interior
-        vertices (1, 2, 3).
-    theta : (float, float)
-        Crossing fractions, measured along each crossed edge from its
-        interior endpoint, in cell-walk order.
-    polygon : ndarray, shape (m, 2)
-        Interior polygon, counterclockwise, physical coordinates.
-    chord : ndarray, shape (2, 2)
-        Endpoints of the boundary chord (an edge of the polygon).
-    normal : ndarray, shape (2,)
-        Outward unit normal of the chord (pointing into psi > 0).
-    bc : str
-        "dirichlet" or "neumann" for this chord.
-    nodes : ndarray, shape (4,)
-        Global node indices of the cell corners (BL, BR, TR, TL).
-    """
-
-    cell: tuple
-    shape: str
-    theta: tuple
-    polygon: np.ndarray
-    chord: np.ndarray
-    normal: np.ndarray
-    bc: str
-    nodes: np.ndarray
-
-
-_SHAPES = {3: "triangle", 4: "quadrilateral", 5: "pentagon"}
-
-
 @dataclass(eq=False)
 class CutCells:
     """The K cut cells of a grid in row-major cell order, as arrays.
 
     Polygons are grouped by vertex count: polygons[m] holds the indices of
     the cells with m vertices and their (K_m, m, 2) counterclockwise
-    vertices.  Indexing gives one cell as a `CutCellGeometry`.
+    vertices, the interior polygons.  The chord is the polygon edge that
+    crosses the cell; its unit normal points out of the domain.  Crossing
+    fractions are measured along each crossed edge from its interior
+    endpoint.
     """
 
     grid: CartesianGrid
@@ -247,29 +210,10 @@ class CutCells:
         """(i, j) of cut cell k."""
         return tuple(self.cells[k].tolist())
 
-    def __getitem__(self, k: int) -> CutCellGeometry:
-        k = range(len(self))[k]
-        m = int(self.vertices[k])
-        index, polygons = self.polygons[m]
-        return CutCellGeometry(
-            cell=self.cell(k), shape=_SHAPES[m],
-            theta=tuple(self.theta[k].tolist()),
-            polygon=polygons[np.searchsorted(index, k)], chord=self.chord[k],
-            normal=self.normal[k], bc=str(self.bc[k]), nodes=self.nodes[k])
-
-    @classmethod
-    def of(cls, cut: CutCellGeometry, grid: CartesianGrid) -> "CutCells":
-        """The one-cell container holding `cut`."""
-        polygon = np.asarray(cut.polygon, dtype=float)
-        return cls(grid=grid, cells=np.array([cut.cell]),
-                   nodes=np.array([cut.nodes]),
-                   vertices=np.array([len(polygon)]),
-                   theta=np.array([cut.theta], dtype=float),
-                   polygons={len(polygon): (np.zeros(1, dtype=np.intp),
-                                            polygon[None])},
-                   chord=np.asarray(cut.chord, dtype=float)[None],
-                   normal=np.asarray(cut.normal, dtype=float)[None],
-                   bc=np.array([cut.bc]))
+    def polygon(self, k: int) -> np.ndarray:
+        """Interior polygon (m, 2) of cut cell k."""
+        index, polygons = self.polygons[int(self.vertices[k])]
+        return polygons[np.searchsorted(index, k)]
 
 
 def snap_nodes(grid: CartesianGrid, levelset: LevelSet, alpha: float) -> SnappedNodeField:
@@ -330,61 +274,9 @@ def classify_cells(field: SnappedNodeField) -> CellClassification:
     )
 
 
-def cut_fractions(psi_a: float, psi_b: float) -> float:
-    """Fraction of the edge from vertex a to the boundary crossing.
-
-    Requires psi_a < 0 <= psi_b: the crossing sits at distance theta * |edge|
-    from the interior vertex, theta = psi_a / (psi_a - psi_b) in (0, 1], with
-    theta == 1 exactly when the exterior value is a snapped zero.
-    """
-    if not (psi_a < 0.0 <= psi_b):
-        raise ValueError(f"need psi_a < 0 <= psi_b, got ({psi_a}, {psi_b})")
-    return psi_a / (psi_a - psi_b)
-
-
 # Corner offsets of the cell corners BL, BR, TR, TL (counterclockwise).
 CORNER_DX = np.array([0, 1, 1, 0])
 CORNER_DY = np.array([0, 0, 1, 1])
-
-
-def _case_table():
-    """The counterclockwise walk of every corner-sign code.
-
-    Bit k of a code is set when corner k is interior.  Walk points 0-3 are
-    the corners and 4 + k the crossing on edge k (corner k to corner k + 1):
-    the walk keeps each interior corner and inserts the crossing of every
-    edge whose ends differ in sign.  Per code: the walk's point count (0
-    for the codes without exactly two crossings or with interior corners on
-    a diagonal), the walk padded to 5 points, the chord's two points (the
-    crossing the walk leaves the interior at, then the one it re-enters at)
-    and the two crossed edges in walk order.
-    """
-    vertices = np.zeros(16, dtype=np.intp)
-    walk = np.zeros((16, 5), dtype=np.intp)
-    chord = np.zeros((16, 2), dtype=np.intp)
-    edges = np.zeros((16, 2), dtype=np.intp)
-    for code in range(16):
-        neg = [bool(code >> k & 1) for k in range(4)]
-        points, crossings = [], []
-        for k in range(4):
-            if neg[k]:
-                points.append(k)
-            if neg[k] != neg[(k + 1) % 4]:
-                crossings.append(len(points))
-                points.append(4 + k)
-        if len(crossings) != 2:
-            continue
-        m = len(points)
-        c0, c1 = crossings
-        vertices[code] = m
-        walk[code, :m] = points
-        chord[code] = ((points[c0], points[c1]) if (c0 + 1) % m == c1
-                       else (points[c1], points[c0]))
-        edges[code] = (points[c0] - 4, points[c1] - 4)
-    return vertices, walk, chord, edges
-
-
-_CASE_VERTICES, _CASE_WALK, _CASE_CHORD, _CASE_EDGES = _case_table()
 # The scalar math.hypot as a ufunc: np.hypot rounds differently in the last
 # bit on about 0.6 % of chords, which would move thin-cut operator entries by
 # up to 6e-14 relative.
@@ -396,12 +288,13 @@ def extract_cut_geometry(field: SnappedNodeField,
                          ) -> CutCells:
     """Interior polygon, chord, normal and bc tag for every cut cell.
 
-    Each cut cell's corner-sign code selects its counterclockwise walk from
-    the case table, which keeps the interior corners and inserts the edge
-    crossings; the polygon edge between the crossings is the boundary
-    chord.  Cells whose two interior vertices lie on a diagonal, and chords
-    of zero length, are rejected (CheckerboardCellError, naming the first
-    such cell in row-major order).
+    A cell's corner signs are its case: walking its corners
+    counterclockwise keeps each interior corner k and, after it, the
+    crossing on edge k (corner k to k + 1) when the edge's ends differ in
+    sign.  The chord runs from the crossing where the walk leaves the
+    interior to the one where it re-enters.  Cells whose two interior
+    vertices lie on a diagonal, and chords of zero length, are rejected
+    (CheckerboardCellError, naming the first such cell in row-major order).
     """
     if classification is None:
         classification = classify_cells(field)
@@ -413,50 +306,48 @@ def extract_cut_geometry(field: SnappedNodeField,
     ci = is_[:, None] + CORNER_DX
     cj = js[:, None] + CORNER_DY
     psi = field.values.reshape(nps, nps)[cj, ci]                  # (K, 4)
+    xy = np.stack((x0 + ci * h, y0 + cj * h), axis=-1)            # (K, 4, 2)
     neg = psi < 0.0
-    code = neg @ (1 << np.arange(4))
-    corners = np.stack((x0 + ci * h, y0 + cj * h), axis=-1)       # (K, 4, 2)
-    # Crossing of every edge, from its interior end toward its exterior
-    # end; only the crossed edges are read.
-    a, b = np.arange(4), (np.arange(4) + 1) % 4
-    inner = np.where(neg[:, a], a, b)
-    outer = np.where(neg[:, a], b, a)
-    psi_in = np.take_along_axis(psi, inner, axis=1)
-    psi_out = np.take_along_axis(psi, outer, axis=1)
-    xy_in = np.take_along_axis(corners, inner[..., None], axis=1)
-    xy_out = np.take_along_axis(corners, outer[..., None], axis=1)
+    ahead = np.roll(neg, -1, axis=1)                  # the sign of corner k + 1
+    crossed = neg != ahead
+    # Crossing of each edge, measured from its interior end; only the crossed
+    # edges are read.
+    psi_in = np.where(neg, psi, np.roll(psi, -1, axis=1))
+    psi_out = np.where(neg, np.roll(psi, -1, axis=1), psi)
+    xy_in = np.where(neg[..., None], xy, np.roll(xy, -1, axis=1))
+    xy_out = np.where(neg[..., None], np.roll(xy, -1, axis=1), xy)
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = psi_in / (psi_in - psi_out)
-        points = np.concatenate(
-            (corners, xy_in + theta[..., None] * (xy_out - xy_in)), axis=1)
-    cut = np.arange(len(code))
-    chord = points[cut[:, None], _CASE_CHORD[code]]
+        crossing = xy_in + theta[..., None] * (xy_out - xy_in)
+    ok = crossed.sum(axis=1) == 2
+    chord = np.stack((crossing[neg & ~ahead & ok[:, None]],
+                      crossing[~neg & ahead & ok[:, None]]), axis=1)
     t = chord[:, 1] - chord[:, 0]
     length = _hypot(t[:, 0], t[:, 1]).astype(float)
-    vertices = _CASE_VERTICES[code]
-    bad = (vertices == 0) | (length == 0.0)
+    bad = ~ok
+    bad[ok] = length == 0.0
     if bad.any():
         k = int(np.argmax(bad))
-        crossed = int(np.count_nonzero(neg[k] != neg[k, b]))
-        if crossed == 4:
-            reason = ("interior vertices on a diagonal; refine the grid or "
-                      "adjust the level set")
-        elif crossed != 2:
-            reason = f"expected 2 edge crossings, found {crossed}"
-        else:
-            reason = "degenerate zero-length chord"
+        found = int(crossed[k].sum())
+        reason = ("interior vertices on a diagonal; refine the grid or adjust "
+                  "the level set" if found == 4 else
+                  f"expected 2 edge crossings, found {found}" if found != 2
+                  else "degenerate zero-length chord")
         raise CheckerboardCellError(f"cell {(int(is_[k]), int(js[k]))}: {reason}")
-    mid = 0.5 * (chord[:, 0] + chord[:, 1])
+    walk = np.stack((neg, crossed), axis=2).reshape(-1, 8)
+    points = np.stack((xy, crossing), axis=2).reshape(-1, 8, 2)
+    vertices = walk.sum(axis=1)
     polygons = {}
     for m in (3, 4, 5):
         index = np.flatnonzero(vertices == m)
-        polygons[m] = (index, points[index[:, None], _CASE_WALK[code[index], :m]])
+        polygons[m] = (index, points[index][walk[index]].reshape(-1, m, 2))
+    mid = 0.5 * (chord[:, 0] + chord[:, 1])
     return CutCells(
         grid=grid,
         cells=np.stack((is_, js), axis=1),
         nodes=cj * nps + ci,
         vertices=vertices,
-        theta=np.take_along_axis(theta, _CASE_EDGES[code], axis=1),
+        theta=theta[crossed].reshape(-1, 2),
         polygons=polygons,
         chord=chord,
         normal=np.stack((t[:, 1], -t[:, 0]), axis=1) / length[:, None],

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from ghostmg import assembly
-from ghostmg.geometry import CartesianGrid, CutCellGeometry, CutCells
+from ghostmg.geometry import CutCells
 from ghostmg.linalg import DegeneratePencilError, generalized_eig_max
 
 
@@ -150,12 +150,12 @@ def cell_constants(batch: "assembly.CutCellBatch", index: np.ndarray,
     return C
 
 
-def local_eig_C(cut: CutCellGeometry, grid: CartesianGrid) -> float:
-    """Sharp trace constant of one cut cell via the 4x4 generalized
+def local_eig_C(cut_cells: CutCells) -> np.ndarray:
+    """Sharp trace constants of the cut cells via the 4x4 generalized
     eigenproblem (chord flux Gram matrix against interior-polygon
     stiffness)."""
-    batch = assembly.cut_cell_batch(CutCells.of(cut, grid))
-    return float(cell_constants(batch, np.zeros(1, dtype=int), "local_eig")[0])
+    batch = assembly.cut_cell_batch(cut_cells)
+    return cell_constants(batch, np.arange(len(cut_cells)), "local_eig")
 
 
 def c_quadrilateral(theta1: float, theta2: float, h: float) -> float:
@@ -182,38 +182,30 @@ def c_quadrilateral(theta1: float, theta2: float, h: float) -> float:
     return float(pencil_max(B[None], S[None])[0])
 
 
-def closed_form_C(cut: CutCellGeometry, grid: CartesianGrid) -> float:
-    """Constant for one cut cell by shape: triangles and pentagons use their
-    closed forms, trapezoids the eigensolve."""
-    batch = assembly.cut_cell_batch(CutCells.of(cut, grid))
-    return float(cell_constants(batch, np.zeros(1, dtype=int))[0])
+def closed_form_C(cut_cells: CutCells) -> np.ndarray:
+    """Constants of the cut cells by shape: triangles and pentagons use
+    their closed forms, trapezoids the eigensolve."""
+    batch = assembly.cut_cell_batch(cut_cells)
+    return cell_constants(batch, np.arange(len(cut_cells)))
 
 
 @dataclass(eq=False)
 class StabilizationField:
     """Trace constants and penalties for the Dirichlet cut cells of a grid.
 
-    cells (D, 2), constants and penalties (D,) follow the Dirichlet cut
-    cells in cut-cell order; C and lam map each cell (i, j) to its trace
-    constant and to the penalty used in assembly; global_C is the max of
-    the constants (None when the grid has no Dirichlet chords).
+    cells (D, 2) holds the (i, j) of the Dirichlet cut cells in cut-cell
+    order; C (D,) their trace constants and lam (D,) the penalties used in
+    assembly; global_C is the max of the constants (None when the grid has
+    no Dirichlet chords).
     """
 
     gamma: float
     mode: str
     method: str
     cells: np.ndarray
-    constants: np.ndarray
-    penalties: np.ndarray
+    C: np.ndarray
+    lam: np.ndarray
     global_C: Optional[float]
-
-    @property
-    def C(self) -> dict:
-        return dict(zip(map(tuple, self.cells.tolist()), self.constants.tolist()))
-
-    @property
-    def lam(self) -> dict:
-        return dict(zip(map(tuple, self.cells.tolist()), self.penalties.tolist()))
 
 
 _MODES = ("local", "global")
@@ -248,8 +240,7 @@ def build_stabilization(cut_cells, gamma: float = 2.0, mode: str = "local",
         lam[:] = gamma * global_C
     return StabilizationField(gamma=gamma, mode=mode, method=method,
                               cells=batch.cut_cells.cells[batch.dirichlet],
-                              constants=values, penalties=lam,
-                              global_C=global_C)
+                              C=values, lam=lam, global_C=global_C)
 
 
 def global_C(system, dense: bool = False) -> float:

@@ -268,7 +268,7 @@ def test_dirichlet_cell_without_penalty_raises(monkeypatch):
     def lossy(*args, **kwargs):
         field = build(*args, **kwargs)
         dropped.append(tuple(field.cells[0].tolist()))
-        field.penalties[0] = 0.0
+        field.lam[0] = 0.0
         return field
 
     monkeypatch.setattr(stabilization, "build_stabilization", lossy)
@@ -351,7 +351,7 @@ def triplet_reference(system):
     problem, grid, cls = system.problem, system.grid, system.classification
     batch = cut_cell_batch(system.cut_cells)
     d = np.flatnonzero(batch.dirichlet)
-    lam = system.stabilization.penalties
+    lam = system.stabilization.lam
     K = batch.S.copy()
     C = batch.consistency[d]
     K[d] = K[d] + lam[:, None, None] * batch.mass[d] - C - C.transpose(0, 2, 1)

@@ -12,11 +12,9 @@ from ghostmg.geometry import (
     DIRICHLET,
     CartesianGrid,
     CheckerboardCellError,
-    CutCellGeometry,
     LevelSet,
     SnappedNodeField,
     classify_cells,
-    cut_fractions,
     domain_catalog,
     domain_names,
     extract_cut_geometry,
@@ -174,22 +172,19 @@ def test_classify_all_nonnegative_is_external():
 # ---------------------------------------------------------------------------
 
 def test_cut_fraction_values():
-    assert cut_fractions(-1.0, 3.0) == 0.25
-    assert cut_fractions(-1.0, 0.0) == 1.0
-    assert cut_fractions(-2.0, 2.0) == 0.5
+    # The crossing on an edge sits psi_a / (psi_a - psi_b) of the way from
+    # its interior end a; a snapped-zero exterior end gives exactly 1.
+    for corners, theta in (([-1.0, 3.0, 1.0, 5.0], 0.25),
+                           ([-1.0, 0.0, 1.0, 5.0], 1.0),
+                           ([-2.0, 2.0, 2.0, 5.0], 0.5)):
+        cuts = extract_cut_geometry(single_cell_field(corners))
+        assert cuts.theta[0, 0] == theta
 
 
 def test_cut_fraction_scale_invariance():
-    assert cut_fractions(-0.3, 0.7) == cut_fractions(-3.0, 7.0)
-
-
-def test_cut_fraction_rejects_bad_signs():
-    with pytest.raises(ValueError):
-        cut_fractions(1.0, 2.0)
-    with pytest.raises(ValueError):
-        cut_fractions(-1.0, -2.0)
-    with pytest.raises(ValueError):
-        cut_fractions(0.0, 1.0)
+    small = extract_cut_geometry(single_cell_field([-0.3, 0.7, 0.7, 1.0]))
+    large = extract_cut_geometry(single_cell_field([-3.0, 7.0, 7.0, 10.0]))
+    np.testing.assert_array_equal(small.theta, large.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -199,38 +194,38 @@ def test_cut_fraction_rejects_bad_signs():
 def test_triangle_cut_cell():
     # BL interior; crossings at 0.25 along the bottom edge and 0.5 up the
     # left edge.  Area = (1/2) * 0.25 * 0.5.
-    (cut,) = extract_cut_geometry(single_cell_field([-1.0, 3.0, 1.0, 5.0]))
-    assert cut.shape == "triangle"
-    assert cut.theta == (0.25, 0.5)
-    assert polygon_area(cut.polygon) == pytest.approx(0.0625, rel=1e-15)
+    cut = extract_cut_geometry(single_cell_field([-1.0, 3.0, 1.0, 5.0]))
+    assert len(cut) == 1 and cut.vertices[0] == 3
+    assert tuple(cut.theta[0]) == (0.25, 0.5)
+    assert polygon_area(cut.polygon(0)) == pytest.approx(0.0625, rel=1e-15)
     np.testing.assert_allclose(
-        sorted(cut.chord.tolist()), [[0.0, 0.5], [0.25, 0.0]], atol=1e-15)
+        sorted(cut.chord[0].tolist()), [[0.0, 0.5], [0.25, 0.0]], atol=1e-15)
     # Outward normal points away from the interior corner.
-    assert cut.normal @ np.array([1.0, 1.0]) > 0.0
-    assert np.hypot(*cut.normal) == pytest.approx(1.0, rel=1e-15)
+    assert cut.normal[0] @ np.array([1.0, 1.0]) > 0.0
+    assert np.hypot(*cut.normal[0]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_quadrilateral_cut_cell():
     # Left half kept; bottom crossing at x = 0.5, top crossing at x = 0.25.
-    (cut,) = extract_cut_geometry(single_cell_field([-1.0, 1.0, -1.0, 3.0]))
-    assert cut.shape == "quadrilateral"
-    assert polygon_area(cut.polygon) == pytest.approx(0.375, rel=1e-14)
-    assert cut.normal @ np.array([1.0, 0.0]) > 0.0
+    cut = extract_cut_geometry(single_cell_field([-1.0, 1.0, -1.0, 3.0]))
+    assert len(cut) == 1 and cut.vertices[0] == 4
+    assert polygon_area(cut.polygon(0)) == pytest.approx(0.375, rel=1e-14)
+    assert cut.normal[0] @ np.array([1.0, 0.0]) > 0.0
 
 
 def test_pentagon_cut_cell():
     # Only TR exterior; removed corner triangle has legs 0.5 and 0.25.
-    (cut,) = extract_cut_geometry(single_cell_field([-1.0, -1.0, -3.0, 1.0]))
-    assert cut.shape == "pentagon"
-    assert polygon_area(cut.polygon) == pytest.approx(1.0 - 0.0625, rel=1e-14)
-    assert len(cut.polygon) == 5
+    cut = extract_cut_geometry(single_cell_field([-1.0, -1.0, -3.0, 1.0]))
+    assert len(cut) == 1 and cut.vertices[0] == 5
+    assert polygon_area(cut.polygon(0)) == pytest.approx(1.0 - 0.0625, rel=1e-14)
+    assert len(cut.polygon(0)) == 5
 
 
 def test_snapped_exterior_gives_full_fraction():
     # BR exactly zero: the crossing sits on the node, theta = 1 on that edge.
-    (cut,) = extract_cut_geometry(single_cell_field([-1.0, 0.0, -1.0, 1.0]))
-    assert cut.shape == "quadrilateral"
-    assert 1.0 in cut.theta
+    cut = extract_cut_geometry(single_cell_field([-1.0, 0.0, -1.0, 1.0]))
+    assert len(cut) == 1 and cut.vertices[0] == 4
+    assert 1.0 in cut.theta[0]
 
 
 def test_checkerboard_cell_raises():
@@ -244,7 +239,7 @@ def test_cut_cells_cover_every_cut_flag():
     cls = classify_cells(field)
     cells = extract_cut_geometry(field, cls)
     assert len(cells) == int(cls.cut.sum())
-    flagged = {tuple(c.cell) for c in cells}
+    flagged = set(map(tuple, cells.cells.tolist()))
     js, is_ = np.nonzero(cls.cut)
     assert flagged == set(zip(is_.tolist(), js.tolist()))
 
@@ -253,18 +248,20 @@ def test_cut_polygon_invariants_on_disk():
     ls = domain_catalog("disk")
     field = snap_nodes(ls.grid(1.0 / 32), ls, alpha=1.75)
     h = field.grid.h
-    for cut in extract_cut_geometry(field):
-        area = polygon_area(cut.polygon)
+    cuts = extract_cut_geometry(field)
+    for k in range(len(cuts)):
+        area = polygon_area(cuts.polygon(k))
+        normal = cuts.normal[k]
         assert 0.0 < area <= h * h + 1e-15
-        assert np.hypot(*cut.normal) == pytest.approx(1.0, rel=1e-12)
+        assert np.hypot(*normal) == pytest.approx(1.0, rel=1e-12)
         # Outward: walking off the chord midpoint along the normal must
         # increase the level set.
-        mid = 0.5 * (cut.chord[0] + cut.chord[1])
+        mid = 0.5 * (cuts.chord[k, 0] + cuts.chord[k, 1])
         step = 1e-6 * h
-        ahead = ls.evaluate(mid[0] + step * cut.normal[0],
-                            mid[1] + step * cut.normal[1])
-        behind = ls.evaluate(mid[0] - step * cut.normal[0],
-                             mid[1] - step * cut.normal[1])
+        ahead = ls.evaluate(mid[0] + step * normal[0],
+                            mid[1] + step * normal[1])
+        behind = ls.evaluate(mid[0] - step * normal[0],
+                             mid[1] - step * normal[1])
         assert ahead > behind
 
 
@@ -279,7 +276,7 @@ def test_polygonal_disk_area_converges():
         cls = classify_cells(field)
         cuts = extract_cut_geometry(field, cls)
         area = (int(cls.internal.sum()) * field.grid.h ** 2
-                + sum(polygon_area(c.polygon) for c in cuts))
+                + sum(polygon_area(cuts.polygon(k)) for k in range(len(cuts))))
         errors.append(abs(area - exact))
     assert errors[0] <= 5e-4
     assert errors[1] <= 1e-4
@@ -345,15 +342,17 @@ def test_random_disks_classify_and_reconstruct(seed):
     cls = classify_cells(field)
     assert np.all(cls.internal.astype(int) + cls.cut + cls.external == 1)
     h = field.grid.h
-    for cut in extract_cut_geometry(field, cls):
-        area = polygon_area(cut.polygon)
+    cuts = extract_cut_geometry(field, cls)
+    for k in range(len(cuts)):
+        polygon = cuts.polygon(k)
+        area = polygon_area(polygon)
         assert 0.0 < area <= h * h + 1e-15
-        i, j = cut.cell
+        i, j = cuts.cell(k)
         x0, y0 = field.grid.origin
-        assert np.all(cut.polygon[:, 0] >= x0 + i * h - 1e-12)
-        assert np.all(cut.polygon[:, 0] <= x0 + (i + 1) * h + 1e-12)
-        assert np.all(cut.polygon[:, 1] >= y0 + j * h - 1e-12)
-        assert np.all(cut.polygon[:, 1] <= y0 + (j + 1) * h + 1e-12)
+        assert np.all(polygon[:, 0] >= x0 + i * h - 1e-12)
+        assert np.all(polygon[:, 0] <= x0 + (i + 1) * h + 1e-12)
+        assert np.all(polygon[:, 1] >= y0 + j * h - 1e-12)
+        assert np.all(polygon[:, 1] <= y0 + (j + 1) * h + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,6 @@ def walk_cut_geometry(field, classification):
     nps, h = grid.nodes_per_side, grid.h
     V = field.values.reshape(nps, nps)
     x0, y0 = grid.origin
-    shapes = {1: "triangle", 2: "quadrilateral", 3: "pentagon"}
     cells = []
     for j, i in zip(*(a.tolist() for a in np.nonzero(classification.cut))):
         corner_idx = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
@@ -386,10 +384,10 @@ def walk_cut_geometry(field, classification):
                 polygon.append(xy[a])
             if neg[a] != neg[b]:
                 if neg[a]:
-                    theta = cut_fractions(psi[a], psi[b])
+                    theta = psi[a] / (psi[a] - psi[b])
                     point = xy[a] + theta * (xy[b] - xy[a])
                 else:
-                    theta = cut_fractions(psi[b], psi[a])
+                    theta = psi[b] / (psi[b] - psi[a])
                     point = xy[b] + theta * (xy[a] - xy[b])
                 crossings.append(len(polygon))
                 thetas.append(theta)
@@ -408,9 +406,9 @@ def walk_cut_geometry(field, classification):
         if length == 0.0:
             raise CheckerboardCellError(f"cell {(i, j)}: degenerate zero-length chord")
         mid = 0.5 * (chord[0] + chord[1])
-        cells.append(CutCellGeometry(
-            cell=(i, j), shape=shapes[sum(neg)], theta=tuple(thetas),
-            polygon=poly, chord=chord, normal=np.array((t[1], -t[0])) / length,
+        cells.append(dict(
+            cell=(i, j), theta=tuple(thetas), polygon=poly, chord=chord,
+            normal=np.array((t[1], -t[0])) / length,
             bc=field.levelset.chord_bc(mid[0], mid[1]),
             nodes=np.array([grid.node_index(ci, cj) for ci, cj in corner_idx])))
     return cells
@@ -437,15 +435,16 @@ def assert_extraction_matches_the_walk(field):
             extract_cut_geometry(field, classification)
         assert str(raised.value) == str(err)
         return
-    cut_cells = extract_cut_geometry(field, classification)
-    assert len(cut_cells) == len(expected)
-    for got, want in zip(cut_cells, expected):
-        assert got.cell == want.cell
-        assert got.shape == want.shape
-        assert got.theta == want.theta
-        assert got.bc == want.bc
-        for name in ("polygon", "chord", "normal", "nodes"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    cuts = extract_cut_geometry(field, classification)
+    assert len(cuts) == len(expected)
+    for k, want in enumerate(expected):
+        assert cuts.cell(k) == want["cell"]
+        assert tuple(cuts.theta[k].tolist()) == want["theta"]
+        assert cuts.bc[k] == want["bc"]
+        assert cuts.vertices[k] == len(want["polygon"])
+        np.testing.assert_array_equal(cuts.polygon(k), want["polygon"])
+        for name in ("chord", "normal", "nodes"):
+            np.testing.assert_array_equal(getattr(cuts, name)[k], want[name])
 
 
 @pytest.mark.parametrize("code", range(1, 15))

@@ -12,7 +12,6 @@ from ghostmg.geometry import (
     DIRICHLET,
     CartesianGrid,
     CheckerboardCellError,
-    CutCellGeometry,
     CutCells,
     LevelSet,
     SnappedNodeField,
@@ -41,7 +40,8 @@ def cut_from_values(values):
     ls = LevelSet("manual", (lambda x, y: x,), (DIRICHLET,))
     field = SnappedNodeField(grid, ls, np.asarray(values, dtype=float),
                              alpha=8.0, threshold=0.0, num_snapped=0)
-    (cut,) = extract_cut_geometry(field)
+    cut = extract_cut_geometry(field)
+    assert len(cut) == 1
     return cut, grid
 
 
@@ -85,8 +85,8 @@ def test_triangle_matches_eigensolve():
                                       -1.0 + 1.0 / t1 if t1 < 1.0 else 0.0,
                                       -1.0 + 1.0 / t2 if t2 < 1.0 else 0.0,
                                       5.0])
-            assert cut.shape == "triangle"
-            assert local_eig_C(cut, grid) == pytest.approx(
+            assert cut.vertices[0] == 3
+            assert local_eig_C(cut)[0] == pytest.approx(
                 c_triangle(t1, t2, 1.0), rel=1e-8)
 
 
@@ -101,9 +101,9 @@ def test_triangle_orientation_invariance():
     constants = []
     for vals in values:
         cut, grid = cut_from_values(vals)
-        assert cut.shape == "triangle"
-        assert sorted(cut.theta) == [0.25, 0.5]
-        constants.append(local_eig_C(cut, grid))
+        assert cut.vertices[0] == 3
+        assert sorted(cut.theta[0]) == [0.25, 0.5]
+        constants.append(local_eig_C(cut)[0])
     np.testing.assert_allclose(constants, constants[0], rtol=1e-12)
     assert constants[0] == pytest.approx(c_triangle(0.25, 0.5, 1.0), rel=1e-12)
 
@@ -117,8 +117,8 @@ def test_pentagon_constant():
 def test_pentagon_constant_bounds_eigensolve():
     # The fixed pentagon value is an upper bound for actual pentagon cuts.
     cut, grid = cut_from_values([-1.0, -1.0, -3.0, 1.0])
-    assert cut.shape == "pentagon"
-    assert local_eig_C(cut, grid) <= c_pentagon(1.0) * (1.0 + 1e-12)
+    assert cut.vertices[0] == 5
+    assert local_eig_C(cut)[0] <= c_pentagon(1.0) * (1.0 + 1e-12)
 
 
 def test_symmetric_trapezoid_law():
@@ -157,12 +157,12 @@ def test_constants_blow_up_monotonically_for_thin_cuts():
 
 def test_closed_form_dispatch():
     tri, grid = cut_from_values([-1.0, 3.0, 1.0, 5.0])
-    assert closed_form_C(tri, grid) == c_triangle(0.25, 0.5, 1.0)
+    assert closed_form_C(tri)[0] == c_triangle(0.25, 0.5, 1.0)
     pent, grid = cut_from_values([-1.0, -1.0, -3.0, 1.0])
-    assert closed_form_C(pent, grid) == c_pentagon(1.0)
+    assert closed_form_C(pent)[0] == c_pentagon(1.0)
     quad, grid = cut_from_values([-1.0, 1.0, -1.0, 3.0])
-    assert closed_form_C(quad, grid) == pytest.approx(
-        local_eig_C(quad, grid), rel=1e-12)
+    assert closed_form_C(quad)[0] == pytest.approx(
+        local_eig_C(quad)[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +175,22 @@ def test_build_stabilization_local_vs_global():
     cuts = system.cut_cells
     local = build_stabilization(cuts, gamma=2.0, mode="local")
     glob = build_stabilization(cuts, gamma=2.0, mode="global")
-    assert local.C == glob.C
-    assert local.global_C == max(local.C.values())
-    for cell, C in local.C.items():
-        assert local.lam[cell] == pytest.approx(2.0 * C, rel=1e-15)
-        assert glob.lam[cell] == pytest.approx(2.0 * glob.global_C, rel=1e-15)
-    assert max(local.lam.values()) == pytest.approx(
-        min(glob.lam.values()), rel=1e-12)
+    np.testing.assert_array_equal(local.cells, glob.cells)
+    np.testing.assert_array_equal(local.C, glob.C)
+    assert local.global_C == local.C.max()
+    np.testing.assert_allclose(local.lam, 2.0 * local.C, rtol=1e-15)
+    np.testing.assert_allclose(glob.lam, 2.0 * glob.global_C, rtol=1e-15)
+    assert local.lam.max() == pytest.approx(glob.lam.min(), rel=1e-12)
 
 
 def test_build_stabilization_skips_neumann_chords():
     ls = domain_catalog("annulus")
     system = assemble(ProblemSpec(ls, 2.0 / 32))
     stab = build_stabilization(system.cut_cells)
-    dirichlet_cells = {c.cell for c in system.cut_cells if c.bc == DIRICHLET}
-    assert set(stab.C) == dirichlet_cells
+    cuts = system.cut_cells
+    dirichlet_cells = set(map(tuple, cuts.cells[cuts.bc == DIRICHLET].tolist()))
+    assert set(map(tuple, stab.cells.tolist())) == dirichlet_cells
+    assert len(stab.C) == len(dirichlet_cells)
     assert dirichlet_cells  # the inner circle is Dirichlet
     assert len(dirichlet_cells) < len(system.cut_cells)
 
@@ -208,10 +209,10 @@ def test_eigensolve_method_matches_closed_form_on_disk():
     system = assemble(ProblemSpec(ls, 1.0 / 16))
     closed = build_stabilization(system.cut_cells, method="closed_form")
     eig = build_stabilization(system.cut_cells, method="local_eig")
-    for cell in eig.C:
-        # Triangles/trapezoids agree to solver accuracy; pentagons use an
-        # upper bound, so the closed form may only exceed the eigensolve.
-        assert closed.C[cell] >= eig.C[cell] * (1.0 - 1e-8)
+    np.testing.assert_array_equal(closed.cells, eig.cells)
+    # Triangles/trapezoids agree to solver accuracy; pentagons use an upper
+    # bound, so the closed form may only exceed the eigensolve.
+    assert np.all(closed.C >= eig.C * (1.0 - 1e-8))
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +270,19 @@ def test_singular_reduced_stiffness_raises_naming_the_cell():
     # A quadrilateral collapsed onto its chord has zero interior stiffness.
     h = 0.25
     chord = np.array([[h, 0.0], [h, h]])
-    cut = CutCellGeometry(cell=(3, 5), shape="quadrilateral", theta=(1.0, 1.0),
-                          polygon=np.array([[h, 0.0], [h, 0.0], [h, h], [h, h]]),
-                          chord=chord, normal=np.array([1.0, 0.0]),
-                          bc=DIRICHLET, nodes=np.arange(4))
-    grid = CartesianGrid(8, (-0.75, -1.25), 2.0)
-    batch = cut_cell_batch(CutCells.of(cut, grid))
+    polygon = np.array([[h, 0.0], [h, 0.0], [h, h], [h, h]])
+    cut = CutCells(grid=CartesianGrid(8, (-0.75, -1.25), 2.0),
+                   cells=np.array([[3, 5]]), nodes=np.arange(4)[None],
+                   vertices=np.array([4]), theta=np.array([[1.0, 1.0]]),
+                   polygons={4: (np.zeros(1, dtype=int), polygon[None])},
+                   chord=chord[None], normal=np.array([[1.0, 0.0]]),
+                   bc=np.array([DIRICHLET]))
+    batch = cut_cell_batch(cut)
     assert np.isnan(pencil_max(batch.B, batch.S)).all()
     with pytest.raises(DegeneratePencilError, match=r"\(3, 5\)"):
-        build_stabilization(CutCells.of(cut, grid))
+        build_stabilization(cut)
     with pytest.raises(DegeneratePencilError, match=r"\(3, 5\)"):
-        local_eig_C(cut, grid)
+        local_eig_C(cut)
 
 
 @settings(max_examples=25, deadline=None)
@@ -306,9 +309,9 @@ def test_random_disks_and_ellipses_match_the_oracle(n, cx, cy, radius, aspect,
     assert (system.A - system.A.T).nnz == 0
     batch = cut_cell_batch(system.cut_cells)
     np.testing.assert_allclose(batch.S @ np.ones(4), 0.0, atol=1e-13)
-    C = system.stabilization.C
-    cells = system.cut_cells.cells
-    assert set(C) == set(map(tuple, cells[batch.dirichlet].tolist()))
-    for k in np.flatnonzero(batch.dirichlet):
+    stab = system.stabilization
+    dirichlet = np.flatnonzero(batch.dirichlet)
+    np.testing.assert_array_equal(stab.cells, system.cut_cells.cells[dirichlet])
+    for C, k in zip(stab.C, dirichlet):
         oracle = generalized_eig_max(batch.B[k], batch.S[k]).value
-        assert C[system.cut_cells.cell(k)] == pytest.approx(oracle, rel=1e-10)
+        assert C == pytest.approx(oracle, rel=1e-10)
