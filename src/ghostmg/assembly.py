@@ -468,12 +468,15 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
 
 
 # Stencil slot 3 (dy + 1) + (dx + 1) of the coupling from cell corner a to
-# cell corner b, and the node-index shift of each slot on a grid.
+# cell corner b.
 _SLOT = (3 * (CORNER_DY[None, :] - CORNER_DY[:, None] + 1)
          + CORNER_DX[None, :] - CORNER_DX[:, None] + 1)
 # The cells around a node in row-major order (SW, SE, NW, NE) hold it as
 # their corner TR, TL, BR, BL.
 _AROUND = (2, 3, 1, 0)
+# Rows per block when the stencil planes become CSR; a block's temporaries
+# stay near 2 MB.
+_BLOCK_ROWS = 1 << 15
 
 
 def _stencil_operator(classification: CellClassification, cut_nodes: np.ndarray,
@@ -488,10 +491,12 @@ def _stencil_operator(classification: CellClassification, cut_nodes: np.ndarray,
     """
     grid = classification.grid
     n, nps, N = grid.n, grid.nodes_per_side, grid.num_nodes
-    values = np.zeros((9, nps, nps))
-    stored = np.zeros((9, nps, nps), dtype=bool)
+    # One array per stencil slot, and CSR emitted in blocks of rows: once a
+    # (9, N) temporary is freed, malloc serves arrays up to its size from a
+    # heap it does not trim, which raised the peak memory of a later solve.
+    values = [np.zeros((nps, nps)) for _ in range(9)]
+    stored = [np.zeros((nps, nps), dtype=bool) for _ in range(9)]
     inside = classification.internal.astype(float)
-    active = classification.active
     reference = full_cell_stiffness()
     # The reference stiffness holds three distinct values; scale once each.
     scaled = {v: v * inside for v in np.unique(reference)}
@@ -499,23 +504,32 @@ def _stencil_operator(classification: CellClassification, cut_nodes: np.ndarray,
         at_a = (slice(CORNER_DY[a], CORNER_DY[a] + n),
                 slice(CORNER_DX[a], CORNER_DX[a] + n))
         for b in range(4):
-            values[(_SLOT[a, b],) + at_a] += scaled[reference[a, b]]
-            stored[(_SLOT[a, b],) + at_a] |= active
-    values = values.reshape(9, N)
+            values[_SLOT[a, b]][at_a] += scaled[reference[a, b]]
+            stored[_SLOT[a, b]][at_a] |= classification.active
     for a in _AROUND:
-        # Node cut_nodes[k, a] is corner a of one cell only, so each
-        # scatter writes distinct entries.
-        values[_SLOT[a][:, None], cut_nodes[:, a]] += cut_K[:, a].T
-    values[4, ~classification.active_nodes] = 1.0
-    stored = stored.reshape(9, N)
-    stored[4] = True
-    # Row-major (N, 9): a row's stored slots come in ascending column order.
-    values, stored = np.ascontiguousarray(values.T), np.ascontiguousarray(stored.T)
-    shift = (np.arange(-1, 2)[:, None] * nps + np.arange(-1, 2)).ravel()
-    columns = np.arange(N, dtype=np.int32)[:, None] + shift.astype(np.int32)
+        for b in range(4):
+            # Node cut_nodes[k, a] is corner a of one cell only, so each
+            # scatter writes distinct entries.
+            values[_SLOT[a, b]].reshape(N)[cut_nodes[:, a]] += cut_K[:, a, b]
+    values[4].reshape(N)[~classification.active_nodes] = 1.0
+    stored[4][:] = True
+    # Row-major blocks of rows: a row's stored slots in ascending column
+    # order.
+    shifts = (np.arange(-1, 2, dtype=np.int32)[:, None] * nps
+              + np.arange(-1, 2, dtype=np.int32)).ravel()
+    counts, data, indices = [], [], []
+    for start in range(0, N, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        keep = np.stack([plane.reshape(N)[block] for plane in stored], axis=1)
+        counts.append(keep.sum(axis=1))
+        data.append(np.stack([plane.reshape(N)[block] for plane in values],
+                             axis=1)[keep])
+        rows = np.arange(start, start + len(keep), dtype=np.int32)
+        indices.append((rows[:, None] + shifts)[keep])
     return sp.csr_matrix(
-        (values[stored], columns[stored],
-         np.concatenate(([0], np.cumsum(stored.sum(axis=1))))), shape=(N, N))
+        (np.concatenate(data), np.concatenate(indices),
+         np.concatenate(([0], np.cumsum(np.concatenate(counts))))),
+        shape=(N, N))
 
 
 def _internal_source(f: Callable, grid: CartesianGrid, in_is: np.ndarray,
