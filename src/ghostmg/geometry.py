@@ -308,14 +308,15 @@ def extract_cut_geometry(field: SnappedNodeField,
     psi = field.values.reshape(nps, nps)[cj, ci]                  # (K, 4)
     xy = np.stack((x0 + ci * h, y0 + cj * h), axis=-1)            # (K, 4, 2)
     neg = psi < 0.0
-    ahead = np.roll(neg, -1, axis=1)                  # the sign of corner k + 1
+    # Edge k runs from corner k to corner k + 1.
+    ahead, psi_ahead, xy_ahead = (np.roll(v, -1, axis=1) for v in (neg, psi, xy))
     crossed = neg != ahead
     # Crossing of each edge, measured from its interior end; only the crossed
     # edges are read.
-    psi_in = np.where(neg, psi, np.roll(psi, -1, axis=1))
-    psi_out = np.where(neg, np.roll(psi, -1, axis=1), psi)
-    xy_in = np.where(neg[..., None], xy, np.roll(xy, -1, axis=1))
-    xy_out = np.where(neg[..., None], np.roll(xy, -1, axis=1), xy)
+    psi_in = np.where(neg, psi, psi_ahead)
+    psi_out = np.where(neg, psi_ahead, psi)
+    xy_in = np.where(neg[..., None], xy, xy_ahead)
+    xy_out = np.where(neg[..., None], xy_ahead, xy)
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = psi_in / (psi_in - psi_out)
         crossing = xy_in + theta[..., None] * (xy_out - xy_in)
