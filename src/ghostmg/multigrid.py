@@ -116,7 +116,8 @@ def _lower_triangle_csc(A: sp.csr_matrix) -> sp.csc_matrix:
 
 class MgLevel:
     """One level: its operator and transfers on its free DOFs, the free and
-    cut masks over its grid's nodes, and its solver caches."""
+    cut masks over its grid's nodes, and its solver caches.  The operator
+    must be bitwise symmetric, as assembled and Galerkin operators are."""
 
     def __init__(self, A: sp.csr_matrix, free: np.ndarray, cut: np.ndarray,
                  grid: CartesianGrid, index: int = 0):
