@@ -28,6 +28,16 @@ theta1 = 0.3, 0.5
 """
 
 
+#: rho_mean of the V(2,1) interval sweep at n = 64 (coarsest_n = 8, cycles
+#: 41-50), keyed by (theta1, eta): the factors of lexicographic Gauss-Seidel.
+INTERVAL_FACTORS = {
+    (0.0099, 0): 0.22018254799850595,
+    (0.0099, 4): 0.13497274984942315,
+    (0.99, 0): 0.047399400630786924,
+    (0.99, 4): 0.04221338799552058,
+}
+
+
 # -- config parsing -----------------------------------------------------------
 
 
@@ -372,3 +382,17 @@ def test_accuracy_study_state_is_per_row():
     rows = run_accuracy_study(config)
     assert [row.n for row in rows] == [8, 16, 32]
     assert np.all(np.diff([row.h for row in rows]) < 0)
+
+
+def test_interval_sweep_factors_are_pinned():
+    # The 1D smoother is lexicographic Gauss-Seidel, one class: these
+    # factors move if the sweep order changes.
+    config = ExperimentConfig(experiment="interval_sweep", dimension=1,
+                              ns=(64,), theta1=(0.0099, 0.99), eta=(0, 4),
+                              cycle="v", coarsest_n=8)
+    rows = run_experiment(config)
+    assert [(r.theta1, r.eta) for r in rows] == list(INTERVAL_FACTORS)
+    for row in rows:
+        assert row.error is None
+        assert row.rho_mean == pytest.approx(
+            INTERVAL_FACTORS[row.theta1, row.eta], rel=0.0, abs=1e-12)

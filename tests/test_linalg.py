@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ghostmg import linalg
 from ghostmg import multigrid as mg
-from ghostmg.geometry import CartesianGrid
+from ghostmg.assembly import ProblemSpec, assemble
+from ghostmg.geometry import CartesianGrid, domain_catalog
 
 
 def two_by_two():
@@ -57,6 +58,61 @@ def test_gauss_seidel_masked_rows_only():
     np.testing.assert_allclose(u_cut[cut], u_full[cut] + delta, rtol=0.0,
                                atol=1e-12)
     assert np.all(u_cut[cut] != u_full[cut])
+
+
+def disk_level():
+    """The finest level of a two-level disk hierarchy (n = 16)."""
+    system = assemble(ProblemSpec(domain_catalog("disk"), 1.0 / 16,
+                                  gamma=2.0))
+    return mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8)).finest
+
+
+def class_major_gauss_seidel(A, colours, r):
+    """Lexicographic Gauss-Seidel correction for the residual r, taken in
+    class-major order: a dense tril solve of the permuted matrix."""
+    order = np.argsort(colours, kind="stable")
+    delta = np.empty_like(r)
+    delta[order] = np.linalg.solve(np.tril(A[np.ix_(order, order)]), r[order])
+    return delta
+
+
+def test_colour_sweep_is_class_major_gauss_seidel():
+    # A 2D sweep visits the four colour classes in turn, so it equals
+    # lexicographic Gauss-Seidel with the DOFs sorted by class.
+    level = disk_level()
+    colours = level.colours()
+    assert np.unique(colours).tolist() == [0, 1, 2, 3]
+    rng = np.random.default_rng(17)
+    A = level.A.toarray()
+    F = rng.standard_normal(level.num_dofs)
+    u = rng.standard_normal(level.num_dofs)
+    expected = u + class_major_gauss_seidel(A, colours, F - A @ u)
+    level.smooth(u, F, 0)
+    np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-12)
+
+
+def test_colour_cut_sweep_changes_only_cut_dofs():
+    # An extra cut sweep on a 2D level is the class-major sweep of the cut
+    # rows, tril(A_cc) in class order, and leaves every other DOF alone.
+    level = disk_level()
+    cut = level.idx_cut
+    assert 0 < cut.size < level.num_dofs
+    assert np.unique(level.colours()[cut]).size == 4
+    rng = np.random.default_rng(19)
+    A = level.A.toarray()
+    F = rng.standard_normal(level.num_dofs)
+    u_full = rng.standard_normal(level.num_dofs)
+    u_cut = u_full.copy()
+    level.smooth(u_full, F, 0)
+    level.smooth(u_cut, F, 1)
+    uncut = np.ones(level.num_dofs, dtype=bool)
+    uncut[cut] = False
+    np.testing.assert_array_equal(u_cut[uncut], u_full[uncut])
+    delta = class_major_gauss_seidel(A[np.ix_(cut, cut)],
+                                     level.colours()[cut],
+                                     (F - A @ u_full)[cut])
+    np.testing.assert_allclose(u_cut[cut], u_full[cut] + delta, rtol=0.0,
+                               atol=1e-12)
 
 
 def test_gauss_seidel_empty_mask_is_noop():

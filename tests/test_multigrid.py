@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble
-from ghostmg.geometry import domain_catalog
+from ghostmg.geometry import domain_catalog, domain_names
 from ghostmg.linalg import NotSPDError
 from ghostmg.one_dim import assemble_1d, coarse_theta
 
@@ -339,10 +339,37 @@ def test_readme_quick_start():
         system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
     u, trace = mg.solve(hierarchy, system.F, max_iters=100,
                         target_residual=1e-10)
-    assert trace.iterations == 6
+    assert trace.iterations == 5
     assert trace.residual_norms[-1] <= 1e-10
     assert u.shape == (65 ** 2,)
     assert abs(u.max() - 0.04) <= 1e-3
+
+
+@pytest.mark.parametrize("name", domain_names())
+def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
+    # Galerkin operators of Q1 keep the 9-point stencil, so on every
+    # smoothed level no colour class couples to itself and each step of the
+    # full and the cut sweeps is a diagonal scale: building the hierarchy
+    # factors the coarsest operator and no Gauss-Seidel triangle.
+    params = {"theta": 0.5, "h": 1.0 / 64} if name == "rectangle" else {}
+    levelset = domain_catalog(name, **params)
+    system = assemble(ProblemSpec(
+        levelset=levelset, h=levelset.art_extent / 64, gamma=2.0,
+        strong_predicate=levelset.params.get("strong_predicate")))
+    factored = []
+    splu = mg.spla.splu
+
+    def counting_splu(A, **options):
+        factored.append(A.shape)
+        return splu(A, **options)
+
+    monkeypatch.setattr(mg.spla, "splu", counting_splu)
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
+    assert len(hierarchy.levels) == 4
+    assert factored == [hierarchy.levels[-1].A.shape]
+    assert hierarchy.finest._cut_steps
+    for level in hierarchy.levels[:-1]:
+        assert len(level._free_steps) == 4
 
 
 def test_trace_bookkeeping():
