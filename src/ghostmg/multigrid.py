@@ -204,9 +204,9 @@ class MgLevel:
 
     def _colour_steps(self, idx: Optional[np.ndarray],
                       diag: np.ndarray) -> list:
-        """One step per colour class among the swept DOFs, in class order:
-        a scale by 1 / diag where the class has no internal coupling, else
-        a solve with its lower triangle."""
+        """One step per colour class among the swept DOFs, in class order,
+        each a scale by 1 / diag.  Raises ValueError if a class couples to
+        itself, which an operator wider than the 9-point stencil would."""
         swept = np.arange(self.num_dofs) if idx is None else idx
         colours = self.colours()[swept]
         label = np.full(self.num_dofs, -1)
@@ -217,11 +217,12 @@ class MgLevel:
             sel = swept[mine]
             rows = self.A[sel]
             # Each row stores its own diagonal entry, since none is zero.
-            if np.count_nonzero(label[rows.indices] == c) == sel.size:
-                solve = partial(np.multiply, 1.0 / diag[mine])
-            else:
-                solve = _triangle_solve(canonical_csr(rows[:, sel]))
-            steps.append(_block_step(sel, rows, solve))
+            if np.count_nonzero(label[rows.indices] == c) != sel.size:
+                raise ValueError(
+                    f"level {self.index}: colour class {c} couples to "
+                    "itself; the operator is wider than the 9-point stencil")
+            steps.append(_block_step(
+                sel, rows, partial(np.multiply, 1.0 / diag[mine])))
         return steps
 
     def prepare_smoothers(self, config: CycleConfig):

@@ -115,6 +115,17 @@ def test_colour_cut_sweep_changes_only_cut_dofs():
                                atol=1e-12)
 
 
+def test_colour_sweep_rejects_in_class_coupling():
+    # A dense 2D operator couples nodes of one colour, which the 9-point
+    # stencil never does, so building the sweep fails instead of smoothing
+    # with a wrong diagonal scale.
+    A = sp.csr_matrix(random_spd(np.random.default_rng(23), 9))
+    level = mg.MgLevel(A, np.ones(9, dtype=bool), np.zeros(9, dtype=bool),
+                       CartesianGrid(2, (0.0, 0.0), 1.0), index=3)
+    with pytest.raises(ValueError, match="level 3: colour class 0"):
+        level.prepare_smoothers(mg.CycleConfig())
+
+
 def test_gauss_seidel_empty_mask_is_noop():
     # With no cut DOFs, extra cut sweeps change nothing.
     rng = np.random.default_rng(5)
