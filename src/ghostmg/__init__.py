@@ -3,8 +3,9 @@
 The package solves the Poisson equation on domains defined implicitly by a
 level-set function, discretized with bilinear elements on a background
 Cartesian grid.  Dirichlet conditions are enforced weakly (Nitsche), with the
-penalty sized per cut cell from a local generalized eigenvalue problem, and
-the resulting systems are solved by two-grid, V- and W-cycles whose transfer
+penalty sized per cut cell from its shape (closed forms for triangles and
+pentagons, a local generalized eigenvalue problem for trapezoids), and the
+resulting systems are solved by two-grid, V- and W-cycles whose transfer
 operators come from the shape-function refinement identity.
 
 Subpackages
@@ -22,12 +23,12 @@ one_dim
     Closed-form 1D system blocks for the interval domain with one weak
     Dirichlet and one Neumann end.
 stabilization
-    Penalty constants: closed forms for 1D/triangle/pentagon cuts, local
-    eigensolve for any cut, global constants.
+    Penalty constants: closed forms for 1D, triangle and pentagon cuts, the
+    batched 4x4 pencil solve for trapezoids, global constants.
 multigrid
     Transfer operators, one hierarchy builder for 1D and 2D with every
-    level on its free DOFs, smoothing, cycles, convergence traces, and the
-    1D residual splitting identity.
+    level on its free DOFs, Gauss-Seidel smoothing, cycles, convergence
+    traces, and the 1D residual splitting identity.
 experiments
     Config parsing, parameter sweeps, accuracy studies, CSV output.
 cli

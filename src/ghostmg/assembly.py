@@ -15,8 +15,8 @@ triangle for stiffness and a degree-4 rule for sources; chord integrals use
 3-point Gauss.  All of those are exact for the polynomial integrands at hand
 (the source rule is exact through cubics).  f and each g are evaluated once,
 on all of their quadrature points.  The stabilization sizes its penalties
-from the same stiffness S and chord flux Gram B, and the per-cell kernels
-(`q1_cell_stiffness`, `nitsche_chord_terms`, ...) are batch-of-one calls.
+from the same stiffness S and chord flux Gram B; `fan_kernels` and
+`chord_kernels` are the only cut-cell kernels.
 """
 
 from __future__ import annotations
@@ -229,50 +229,6 @@ def cut_cell_batch(cut_cells: CutCells) -> CutCellBatch:
     )
 
 
-def _one(kernel, *arrays, h: float) -> list:
-    """A kernel run on a batch of one cell."""
-    return kernel(*(np.asarray(a, dtype=float)[None] for a in arrays), h)
-
-
-def q1_cell_stiffness(polygon: np.ndarray, h: float,
-                      cell_origin: tuple) -> np.ndarray:
-    """Stiffness integral of the four shape functions over the polygon."""
-    return _one(fan_kernels, polygon, cell_origin, h=h)[0][0]
-
-
-def polygon_source(polygon: np.ndarray, h: float, cell_origin: tuple,
-                   f: Callable) -> np.ndarray:
-    """Load integral of f against the shape functions over the polygon."""
-    *_, points, wN = _one(fan_kernels, polygon, cell_origin, h=h)
-    return _at_points(f, points[:, 0], points[:, 1]) @ wN
-
-
-def nitsche_chord_terms(chord: np.ndarray, normal: np.ndarray, lam: float,
-                        h: float, cell_origin: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Penalty and consistency matrices of a Dirichlet chord.
-
-    Returns (penalty, consistency) with penalty_ij = lam * int N_i N_j dS and
-    consistency_ij = int (n . grad N_j) N_i dS; the cell matrix gains
-    penalty - consistency - consistency^T.
-    """
-    *_, mass, consistency = _one(chord_kernels, chord, normal, cell_origin, h=h)
-    return lam * mass[0], consistency[0]
-
-
-def chord_normal_gram(chord: np.ndarray, normal: np.ndarray, h: float,
-                      cell_origin: tuple) -> np.ndarray:
-    """Gram matrix int (n . grad N_i)(n . grad N_j) dS over the chord; the K
-    of the local stabilization pencil."""
-    return _one(chord_kernels, chord, normal, cell_origin, h=h)[3][0]
-
-
-def chord_neumann_load(chord: np.ndarray, h: float, cell_origin: tuple,
-                       g: Callable) -> np.ndarray:
-    """Neumann chord load int g N_i dS (the normal does not enter it)."""
-    points, wN, *_ = _one(chord_kernels, chord, np.zeros(2), cell_origin, h=h)
-    return _at_points(g, points[0, :, 0], points[0, :, 1]) @ wN[0]
-
-
 @dataclass
 class ProblemSpec:
     """Continuous problem plus discretization choices.
@@ -287,13 +243,11 @@ class ProblemSpec:
     f, g_dirichlet, g_neumann : callable or None
         Source and boundary data, vectorized over (x, y); None means zero.
     gamma : float
-        Safety factor: the penalty is lambda_K = gamma * C(K).
+        Safety factor: the penalty is lambda_K = gamma * C(K), with C(K)
+        from `stabilization.cell_constants`.
     lambda_mode : str
         "local" sizes the penalty per cut cell; "global" uses the max of the
         local constants everywhere.
-    stabilization_method : str
-        "closed_form" uses the per-shape formulas (eigensolve for
-        quadrilaterals); "local_eig" solves the 4x4 pencil on every cut cell.
     alpha : float
         Snapping exponent, threshold h^alpha.
     strong_predicate : callable or None
@@ -309,7 +263,6 @@ class ProblemSpec:
     g_neumann: Optional[Callable] = None
     gamma: float = 2.0
     lambda_mode: str = "local"
-    stabilization_method: str = "closed_form"
     alpha: float = 1.75
     strong_predicate: Optional[Callable] = None
     grid: Optional[CartesianGrid] = None
@@ -405,9 +358,7 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         raise AssemblyError(
             f"cut cell {cut_cells.cell(k)} has unknown bc {str(cut_cells.bc[k])!r}")
     stabilization = build_stabilization(
-        batch, gamma=problem.gamma, mode=problem.lambda_mode,
-        method=problem.stabilization_method,
-    )
+        batch, gamma=problem.gamma, mode=problem.lambda_mode)
     dirichlet = np.flatnonzero(batch.dirichlet)
     lam = stabilization.lam
     unpenalized = ~(lam > 0.0)

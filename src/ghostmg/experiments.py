@@ -73,8 +73,6 @@ class ExperimentConfig:
     window: tuple = ()
     coarsest_n: int = 8
     alpha: float = 0.0
-    smoother: str = "gauss_seidel"
-    omega: float = 2.0 / 3.0
     output: str = "results.csv"
 
     def __post_init__(self):
@@ -134,9 +132,9 @@ _LIST_KEYS = {"n", "h", "theta1", "theta", "gamma", "eta", "window"}
 _KNOWN_KEYS = {"experiment", "dimension", "domain", "n", "h", "theta1",
                "theta2", "theta", "gamma", "eta", "lambda_mode", "cycle",
                "nu1", "nu2", "iterations", "window", "coarsest_n", "alpha",
-               "smoother", "omega", "output"}
+               "output"}
 _INT_KEYS = {"dimension", "nu1", "nu2", "iterations", "coarsest_n"}
-_FLOAT_KEYS = {"theta2", "alpha", "omega"}
+_FLOAT_KEYS = {"theta2", "alpha"}
 
 
 def _parse_number(token: str) -> float:
@@ -274,8 +272,7 @@ def _cycle_config(config: ExperimentConfig, n: int, eta: int) -> mg.CycleConfig:
     coarsest = n // 2 if config.cycle == "two_grid" else config.coarsest_n
     return mg.CycleConfig(nu1=config.nu1, nu2=config.nu2, eta=eta,
                           gamma_star=2 if config.cycle == "w" else 1,
-                          coarsest_n=coarsest, smoother=config.smoother,
-                          omega=config.omega)
+                          coarsest_n=coarsest)
 
 
 def _run_homogeneous(row: ResultRow, system, config: ExperimentConfig):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -88,9 +88,6 @@ class CartesianGrid:
         ys = self.origin[1] + self.h * np.arange(self.nodes_per_side)
         X, Y = np.meshgrid(side, ys, indexing="xy")
         return X.ravel(), Y.ravel()
-
-    def node_index(self, i: int, j: int = 0) -> int:
-        return i + j * self.nodes_per_side
 
     def coarsen(self) -> "CartesianGrid":
         if self.n % 2 != 0:
@@ -354,13 +351,6 @@ def extract_cut_geometry(field: SnappedNodeField,
         normal=np.stack((t[:, 1], -t[:, 0]), axis=1) / length[:, None],
         bc=field.levelset.chord_bc(mid[:, 0], mid[:, 1]),
     )
-
-
-def polygon_area(polygon: np.ndarray) -> float:
-    """Shoelace area of a counterclockwise polygon."""
-    x = polygon[:, 0]
-    y = polygon[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 # ---------------------------------------------------------------------------

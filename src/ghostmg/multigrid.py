@@ -9,9 +9,9 @@ free DOFs, and coarse operators are Galerkin triple products.  Constrained
 nodes (ghost exterior nodes, strongly eliminated nodes) appear only at the
 API edge: ``solve`` and ``mg_cycle`` take and return vectors on the whole
 background grid, with constrained entries equal to F.  One builder serves
-the 1D interval and the 2D systems.  Smoothing is Gauss-Seidel (or
-weighted Jacobi) over the free DOFs, optionally followed by extra sweeps on
-the cut-cell DOFs only, and the coarsest level is solved exactly.
+the 1D interval and the 2D systems.  Smoothing is Gauss-Seidel over the
+free DOFs, optionally followed by extra sweeps on the cut-cell DOFs only,
+and the coarsest level is solved exactly.
 
 In 2D, Gauss-Seidel runs over four colour classes, (i % 2) + 2 (j % 2) of
 the grid node: the 9-point stencil, which Galerkin products of Q1 keep,
@@ -45,8 +45,6 @@ from ghostmg.geometry import CartesianGrid
 from ghostmg.linalg import NotSPDError, canonical_csr, rap_product
 from ghostmg.one_dim import OneDimSystem, split_residual_coarse
 
-_SMOOTHERS = ("gauss_seidel", "weighted_jacobi")
-
 #: Number of consecutive growing-residual cycles before a run is flagged.
 DIVERGENCE_PATIENCE = 5
 
@@ -79,9 +77,9 @@ def restriction_2d(n: int) -> sp.csr_matrix:
 class CycleConfig:
     """Cycle shape and smoothing parameters.
 
-    nu1 / nu2 pre- and post-smoothing sweeps; eta extra cut-DOF sweeps
-    appended to every full sweep; gamma_star recursion count (1 = V-cycle,
-    2 = W-cycle); coarsest_n the grid size solved exactly.
+    nu1 / nu2 pre- and post-smoothing Gauss-Seidel sweeps; eta extra cut-DOF
+    sweeps appended to every full sweep; gamma_star recursion count
+    (1 = V-cycle, 2 = W-cycle); coarsest_n the grid size solved exactly.
     """
 
     nu1: int = 2
@@ -89,16 +87,11 @@ class CycleConfig:
     eta: int = 0
     gamma_star: int = 1
     coarsest_n: int = 8
-    smoother: str = "gauss_seidel"
-    omega: float = 2.0 / 3.0
 
     def __post_init__(self):
         if self.gamma_star not in (1, 2):
             raise ValueError(f"gamma_star must be 1 (V-cycle) or 2 (W-cycle), "
                              f"got {self.gamma_star}")
-        if self.smoother not in _SMOOTHERS:
-            raise ValueError(
-                f"smoother must be one of {_SMOOTHERS}, got {self.smoother!r}")
         if self.nu1 < 0 or self.nu2 < 0 or self.eta < 0:
             raise ValueError("sweep counts must be nonnegative")
         if self.coarsest_n < 1:
@@ -157,7 +150,6 @@ class MgLevel:
         self.idx_cut = np.flatnonzero(self.cut[self.free])
         self._free_steps: list = []
         self._cut_steps: list = []
-        self._sweep_key = None
         self._coarse_solve = None
 
     @property
@@ -181,25 +173,20 @@ class MgLevel:
         j, i = np.divmod(np.flatnonzero(self.free), self.n + 1)
         return i % 2 + 2 * (j % 2)
 
-    def _build_sweep(self, idx: Optional[np.ndarray],
-                     config: CycleConfig) -> list:
-        """Steps of the sweep u <- u + S^-1 (F - A u) over every DOF, or
-        over the DOFs idx only.  Weighted Jacobi is one step scaled by
-        omega / diag, 1D Gauss-Seidel one lexicographic step, and 2D
-        Gauss-Seidel one step per colour class."""
+    def _build_sweep(self, idx: Optional[np.ndarray]) -> list:
+        """Steps of the Gauss-Seidel sweep over every DOF, or over the DOFs
+        idx only: in 1D one lexicographic step, in 2D one step per colour
+        class."""
         diag = self.A.diagonal() if idx is None else self.A.diagonal()[idx]
         if np.any(diag == 0.0):
             raise ZeroDivisionError(
                 "smoother hit a zero diagonal; the operator is missing a "
                 "stabilization contribution")
-        if config.smoother == "gauss_seidel" and self.grid.dim == 2:
+        if self.grid.dim == 2:
             return self._colour_steps(idx, diag)
         rows = self.A if idx is None else self.A[idx]
-        if config.smoother == "weighted_jacobi":
-            solve = partial(np.multiply, config.omega / diag)
-        else:
-            solve = _triangle_solve(
-                rows if idx is None else canonical_csr(rows[:, idx]))
+        solve = _triangle_solve(
+            rows if idx is None else canonical_csr(rows[:, idx]))
         return [_block_step(idx, rows, solve)]
 
     def _colour_steps(self, idx: Optional[np.ndarray],
@@ -225,14 +212,10 @@ class MgLevel:
                 sel, rows, partial(np.multiply, 1.0 / diag[mine])))
         return steps
 
-    def prepare_smoothers(self, config: CycleConfig):
-        key = (config.smoother, config.omega)
-        if self._sweep_key == key:
-            return
-        self._free_steps = self._build_sweep(None, config)
+    def prepare_smoothers(self):
+        self._free_steps = self._build_sweep(None)
         if self.idx_cut.size:
-            self._cut_steps = self._build_sweep(self.idx_cut, config)
-        self._sweep_key = key
+            self._cut_steps = self._build_sweep(self.idx_cut)
 
     def smooth(self, u: np.ndarray, F: np.ndarray, eta: int):
         """One full sweep plus eta extra cut-DOF sweeps, in place."""
@@ -283,7 +266,7 @@ class Hierarchy:
 
 def _finalize(levels: list, config: CycleConfig) -> Hierarchy:
     for level in levels[:-1]:
-        level.prepare_smoothers(config)
+        level.prepare_smoothers()
     levels[-1].prepare_coarse_solver()
     return Hierarchy(levels=levels, config=config)
 

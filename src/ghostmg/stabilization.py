@@ -15,18 +15,19 @@ so `pencil_max` deflates them analytically, by dropping one corner; a stacked
 batch at once.  The general deflating solver `linalg.generalized_eig_max` is
 the oracle the tests check it against.
 
-Closed forms by shape
----------------------
+Constants by shape
+------------------
 one-dimensional cell   C = 1 / (theta1 h), exact.
 triangle               corner triangle with legs theta1 h and theta2 h;
                        `c_triangle`, exact and symmetric in the fractions.
 pentagon               fixed constant 3 sqrt(2) / h, the supremum of the
                        pentagon family (reached as the cut corner grows to
                        half the cell); an upper bound, not the sharp value.
-quadrilateral          no trusted closed form: `c_quadrilateral` runs the
-                       eigensolve on the canonical trapezoid.  For the
-                       symmetric trapezoid (theta1 == theta2 == theta) the
-                       eigensolve returns exactly 1 / (theta h).
+quadrilateral          no closed form: the sharp value from `pencil_max`.
+                       For the symmetric trapezoid (theta1 == theta2 ==
+                       theta) it is exactly 1 / (theta h).
+
+`cell_constants` applies these rules, the one penalty rule of `assemble`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from ghostmg import assembly
-from ghostmg.geometry import CutCells
 from ghostmg.linalg import DegeneratePencilError, generalized_eig_max
 
 
@@ -123,70 +123,36 @@ def pencil_max(B: np.ndarray, S: np.ndarray) -> np.ndarray:
     return C
 
 
-def cell_constants(batch: "assembly.CutCellBatch", index: np.ndarray,
-                   method: str = "closed_form") -> np.ndarray:
-    """Trace constants of the batch cells `index`.
-
-    method "closed_form" uses the triangle and pentagon formulas and the
-    eigensolve for quadrilaterals; "local_eig" solves every pencil.
-    """
-    cut_cells = batch.cut_cells
-    h = cut_cells.grid.h
-    vertices = cut_cells.vertices[index]
-    eig = vertices == 4 if method == "closed_form" else np.ones(index.size, dtype=bool)
-    C = np.empty(index.size)
-    tri = ~eig & (vertices == 3)
-    C[tri] = c_triangle(cut_cells.theta[index[tri], 0],
-                        cut_cells.theta[index[tri], 1], h)
-    C[~eig & (vertices == 5)] = c_pentagon(h)
-    C[eig] = pencil_max(batch.B[index[eig]], batch.S[index[eig]])
+def _sharp_constants(batch: "assembly.CutCellBatch",
+                     index: np.ndarray) -> np.ndarray:
+    """`pencil_max` over the batch cells `index`; raises
+    DegeneratePencilError naming the first cell whose pencil is singular."""
+    C = pencil_max(batch.B[index], batch.S[index])
     bad = np.flatnonzero(np.isnan(C))
     if bad.size:
         raise DegeneratePencilError(
-            f"cut cell {cut_cells.cell(index[bad[0]])}: the interior stiffness is "
-            "singular off the constants, so the stabilization constant is "
-            "unbounded"
+            f"cut cell {batch.cut_cells.cell(index[bad[0]])}: the interior "
+            "stiffness is singular off the constants, so the stabilization "
+            "constant is unbounded"
         )
     return C
 
 
-def local_eig_C(cut_cells: CutCells) -> np.ndarray:
-    """Sharp trace constants of the cut cells via the 4x4 generalized
-    eigenproblem (chord flux Gram matrix against interior-polygon
-    stiffness)."""
-    batch = assembly.cut_cell_batch(cut_cells)
-    return cell_constants(batch, np.arange(len(cut_cells)), "local_eig")
-
-
-def c_quadrilateral(theta1: float, theta2: float, h: float) -> float:
-    """Sharp trace constant of a trapezoidal cut whose bottom edge keeps the
-    fraction theta1 and top edge the fraction theta2.
-
-    Solved as the 4x4 generalized eigenproblem on the canonical trapezoid
-    (interior corners on the left edge, chord from (theta1 h, 0) to
-    (theta2 h, h)); the value is invariant under the symmetries of the cell,
-    so any trapezoidal cut with these fractions shares it.  For
-    theta1 == theta2 == theta the result is exactly 1 / (theta h).
-    """
-    t1, t2 = float(theta1), float(theta2)
-    if not (0.0 < t1 <= 1.0 and 0.0 < t2 <= 1.0):
-        raise ValueError(f"need fractions in (0, 1], got ({theta1}, {theta2})")
-    if h <= 0.0:
-        raise ValueError(f"need h > 0, got {h}")
-    polygon = np.array([[0.0, 0.0], [t1 * h, 0.0], [t2 * h, h], [0.0, h]])
-    chord = np.array([[t1 * h, 0.0], [t2 * h, h]])
-    tangent = chord[1] - chord[0]
-    normal = np.array([tangent[1], -tangent[0]]) / np.hypot(*tangent)
-    B = assembly.chord_normal_gram(chord, normal, h, (0.0, 0.0))
-    S = assembly.q1_cell_stiffness(polygon, h, (0.0, 0.0))
-    return float(pencil_max(B[None], S[None])[0])
-
-
-def closed_form_C(cut_cells: CutCells) -> np.ndarray:
-    """Constants of the cut cells by shape: triangles and pentagons use
-    their closed forms, trapezoids the eigensolve."""
-    batch = assembly.cut_cell_batch(cut_cells)
-    return cell_constants(batch, np.arange(len(cut_cells)))
+def cell_constants(batch: "assembly.CutCellBatch",
+                   index: np.ndarray) -> np.ndarray:
+    """Trace constants of the batch cells `index`: the closed forms for
+    triangles and pentagons, the sharp pencil value for quadrilaterals."""
+    cut_cells = batch.cut_cells
+    h = cut_cells.grid.h
+    vertices = cut_cells.vertices[index]
+    C = np.empty(index.size)
+    tri = vertices == 3
+    C[tri] = c_triangle(cut_cells.theta[index[tri], 0],
+                        cut_cells.theta[index[tri], 1], h)
+    C[vertices == 5] = c_pentagon(h)
+    quad = vertices == 4
+    C[quad] = _sharp_constants(batch, index[quad])
+    return C
 
 
 @dataclass(eq=False)
@@ -201,7 +167,6 @@ class StabilizationField:
 
     gamma: float
     mode: str
-    method: str
     cells: np.ndarray
     C: np.ndarray
     lam: np.ndarray
@@ -209,36 +174,31 @@ class StabilizationField:
 
 
 _MODES = ("local", "global")
-_METHODS = ("closed_form", "local_eig")
 
 
-def build_stabilization(cut_cells, gamma: float = 2.0, mode: str = "local",
-                        method: str = "closed_form") -> StabilizationField:
+def build_stabilization(cut_cells, gamma: float = 2.0,
+                        mode: str = "local") -> StabilizationField:
     """Size the chord penalty of every Dirichlet cut cell.
 
     cut_cells is the `CutCells` of `extract_cut_geometry` or its
     `assembly.CutCellBatch` (which `assemble` passes, so the batch kernel
     runs once).  mode "local" sets lam(K) = gamma * C(K) per cell; "global"
-    sets every penalty to gamma * max_K C(K).  method "closed_form"
-    dispatches on the cut shape (trapezoids still use the eigensolve);
-    "local_eig" solves the pencil on every cell.  gamma must exceed 1 for
-    coercivity; smaller values are accepted for experimentation but the
-    system may become indefinite.
+    sets every penalty to gamma * max_K C(K), with C(K) from
+    `cell_constants`.  gamma must exceed 1 for coercivity; smaller values
+    are accepted for experimentation but the system may become indefinite.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if gamma <= 0.0:
         raise ValueError(f"need gamma > 0, got {gamma}")
     batch = (cut_cells if isinstance(cut_cells, assembly.CutCellBatch)
              else assembly.cut_cell_batch(cut_cells))
-    values = cell_constants(batch, np.flatnonzero(batch.dirichlet), method)
+    values = cell_constants(batch, np.flatnonzero(batch.dirichlet))
     global_C = float(values.max()) if values.size else None
     lam = gamma * values
     if mode == "global" and values.size:
         lam[:] = gamma * global_C
-    return StabilizationField(gamma=gamma, mode=mode, method=method,
+    return StabilizationField(gamma=gamma, mode=mode,
                               cells=batch.cut_cells.cells[batch.dirichlet],
                               C=values, lam=lam, global_C=global_C)
 
@@ -246,21 +206,22 @@ def build_stabilization(cut_cells, gamma: float = 2.0, mode: str = "local",
 def global_C(system, dense: bool = False) -> float:
     """Sharp global trace constant of an assembled 2D system.
 
-    The production path takes the max of the per-cell eigensolve constants
-    over the Dirichlet cut cells (summing the local inequalities shows the
-    global constant never exceeds it, and cut cells dominate the bound).
-    With dense=True the genuinely global pencil is solved instead via
+    The production path takes the max of the sharp per-cell constants,
+    `pencil_max` over the Dirichlet cut cells (summing the local
+    inequalities shows the global constant never exceeds it, and cut cells
+    dominate the bound).  With dense=True the genuinely global pencil is solved instead via
     `dense_global_C_2d`, which is only affordable on small grids and serves
     as a cross-check.
     """
     if dense:
         return dense_global_C_2d(system)
-    value = build_stabilization(system.cut_cells, method="local_eig").global_C
-    if value is None:
+    batch = assembly.cut_cell_batch(system.cut_cells)
+    dirichlet = np.flatnonzero(batch.dirichlet)
+    if not dirichlet.size:
         raise ValueError(
             "the domain has no weak Dirichlet chords, so the boundary trace "
             "constant is undefined")
-    return value
+    return float(_sharp_constants(batch, dirichlet).max())
 
 
 def dense_global_C_1d(n: int, theta1: float, theta2: float) -> float:

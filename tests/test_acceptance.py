@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ghostmg import multigrid as mg
-from ghostmg.assembly import ProblemSpec, assemble
+from ghostmg.assembly import ProblemSpec, assemble, cut_cell_batch
 from ghostmg.cli import main as cli_main
 from ghostmg.experiments import THETA1_GRID
 from ghostmg.geometry import (
@@ -26,7 +26,7 @@ from ghostmg.geometry import (
     extract_cut_geometry,
 )
 from ghostmg.one_dim import assemble_1d, coarse_theta
-from ghostmg.stabilization import c_triangle, dense_global_C_1d, local_eig_C
+from ghostmg.stabilization import c_triangle, dense_global_C_1d, pencil_max
 
 NS_1D = (128, 256, 512, 1024)          # h = 2^-7 ... 2^-10
 NS_DISK = (64, 128, 256)               # h = 2^-6 ... 2^-8 on the unit square
@@ -216,7 +216,8 @@ def test_triangle_constant_agrees_with_the_eigensolver():
         for theta2 in thetas:
             cut, grid = single_corner_cut(theta1, theta2)
             assert cut.vertices[0] == 3
-            eig = local_eig_C(cut)[0]
+            batch = cut_cell_batch(cut)
+            eig = pencil_max(batch.B, batch.S)[0]
             closed = c_triangle(theta1, theta2, 1.0)
             rel = abs(eig - closed) / closed
             if rel > worst[0]:

@@ -13,13 +13,10 @@ from ghostmg.assembly import (
     apply_strong_dirichlet,
     assemble,
     cell_nodes,
+    chord_kernels,
     cut_cell_batch,
-    chord_neumann_load,
-    chord_normal_gram,
+    fan_kernels,
     full_cell_stiffness,
-    nitsche_chord_terms,
-    polygon_source,
-    q1_cell_stiffness,
     residual,
     shape_gradients,
     shape_values,
@@ -30,6 +27,20 @@ from ghostmg.geometry import DIRICHLET, LevelSet, domain_catalog
 # ---------------------------------------------------------------------------
 # Element kernels
 # ---------------------------------------------------------------------------
+
+def fan_one(polygon, h, origin=(0.0, 0.0)):
+    """`fan_kernels` on a batch of one polygon: stiffness (4, 4), and the
+    source rule's points and weighted shape values."""
+    S, _, points, wN = fan_kernels(np.asarray(polygon, dtype=float)[None],
+                                   np.asarray(origin, dtype=float)[None], h)
+    return S[0], points, wN
+
+
+def source_load(polygon, h, origin, f):
+    """Load of f against the shape functions over the polygon."""
+    _, points, wN = fan_one(polygon, h, origin)
+    return f(points[:, 0], points[:, 1]) @ wN
+
 
 def test_shape_functions_partition_of_unity():
     rng = np.random.default_rng(2)
@@ -60,7 +71,7 @@ def test_full_cell_stiffness_properties():
 def test_cut_stiffness_of_full_square_matches_reference():
     h = 0.125
     square = h * np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    K = q1_cell_stiffness(square, h, (0.0, 0.0))
+    K = fan_one(square, h)[0]
     np.testing.assert_allclose(K, full_cell_stiffness(), atol=1e-14)
 
 
@@ -69,15 +80,14 @@ def test_cut_stiffness_additivity():
     h = 0.25
     left = h * np.array([(0.0, 0.0), (0.4, 0.0), (0.4, 1.0), (0.0, 1.0)])
     right = h * np.array([(0.4, 0.0), (1.0, 0.0), (1.0, 1.0), (0.4, 1.0)])
-    K = (q1_cell_stiffness(left, h, (0.0, 0.0))
-         + q1_cell_stiffness(right, h, (0.0, 0.0)))
+    K = fan_one(left, h)[0] + fan_one(right, h)[0]
     np.testing.assert_allclose(K, full_cell_stiffness(), atol=1e-14)
 
 
 def test_polygon_source_integrates_constants():
     h = 0.5
     square = h * np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    F = polygon_source(square, h, (0.0, 0.0), lambda x, y: np.ones_like(x))
+    F = source_load(square, h, (0.0, 0.0), lambda x, y: np.ones_like(x))
     # Loads of f = 1 sum to the polygon area.
     assert F.sum() == pytest.approx(h * h, rel=1e-14)
     np.testing.assert_allclose(F, h * h / 4.0, rtol=1e-13)
@@ -99,9 +109,9 @@ def test_polygon_source_additivity():
     square = cell([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     triangle = cell([(0.0, 0.0), (0.7, 0.0), (0.0, 0.4)])
     pentagon = cell([(0.7, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.4)])
-    F = (polygon_source(triangle, h, origin, f)
-         + polygon_source(pentagon, h, origin, f))
-    np.testing.assert_allclose(F, polygon_source(square, h, origin, f),
+    F = (source_load(triangle, h, origin, f)
+         + source_load(pentagon, h, origin, f))
+    np.testing.assert_allclose(F, source_load(square, h, origin, f),
                                rtol=1e-13)
 
 
@@ -111,17 +121,17 @@ def test_chord_kernels_partition_of_unity():
     normal = np.array([t[1], -t[0]]) / np.hypot(*t)
     length = float(np.hypot(*t))
     lam = 7.0
-    penalty, consistency = nitsche_chord_terms(chord, normal, lam, 0.25,
-                                               (0.0, 0.0))
+    _, wN, _, B, mass, consistency = (
+        a[0] for a in chord_kernels(chord[None], normal[None], np.zeros((1, 2)),
+                                    0.25))
     # sum_ij penalty_ij = lam * int (sum_i N_i)^2 = lam * |chord|.
-    assert penalty.sum() == pytest.approx(lam * length, rel=1e-13)
+    assert (lam * mass).sum() == pytest.approx(lam * length, rel=1e-13)
     # sum_j (n . grad N_j) = 0, so every consistency row sums to zero.
     np.testing.assert_allclose(consistency.sum(axis=1), 0.0, atol=1e-13)
     # Gram rows against the constant flux deficit: B @ 1 = 0 as well.
-    B = chord_normal_gram(chord, normal, 0.25, (0.0, 0.0))
     np.testing.assert_allclose(B @ np.ones(4), 0.0, atol=1e-12)
-    loads = chord_neumann_load(chord, 0.25, (0.0, 0.0),
-                               lambda x, y: np.ones_like(x))
+    # The Neumann load of g = 1, int N_i, sums to the chord length.
+    loads = np.ones(3) @ wN
     assert loads.sum() == pytest.approx(length, rel=1e-13)
 
 

@@ -72,6 +72,21 @@ def test_run_accuracy_experiment_writes_ratio_table(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_run_accuracy_failure_is_reported_with_exit_one(tmp_path, capsys):
+    # The flower at n = 8 has a checkerboard cell, which extraction rejects
+    # with a named error; it is reported like a failed sweep point.
+    out = tmp_path / "acc.csv"
+    config = write_config(
+        tmp_path,
+        "experiment = accuracy\ndimension = 2\ndomain = flower\nn = 8, 16\n",
+        out)
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "CheckerboardCellError: cell (3, 3)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_catalog_lists_the_interval_and_every_domain(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out

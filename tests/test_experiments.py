@@ -1,6 +1,7 @@
 """Tests for the sweep config format, the sweep runner and CSV output."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +115,16 @@ def test_load_config_reads_a_file(tmp_path):
     path.write_text(MINIMAL_1D)
     config = load_config(path)
     assert config.ns == (8, 16)
+
+
+@pytest.mark.parametrize("name", [
+    "accuracy_disk.cfg", "disk_eta_sweep.cfg", "geometry_suite.cfg",
+    "theta_sweep_1d.cfg"])
+def test_shipped_configs_parse(name):
+    # Every config under demos/configs is accepted as it ships.
+    path = Path(__file__).resolve().parents[1] / "demos" / "configs" / name
+    config = load_config(path)
+    assert config.ns
 
 
 # -- config validation and defaults -------------------------------------------

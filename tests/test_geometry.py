@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostmg import geometry
+from ghostmg.assembly import cut_cell_batch, fan_kernels
 from ghostmg.geometry import (
     DIRICHLET,
     CartesianGrid,
@@ -18,7 +19,6 @@ from ghostmg.geometry import (
     domain_catalog,
     domain_names,
     extract_cut_geometry,
-    polygon_area,
     snap_nodes,
 )
 
@@ -33,7 +33,9 @@ def test_grid_basic_quantities():
     assert grid.h == 0.25
     assert grid.nodes_per_side == 5
     assert grid.num_nodes == 25
-    assert grid.node_index(2, 3) == 2 + 3 * 5
+    # Nodes are numbered k = i + j (n + 1), x fastest.
+    X, Y = grid.node_coordinates()
+    assert (X[2 + 3 * 5], Y[2 + 3 * 5]) == (0.5, 0.75)
 
 
 def test_grid_one_dimensional():
@@ -197,7 +199,7 @@ def test_triangle_cut_cell():
     cut = extract_cut_geometry(single_cell_field([-1.0, 3.0, 1.0, 5.0]))
     assert len(cut) == 1 and cut.vertices[0] == 3
     assert tuple(cut.theta[0]) == (0.25, 0.5)
-    assert polygon_area(cut.polygon(0)) == pytest.approx(0.0625, rel=1e-15)
+    assert cut_cell_batch(cut).area[0] == pytest.approx(0.0625, rel=1e-15)
     np.testing.assert_allclose(
         sorted(cut.chord[0].tolist()), [[0.0, 0.5], [0.25, 0.0]], atol=1e-15)
     # Outward normal points away from the interior corner.
@@ -209,7 +211,7 @@ def test_quadrilateral_cut_cell():
     # Left half kept; bottom crossing at x = 0.5, top crossing at x = 0.25.
     cut = extract_cut_geometry(single_cell_field([-1.0, 1.0, -1.0, 3.0]))
     assert len(cut) == 1 and cut.vertices[0] == 4
-    assert polygon_area(cut.polygon(0)) == pytest.approx(0.375, rel=1e-14)
+    assert cut_cell_batch(cut).area[0] == pytest.approx(0.375, rel=1e-14)
     assert cut.normal[0] @ np.array([1.0, 0.0]) > 0.0
 
 
@@ -217,7 +219,7 @@ def test_pentagon_cut_cell():
     # Only TR exterior; removed corner triangle has legs 0.5 and 0.25.
     cut = extract_cut_geometry(single_cell_field([-1.0, -1.0, -3.0, 1.0]))
     assert len(cut) == 1 and cut.vertices[0] == 5
-    assert polygon_area(cut.polygon(0)) == pytest.approx(1.0 - 0.0625, rel=1e-14)
+    assert cut_cell_batch(cut).area[0] == pytest.approx(1.0 - 0.0625, rel=1e-14)
     assert len(cut.polygon(0)) == 5
 
 
@@ -249,8 +251,9 @@ def test_cut_polygon_invariants_on_disk():
     field = snap_nodes(ls.grid(1.0 / 32), ls, alpha=1.75)
     h = field.grid.h
     cuts = extract_cut_geometry(field)
+    areas = cut_cell_batch(cuts).area
     for k in range(len(cuts)):
-        area = polygon_area(cuts.polygon(k))
+        area = areas[k]
         normal = cuts.normal[k]
         assert 0.0 < area <= h * h + 1e-15
         assert np.hypot(*normal) == pytest.approx(1.0, rel=1e-12)
@@ -276,7 +279,7 @@ def test_polygonal_disk_area_converges():
         cls = classify_cells(field)
         cuts = extract_cut_geometry(field, cls)
         area = (int(cls.internal.sum()) * field.grid.h ** 2
-                + sum(polygon_area(cuts.polygon(k)) for k in range(len(cuts))))
+                + cut_cell_batch(cuts).area.sum())
         errors.append(abs(area - exact))
     assert errors[0] <= 5e-4
     assert errors[1] <= 1e-4
@@ -284,7 +287,8 @@ def test_polygonal_disk_area_converges():
 
 def test_polygon_area_unit_square():
     square = np.array([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)])
-    assert polygon_area(square) == pytest.approx(4.0, rel=1e-15)
+    area = fan_kernels(square[None], np.zeros((1, 2)), 2.0)[1][0]
+    assert area == pytest.approx(4.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +347,10 @@ def test_random_disks_classify_and_reconstruct(seed):
     assert np.all(cls.internal.astype(int) + cls.cut + cls.external == 1)
     h = field.grid.h
     cuts = extract_cut_geometry(field, cls)
+    areas = cut_cell_batch(cuts).area
     for k in range(len(cuts)):
         polygon = cuts.polygon(k)
-        area = polygon_area(polygon)
+        area = areas[k]
         assert 0.0 < area <= h * h + 1e-15
         i, j = cuts.cell(k)
         x0, y0 = field.grid.origin
@@ -410,7 +415,7 @@ def walk_cut_geometry(field, classification):
             cell=(i, j), theta=tuple(thetas), polygon=poly, chord=chord,
             normal=np.array((t[1], -t[0])) / length,
             bc=field.levelset.chord_bc(mid[0], mid[1]),
-            nodes=np.array([grid.node_index(ci, cj) for ci, cj in corner_idx])))
+            nodes=np.array([ci + cj * nps for ci, cj in corner_idx])))
     return cells
 
 

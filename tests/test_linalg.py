@@ -23,13 +23,13 @@ def random_spd(rng, m):
     return B @ B.T + m * np.eye(m)
 
 
-def level_for(A, cut=None, smoother="gauss_seidel", omega=2.0 / 3.0):
+def level_for(A, cut=None):
     """A level on every row of A (all DOFs free), smoothers prepared."""
     m = A.shape[0]
     level = mg.MgLevel(A, np.ones(m, dtype=bool),
                        np.zeros(m, dtype=bool) if cut is None else cut,
                        CartesianGrid(m - 1, (0.0,), 1.0))
-    level.prepare_smoothers(mg.CycleConfig(smoother=smoother, omega=omega))
+    level.prepare_smoothers()
     return level
 
 
@@ -123,7 +123,7 @@ def test_colour_sweep_rejects_in_class_coupling():
     level = mg.MgLevel(A, np.ones(9, dtype=bool), np.zeros(9, dtype=bool),
                        CartesianGrid(2, (0.0, 0.0), 1.0), index=3)
     with pytest.raises(ValueError, match="level 3: colour class 0"):
-        level.prepare_smoothers(mg.CycleConfig())
+        level.prepare_smoothers()
 
 
 def test_gauss_seidel_empty_mask_is_noop():
@@ -152,28 +152,6 @@ def test_gauss_seidel_exact_solution_is_fixed_point():
     u = x.copy()
     level_for(A).smooth(u, F, 0)
     np.testing.assert_allclose(u, x, rtol=0.0, atol=1e-12)
-
-
-def test_weighted_jacobi_oracle():
-    # From zero, one damped step is u = omega * D^{-1} F = (2/3) F / 2.
-    u = np.zeros(2)
-    level_for(two_by_two(), smoother="weighted_jacobi",
-              omega=2.0 / 3.0).smooth(u, np.ones(2), 0)
-    np.testing.assert_allclose(u, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
-
-
-def test_weighted_jacobi_omega_one_is_plain_jacobi():
-    u = np.zeros(2)
-    F = np.array([1.0, -2.0])
-    level_for(two_by_two(), smoother="weighted_jacobi",
-              omega=1.0).smooth(u, F, 0)
-    np.testing.assert_allclose(u, F / 2.0, rtol=1e-15)
-
-
-def test_weighted_jacobi_zero_diagonal_raises():
-    A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
-    with pytest.raises(ZeroDivisionError):
-        level_for(A, smoother="weighted_jacobi", omega=0.5)
 
 
 def test_rap_matches_dense_triple_product():

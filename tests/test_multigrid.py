@@ -119,8 +119,6 @@ def test_cycle_config_validation():
     with pytest.raises(ValueError):
         mg.CycleConfig(gamma_star=3)
     with pytest.raises(ValueError):
-        mg.CycleConfig(smoother="sor")
-    with pytest.raises(ValueError):
         mg.CycleConfig(nu1=-1)
     with pytest.raises(ValueError):
         mg.CycleConfig(coarsest_n=0)
@@ -397,25 +395,19 @@ def test_solve_records_per_cycle_factors():
 
 
 def test_divergent_run_is_flagged_but_kept():
-    # Over-relaxed Jacobi (omega = 2.5) amplifies the high-frequency error;
-    # the run must flag divergence, warn once and keep the trace.
+    # A wrong-sign coarse correction (P -> -P) makes the cycle grow the
+    # error, by a factor near 1.8 per cycle after the first few; the run
+    # must flag divergence, warn once and keep the trace.
     system = assemble_1d(32, 0.5, 0.5, 1.1 / (0.5 / 32))
-    config = mg.CycleConfig(coarsest_n=16, smoother="weighted_jacobi",
-                            omega=2.5)
-    hierarchy = mg.build_hierarchy(system, config)
-    with pytest.warns(RuntimeWarning):
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=16))
+    fine = hierarchy.levels[0]
+    fine.P = -fine.P
+    with pytest.warns(RuntimeWarning) as record:
         _, trace = mg.solve(hierarchy, np.zeros(33), u0=np.ones(33),
                             max_iters=12)
+    assert len(record) == 1
     assert trace.diverged
     assert trace.iterations == 12
-
-
-def test_weighted_jacobi_smoother_converges():
-    system, hierarchy = small_1d_hierarchy(
-        n=32, coarsest=16, smoother="weighted_jacobi", omega=2.0 / 3.0)
-    _, trace = mg.solve(hierarchy, np.zeros(33), u0=np.ones(33), max_iters=30)
-    assert trace.rho_mean(21, 30) < 0.6
-    assert not trace.diverged
 
 
 def test_extra_cut_sweeps_help_on_the_disk():

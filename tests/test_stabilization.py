@@ -1,6 +1,7 @@
 """Trace constants and penalty sizing for the weak Dirichlet terms."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,26 +24,39 @@ from ghostmg.stabilization import (
     build_stabilization,
     c_one_dim,
     c_pentagon,
-    c_quadrilateral,
     c_triangle,
-    closed_form_C,
     dense_global_C_1d,
     dense_global_C_2d,
     global_C,
-    local_eig_C,
     pencil_max,
 )
 
 
-def cut_from_values(values):
-    """Single unit-cell cut geometry from corner values (flat BL BR TL TR)."""
-    grid = CartesianGrid(1, (0.0, 0.0), 1.0)
+def cut_from_values(values, h=1.0):
+    """Single-cell cut geometry of side h from corner values (flat BL BR TL
+    TR)."""
+    grid = CartesianGrid(1, (0.0, 0.0), h)
     ls = LevelSet("manual", (lambda x, y: x,), (DIRICHLET,))
     field = SnappedNodeField(grid, ls, np.asarray(values, dtype=float),
                              alpha=8.0, threshold=0.0, num_snapped=0)
     cut = extract_cut_geometry(field)
     assert len(cut) == 1
     return cut, grid
+
+
+def sharp_C(cut):
+    """`pencil_max` constants of every cell of `cut`."""
+    batch = cut_cell_batch(cut)
+    return pencil_max(batch.B, batch.S)
+
+
+def trapezoid(theta1, theta2, h=1.0):
+    """The one-cell trapezoid keeping the left edge, with chord from
+    (theta1 h, 0) to (theta2 h, h)."""
+    cut, _ = cut_from_values([-1.0, -1.0 + 1.0 / theta1, -1.0,
+                              -1.0 + 1.0 / theta2], h)
+    assert cut.vertices[0] == 4
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +100,7 @@ def test_triangle_matches_eigensolve():
                                       -1.0 + 1.0 / t2 if t2 < 1.0 else 0.0,
                                       5.0])
             assert cut.vertices[0] == 3
-            assert local_eig_C(cut)[0] == pytest.approx(
+            assert sharp_C(cut)[0] == pytest.approx(
                 c_triangle(t1, t2, 1.0), rel=1e-8)
 
 
@@ -103,7 +117,7 @@ def test_triangle_orientation_invariance():
         cut, grid = cut_from_values(vals)
         assert cut.vertices[0] == 3
         assert sorted(cut.theta[0]) == [0.25, 0.5]
-        constants.append(local_eig_C(cut)[0])
+        constants.append(sharp_C(cut)[0])
     np.testing.assert_allclose(constants, constants[0], rtol=1e-12)
     assert constants[0] == pytest.approx(c_triangle(0.25, 0.5, 1.0), rel=1e-12)
 
@@ -118,51 +132,55 @@ def test_pentagon_constant_bounds_eigensolve():
     # The fixed pentagon value is an upper bound for actual pentagon cuts.
     cut, grid = cut_from_values([-1.0, -1.0, -3.0, 1.0])
     assert cut.vertices[0] == 5
-    assert local_eig_C(cut)[0] <= c_pentagon(1.0) * (1.0 + 1e-12)
+    assert sharp_C(cut)[0] <= c_pentagon(1.0) * (1.0 + 1e-12)
 
 
 def test_symmetric_trapezoid_law():
     # theta1 == theta2 == theta gives exactly the 1D law 1 / (theta h).
     for theta in (0.1, 0.3, 0.5, 0.9, 1.0):
         for h in (1.0, 0.125):
-            assert c_quadrilateral(theta, theta, h) == pytest.approx(
+            assert sharp_C(trapezoid(theta, theta, h))[0] == pytest.approx(
                 1.0 / (theta * h), rel=1e-10)
+    # So does the production path on the rectangle, whose Dirichlet cut
+    # cells are all symmetric trapezoids.  At h = 1/64 snapping keeps the
+    # theta = 0.1 cells cut (at h = 1/16 it makes them full cells).
+    h = 1.0 / 64
+    for theta in (0.1, 0.5, 0.9):
+        ls = domain_catalog("rectangle", theta=theta, h=h)
+        system = assemble(ProblemSpec(ls, h))
+        cuts = system.cut_cells
+        assert np.all(cuts.vertices[cuts.bc == DIRICHLET] == 4)
+        np.testing.assert_allclose(system.stabilization.C, 1.0 / (theta * h),
+                                   rtol=1e-10)
 
 
 def test_asymmetric_trapezoid_frozen_values():
     # Eigensolve outputs on the canonical trapezoid at h = 1/4.
-    assert c_quadrilateral(0.2, 0.8, 0.25) == pytest.approx(
+    assert sharp_C(trapezoid(0.2, 0.8, 0.25))[0] == pytest.approx(
         13.396466919451875, rel=1e-10)
-    assert c_quadrilateral(0.5, 1.0, 0.25) == pytest.approx(
+    assert sharp_C(trapezoid(0.5, 1.0, 0.25))[0] == pytest.approx(
         8.366884667889137, rel=1e-10)
-    assert c_quadrilateral(0.9, 0.1, 0.25) == pytest.approx(
+    assert sharp_C(trapezoid(0.9, 0.1, 0.25))[0] == pytest.approx(
         15.234357189947138, rel=1e-10)
-
-
-def test_trapezoid_validation():
-    with pytest.raises(ValueError):
-        c_quadrilateral(0.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        c_quadrilateral(0.5, 0.5, 0.0)
 
 
 def test_constants_blow_up_monotonically_for_thin_cuts():
     # Shrinking fractions only ever enlarge the constants.
     hs = [c_one_dim(t, 1.0) for t in (1e-1, 1e-2, 1e-3, 1e-4)]
     tris = [c_triangle(t, 0.5, 1.0) for t in (1e-1, 1e-2, 1e-3, 1e-4)]
-    quads = [c_quadrilateral(t, t, 1.0) for t in (1e-1, 1e-2, 1e-3, 1e-4)]
+    quads = [sharp_C(trapezoid(t, t))[0] for t in (1e-1, 1e-2, 1e-3, 1e-4)]
     for seq in (hs, tris, quads):
         assert all(a < b for a, b in zip(seq, seq[1:]))
 
 
 def test_closed_form_dispatch():
     tri, grid = cut_from_values([-1.0, 3.0, 1.0, 5.0])
-    assert closed_form_C(tri)[0] == c_triangle(0.25, 0.5, 1.0)
+    assert build_stabilization(tri).C[0] == c_triangle(0.25, 0.5, 1.0)
     pent, grid = cut_from_values([-1.0, -1.0, -3.0, 1.0])
-    assert closed_form_C(pent)[0] == c_pentagon(1.0)
+    assert build_stabilization(pent).C[0] == c_pentagon(1.0)
     quad, grid = cut_from_values([-1.0, 1.0, -1.0, 3.0])
-    assert closed_form_C(quad)[0] == pytest.approx(
-        local_eig_C(quad)[0], rel=1e-12)
+    assert build_stabilization(quad).C[0] == pytest.approx(
+        sharp_C(quad)[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +217,21 @@ def test_build_stabilization_validation():
     with pytest.raises(ValueError):
         build_stabilization([], mode="other")
     with pytest.raises(ValueError):
-        build_stabilization([], method="exact")
-    with pytest.raises(ValueError):
         build_stabilization([], gamma=0.0)
 
 
 def test_eigensolve_method_matches_closed_form_on_disk():
     ls = domain_catalog("disk")
     system = assemble(ProblemSpec(ls, 1.0 / 16))
-    closed = build_stabilization(system.cut_cells, method="closed_form")
-    eig = build_stabilization(system.cut_cells, method="local_eig")
-    np.testing.assert_array_equal(closed.cells, eig.cells)
+    closed = build_stabilization(system.cut_cells)
+    batch = cut_cell_batch(system.cut_cells)
+    dirichlet = batch.dirichlet
+    eig = pencil_max(batch.B[dirichlet], batch.S[dirichlet])
+    np.testing.assert_array_equal(closed.cells,
+                                  system.cut_cells.cells[dirichlet])
     # Triangles/trapezoids agree to solver accuracy; pentagons use an upper
     # bound, so the closed form may only exceed the eigensolve.
-    assert np.all(closed.C >= eig.C * (1.0 - 1e-8))
+    assert np.all(closed.C >= eig * (1.0 - 1e-8))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +301,7 @@ def test_singular_reduced_stiffness_raises_naming_the_cell():
     with pytest.raises(DegeneratePencilError, match=r"\(3, 5\)"):
         build_stabilization(cut)
     with pytest.raises(DegeneratePencilError, match=r"\(3, 5\)"):
-        local_eig_C(cut)
+        global_C(SimpleNamespace(cut_cells=cut))
 
 
 @settings(max_examples=25, deadline=None)
@@ -294,7 +313,8 @@ def test_random_disks_and_ellipses_match_the_oracle(n, cx, cy, radius, aspect,
                                                     ellipse):
     """On random disks and axis-aligned ellipses, with cuts at arbitrary
     fractions, every batched trace constant matches the general eigensolver,
-    S annihilates the constants and the operator is bitwise symmetric."""
+    the penalty of every trapezoid is that constant, S annihilates the
+    constants and the operator is bitwise symmetric."""
     rx, ry = radius, radius * aspect if ellipse else radius
 
     def psi(x, y):
@@ -302,8 +322,7 @@ def test_random_disks_and_ellipses_match_the_oracle(n, cx, cy, radius, aspect,
 
     ls = LevelSet("ellipse", (psi,), (DIRICHLET,))
     try:
-        system = assemble(ProblemSpec(ls, 1.0 / n,
-                                      stabilization_method="local_eig"))
+        system = assemble(ProblemSpec(ls, 1.0 / n))
     except CheckerboardCellError:
         return
     assert (system.A - system.A.T).nnz == 0
@@ -312,6 +331,9 @@ def test_random_disks_and_ellipses_match_the_oracle(n, cx, cy, radius, aspect,
     stab = system.stabilization
     dirichlet = np.flatnonzero(batch.dirichlet)
     np.testing.assert_array_equal(stab.cells, system.cut_cells.cells[dirichlet])
-    for C, k in zip(stab.C, dirichlet):
+    sharp = pencil_max(batch.B[dirichlet], batch.S[dirichlet])
+    quad = system.cut_cells.vertices[dirichlet] == 4
+    np.testing.assert_array_equal(stab.C[quad], sharp[quad])
+    for C, k in zip(sharp, dirichlet):
         oracle = generalized_eig_max(batch.B[k], batch.S[k]).value
         assert C == pytest.approx(oracle, rel=1e-10)
