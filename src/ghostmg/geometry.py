@@ -207,11 +207,6 @@ class CutCells:
         """(i, j) of cut cell k."""
         return tuple(self.cells[k].tolist())
 
-    def polygon(self, k: int) -> np.ndarray:
-        """Interior polygon (m, 2) of cut cell k."""
-        index, polygons = self.polygons[int(self.vertices[k])]
-        return polygons[np.searchsorted(index, k)]
-
 
 def snap_nodes(grid: CartesianGrid, levelset: LevelSet, alpha: float) -> SnappedNodeField:
     """Evaluate the level set at the nodes and snap near-zero values to 0.

@@ -16,11 +16,17 @@ and the coarsest level is solved exactly.
 In 2D, Gauss-Seidel runs over four colour classes, (i % 2) + 2 (j % 2) of
 the grid node: the 9-point stencil, which Galerkin products of Q1 keep,
 couples no two nodes of one class, so each class is one row-block product
-and a diagonal scale.  In 1D it stays lexicographic, one class solved by
-its lower triangle.  Two colours in 1D (red-black) would turn the V(2,1)
-cycle into a near-direct solve, at theta1 = 0.99 and n = 1024 from a
-factor of 0.085 to 0.017 (eta = 0) and 0.00018 (eta = 4), and so erase the
-1D theta1 study.
+and a diagonal scale.  Each 2D level numbers its free DOFs class by class,
+cut DOFs first within a class (``dof_order``), so every class step of the
+full sweep is one contiguous row range of A and every cut-sweep step that
+range's leading part: a step works on slice views of u, F and A's CSR
+arrays, with no gathers, scatters or copies of A.  R, P and the Galerkin
+operators are built in this numbering; only ``solve`` and ``mg_cycle`` map
+to and from grid order.  In 1D the DOFs keep node order, one
+lexicographic class solved by its lower triangle.  Two colours in 1D
+(red-black) would turn the V(2,1) cycle into a near-direct solve, at
+theta1 = 0.99 and n = 1024 from a factor of 0.085 to 0.017 (eta = 0) and
+0.00018 (eta = 4), and so erase the 1D theta1 study.
 
 The number of levels is set by ``coarsest_n``: coarsening halves n until it
 reaches that size, so the finest n must equal ``coarsest_n * 2**L`` for some
@@ -120,34 +126,50 @@ def _triangle_solve(A: sp.csr_matrix) -> Callable:
                               "SymmetricMode": True}).solve
 
 
-def _block_step(sel: Optional[np.ndarray], rows: sp.csr_matrix,
-                solve: Callable) -> Callable:
-    """Step u <- u + solve(F - A u) on the rows sel, or on every row if sel
-    is None; rows holds A[sel]."""
-    if sel is None:
-        def step(u, F):
-            u += solve(F - rows @ u)
-    else:
-        def step(u, F):
-            u[sel] += solve(F[sel] - rows @ u)
-    return step
+def _row_range(A: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+    """Rows start:stop of a CSR matrix as views of its data and indices.
+    The arrays are set after construction: the constructor copies a view
+    that is much smaller than the array it looks into."""
+    lo, hi = A.indptr[start], A.indptr[stop]
+    rows = sp.csr_matrix((stop - start, A.shape[1]), dtype=A.dtype)
+    rows.data, rows.indices = A.data[lo:hi], A.indices[lo:hi]
+    rows.indptr = A.indptr[start:stop + 1] - lo
+    return rows
+
+
+def dof_order(free: np.ndarray, cut: np.ndarray,
+              grid: CartesianGrid) -> np.ndarray:
+    """Grid node of each DOF of a level: the free nodes, in 2D sorted by
+    colour class (i % 2) + 2 (j % 2), cut nodes first within a class and
+    node order after that; in 1D in node order."""
+    nodes = np.flatnonzero(free)
+    if grid.dim == 1:
+        return nodes
+    j, i = np.divmod(nodes, grid.n + 1)
+    # A stable sort of small integers is a radix sort.
+    key = 2 * (i % 2 + 2 * (j % 2)) + ~cut[nodes]
+    return nodes[np.argsort(key.astype(np.int8), kind="stable")]
 
 
 class MgLevel:
-    """One level: its operator and transfers on its free DOFs, the free and
-    cut masks over its grid's nodes, and its solver caches.  The operator
-    must be bitwise symmetric, as assembled and Galerkin operators are."""
+    """One level: its operator and transfers on its free DOFs, numbered as
+    in `order` (by default dof_order of the masks), the free and cut masks
+    over its grid's nodes, and its solver caches.  The operator must be
+    bitwise symmetric, as assembled and Galerkin operators are."""
 
     def __init__(self, A: sp.csr_matrix, free: np.ndarray, cut: np.ndarray,
-                 grid: CartesianGrid, index: int = 0):
+                 grid: CartesianGrid, index: int = 0,
+                 order: Optional[np.ndarray] = None):
         self.A = canonical_csr(A)
         self.free = np.asarray(free, dtype=bool)
         self.cut = np.asarray(cut, dtype=bool) & self.free
         self.grid = grid
         self.index = index
+        self.order = dof_order(self.free, self.cut, grid) if order is None \
+            else order
         self.R: Optional[sp.csr_matrix] = None
         self.P: Optional[sp.csr_matrix] = None
-        self.idx_cut = np.flatnonzero(self.cut[self.free])
+        self.idx_cut = np.flatnonzero(self.cut[self.order])
         self._free_steps: list = []
         self._cut_steps: list = []
         self._coarse_solve = None
@@ -167,63 +189,58 @@ class MgLevel:
     # -- smoothing -----------------------------------------------------------
 
     def colours(self) -> np.ndarray:
-        """Colour class (i % 2) + 2 (j % 2) of the grid node of each free
-        DOF of a 2D level: the 9-point stencil couples no two nodes of one
-        class."""
-        j, i = np.divmod(np.flatnonzero(self.free), self.n + 1)
+        """Colour class (i % 2) + 2 (j % 2) of the grid node of each DOF of
+        a 2D level: the 9-point stencil couples no two nodes of one class."""
+        j, i = np.divmod(self.order, self.n + 1)
         return i % 2 + 2 * (j % 2)
 
-    def _build_sweep(self, idx: Optional[np.ndarray]) -> list:
-        """Steps of the Gauss-Seidel sweep over every DOF, or over the DOFs
-        idx only: in 1D one lexicographic step, in 2D one step per colour
-        class."""
-        diag = self.A.diagonal() if idx is None else self.A.diagonal()[idx]
+    def _colour_steps(self, dinv: np.ndarray) -> tuple:
+        """Steps of the full and of the cut sweep, one per colour class in
+        class order, each a scale by dinv = 1 / diag on a contiguous row
+        range.  Raises ValueError if a class couples to itself, which an
+        operator wider than the 9-point stencil would."""
+        colours = self.colours()
+        bounds = np.searchsorted(colours, np.arange(5))
+        ncut = np.bincount(colours[self.idx_cut], minlength=4)
+
+        def step(start, stop):
+            return (slice(start, stop), _row_range(self.A, start, stop),
+                    partial(np.multiply, dinv[start:stop]))
+
+        full, cut = [], []
+        for c, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+            # Each row stores its own diagonal entry, since none is zero.
+            inside = self.A.indices[self.A.indptr[start]:self.A.indptr[stop]]
+            if np.count_nonzero((inside >= start) & (inside < stop)) \
+                    != stop - start:
+                raise ValueError(
+                    f"level {self.index}: colour class {c} couples to "
+                    "itself; the operator is wider than the 9-point stencil")
+            full.append(step(start, stop))
+            if ncut[c]:
+                cut.append(step(start, start + ncut[c]))
+        return full, cut
+
+    def prepare_smoothers(self):
+        diag = self.A.diagonal()
         if np.any(diag == 0.0):
             raise ZeroDivisionError(
                 "smoother hit a zero diagonal; the operator is missing a "
                 "stabilization contribution")
         if self.grid.dim == 2:
-            return self._colour_steps(idx, diag)
-        rows = self.A if idx is None else self.A[idx]
-        solve = _triangle_solve(
-            rows if idx is None else canonical_csr(rows[:, idx]))
-        return [_block_step(idx, rows, solve)]
-
-    def _colour_steps(self, idx: Optional[np.ndarray],
-                      diag: np.ndarray) -> list:
-        """One step per colour class among the swept DOFs, in class order,
-        each a scale by 1 / diag.  Raises ValueError if a class couples to
-        itself, which an operator wider than the 9-point stencil would."""
-        swept = np.arange(self.num_dofs) if idx is None else idx
-        colours = self.colours()[swept]
-        label = np.full(self.num_dofs, -1)
-        label[swept] = colours
-        steps = []
-        for c in np.unique(colours):
-            mine = colours == c
-            sel = swept[mine]
-            rows = self.A[sel]
-            # Each row stores its own diagonal entry, since none is zero.
-            if np.count_nonzero(label[rows.indices] == c) != sel.size:
-                raise ValueError(
-                    f"level {self.index}: colour class {c} couples to "
-                    "itself; the operator is wider than the 9-point stencil")
-            steps.append(_block_step(
-                sel, rows, partial(np.multiply, 1.0 / diag[mine])))
-        return steps
-
-    def prepare_smoothers(self):
-        self._free_steps = self._build_sweep(None)
+            self._free_steps, self._cut_steps = self._colour_steps(1.0 / diag)
+            return
+        # 1D: one lexicographic step, solved by the lower triangle.
+        self._free_steps = [(slice(None), self.A, _triangle_solve(self.A))]
         if self.idx_cut.size:
-            self._cut_steps = self._build_sweep(self.idx_cut)
+            rows = self.A[self.idx_cut]
+            self._cut_steps = [(self.idx_cut, rows, _triangle_solve(
+                canonical_csr(rows[:, self.idx_cut])))]
 
     def smooth(self, u: np.ndarray, F: np.ndarray, eta: int):
         """One full sweep plus eta extra cut-DOF sweeps, in place."""
-        for step in self._free_steps:
-            step(u, F)
-        for _ in range(eta):
-            for step in self._cut_steps:
-                step(u, F)
+        for sel, rows, solve in self._free_steps + eta * self._cut_steps:
+            u[sel] += solve(F[sel] - rows @ u)
 
     # -- exact coarsest solve ------------------------------------------------
 
@@ -285,26 +302,33 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
     masks there, and cut_mask(grid) for any coarser grid.  A level's
     restriction is the refinement-weight matrix cut to the fine
     free DOFs (columns) and to the coarse nodes they reach (rows), which are
-    the coarse free DOFs; coarse operators are Galerkin products.  Coarse
-    cut masks, which only steer the extra smoothing sweeps, come from the
-    system's cut_mask on each coarser grid.
+    the coarse free DOFs, both numbered by dof_order; coarse operators are
+    Galerkin products.  Coarse cut masks, which only steer the extra
+    smoothing sweeps and the numbering, come from the system's cut_mask on
+    each coarser grid.
     """
     start = time.perf_counter()
     grid = system.grid
     _validate_depth(grid.n, config.coarsest_n)
     restriction = restriction_1d if grid.dim == 1 else restriction_2d
-    free = system.free_dofs
-    levels = [MgLevel(system.A[free][:, free], free, system.cut_dofs, grid)]
+    free, cut = system.free_dofs, system.cut_dofs
+    order = dof_order(free, cut, grid)
+    # A is symmetric, so A[order][:, order] is A[order]^T[order], whose
+    # rows the transpose leaves sorted.
+    levels = [MgLevel(system.A[order].T.tocsr()[order], free, cut, grid,
+                      order=order)]
     while levels[-1].n > config.coarsest_n:
         fine = levels[-1]
-        R = restriction(fine.n)[:, fine.free]
+        R = restriction(fine.n)[:, fine.order]
         free_c = np.diff(R.indptr) > 0
-        fine.R = canonical_csr(R[free_c])
+        grid_c = fine.grid.coarsen()
+        cut_c = system.cut_mask(grid_c)
+        order_c = dof_order(free_c, cut_c, grid_c)
+        fine.R = canonical_csr(R[order_c])
         fine.P = canonical_csr(fine.R.T)
         A_c = _symmetrized(rap_product(fine.R, fine.A, fine.P))
-        grid_c = fine.grid.coarsen()
-        levels.append(MgLevel(A_c, free_c, system.cut_mask(grid_c), grid_c,
-                              index=len(levels)))
+        levels.append(MgLevel(A_c, free_c, cut_c, grid_c,
+                              index=len(levels), order=order_c))
     hierarchy = _finalize(levels, config)
     hierarchy.setup_ms = 1e3 * (time.perf_counter() - start)
     return hierarchy
@@ -328,11 +352,11 @@ def _cycle(levels: list, k: int, u: np.ndarray, F: np.ndarray,
         level.smooth(u, F, config.eta)
 
 
-def _on_grid(F: np.ndarray, free: np.ndarray,
+def _on_grid(F: np.ndarray, order: np.ndarray,
              u_free: np.ndarray) -> np.ndarray:
-    """Full-grid iterate: u_free at the free DOFs, F at the constrained."""
+    """Full-grid iterate: u_free at the grid nodes `order`, F elsewhere."""
     u = np.array(F, dtype=float, copy=True)
-    u[free] = u_free
+    u[order] = u_free
     return u
 
 
@@ -346,10 +370,11 @@ def mg_cycle(hierarchy: Hierarchy, F: np.ndarray, u: np.ndarray,
         gamma_star = hierarchy.config.gamma_star
     if gamma_star not in (1, 2):
         raise ValueError(f"gamma_star must be 1 or 2, got {gamma_star}")
-    free = hierarchy.finest.free
-    u_free = np.asarray(u, dtype=float)[free]
-    _cycle(hierarchy.levels, 0, u_free, F[free], hierarchy.config, gamma_star)
-    return _on_grid(F, free, u_free)
+    order = hierarchy.finest.order
+    u_free = np.asarray(u, dtype=float)[order]
+    _cycle(hierarchy.levels, 0, u_free, F[order], hierarchy.config,
+           gamma_star)
+    return _on_grid(F, order, u_free)
 
 
 @dataclass
@@ -396,10 +421,10 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     """
     levels = hierarchy.levels
     level0 = levels[0]
-    free = level0.free
-    F_free = F[free]
+    order = level0.order
+    F_free = F[order]
     u_free = np.zeros(level0.num_dofs) if u0 is None \
-        else np.asarray(u0, dtype=float)[free]
+        else np.asarray(u0, dtype=float)[order]
     gamma_star = hierarchy.config.gamma_star
     start = time.perf_counter()
     norms = [float(np.max(np.abs(level0.residual(u_free, F_free)),
@@ -422,7 +447,7 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
         if target_residual is not None and rn <= target_residual:
             break
     wall_ms = 1e3 * (time.perf_counter() - start)
-    u = _on_grid(F, free, u_free)
+    u = _on_grid(F, order, u_free)
     trace = ConvergenceTrace(u=u, residual_norms=np.array(norms),
                              rho_per_iter=np.array(rhos), wall_ms=wall_ms,
                              diverged=diverged)

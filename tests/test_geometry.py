@@ -220,7 +220,8 @@ def test_pentagon_cut_cell():
     cut = extract_cut_geometry(single_cell_field([-1.0, -1.0, -3.0, 1.0]))
     assert len(cut) == 1 and cut.vertices[0] == 5
     assert cut_cell_batch(cut).area[0] == pytest.approx(1.0 - 0.0625, rel=1e-14)
-    assert len(cut.polygon(0)) == 5
+    index, polygons = cut.polygons[5]
+    assert index.tolist() == [0] and len(polygons[0]) == 5
 
 
 def test_snapped_exterior_gives_full_fraction():
@@ -348,16 +349,19 @@ def test_random_disks_classify_and_reconstruct(seed):
     h = field.grid.h
     cuts = extract_cut_geometry(field, cls)
     areas = cut_cell_batch(cuts).area
-    for k in range(len(cuts)):
-        polygon = cuts.polygon(k)
-        area = areas[k]
-        assert 0.0 < area <= h * h + 1e-15
-        i, j = cuts.cell(k)
-        x0, y0 = field.grid.origin
-        assert np.all(polygon[:, 0] >= x0 + i * h - 1e-12)
-        assert np.all(polygon[:, 0] <= x0 + (i + 1) * h + 1e-12)
-        assert np.all(polygon[:, 1] >= y0 + j * h - 1e-12)
-        assert np.all(polygon[:, 1] <= y0 + (j + 1) * h + 1e-12)
+    groups = cuts.polygons.values()
+    assert sorted(k for index, _ in groups for k in index) == \
+        list(range(len(cuts)))
+    for index, polygons in groups:
+        for k, polygon in zip(index, polygons):
+            area = areas[k]
+            assert 0.0 < area <= h * h + 1e-15
+            i, j = cuts.cell(k)
+            x0, y0 = field.grid.origin
+            assert np.all(polygon[:, 0] >= x0 + i * h - 1e-12)
+            assert np.all(polygon[:, 0] <= x0 + (i + 1) * h + 1e-12)
+            assert np.all(polygon[:, 1] >= y0 + j * h - 1e-12)
+            assert np.all(polygon[:, 1] <= y0 + (j + 1) * h + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +446,14 @@ def assert_extraction_matches_the_walk(field):
         return
     cuts = extract_cut_geometry(field, classification)
     assert len(cuts) == len(expected)
+    polygons = {k: polygon for index, group in cuts.polygons.values()
+                for k, polygon in zip(index.tolist(), group)}
     for k, want in enumerate(expected):
         assert cuts.cell(k) == want["cell"]
         assert tuple(cuts.theta[k].tolist()) == want["theta"]
         assert cuts.bc[k] == want["bc"]
         assert cuts.vertices[k] == len(want["polygon"])
-        np.testing.assert_array_equal(cuts.polygon(k), want["polygon"])
+        np.testing.assert_array_equal(polygons[k], want["polygon"])
         for name in ("chord", "normal", "nodes"):
             np.testing.assert_array_equal(getattr(cuts, name)[k], want[name])
 

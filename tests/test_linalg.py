@@ -67,33 +67,27 @@ def disk_level():
     return mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8)).finest
 
 
-def class_major_gauss_seidel(A, colours, r):
-    """Lexicographic Gauss-Seidel correction for the residual r, taken in
-    class-major order: a dense tril solve of the permuted matrix."""
-    order = np.argsort(colours, kind="stable")
-    delta = np.empty_like(r)
-    delta[order] = np.linalg.solve(np.tril(A[np.ix_(order, order)]), r[order])
-    return delta
-
-
 def test_colour_sweep_is_class_major_gauss_seidel():
-    # A 2D sweep visits the four colour classes in turn, so it equals
-    # lexicographic Gauss-Seidel with the DOFs sorted by class.
+    # A 2D level numbers its DOFs class by class and a sweep visits the four
+    # colour classes in turn, so the sweep is lexicographic Gauss-Seidel in
+    # that numbering: a solve with tril(A).
     level = disk_level()
     colours = level.colours()
     assert np.unique(colours).tolist() == [0, 1, 2, 3]
+    assert np.all(np.diff(colours) >= 0)
     rng = np.random.default_rng(17)
     A = level.A.toarray()
     F = rng.standard_normal(level.num_dofs)
     u = rng.standard_normal(level.num_dofs)
-    expected = u + class_major_gauss_seidel(A, colours, F - A @ u)
+    expected = u + np.linalg.solve(np.tril(A), F - A @ u)
     level.smooth(u, F, 0)
     np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-12)
 
 
 def test_colour_cut_sweep_changes_only_cut_dofs():
-    # An extra cut sweep on a 2D level is the class-major sweep of the cut
-    # rows, tril(A_cc) in class order, and leaves every other DOF alone.
+    # An extra cut sweep on a 2D level is the Gauss-Seidel sweep of the cut
+    # rows, tril(A_cc) in the class-major numbering, and leaves every other
+    # DOF alone.
     level = disk_level()
     cut = level.idx_cut
     assert 0 < cut.size < level.num_dofs
@@ -108,9 +102,8 @@ def test_colour_cut_sweep_changes_only_cut_dofs():
     uncut = np.ones(level.num_dofs, dtype=bool)
     uncut[cut] = False
     np.testing.assert_array_equal(u_cut[uncut], u_full[uncut])
-    delta = class_major_gauss_seidel(A[np.ix_(cut, cut)],
-                                     level.colours()[cut],
-                                     (F - A @ u_full)[cut])
+    delta = np.linalg.solve(np.tril(A[np.ix_(cut, cut)]),
+                            (F - A @ u_full)[cut])
     np.testing.assert_allclose(u_cut[cut], u_full[cut] + delta, rtol=0.0,
                                atol=1e-12)
 

@@ -85,14 +85,15 @@ def _disk_two_levels():
 
 def test_masked_transfers_zero_constrained_columns():
     # A level's R is the refinement-weight matrix cut to the fine free DOFs:
-    # scattered back onto the full grids, the constrained fine columns are
-    # zero and the free ones carry the raw weights.
+    # scattered back onto the full grids through each level's DOF order,
+    # the constrained fine columns are zero and the free ones carry the raw
+    # weights.
     system, fine, coarse = _disk_two_levels()
     np.testing.assert_array_equal(fine.free, system.free_dofs)
     assert (~fine.free).any()
     raw = mg.restriction_2d(16).toarray()
     full = np.zeros_like(raw)
-    full[np.ix_(coarse.free, fine.free)] = fine.R.toarray()
+    full[np.ix_(coarse.order, fine.order)] = fine.R.toarray()
     assert np.all(full[:, ~fine.free] == 0.0)
     np.testing.assert_array_equal(full[:, fine.free][coarse.free],
                                   raw[:, fine.free][coarse.free])
@@ -102,12 +103,14 @@ def test_masked_transfers_zero_constrained_columns():
 def test_masked_transfers_flag_dead_coarse_rows():
     # The coarse nodes reached by a free fine DOF are the coarse free DOFs;
     # every other coarse node has no free fine support and is left out.
+    # Rows and columns follow the coarse and the fine DOF order.
     system, fine, coarse = _disk_two_levels()
-    raw = mg.restriction_2d(16)[:, fine.free]
+    raw = mg.restriction_2d(16)[:, fine.order]
     reached = np.diff(raw.indptr) > 0
     np.testing.assert_array_equal(coarse.free, reached)
     assert 0 < reached.sum() < reached.size
-    np.testing.assert_array_equal(fine.R.toarray(), raw[reached].toarray())
+    np.testing.assert_array_equal(fine.R.toarray(),
+                                  raw[coarse.order].toarray())
     assert np.all(np.diff(fine.R.indptr) > 0)
 
 
@@ -154,6 +157,7 @@ def test_hierarchy_1d_structure():
     for lvl in hierarchy.levels:
         assert lvl.free.all()
         m = lvl.num_dofs
+        np.testing.assert_array_equal(lvl.order, np.arange(m))
         np.testing.assert_array_equal(np.flatnonzero(lvl.cut),
                                       [0, 1, m - 2, m - 1])
     np.testing.assert_array_equal(hierarchy.finest.A.toarray(),
@@ -184,8 +188,10 @@ def test_hierarchy_2d_structure():
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
     assert [lvl.n for lvl in hierarchy.levels] == [16, 8, 4]
     free = system.free_dofs
+    order = hierarchy.finest.order
+    np.testing.assert_array_equal(np.sort(order), np.flatnonzero(free))
     np.testing.assert_array_equal(hierarchy.finest.A.toarray(),
-                                  system.A[free][:, free].toarray())
+                                  system.A[order][:, order].toarray())
     _assert_compressed_galerkin(hierarchy)
     # No identity rows remain: the finest level drops every constrained
     # node.  Masks stay over each level's grid nodes, and cut DOFs for the
@@ -343,17 +349,30 @@ def test_readme_quick_start():
     assert abs(u.max() - 0.04) <= 1e-3
 
 
+def _catalog_system(name, n=64):
+    params = {"theta": 0.5, "h": 1.0 / n} if name == "rectangle" else {}
+    levelset = domain_catalog(name, **params)
+    return assemble(ProblemSpec(
+        levelset=levelset, h=levelset.art_extent / n, gamma=2.0,
+        strong_predicate=levelset.params.get("strong_predicate")))
+
+
+@pytest.fixture(scope="module", params=domain_names())
+def catalog_hierarchy(request):
+    """A catalog system at n = 64 and its V(2,1), eta = 4 hierarchy down
+    to n = 8."""
+    system = _catalog_system(request.param)
+    return system, mg.build_hierarchy(
+        system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
+
+
 @pytest.mark.parametrize("name", domain_names())
 def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
     # Galerkin operators of Q1 keep the 9-point stencil, so on every
     # smoothed level no colour class couples to itself and each step of the
     # full and the cut sweeps is a diagonal scale: building the hierarchy
     # factors the coarsest operator and no Gauss-Seidel triangle.
-    params = {"theta": 0.5, "h": 1.0 / 64} if name == "rectangle" else {}
-    levelset = domain_catalog(name, **params)
-    system = assemble(ProblemSpec(
-        levelset=levelset, h=levelset.art_extent / 64, gamma=2.0,
-        strong_predicate=levelset.params.get("strong_predicate")))
+    system = _catalog_system(name)
     factored = []
     splu = mg.spla.splu
 
@@ -368,6 +387,55 @@ def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
     assert hierarchy.finest._cut_steps
     for level in hierarchy.levels[:-1]:
         assert len(level._free_steps) == 4
+
+
+def test_two_dimensional_dofs_are_numbered_colour_major(catalog_hierarchy):
+    # Every 2D level numbers its free nodes class by class, with the cut
+    # nodes leading each class, so every class step of a full or a cut
+    # sweep is one contiguous row range.
+    system, hierarchy = catalog_hierarchy
+    np.testing.assert_array_equal(np.sort(hierarchy.finest.order),
+                                  np.flatnonzero(system.free_dofs))
+    for level in hierarchy.levels:
+        order = level.order
+        assert np.unique(order).size == order.size == level.num_dofs
+        assert np.all(level.free[order])
+        colours = level.colours()
+        assert np.all(np.diff(colours) >= 0)
+        cut = level.cut[order]
+        for c in range(4):
+            assert np.all(np.diff(cut[colours == c].astype(int)) <= 0)
+
+
+def test_two_dimensional_row_blocks_are_views_of_the_operator(
+        catalog_hierarchy):
+    # Each class and cut step smooths with rows of A through slice views of
+    # its CSR arrays: no step holds an index array or a copy of A.
+    _, hierarchy = catalog_hierarchy
+    for level in hierarchy.levels[:-1]:
+        for sel, rows, _ in level._free_steps + level._cut_steps:
+            assert isinstance(sel, slice)
+            assert np.shares_memory(rows.data, level.A.data)
+            assert np.shares_memory(rows.indices, level.A.indices)
+            assert (rows - level.A[sel]).nnz == 0
+
+
+def test_solve_recovers_a_known_solution(catalog_hierarchy):
+    # With F = A w, solve maps F, u0 and the result through the finest DOF
+    # order: from zero and from w itself it returns w on the free nodes,
+    # and F on the constrained nodes.
+    system, hierarchy = catalog_hierarchy
+    free = system.free_dofs
+    if system.problem.strong_predicate is not None:
+        assert system.strong_dofs.any()
+    w = np.random.default_rng(11).standard_normal(free.size)
+    F = system.A @ w
+    for u0 in (None, w):
+        u, trace = mg.solve(hierarchy, F, u0=u0, max_iters=100,
+                            target_residual=1e-10)
+        assert trace.residual_norms[-1] <= 1e-10
+        assert np.abs(u[free] - w[free]).max() <= 1e-8
+        np.testing.assert_array_equal(u[~free], F[~free])
 
 
 def test_trace_bookkeeping():
