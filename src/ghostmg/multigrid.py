@@ -153,20 +153,18 @@ def dof_order(free: np.ndarray, cut: np.ndarray,
 
 class MgLevel:
     """One level: its operator and transfers on its free DOFs, numbered as
-    in `order` (by default dof_order of the masks), the free and cut masks
+    in `order`, which must be dof_order of the masks, the free and cut masks
     over its grid's nodes, and its solver caches.  The operator must be
     bitwise symmetric, as assembled and Galerkin operators are."""
 
     def __init__(self, A: sp.csr_matrix, free: np.ndarray, cut: np.ndarray,
-                 grid: CartesianGrid, index: int = 0,
-                 order: Optional[np.ndarray] = None):
+                 grid: CartesianGrid, order: np.ndarray, index: int = 0):
         self.A = canonical_csr(A)
         self.free = np.asarray(free, dtype=bool)
         self.cut = np.asarray(cut, dtype=bool) & self.free
         self.grid = grid
         self.index = index
-        self.order = dof_order(self.free, self.cut, grid) if order is None \
-            else order
+        self.order = order
         self.R: Optional[sp.csr_matrix] = None
         self.P: Optional[sp.csr_matrix] = None
         self.idx_cut = np.flatnonzero(self.cut[self.order])
@@ -313,10 +311,7 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
     restriction = restriction_1d if grid.dim == 1 else restriction_2d
     free, cut = system.free_dofs, system.cut_dofs
     order = dof_order(free, cut, grid)
-    # A is symmetric, so A[order][:, order] is A[order]^T[order], whose
-    # rows the transpose leaves sorted.
-    levels = [MgLevel(system.A[order].T.tocsr()[order], free, cut, grid,
-                      order=order)]
+    levels = [MgLevel(system.A[order][:, order], free, cut, grid, order)]
     while levels[-1].n > config.coarsest_n:
         fine = levels[-1]
         R = restriction(fine.n)[:, fine.order]
@@ -327,8 +322,8 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
         fine.R = canonical_csr(R[order_c])
         fine.P = canonical_csr(fine.R.T)
         A_c = _symmetrized(rap_product(fine.R, fine.A, fine.P))
-        levels.append(MgLevel(A_c, free_c, cut_c, grid_c,
-                              index=len(levels), order=order_c))
+        levels.append(MgLevel(A_c, free_c, cut_c, grid_c, order_c,
+                              index=len(levels)))
     hierarchy = _finalize(levels, config)
     hierarchy.setup_ms = 1e3 * (time.perf_counter() - start)
     return hierarchy

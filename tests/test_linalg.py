@@ -26,9 +26,10 @@ def random_spd(rng, m):
 def level_for(A, cut=None):
     """A level on every row of A (all DOFs free), smoothers prepared."""
     m = A.shape[0]
-    level = mg.MgLevel(A, np.ones(m, dtype=bool),
-                       np.zeros(m, dtype=bool) if cut is None else cut,
-                       CartesianGrid(m - 1, (0.0,), 1.0))
+    free = np.ones(m, dtype=bool)
+    cut = np.zeros(m, dtype=bool) if cut is None else cut
+    grid = CartesianGrid(m - 1, (0.0,), 1.0)
+    level = mg.MgLevel(A, free, cut, grid, mg.dof_order(free, cut, grid))
     level.prepare_smoothers()
     return level
 
@@ -113,8 +114,10 @@ def test_colour_sweep_rejects_in_class_coupling():
     # stencil never does, so building the sweep fails instead of smoothing
     # with a wrong diagonal scale.
     A = sp.csr_matrix(random_spd(np.random.default_rng(23), 9))
-    level = mg.MgLevel(A, np.ones(9, dtype=bool), np.zeros(9, dtype=bool),
-                       CartesianGrid(2, (0.0, 0.0), 1.0), index=3)
+    free, cut = np.ones(9, dtype=bool), np.zeros(9, dtype=bool)
+    grid = CartesianGrid(2, (0.0, 0.0), 1.0)
+    level = mg.MgLevel(A, free, cut, grid, mg.dof_order(free, cut, grid),
+                       index=3)
     with pytest.raises(ValueError, match="level 3: colour class 0"):
         level.prepare_smoothers()
 
@@ -177,8 +180,10 @@ def test_coarse_solve_dense_spd():
 
 def test_dense_solve_indefinite_raises():
     A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    level = mg.MgLevel(sp.csr_matrix(A), np.ones(2, dtype=bool),
-                       np.zeros(2, dtype=bool), CartesianGrid(1, (0.0,), 1.0))
+    free, cut = np.ones(2, dtype=bool), np.zeros(2, dtype=bool)
+    grid = CartesianGrid(1, (0.0,), 1.0)
+    level = mg.MgLevel(sp.csr_matrix(A), free, cut, grid,
+                       mg.dof_order(free, cut, grid))
     with pytest.raises(linalg.NotSPDError):
         level.prepare_coarse_solver()
 

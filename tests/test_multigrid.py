@@ -278,8 +278,10 @@ def test_identity_transfers_solve_in_one_cycle():
     m = system.A.shape[0]
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool)
-    level0 = mg.MgLevel(system.A, free, cut, system.grid)
-    level1 = mg.MgLevel(system.A, free, cut, system.grid.coarsen(), index=1)
+    order = mg.dof_order(free, cut, system.grid)
+    level0 = mg.MgLevel(system.A, free, cut, system.grid, order)
+    level1 = mg.MgLevel(system.A, free, cut, system.grid.coarsen(), order,
+                        index=1)
     eye = sp.identity(m, format="csr")
     level0.R, level0.P = eye, eye
     config = mg.CycleConfig(coarsest_n=4)
@@ -357,21 +359,15 @@ def _catalog_system(name, n=64):
         strong_predicate=levelset.params.get("strong_predicate")))
 
 
-@pytest.fixture(scope="module", params=domain_names())
-def catalog_hierarchy(request):
-    """A catalog system at n = 64 and its V(2,1), eta = 4 hierarchy down
-    to n = 8."""
-    system = _catalog_system(request.param)
-    return system, mg.build_hierarchy(
-        system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
-
-
 @pytest.mark.parametrize("name", domain_names())
 def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
     # Galerkin operators of Q1 keep the 9-point stencil, so on every
     # smoothed level no colour class couples to itself and each step of the
     # full and the cut sweeps is a diagonal scale: building the hierarchy
-    # factors the coarsest operator and no Gauss-Seidel triangle.
+    # factors the coarsest operator and no Gauss-Seidel triangle.  Every
+    # level numbers its free nodes class by class, cut nodes leading each
+    # class, so each step smooths a contiguous row range through slice
+    # views of u, F and A's CSR arrays: no index array, no copy of A.
     system = _catalog_system(name)
     factored = []
     splu = mg.spla.splu
@@ -385,15 +381,6 @@ def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
     assert len(hierarchy.levels) == 4
     assert factored == [hierarchy.levels[-1].A.shape]
     assert hierarchy.finest._cut_steps
-    for level in hierarchy.levels[:-1]:
-        assert len(level._free_steps) == 4
-
-
-def test_two_dimensional_dofs_are_numbered_colour_major(catalog_hierarchy):
-    # Every 2D level numbers its free nodes class by class, with the cut
-    # nodes leading each class, so every class step of a full or a cut
-    # sweep is one contiguous row range.
-    system, hierarchy = catalog_hierarchy
     np.testing.assert_array_equal(np.sort(hierarchy.finest.order),
                                   np.flatnonzero(system.free_dofs))
     for level in hierarchy.levels:
@@ -405,14 +392,8 @@ def test_two_dimensional_dofs_are_numbered_colour_major(catalog_hierarchy):
         cut = level.cut[order]
         for c in range(4):
             assert np.all(np.diff(cut[colours == c].astype(int)) <= 0)
-
-
-def test_two_dimensional_row_blocks_are_views_of_the_operator(
-        catalog_hierarchy):
-    # Each class and cut step smooths with rows of A through slice views of
-    # its CSR arrays: no step holds an index array or a copy of A.
-    _, hierarchy = catalog_hierarchy
     for level in hierarchy.levels[:-1]:
+        assert len(level._free_steps) == 4
         for sel, rows, _ in level._free_steps + level._cut_steps:
             assert isinstance(sel, slice)
             assert np.shares_memory(rows.data, level.A.data)
@@ -420,11 +401,14 @@ def test_two_dimensional_row_blocks_are_views_of_the_operator(
             assert (rows - level.A[sel]).nnz == 0
 
 
-def test_solve_recovers_a_known_solution(catalog_hierarchy):
+@pytest.mark.parametrize("name", domain_names())
+def test_solve_recovers_a_known_solution(name):
     # With F = A w, solve maps F, u0 and the result through the finest DOF
     # order: from zero and from w itself it returns w on the free nodes,
     # and F on the constrained nodes.
-    system, hierarchy = catalog_hierarchy
+    system = _catalog_system(name)
+    hierarchy = mg.build_hierarchy(
+        system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
     free = system.free_dofs
     if system.problem.strong_predicate is not None:
         assert system.strong_dofs.any()
