@@ -2,8 +2,9 @@
 
 Sparse matrices are scipy CSR throughout; helpers here pin down the canonical
 form (sorted column indices, duplicates summed) and provide the Galerkin
-triple product and a generalized eigensolver that handles the singular
-pencils arising from boundary-penalty estimates.
+triple product, a CSR product into a caller's buffer, and a generalized
+eigensolver that handles the singular pencils arising from boundary-penalty
+estimates.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 
 class NotSPDError(Exception):
@@ -58,6 +60,25 @@ def rap_product(R: sp.csr_matrix, A: sp.csr_matrix, P: sp.csr_matrix) -> sp.csr_
     """Galerkin triple product R A P as canonical CSR."""
     coarse = R @ A @ P
     return canonical_csr(coarse)
+
+
+def matvec_into(A: sp.csr_matrix, x: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """A @ x written into `out`, which is returned.
+
+    This is what scipy's `A @ x` computes, a zeroed vector accumulated by
+    the CSR kernel, without the dispatch and the fresh vector, so the result
+    is bitwise equal.  The kernel is private to scipy; this is the one place
+    it is called.  Raises ValueError if A's indptr and indices differ in
+    dtype, since the kernel would then work on upcast copies.
+    """
+    if A.indptr.dtype != A.indices.dtype:
+        raise ValueError(
+            f"CSR index arrays differ in dtype: indptr {A.indptr.dtype}, "
+            f"indices {A.indices.dtype}")
+    out.fill(0.0)
+    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 def generalized_eig_max(K: np.ndarray, M: np.ndarray,

@@ -28,6 +28,13 @@ lexicographic class solved by its lower triangle.  Two colours in 1D
 theta1 = 0.99 and n = 1024 from a factor of 0.085 to 0.017 (eta = 0) and
 0.00018 (eta = 4), and so erase the 1D theta1 study.
 
+Each smoothing step, residual and transfer is one call of the CSR kernel
+(``matvec_into``) into the level's workspace: a scratch vector of its size,
+plus the iterate and right-hand side of each coarse level, all allocated
+once by ``build_hierarchy``.  A cycle therefore allocates nothing on the
+smoothed levels, and computes what the plain ``A @ u`` expressions would,
+bit for bit.
+
 The number of levels is set by ``coarsest_n``: coarsening halves n until it
 reaches that size, so the finest n must equal ``coarsest_n * 2**L`` for some
 L >= 1.  A two-grid method is a hierarchy built with ``coarsest_n = n // 2``;
@@ -48,7 +55,8 @@ import scipy.sparse.linalg as spla
 
 from ghostmg.assembly import AssembledSystem
 from ghostmg.geometry import CartesianGrid
-from ghostmg.linalg import NotSPDError, canonical_csr, rap_product
+from ghostmg.linalg import (NotSPDError, canonical_csr, matvec_into,
+                            rap_product)
 from ghostmg.one_dim import OneDimSystem, split_residual_coarse
 
 #: Number of consecutive growing-residual cycles before a run is flagged.
@@ -154,12 +162,18 @@ def dof_order(free: np.ndarray, cut: np.ndarray,
 class MgLevel:
     """One level: its operator and transfers on its free DOFs, numbered as
     in `order`, which must be dof_order of the masks, the free and cut masks
-    over its grid's nodes, and its solver caches.  The operator must be
-    bitwise symmetric, as assembled and Galerkin operators are."""
+    over its grid's nodes, its solver caches and its cycle workspace.  The
+    operator must be bitwise symmetric, as assembled and Galerkin operators
+    are.  `scratch` holds every intermediate vector of the level's steps,
+    residual and prolongation; `iterate` and `rhs`, set on coarse levels
+    only, are the level's u and F within a cycle."""
 
     def __init__(self, A: sp.csr_matrix, free: np.ndarray, cut: np.ndarray,
                  grid: CartesianGrid, order: np.ndarray, index: int = 0):
         self.A = canonical_csr(A)
+        self.scratch = np.empty(self.num_dofs)
+        self.iterate: Optional[np.ndarray] = None
+        self.rhs: Optional[np.ndarray] = None
         self.free = np.asarray(free, dtype=bool)
         self.cut = np.asarray(cut, dtype=bool) & self.free
         self.grid = grid
@@ -181,8 +195,10 @@ class MgLevel:
         return self.A.shape[0]
 
     def residual(self, u: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """F - A u."""
-        return F - self.A @ u
+        """F - A u, in the level's scratch vector, which the next step,
+        residual or prolongation on this level overwrites."""
+        r = matvec_into(self.A, u, self.scratch)
+        return np.subtract(F, r, out=r)
 
     # -- smoothing -----------------------------------------------------------
 
@@ -195,15 +211,17 @@ class MgLevel:
     def _colour_steps(self, dinv: np.ndarray) -> tuple:
         """Steps of the full and of the cut sweep, one per colour class in
         class order, each a scale by dinv = 1 / diag on a contiguous row
-        range.  Raises ValueError if a class couples to itself, which an
-        operator wider than the 9-point stencil would."""
+        range, in place in the step's scratch slice.  Raises ValueError if
+        a class couples to itself, which an operator wider than the 9-point
+        stencil would."""
         colours = self.colours()
         bounds = np.searchsorted(colours, np.arange(5))
         ncut = np.bincount(colours[self.idx_cut], minlength=4)
 
         def step(start, stop):
-            return (slice(start, stop), _row_range(self.A, start, stop),
-                    partial(np.multiply, dinv[start:stop]))
+            y = self.scratch[:stop - start]
+            return (slice(start, stop), _row_range(self.A, start, stop), y,
+                    partial(np.multiply, dinv[start:stop], out=y))
 
         full, cut = [], []
         for c, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -229,16 +247,23 @@ class MgLevel:
             self._free_steps, self._cut_steps = self._colour_steps(1.0 / diag)
             return
         # 1D: one lexicographic step, solved by the lower triangle.
-        self._free_steps = [(slice(None), self.A, _triangle_solve(self.A))]
+        self._free_steps = [(slice(None), self.A, self.scratch,
+                             _triangle_solve(self.A))]
         if self.idx_cut.size:
             rows = self.A[self.idx_cut]
-            self._cut_steps = [(self.idx_cut, rows, _triangle_solve(
-                canonical_csr(rows[:, self.idx_cut])))]
+            self._cut_steps = [(self.idx_cut, rows,
+                                self.scratch[:self.idx_cut.size],
+                                _triangle_solve(
+                                    canonical_csr(rows[:, self.idx_cut])))]
 
     def smooth(self, u: np.ndarray, F: np.ndarray, eta: int):
-        """One full sweep plus eta extra cut-DOF sweeps, in place."""
-        for sel, rows, solve in self._free_steps + eta * self._cut_steps:
-            u[sel] += solve(F[sel] - rows @ u)
+        """One full sweep plus eta extra cut-DOF sweeps, in place.  A step
+        (sel, rows, y, solve) updates u[sel] by solve(F[sel] - rows u), the
+        residual formed in y, its scratch slice."""
+        for sel, rows, y, solve in self._free_steps + eta * self._cut_steps:
+            matvec_into(rows, u, y)
+            np.subtract(F[sel], y, out=y)
+            u[sel] += solve(y)
 
     # -- exact coarsest solve ------------------------------------------------
 
@@ -282,6 +307,9 @@ class Hierarchy:
 def _finalize(levels: list, config: CycleConfig) -> Hierarchy:
     for level in levels[:-1]:
         level.prepare_smoothers()
+    for level in levels[1:]:
+        level.iterate = np.empty(level.num_dofs)
+        level.rhs = np.empty(level.num_dofs)
     levels[-1].prepare_coarse_solver()
     return Hierarchy(levels=levels, config=config)
 
@@ -331,18 +359,21 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
 
 def _cycle(levels: list, k: int, u: np.ndarray, F: np.ndarray,
            config: CycleConfig, gamma_star: int):
-    """One multigrid cycle at level k, updating u in place."""
+    """One multigrid cycle at level k, updating u in place.  The coarse
+    problem lives in level k+1's iterate and rhs; the prolongation is formed
+    in level k's scratch before it is added, as u += P u_c would."""
     level = levels[k]
     if k == len(levels) - 1:
         u[:] = level.coarse_solve(F)
         return
     for _ in range(config.nu1):
         level.smooth(u, F, config.eta)
-    F_c = level.R @ level.residual(u, F)
-    u_c = np.zeros(levels[k + 1].num_dofs)
+    coarse = levels[k + 1]
+    matvec_into(level.R, level.residual(u, F), coarse.rhs)
+    coarse.iterate.fill(0.0)
     for _ in range(gamma_star):
-        _cycle(levels, k + 1, u_c, F_c, config, gamma_star)
-    u += level.P @ u_c
+        _cycle(levels, k + 1, coarse.iterate, coarse.rhs, config, gamma_star)
+    u += matvec_into(level.P, coarse.iterate, level.scratch)
     for _ in range(config.nu2):
         level.smooth(u, F, config.eta)
 
@@ -410,9 +441,10 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
 
     F and the returned u live on the whole background grid; constrained
     DOFs take their right-hand side values and are never iterated.  With
-    target_residual set, iteration stops early once the residual norm drops
-    to it.  A residual that grows for DIVERGENCE_PATIENCE consecutive cycles
-    flags the trace as diverged (with a warning) but the run is preserved.
+    target_residual set, iteration stops once the residual norm is at or
+    below it, before the first cycle if u0 already meets it.  A residual
+    that grows for DIVERGENCE_PATIENCE consecutive cycles flags the trace as
+    diverged (with a warning) but the run is preserved.
     """
     levels = hierarchy.levels
     level0 = levels[0]
@@ -421,16 +453,21 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     u_free = np.zeros(level0.num_dofs) if u0 is None \
         else np.asarray(u0, dtype=float)[order]
     gamma_star = hierarchy.config.gamma_star
+
+    def residual_norm() -> float:
+        r = level0.residual(u_free, F_free)
+        return float(np.max(np.abs(r, out=r), initial=0.0))
+
     start = time.perf_counter()
-    norms = [float(np.max(np.abs(level0.residual(u_free, F_free)),
-                          initial=0.0))]
+    norms = [residual_norm()]
     rhos = []
     growing = 0
     diverged = False
     for _ in range(max_iters):
+        if target_residual is not None and norms[-1] <= target_residual:
+            break
         _cycle(levels, 0, u_free, F_free, hierarchy.config, gamma_star)
-        rn = float(np.max(np.abs(level0.residual(u_free, F_free)),
-                          initial=0.0))
+        rn = residual_norm()
         rhos.append(rn / norms[-1] if norms[-1] > 0.0 else 0.0)
         norms.append(rn)
         growing = growing + 1 if rhos[-1] > 1.0 else 0
@@ -439,8 +476,6 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
             warnings.warn(
                 f"residual grew for {DIVERGENCE_PATIENCE} consecutive "
                 "cycles; continuing and keeping the trace", RuntimeWarning)
-        if target_residual is not None and rn <= target_residual:
-            break
     wall_ms = 1e3 * (time.perf_counter() - start)
     u = _on_grid(F, order, u_free)
     trace = ConvergenceTrace(u=u, residual_norms=np.array(norms),

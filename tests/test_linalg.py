@@ -1,6 +1,6 @@
 """Linear-algebra kernels: the level smoothers and exact coarse solve (run
-through ``MgLevel``, their one implementation), triple products and the
-generalized eigensolver."""
+through ``MgLevel``, their one implementation), the CSR product into a
+buffer, triple products and the generalized eigensolver."""
 
 import numpy as np
 import pytest
@@ -165,6 +165,49 @@ def test_canonical_csr_sums_duplicates():
     A = sp.coo_matrix(([1.0, 2.0, 5.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
     out = linalg.canonical_csr(A)
     np.testing.assert_array_equal(out.toarray(), [[0.0, 3.0], [5.0, 0.0]])
+
+
+def _assert_matvec_into_is_matmul(A, x):
+    out = np.full(A.shape[0], np.nan)
+    assert linalg.matvec_into(A, x, out) is out
+    np.testing.assert_array_equal(out, A @ x, strict=True)
+
+
+def test_matvec_into_equals_matmul_bitwise():
+    # The helper calls scipy's private CSR kernel; if a SciPy release drops
+    # or changes it, this is the test that fails.
+    rng = np.random.default_rng(31)
+    A = linalg.canonical_csr(sp.random(40, 30, density=0.2, random_state=rng))
+    _assert_matvec_into_is_matmul(A, rng.standard_normal(30))
+    # Rows 3 and 7 empty.
+    B = A.tolil()
+    B[[3, 7], :] = 0.0
+    B = linalg.canonical_csr(B)
+    assert np.count_nonzero(np.diff(B.indptr) == 0) >= 2
+    _assert_matvec_into_is_matmul(B, rng.standard_normal(30))
+    empty = sp.csr_matrix((0, 30))
+    _assert_matvec_into_is_matmul(empty, rng.standard_normal(30))
+
+
+def test_matvec_into_on_row_range_views():
+    # The smoother's zero-copy row blocks of a level operator.
+    A = disk_level().A
+    x = np.random.default_rng(37).standard_normal(A.shape[1])
+    full = A @ x
+    for start, stop in [(0, A.shape[0]), (5, 61), (17, 17)]:
+        rows = mg._row_range(A, start, stop)
+        _assert_matvec_into_is_matmul(rows, x)
+        out = np.empty(stop - start)
+        np.testing.assert_array_equal(linalg.matvec_into(rows, x, out),
+                                      full[start:stop])
+
+
+def test_matvec_into_rejects_mixed_index_dtypes():
+    A = linalg.canonical_csr(two_by_two())
+    A.indices = A.indices.astype(np.int64)
+    A.indptr = A.indptr.astype(np.int32)
+    with pytest.raises(ValueError, match="indptr int32, indices int64"):
+        linalg.matvec_into(A, np.ones(2), np.empty(2))
 
 
 def test_coarse_solve_dense_spd():

@@ -1,5 +1,8 @@
 """Transfers, hierarchies, cycles and the convergence bookkeeping."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +10,7 @@ import scipy.sparse as sp
 from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble
 from ghostmg.geometry import domain_catalog, domain_names
-from ghostmg.linalg import NotSPDError
+from ghostmg.linalg import NotSPDError, canonical_csr
 from ghostmg.one_dim import assemble_1d, coarse_theta
 
 
@@ -367,7 +370,8 @@ def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
     # factors the coarsest operator and no Gauss-Seidel triangle.  Every
     # level numbers its free nodes class by class, cut nodes leading each
     # class, so each step smooths a contiguous row range through slice
-    # views of u, F and A's CSR arrays: no index array, no copy of A.
+    # views of u, F and A's CSR arrays: no index array, no copy of A.  Its
+    # residual is formed in the leading slice of the level's scratch.
     system = _catalog_system(name)
     factored = []
     splu = mg.spla.splu
@@ -394,11 +398,12 @@ def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
             assert np.all(np.diff(cut[colours == c].astype(int)) <= 0)
     for level in hierarchy.levels[:-1]:
         assert len(level._free_steps) == 4
-        for sel, rows, _ in level._free_steps + level._cut_steps:
+        for sel, rows, y, _ in level._free_steps + level._cut_steps:
             assert isinstance(sel, slice)
             assert np.shares_memory(rows.data, level.A.data)
             assert np.shares_memory(rows.indices, level.A.indices)
             assert (rows - level.A[sel]).nnz == 0
+            assert y.base is level.scratch and y.size == rows.shape[0]
 
 
 @pytest.mark.parametrize("name", domain_names())
@@ -420,6 +425,117 @@ def test_solve_recovers_a_known_solution(name):
         assert trace.residual_norms[-1] <= 1e-10
         assert np.abs(u[free] - w[free]).max() <= 1e-8
         np.testing.assert_array_equal(u[~free], F[~free])
+
+
+def test_solve_returns_a_start_that_meets_the_target():
+    # From u0 = w with F = A w the start residual is roundoff, below the
+    # target, so solve runs no cycle and returns w; from zero it cycles.
+    system = _catalog_system("disk")
+    hierarchy = mg.build_hierarchy(
+        system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
+    free = system.free_dofs
+    w = np.random.default_rng(13).standard_normal(free.size)
+    F = system.A @ w
+    u, trace = mg.solve(hierarchy, F, u0=w, max_iters=100,
+                        target_residual=1e-10)
+    assert trace.iterations == 0
+    assert trace.residual_norms.size == 1
+    assert trace.residual_norms[0] <= 1e-10
+    np.testing.assert_array_equal(u[free], w[free])
+    np.testing.assert_array_equal(u[~free], F[~free])
+    _, trace = mg.solve(hierarchy, F, max_iters=100, target_residual=1e-10)
+    assert trace.iterations > 0
+
+
+@pytest.mark.parametrize("name", ["flower", "disk"])
+def test_cycle_allocates_nothing_on_smoothed_levels(name):
+    # Every step, residual and transfer writes into the level workspace
+    # that build_hierarchy allocated, so after a warm-up a cycle's traced
+    # allocations stay far below one finest-level vector: the coarsest
+    # level's direct solve allocates its result, and little else does.
+    system = _catalog_system(name)
+    hierarchy = mg.build_hierarchy(
+        system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
+    levels, config = hierarchy.levels, hierarchy.config
+    order = hierarchy.finest.order
+    F = system.F[order]
+    u = np.zeros(order.size)
+    mg._cycle(levels, 0, u, F, config, 1)
+    tracemalloc.start()
+    try:
+        mg._cycle(levels, 0, u, F, config, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * order.size
+
+
+def _reference_residual_norms(hierarchy, F, target, max_iters=100):
+    """mg.solve from zero, written with plain products as the oracle of its
+    workspace form: a step is u[sel] += solve(F[sel] - rows @ u), the
+    coarse right-hand side R @ (F - A u) and the correction u += P @ u_c.
+    The oracle takes each step's rows from the level; its solve is the
+    diagonal scale in 2D and the lower-triangle solve in 1D."""
+    levels, config = hierarchy.levels, hierarchy.config
+
+    def oracle_steps(level, steps):
+        out = []
+        for sel, rows, *_ in steps:
+            if level.grid.dim == 2:
+                dinv = 1.0 / level.A.diagonal()[sel]
+                solve = partial(np.multiply, dinv)
+            else:
+                solve = mg._triangle_solve(canonical_csr(rows[:, sel]))
+            out.append((sel, rows, solve))
+        return out
+
+    smoothers = [oracle_steps(level, level._free_steps)
+                 + config.eta * oracle_steps(level, level._cut_steps)
+                 for level in levels[:-1]]
+
+    def smooth(k, u, F):
+        for sel, rows, solve in smoothers[k]:
+            u[sel] += solve(F[sel] - rows @ u)
+
+    def cycle(k, u, F):
+        level = levels[k]
+        if k == len(levels) - 1:
+            u[:] = level.coarse_solve(F)
+            return
+        for _ in range(config.nu1):
+            smooth(k, u, F)
+        F_c = level.R @ (F - level.A @ u)
+        u_c = np.zeros(levels[k + 1].num_dofs)
+        for _ in range(config.gamma_star):
+            cycle(k + 1, u_c, F_c)
+        u += level.P @ u_c
+        for _ in range(config.nu2):
+            smooth(k, u, F)
+
+    level0 = levels[0]
+    F0 = F[level0.order]
+    u = np.zeros(level0.num_dofs)
+    norms = [np.abs(F0 - level0.A @ u).max()]
+    while norms[-1] > target and len(norms) <= max_iters:
+        cycle(0, u, F0)
+        norms.append(np.abs(F0 - level0.A @ u).max())
+    return np.array(norms)
+
+
+@pytest.mark.parametrize("gamma_star", [1, 2])
+@pytest.mark.parametrize("name", domain_names() + ["interval"])
+def test_workspace_cycle_equals_the_plain_products_bitwise(name, gamma_star):
+    if name == "interval":
+        system = assemble_1d(64, 0.05, 0.6, 1.1 / (0.05 / 64))
+    else:
+        system = _catalog_system(name)
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
+        nu1=2, nu2=1, eta=4, coarsest_n=8, gamma_star=gamma_star))
+    F = np.random.default_rng(29).standard_normal(system.F.size)
+    _, trace = mg.solve(hierarchy, F, max_iters=100, target_residual=1e-10)
+    assert trace.iterations > 1
+    np.testing.assert_array_equal(
+        trace.residual_norms, _reference_residual_norms(hierarchy, F, 1e-10))
 
 
 def test_trace_bookkeeping():
