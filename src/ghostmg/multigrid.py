@@ -124,14 +124,25 @@ def _validate_depth(n: int, coarsest_n: int):
 def _triangle_solve(A: sp.csr_matrix) -> Callable:
     """Solve with tril(A) of a bitwise symmetric canonical CSR matrix, one
     forward Gauss-Seidel step.  tril(A) is taken as CSC: the CSR arrays of
-    triu(A) are the CSC arrays of tril(A^T) = tril(A)."""
+    triu(A) are the CSC arrays of tril(A^T) = tril(A).
+
+    The factor is SuperLU's complete LU of the triangle, L = tril(A) D^-1
+    and U = D, made by its ILU driver with nothing dropped (drop_tol = 0)
+    and a workspace of fill_factor = 1 times the triangle, which suffices
+    since a triangle has no fill.  Its factors and solves are bitwise those
+    of splu, which sizes its workspace by a fixed fill estimate and keeps
+    it with the factor: 22 MB at n = 16384 against 1.3 MB here.  Reused
+    after free, those workspaces made the peak memory of a 1D sweep vary by
+    10 MB from run to run."""
     upper = A.indices >= np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     indptr = np.concatenate(([0], np.cumsum(upper)))[A.indptr]
     tril = sp.csc_matrix((A.data[upper], A.indices[upper], indptr),
                          shape=A.shape)
-    return spla.splu(tril, permc_spec="NATURAL",
-                     options={"DiagPivotThresh": 0.0,
-                              "SymmetricMode": True}).solve
+    return spla.spilu(tril, drop_tol=0.0, fill_factor=1.0, drop_rule="basic",
+                      permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True, "Equil": False,
+                               "RowPerm": "NOROWPERM",
+                               "ILU_MILU": "SILU"}).solve
 
 
 def _row_range(A: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:

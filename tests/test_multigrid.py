@@ -185,6 +185,29 @@ def test_galerkin_equals_direct_coarse_assembly_1d(theta1, theta2):
     np.testing.assert_allclose(rap, coarse.A.toarray(), rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("theta1", [0.0099, 0.5, 0.99])
+def test_triangle_solve_equals_the_complete_lu_bitwise(theta1):
+    # The 1D Gauss-Seidel triangle is factored by SuperLU's ILU driver with
+    # nothing dropped.  On every smoothed level, for the full and the cut
+    # triangle, its factors and solves are bitwise those of splu.
+    n = 1024
+    system = assemble_1d(n, theta1, 0.01, 1.1 / (theta1 / n))
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
+    rng = np.random.default_rng(31)
+    for level in hierarchy.levels[:-1]:
+        cut = level.idx_cut
+        for A in (level.A, canonical_csr(level.A[cut][:, cut])):
+            lu = mg.spla.splu(sp.tril(A, format="csc"), permc_spec="NATURAL",
+                              options={"DiagPivotThresh": 0.0,
+                                       "SymmetricMode": True})
+            solve = mg._triangle_solve(A)
+            assert (solve.__self__.L != lu.L).nnz == 0
+            assert (solve.__self__.U != lu.U).nnz == 0
+            for scale in (1e-8, 1.0, 1e8):
+                b = scale * rng.standard_normal(A.shape[0])
+                np.testing.assert_array_equal(solve(b), lu.solve(b))
+
+
 def test_hierarchy_2d_structure():
     ls = domain_catalog("disk")
     system = assemble(ProblemSpec(ls, 1.0 / 16, gamma=2.0))
