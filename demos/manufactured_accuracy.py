@@ -26,7 +26,7 @@ def main():
         iterations=40,
         window=(1, 40),
     )
-    rows = run_accuracy_study(config, target_residual=1e-10)
+    rows = run_accuracy_study(config)
     print("manufactured solution on the disk, W-cycles to 1e-10 residual")
     print(f"{'n':>5s} {'h':>10s} {'max error':>12s} {'ratio':>7s} "
           f"{'l2 error':>12s} {'ratio':>7s}")

@@ -18,7 +18,7 @@ geometry
     geometry extraction, plus the catalog of benchmark domains.
 assembly
     Bilinear/linear form assembly in 2D; element kernels; strong Dirichlet
-    elimination; residual evaluation.
+    elimination.
 one_dim
     Closed-form 1D system blocks for the interval domain with one weak
     Dirichlet and one Neumann end.

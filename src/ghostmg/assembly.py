@@ -236,8 +236,8 @@ class ProblemSpec:
     Attributes
     ----------
     levelset : LevelSet
-        Implicit domain; the grid defaults to the level set's artificial
-        domain tiled at spacing h.
+        Implicit domain; the grid is the level set's artificial domain tiled
+        at spacing h.
     h : float
         Background grid spacing.
     f, g_dirichlet, g_neumann : callable or None
@@ -265,7 +265,6 @@ class ProblemSpec:
     lambda_mode: str = "local"
     alpha: float = 1.75
     strong_predicate: Optional[Callable] = None
-    grid: Optional[CartesianGrid] = None
 
 
 @dataclass
@@ -324,13 +323,6 @@ def apply_strong_dirichlet(A: sp.csr_matrix, F: np.ndarray,
     return A_out, F_out
 
 
-def residual(system: AssembledSystem, u: np.ndarray) -> np.ndarray:
-    """F - A u with zeros at inactive and strongly constrained DOFs."""
-    r = system.F - system.A @ u
-    r[~system.free_dofs] = 0.0
-    return r
-
-
 def assemble(problem: ProblemSpec) -> AssembledSystem:
     """Snap, classify, extract cut geometry, size the penalties and build the
     global system."""
@@ -338,7 +330,7 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
 
     start = time.perf_counter()
     levelset = problem.levelset
-    grid = problem.grid if problem.grid is not None else levelset.grid(problem.h)
+    grid = levelset.grid(problem.h)
     h = grid.h
     field = snap_nodes(grid, levelset, problem.alpha)
     classification = classify_cells(field)

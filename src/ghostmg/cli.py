@@ -8,13 +8,15 @@ quick structural self-check (transfer transposes, operator symmetry,
 positive definiteness, trace constants, cycle linearity) and prints a
 PASS/FAIL table.
 
-Exit codes: 0 success, 1 any parameter point or check failed, 2 bad config.
+Exit codes: 0 success, 1 any parameter point or check failed, 2 bad config
+(reported before any work is done).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -33,6 +35,9 @@ from ghostmg.one_dim import assemble_1d
 def _cmd_run(config_path: str) -> int:
     try:
         config = load_config(config_path)
+        if not Path(config.output).parent.is_dir():
+            raise ConfigError(f"output directory of {config.output!r} does "
+                              "not exist")
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -151,8 +156,12 @@ def _check_linearity() -> tuple:
     x, y = rng.standard_normal((2, 17))
     a, b = 0.37, -1.21
     F = np.zeros(17)
-    combined = mg.mg_cycle(hierarchy, F, a * x + b * y)
-    split = a * mg.mg_cycle(hierarchy, F, x) + b * mg.mg_cycle(hierarchy, F, y)
+
+    def cycle(u):
+        return mg.solve(hierarchy, F, u0=u, max_iters=1)[0]
+
+    combined = cycle(a * x + b * y)
+    split = a * cycle(x) + b * cycle(y)
     worst = float(np.max(np.abs(combined - split)))
     return "cycle acts linearly on the iterate", worst < 1e-12, \
         f"superposition defect {worst:.2e}"

@@ -126,6 +126,12 @@ class ExperimentConfig:
             self.alpha = 2.0 if one_d else 1.75
         if any(e < 0 for e in self.eta):
             raise ConfigError("eta values must be nonnegative")
+        if self.experiment == "accuracy":
+            for key in ("theta1", "theta", "gamma", "eta"):
+                if len(getattr(self, key)) > 1:
+                    raise ConfigError(
+                        f"an accuracy study takes one {key!r} value, got "
+                        f"{getattr(self, key)}")
 
 
 _LIST_KEYS = {"n", "h", "theta1", "theta", "gamma", "eta", "window"}
@@ -371,9 +377,9 @@ class AccuracyRow:
         return ",".join(_format_field(v) for v in fields)
 
 
-def run_accuracy_study(config: ExperimentConfig,
-                       target_residual: float = 1e-10) -> list:
-    """Solve a manufactured problem at each grid size and report errors.
+def run_accuracy_study(config: ExperimentConfig) -> list:
+    """Solve a manufactured problem at each grid size to a residual of
+    1e-10 and report errors.
 
     1D uses u(x) = x on the cut interval (reproduced exactly by the linear
     elements, so errors sit at roundoff); 2D uses u = sin(pi x) sin(pi y) on
@@ -385,17 +391,16 @@ def run_accuracy_study(config: ExperimentConfig,
     rows = []
     for n in config.ns:
         if config.dimension == 1:
-            rows.append(_accuracy_point_1d(config, n, target_residual))
+            rows.append(_accuracy_point_1d(config, n))
         else:
-            rows.append(_accuracy_point_2d(config, n, target_residual))
+            rows.append(_accuracy_point_2d(config, n))
     for prev, cur in zip(rows, rows[1:]):
         cur.linf_ratio = prev.linf_error / cur.linf_error
         cur.l2_ratio = prev.l2_error / cur.l2_error
     return rows
 
 
-def _accuracy_point_1d(config: ExperimentConfig, n: int,
-                       target_residual: float) -> AccuracyRow:
+def _accuracy_point_1d(config: ExperimentConfig, n: int) -> AccuracyRow:
     h = 1.0 / n
     t1 = config.theta1[0]
     gamma = config.gamma[0]
@@ -404,8 +409,7 @@ def _accuracy_point_1d(config: ExperimentConfig, n: int,
                          f=None, g_a=a, g_b=1.0)
     hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
                                                          config.eta[0]))
-    u, _ = mg.solve(hierarchy, system.F, max_iters=200,
-                    target_residual=target_residual)
+    u, _ = mg.solve(hierarchy, system.F, max_iters=200, target_residual=1e-10)
     x = h * np.arange(n + 1)
     err = np.abs(u - x)
     return AccuracyRow(domain="interval", dim=1, n=n, h=h,
@@ -413,8 +417,7 @@ def _accuracy_point_1d(config: ExperimentConfig, n: int,
                        l2_error=float(np.sqrt(h * np.sum(err ** 2))))
 
 
-def _accuracy_point_2d(config: ExperimentConfig, n: int,
-                       target_residual: float) -> AccuracyRow:
+def _accuracy_point_2d(config: ExperimentConfig, n: int) -> AccuracyRow:
     def exact(x, y):
         return np.sin(np.pi * x) * np.sin(np.pi * y)
 
@@ -433,8 +436,7 @@ def _accuracy_point_2d(config: ExperimentConfig, n: int,
     system = assemble(problem)
     hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
                                                          config.eta[0]))
-    u, _ = mg.solve(hierarchy, system.F, max_iters=200,
-                    target_residual=target_residual)
+    u, _ = mg.solve(hierarchy, system.F, max_iters=200, target_residual=1e-10)
     X, Y = system.grid.node_coordinates()
     interior = system.field.values < 0.0
     err = np.abs(u - exact(X, Y))[interior]

@@ -81,8 +81,11 @@ def matvec_into(A: sp.csr_matrix, x: np.ndarray,
     return out
 
 
-def generalized_eig_max(K: np.ndarray, M: np.ndarray,
-                        rtol: float = 1e-12) -> GeneralizedEigResult:
+#: Relative threshold of the rank decisions in `generalized_eig_max`.
+RANK_TOLERANCE = 1e-12
+
+
+def generalized_eig_max(K: np.ndarray, M: np.ndarray) -> GeneralizedEigResult:
     """Largest finite eigenvalue of the symmetric pencil K v = lam M v.
 
     Both K and M may be singular.  The common nullspace (directions with zero
@@ -93,16 +96,14 @@ def generalized_eig_max(K: np.ndarray, M: np.ndarray,
 
     The common nullspace is detected from a symmetric eigendecomposition of
     the scale-normalized sum K/|K|_max + M/|M|_max with relative threshold
-    `rtol` (for PSD forms, the sum vanishes exactly on the intersection of
-    the nullspaces).
+    RANK_TOLERANCE, scaled by the largest eigenvalue magnitude of the matrix
+    being examined (for PSD forms, the sum vanishes exactly on the
+    intersection of the nullspaces).
 
     Parameters
     ----------
     K, M : ndarray
         Symmetric positive semidefinite matrices of equal shape.
-    rtol : float
-        Relative threshold for rank decisions, scaled by the largest
-        eigenvalue magnitude of the matrix being examined.
 
     Returns
     -------
@@ -124,7 +125,7 @@ def generalized_eig_max(K: np.ndarray, M: np.ndarray,
     if s_m > 0.0:
         S += M / s_m
     w, V = np.linalg.eigh(S)
-    keep = w > rtol * w[-1]
+    keep = w > RANK_TOLERANCE * w[-1]
     deflated = int(n - np.count_nonzero(keep))
     if not np.any(keep):
         return GeneralizedEigResult(0.0, n)
@@ -132,12 +133,12 @@ def generalized_eig_max(K: np.ndarray, M: np.ndarray,
     Kr = Vk.T @ K @ Vk
     Mr = Vk.T @ M @ Vk
     wm, Um = np.linalg.eigh(Mr)
-    null_m = wm <= rtol * max(wm[-1], 0.0)
+    null_m = wm <= RANK_TOLERANCE * max(wm[-1], 0.0)
     if np.any(null_m):
         # Residual M-null directions: admissible only if K also vanishes
         # there, otherwise the Rayleigh quotient is unbounded.
         U0 = Um[:, null_m]
-        if np.abs(Kr @ U0).max(initial=0.0) > rtol * max(s_k, 1.0):
+        if np.abs(Kr @ U0).max(initial=0.0) > RANK_TOLERANCE * max(s_k, 1.0):
             raise DegeneratePencilError(
                 "pencil has a direction with zero M-energy and nonzero "
                 "K-energy; the stabilization constant is unbounded"

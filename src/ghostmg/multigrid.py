@@ -7,11 +7,11 @@ free DOFs only: a level's restriction is the refinement-weight matrix cut to
 the fine free DOFs and to the coarse nodes they reach, which are the coarse
 free DOFs, and coarse operators are Galerkin triple products.  Constrained
 nodes (ghost exterior nodes, strongly eliminated nodes) appear only at the
-API edge: ``solve`` and ``mg_cycle`` take and return vectors on the whole
-background grid, with constrained entries equal to F.  One builder serves
-the 1D interval and the 2D systems.  Smoothing is Gauss-Seidel over the
-free DOFs, optionally followed by extra sweeps on the cut-cell DOFs only,
-and the coarsest level is solved exactly.
+API edge: ``solve`` takes and returns vectors on the whole background grid,
+with constrained entries equal to F, and one cycle is ``solve`` with
+``max_iters=1``.  One builder serves the 1D interval and the 2D systems.
+Smoothing is Gauss-Seidel over the free DOFs, optionally followed by extra
+sweeps on the cut-cell DOFs only, and the coarsest level is solved exactly.
 
 In 2D, Gauss-Seidel runs over four colour classes, (i % 2) + 2 (j % 2) of
 the grid node: the 9-point stencil, which Galerkin products of Q1 keep,
@@ -21,8 +21,8 @@ cut DOFs first within a class (``dof_order``), so every class step of the
 full sweep is one contiguous row range of A and every cut-sweep step that
 range's leading part: a step works on slice views of u, F and A's CSR
 arrays, with no gathers, scatters or copies of A.  R, P and the Galerkin
-operators are built in this numbering; only ``solve`` and ``mg_cycle`` map
-to and from grid order.  In 1D the DOFs keep node order, one
+operators are built in this numbering; only ``solve`` maps to
+and from grid order.  In 1D the DOFs keep node order, one
 lexicographic class solved by its lower triangle.  Two colours in 1D
 (red-black) would turn the V(2,1) cycle into a near-direct solve, at
 theta1 = 0.99 and n = 1024 from a factor of 0.085 to 0.017 (eta = 0) and
@@ -389,57 +389,38 @@ def _cycle(levels: list, k: int, u: np.ndarray, F: np.ndarray,
         level.smooth(u, F, config.eta)
 
 
-def _on_grid(F: np.ndarray, order: np.ndarray,
-             u_free: np.ndarray) -> np.ndarray:
-    """Full-grid iterate: u_free at the grid nodes `order`, F elsewhere."""
-    u = np.array(F, dtype=float, copy=True)
-    u[order] = u_free
-    return u
-
-
-def mg_cycle(hierarchy: Hierarchy, F: np.ndarray, u: np.ndarray,
-             gamma_star: Optional[int] = None) -> np.ndarray:
-    """One recursive multigrid cycle (gamma_star 1 = V, 2 = W) on full-grid
-    vectors; returns a new iterate whose constrained entries equal F."""
-    if len(hierarchy.levels) < 2:
-        raise ValueError("a cycle needs at least 2 levels")
-    if gamma_star is None:
-        gamma_star = hierarchy.config.gamma_star
-    if gamma_star not in (1, 2):
-        raise ValueError(f"gamma_star must be 1 or 2, got {gamma_star}")
-    order = hierarchy.finest.order
-    u_free = np.asarray(u, dtype=float)[order]
-    _cycle(hierarchy.levels, 0, u_free, F[order], hierarchy.config,
-           gamma_star)
-    return _on_grid(F, order, u_free)
-
-
 @dataclass
 class ConvergenceTrace:
     """Residual history of a multigrid run.
 
     residual_norms[m] is the max-norm of the free-DOF residual after m
-    cycles; rho_per_iter[m - 1] = residual_norms[m] / residual_norms[m - 1]
-    is the per-cycle convergence factor.  diverged flags a run whose
-    residual grew for DIVERGENCE_PATIENCE consecutive cycles.
+    cycles.  diverged flags a run whose residual grew for
+    DIVERGENCE_PATIENCE consecutive cycles.
     """
 
-    u: np.ndarray
     residual_norms: np.ndarray
-    rho_per_iter: np.ndarray
     wall_ms: float
     diverged: bool = False
 
     @property
     def iterations(self) -> int:
-        return len(self.rho_per_iter)
+        return len(self.residual_norms) - 1
+
+    @property
+    def rho_per_iter(self) -> np.ndarray:
+        """Per-cycle convergence factors: rho_per_iter[m - 1] is
+        residual_norms[m] / residual_norms[m - 1], and 0 where that previous
+        norm is 0."""
+        prev, norms = self.residual_norms[:-1], self.residual_norms[1:]
+        return np.divide(norms, prev, out=np.zeros_like(norms),
+                         where=prev > 0.0)
 
     def rho_mean(self, first: int, last: int) -> float:
         """Average convergence factor over cycles first..last (1-based,
         inclusive)."""
-        if not 1 <= first <= last <= len(self.rho_per_iter):
+        if not 1 <= first <= last <= self.iterations:
             raise ValueError(
-                f"window {first}..{last} outside the {len(self.rho_per_iter)} "
+                f"window {first}..{last} outside the {self.iterations} "
                 "recorded cycles")
         return float(np.mean(self.rho_per_iter[first - 1:last]))
 
@@ -448,14 +429,16 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
           u0: Optional[np.ndarray] = None, max_iters: int = 30,
           target_residual: Optional[float] = None
           ) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Run repeated cycles, recording the free-DOF residual max-norm.
+    """Run repeated cycles, recording the free-DOF residual max-norm; with
+    max_iters=1 this is one cycle.
 
-    F and the returned u live on the whole background grid; constrained
-    DOFs take their right-hand side values and are never iterated.  With
-    target_residual set, iteration stops once the residual norm is at or
-    below it, before the first cycle if u0 already meets it.  A residual
-    that grows for DIVERGENCE_PATIENCE consecutive cycles flags the trace as
-    diverged (with a warning) but the run is preserved.
+    F, u0 and the returned u live on the whole background grid; constrained
+    DOFs take their right-hand side values and are never iterated, and u0
+    is not modified.  With target_residual set, iteration stops once the
+    residual norm is at or below it, before the first cycle if u0 already
+    meets it.  A residual that grows for DIVERGENCE_PATIENCE consecutive
+    cycles flags the trace as diverged (with a warning) but the run is
+    preserved.
     """
     levels = hierarchy.levels
     level0 = levels[0]
@@ -471,33 +454,28 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
 
     start = time.perf_counter()
     norms = [residual_norm()]
-    rhos = []
     growing = 0
     diverged = False
     for _ in range(max_iters):
         if target_residual is not None and norms[-1] <= target_residual:
             break
         _cycle(levels, 0, u_free, F_free, hierarchy.config, gamma_star)
-        rn = residual_norm()
-        rhos.append(rn / norms[-1] if norms[-1] > 0.0 else 0.0)
-        norms.append(rn)
-        growing = growing + 1 if rhos[-1] > 1.0 else 0
+        norms.append(residual_norm())
+        growing = growing + 1 if norms[-1] > norms[-2] > 0.0 else 0
         if growing >= DIVERGENCE_PATIENCE and not diverged:
             diverged = True
             warnings.warn(
                 f"residual grew for {DIVERGENCE_PATIENCE} consecutive "
                 "cycles; continuing and keeping the trace", RuntimeWarning)
     wall_ms = 1e3 * (time.perf_counter() - start)
-    u = _on_grid(F, order, u_free)
-    trace = ConvergenceTrace(u=u, residual_norms=np.array(norms),
-                             rho_per_iter=np.array(rhos), wall_ms=wall_ms,
-                             diverged=diverged)
-    return u, trace
+    u = np.array(F, dtype=float, copy=True)
+    u[order] = u_free
+    return u, ConvergenceTrace(residual_norms=np.array(norms),
+                               wall_ms=wall_ms, diverged=diverged)
 
 
-def verify_splitting_equivalence(system: OneDimSystem, u: np.ndarray,
-                                 restrict: Optional[sp.csr_matrix] = None
-                                 ) -> float:
+def verify_splitting_equivalence(system: OneDimSystem,
+                                 u: np.ndarray) -> float:
     """Max abs difference between restricting the full fine residual and
     rebuilding its boundary pieces directly on the coarse grid.
 
@@ -506,9 +484,7 @@ def verify_splitting_equivalence(system: OneDimSystem, u: np.ndarray,
     data residuals; restriction preserves each piece, so the difference is
     zero to roundoff for every iterate.
     """
-    if restrict is None:
-        restrict = restriction_1d(system.n)
-    r_fine = system.F - system.A @ u
-    direct = restrict @ r_fine
+    restrict = restriction_1d(system.n)
+    direct = restrict @ (system.F - system.A @ u)
     split = split_residual_coarse(system, u, restrict)
     return float(np.max(np.abs(direct - split)))

@@ -8,7 +8,7 @@ lambda is imposed at a and a Neumann condition at b.  The system splits into
     A = A_I + A_B + A_B^T + A_lam,
 
 with A_I the P1 stiffness of the truncated mesh, A_B the Dirichlet
-consistency block, A_lam the penalty block; F = F_I + F_B + F_lam + F_N.
+consistency block, A_lam the penalty block; F = F_f + F_B + F_lam + F_N.
 A separate flux block A_BN (whose action is -u'(b) times the Neumann trace
 weights) enters the residual splitting used to justify coarse-grid transfer
 of boundary data: cell fractions coarsen as theta -> (1 + theta) / 2 while
@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ghostmg.geometry import CartesianGrid
+from ghostmg.linalg import canonical_csr
 
 
 @dataclass
@@ -142,7 +143,7 @@ def system_blocks(n: int, theta1: float, theta2: float, lam: float) -> OneDimBlo
 
 def source_vector(n: int, theta1: float, theta2: float,
                   f: Optional[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
-    """F_I with entries int_a^b f phi_i dx, by 3-point Gauss per cell part."""
+    """Source load F_f, entries int_a^b f phi_i dx, 3-point Gauss per cell."""
     m = n + 1
     F = np.zeros(m)
     if f is None:
@@ -209,9 +210,7 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
         Neumann datum u'(b) at b.
     """
     blocks = system_blocks(n, theta1, theta2, lam)
-    A = (blocks.A_I + blocks.A_B + blocks.A_B.T + blocks.A_lam).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
+    A = canonical_csr(blocks.A_I + blocks.A_B + blocks.A_B.T + blocks.A_lam)
     F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, g_a, g_b)
     F = source_vector(n, theta1, theta2, f) + F_B + F_lam + F_N
     return OneDimSystem(blocks, A, F, g_a, g_b)
@@ -244,38 +243,26 @@ def boundary_residuals(system: OneDimSystem, u: np.ndarray) -> tuple[float, floa
     return r_a, r_b
 
 
-def split_residual_fine(system: OneDimSystem, u: np.ndarray,
-                        F_I: Optional[np.ndarray] = None) -> dict:
+def split_residual_fine(system: OneDimSystem, u: np.ndarray) -> dict:
     """The four-way residual splitting on the fine grid.
 
-    r = r_int + r_B + r_lam + r_N with r_int = F_I - (A_I + A_B + A_BN) u and
-    the boundary pieces proportional to the data residuals r_a, r_b.
+    r = r_int + r_B + r_lam + r_N, where r_int = F - F_B - F_lam - F_N -
+    (A_I + A_B + A_BN) u and the boundary pieces are `rhs_blocks` of the
+    data residuals r_a, r_b in place of the data.
     """
     blocks = system.blocks
-    n, h, lam = blocks.n, blocks.h, blocks.lam
-    theta1, theta2 = blocks.theta1, blocks.theta2
-    if F_I is None:
-        F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, system.g_a, system.g_b)
-        F_I = system.F - F_B - F_lam - F_N
+    n, theta1, theta2, lam = blocks.n, blocks.theta1, blocks.theta2, blocks.lam
+    F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, system.g_a, system.g_b)
     r_a, r_b = boundary_residuals(system, u)
-    r_int = F_I - (blocks.A_I + blocks.A_B + blocks.A_BN) @ u
-    m = n + 1
-    r_B = np.zeros(m)
-    r_B[0] = -r_a / h
-    r_B[1] = r_a / h
-    r_lam = np.zeros(m)
-    r_lam[0] = lam * theta1 * r_a
-    r_lam[1] = lam * (1.0 - theta1) * r_a
-    r_N = np.zeros(m)
-    r_N[n - 1] = (1.0 - theta2) * r_b
-    r_N[n] = theta2 * r_b
+    r_int = system.F - F_B - F_lam - F_N \
+        - (blocks.A_I + blocks.A_B + blocks.A_BN) @ u
+    r_B, r_lam, r_N = rhs_blocks(n, theta1, theta2, lam, r_a, r_b)
     return {"interior": r_int, "dirichlet_flux": r_B, "penalty": r_lam,
             "neumann": r_N, "r_a": r_a, "r_b": r_b}
 
 
 def split_residual_coarse(system: OneDimSystem, u: np.ndarray,
-                          restrict: sp.csr_matrix,
-                          F_I: Optional[np.ndarray] = None) -> np.ndarray:
+                          restrict: sp.csr_matrix) -> np.ndarray:
     """Coarse residual assembled from restricted interior residual plus
     coarse-grid boundary blocks.
 
@@ -285,20 +272,11 @@ def split_residual_coarse(system: OneDimSystem, u: np.ndarray,
     residuals r_a, r_b.  This equals the full restriction of the fine
     residual exactly.
     """
-    parts = split_residual_fine(system, u, F_I=F_I)
     blocks = system.blocks
-    n = blocks.n
-    if n % 2 != 0:
+    if blocks.n % 2 != 0:
         raise ValueError("fine grid must have an even number of cells")
-    n_c = n // 2
-    h_c = 2.0 * blocks.h
-    t1c = coarse_theta(blocks.theta1)
-    t2c = coarse_theta(blocks.theta2)
-    r_a, r_b = parts["r_a"], parts["r_b"]
-    m_c = n_c + 1
-    out = restrict @ parts["interior"]
-    out[0] += -r_a / h_c + blocks.lam * t1c * r_a
-    out[1] += r_a / h_c + blocks.lam * (1.0 - t1c) * r_a
-    out[n_c - 1] += (1.0 - t2c) * r_b
-    out[n_c] += t2c * r_b
-    return out
+    parts = split_residual_fine(system, u)
+    r_B, r_lam, r_N = rhs_blocks(blocks.n // 2, coarse_theta(blocks.theta1),
+                                 coarse_theta(blocks.theta2), blocks.lam,
+                                 parts["r_a"], parts["r_b"])
+    return restrict @ parts["interior"] + (r_B + r_lam + r_N)

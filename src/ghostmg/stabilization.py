@@ -176,23 +176,20 @@ class StabilizationField:
 _MODES = ("local", "global")
 
 
-def build_stabilization(cut_cells, gamma: float = 2.0,
+def build_stabilization(batch: "assembly.CutCellBatch", gamma: float = 2.0,
                         mode: str = "local") -> StabilizationField:
-    """Size the chord penalty of every Dirichlet cut cell.
+    """Size the chord penalty of every Dirichlet cut cell of the batch from
+    `assembly.cut_cell_batch`.
 
-    cut_cells is the `CutCells` of `extract_cut_geometry` or its
-    `assembly.CutCellBatch` (which `assemble` passes, so the batch kernel
-    runs once).  mode "local" sets lam(K) = gamma * C(K) per cell; "global"
-    sets every penalty to gamma * max_K C(K), with C(K) from
-    `cell_constants`.  gamma must exceed 1 for coercivity; smaller values
-    are accepted for experimentation but the system may become indefinite.
+    mode "local" sets lam(K) = gamma * C(K) per cell; "global" sets every
+    penalty to gamma * max_K C(K), with C(K) from `cell_constants`.  gamma
+    must exceed 1 for coercivity; smaller values are accepted for
+    experimentation but the system may become indefinite.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if gamma <= 0.0:
         raise ValueError(f"need gamma > 0, got {gamma}")
-    batch = (cut_cells if isinstance(cut_cells, assembly.CutCellBatch)
-             else assembly.cut_cell_batch(cut_cells))
     values = cell_constants(batch, np.flatnonzero(batch.dirichlet))
     global_C = float(values.max()) if values.size else None
     lam = gamma * values
@@ -203,18 +200,15 @@ def build_stabilization(cut_cells, gamma: float = 2.0,
                               C=values, lam=lam, global_C=global_C)
 
 
-def global_C(system, dense: bool = False) -> float:
+def global_C(system) -> float:
     """Sharp global trace constant of an assembled 2D system.
 
-    The production path takes the max of the sharp per-cell constants,
-    `pencil_max` over the Dirichlet cut cells (summing the local
-    inequalities shows the global constant never exceeds it, and cut cells
-    dominate the bound).  With dense=True the genuinely global pencil is solved instead via
-    `dense_global_C_2d`, which is only affordable on small grids and serves
-    as a cross-check.
+    The max of the sharp per-cell constants, `pencil_max` over the Dirichlet
+    cut cells: summing the local inequalities shows the global constant
+    never exceeds it, and cut cells dominate the bound.  `dense_global_C_2d`
+    solves the genuinely global pencil, which is only affordable on small
+    grids and serves as a cross-check.
     """
-    if dense:
-        return dense_global_C_2d(system)
     batch = assembly.cut_cell_batch(system.cut_cells)
     dirichlet = np.flatnonzero(batch.dirichlet)
     if not dirichlet.size:

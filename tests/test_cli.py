@@ -2,6 +2,7 @@
 
 import pytest
 
+from ghostmg import cli
 from ghostmg.cli import main
 from ghostmg.experiments import CSV_HEADER
 
@@ -56,6 +57,41 @@ def test_run_with_a_malformed_config_exits_two(tmp_path, capsys):
     config.write_text("experiment = x\ndimension = 1\nbogus = 1\n")
     assert main(["run", str(config)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a sweep or an accuracy study starts."""
+    def refuse(config):
+        raise AssertionError("the run started despite a bad config")
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    monkeypatch.setattr(cli, "run_accuracy_study", refuse)
+
+
+def test_run_with_a_missing_output_directory_exits_two(tmp_path, capsys,
+                                                       no_work):
+    config = write_config(tmp_path, SMOKE_CONFIG, tmp_path / "absent" / "r.csv")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "absent" in err
+
+
+@pytest.mark.parametrize("key, point", [
+    ("theta1", "dimension = 1\ntheta1 = 0.3, 0.5"),
+    ("theta", "dimension = 2\ndomain = rectangle\ntheta = 0.3, 0.5"),
+    ("gamma", "dimension = 1\ngamma = 1.1, 2.0"),
+    ("eta", "dimension = 1\neta = 0, 4"),
+], ids=["theta1", "theta", "gamma", "eta"])
+def test_run_accuracy_with_several_values_exits_two(tmp_path, capsys, no_work,
+                                                    key, point):
+    # An accuracy study runs one parameter point per grid size; a list would
+    # silently run its first value only.
+    config = write_config(
+        tmp_path, f"experiment = accuracy\nn = 8, 16\n{point}\n",
+        tmp_path / "acc.csv")
+    assert main(["run", str(config)]) == 2
+    assert f"config error: an accuracy study takes one {key!r} value" \
+        in capsys.readouterr().err
 
 
 def test_run_accuracy_experiment_writes_ratio_table(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Transfers, hierarchies, cycles and the convergence bookkeeping."""
 
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -247,29 +248,39 @@ def small_1d_hierarchy(n=16, coarsest=8, **cfg):
     return system, mg.build_hierarchy(system, config)
 
 
-def test_mg_cycle_requires_multiple_levels():
-    system, hierarchy = small_1d_hierarchy()
-    single = mg.Hierarchy(levels=hierarchy.levels[:1],
-                          config=hierarchy.config)
-    with pytest.raises(ValueError):
-        mg.mg_cycle(single, np.zeros(17), np.zeros(17))
+def one_cycle(hierarchy, F, u):
+    """One cycle on full-grid vectors."""
+    return mg.solve(hierarchy, F, u0=u, max_iters=1)[0]
+
+
+def test_one_level_hierarchy_solves_exactly():
+    # With no coarser level the cycle is the exact coarsest solve.
+    system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16))
+    free, cut = system.free_dofs, system.cut_dofs
+    order = mg.dof_order(free, cut, system.grid)
+    level = mg.MgLevel(system.A, free, cut, system.grid, order)
+    single = mg._finalize([level], mg.CycleConfig(coarsest_n=16))
+    u, trace = mg.solve(single, system.F, max_iters=1)
+    np.testing.assert_array_equal(u[order], level.coarse_solve(system.F[order]))
+    assert trace.residual_norms[-1] <= 1e-12 * trace.residual_norms[0]
 
 
 def test_w_and_v_cycles_coincide_on_two_levels():
     # With one coarsening step both cycles are the two-grid method: the
     # second coarse visit repeats the same exact solve.
-    system, hierarchy = small_1d_hierarchy()
+    system, v_cycle = small_1d_hierarchy()
+    _, w_cycle = small_1d_hierarchy(gamma_star=2)
     rng = np.random.default_rng(1)
     F = rng.standard_normal(17)
     u0 = rng.standard_normal(17)
-    np.testing.assert_array_equal(mg.mg_cycle(hierarchy, F, u0, gamma_star=2),
-                                  mg.mg_cycle(hierarchy, F, u0, gamma_star=1))
+    np.testing.assert_array_equal(one_cycle(w_cycle, F, u0),
+                                  one_cycle(v_cycle, F, u0))
 
 
 def test_cycle_returns_new_array():
     system, hierarchy = small_1d_hierarchy()
     u0 = np.ones(17)
-    out = mg.mg_cycle(hierarchy, np.zeros(17), u0)
+    out = one_cycle(hierarchy, np.zeros(17), u0)
     assert out is not u0
     np.testing.assert_array_equal(u0, 1.0)
 
@@ -282,9 +293,9 @@ def test_cycle_is_linear():
     u1, u2 = rng.standard_normal((2, 33))
     F1, F2 = rng.standard_normal((2, 33))
     a, b = 0.37, -1.21
-    combined = mg.mg_cycle(hierarchy, a * F1 + b * F2, a * u1 + b * u2)
-    separate = (a * mg.mg_cycle(hierarchy, F1, u1)
-                + b * mg.mg_cycle(hierarchy, F2, u2))
+    combined = one_cycle(hierarchy, a * F1 + b * F2, a * u1 + b * u2)
+    separate = (a * one_cycle(hierarchy, F1, u1)
+                + b * one_cycle(hierarchy, F2, u2))
     np.testing.assert_allclose(combined, separate, rtol=0.0, atol=1e-12)
 
 
@@ -312,7 +323,7 @@ def test_identity_transfers_solve_in_one_cycle():
     level0.R, level0.P = eye, eye
     config = mg.CycleConfig(coarsest_n=4)
     hierarchy = mg._finalize([level0, level1], config)
-    u = mg.mg_cycle(hierarchy, system.F, np.zeros(m))
+    u = one_cycle(hierarchy, system.F, np.zeros(m))
     r = system.F - system.A @ u
     assert np.abs(r).max() <= 1e-10
 
@@ -320,16 +331,15 @@ def test_identity_transfers_solve_in_one_cycle():
 def test_w_cycle_recursion_count():
     # With L coarsening steps, gamma_star = 2 visits the coarsest level 2**L
     # times per cycle; here 32 -> 16 -> 8 -> 4 gives L = 3.
-    system, hierarchy = small_1d_hierarchy(n=32, coarsest=4)
-    coarsest = hierarchy.levels[-1]
-    calls = []
-    inner = coarsest._coarse_solve
-    coarsest._coarse_solve = lambda F: (calls.append(1), inner(F))[1]
-    mg.mg_cycle(hierarchy, np.zeros(33), np.zeros(33), gamma_star=2)
-    assert len(calls) == 8
-    calls.clear()
-    mg.mg_cycle(hierarchy, np.zeros(33), np.zeros(33), gamma_star=1)
-    assert len(calls) == 1
+    for gamma_star, visits in ((2, 8), (1, 1)):
+        system, hierarchy = small_1d_hierarchy(n=32, coarsest=4,
+                                               gamma_star=gamma_star)
+        coarsest = hierarchy.levels[-1]
+        calls = []
+        inner = coarsest._coarse_solve
+        coarsest._coarse_solve = lambda F: (calls.append(1), inner(F))[1]
+        one_cycle(hierarchy, np.zeros(33), np.zeros(33))
+        assert len(calls) == visits
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +367,7 @@ def test_solve_fixes_constrained_dofs():
     fixed = ~system.free_dofs
     np.testing.assert_array_equal(u[fixed], system.F[fixed])
     # One cycle takes full-grid vectors too and sets the same entries.
-    u = mg.mg_cycle(hierarchy, system.F, np.ones_like(system.F))
+    u = one_cycle(hierarchy, system.F, np.ones_like(system.F))
     assert u.shape == system.F.shape
     np.testing.assert_array_equal(u[fixed], system.F[fixed])
 
@@ -562,11 +572,10 @@ def test_workspace_cycle_equals_the_plain_products_bitwise(name, gamma_star):
 
 
 def test_trace_bookkeeping():
-    trace = mg.ConvergenceTrace(u=np.zeros(1),
-                                residual_norms=np.array([1.0, 0.1, 0.01]),
-                                rho_per_iter=np.array([0.1, 0.1]),
+    trace = mg.ConvergenceTrace(residual_norms=np.array([1.0, 0.1, 0.01]),
                                 wall_ms=1.0)
     assert trace.iterations == 2
+    np.testing.assert_array_equal(trace.rho_per_iter, [0.1, 0.01 / 0.1])
     assert trace.rho_mean(1, 2) == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(ValueError):
         trace.rho_mean(1, 3)
@@ -583,6 +592,20 @@ def test_solve_records_per_cycle_factors():
     assert len(trace.rho_per_iter) == 10
     ratios = trace.residual_norms[1:] / trace.residual_norms[:-1]
     np.testing.assert_allclose(trace.rho_per_iter, ratios, rtol=1e-12)
+
+
+def test_zero_residual_gives_zero_factors_without_a_warning():
+    # F = 0 from u0 = 0 keeps every residual exactly 0; each factor is then
+    # 0, not 0 / 0, and the run is not flagged.
+    system, hierarchy = small_1d_hierarchy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = mg.solve(hierarchy, np.zeros(17), u0=np.zeros(17),
+                            max_iters=3)
+        rho = trace.rho_per_iter
+    np.testing.assert_array_equal(trace.residual_norms, 0.0)
+    np.testing.assert_array_equal(rho, [0.0, 0.0, 0.0])
+    assert not trace.diverged
 
 
 def test_divergent_run_is_flagged_but_kept():
