@@ -35,7 +35,9 @@ cli
     The `ghostmg` command: run sweeps, list domains, verify invariants.
 """
 
-from ghostmg import (assembly, cli, experiments, geometry, linalg, multigrid,
+# cli is not imported here, so that `python -m ghostmg.cli` runs it fresh;
+# `import ghostmg.cli` loads it.
+from ghostmg import (assembly, experiments, geometry, linalg, multigrid,
                      one_dim, stabilization)
 
 __all__ = [

@@ -289,13 +289,6 @@ class AssembledSystem:
     def free_dofs(self) -> np.ndarray:
         return self.active_dofs & ~self.strong_dofs
 
-    def cut_mask(self, grid: CartesianGrid) -> np.ndarray:
-        """Nodes of the cut cells of the level set re-classified on `grid`
-        (a multigrid level's grid)."""
-        problem = self.problem
-        return classify_cells(
-            snap_nodes(grid, problem.levelset, problem.alpha)).cut_nodes
-
 
 def apply_strong_dirichlet(A: sp.csr_matrix, F: np.ndarray,
                            strong: np.ndarray, g: np.ndarray

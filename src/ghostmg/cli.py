@@ -35,9 +35,12 @@ from ghostmg.one_dim import assemble_1d
 def _cmd_run(config_path: str) -> int:
     try:
         config = load_config(config_path)
-        if not Path(config.output).parent.is_dir():
+        output = Path(config.output)
+        if not output.parent.is_dir():
             raise ConfigError(f"output directory of {config.output!r} does "
                               "not exist")
+        if output.is_dir():
+            raise ConfigError(f"output {config.output!r} is a directory")
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -5,13 +5,16 @@ in 1D and their tensor product in 2D, and prolongation is exactly the
 transpose.  Every level holds its operator, transfers and vectors on its
 free DOFs only: a level's restriction is the refinement-weight matrix cut to
 the fine free DOFs and to the coarse nodes they reach, which are the coarse
-free DOFs, and coarse operators are Galerkin triple products.  Constrained
-nodes (ghost exterior nodes, strongly eliminated nodes) appear only at the
-API edge: ``solve`` takes and returns vectors on the whole background grid,
-with constrained entries equal to F, and one cycle is ``solve`` with
-``max_iters=1``.  One builder serves the 1D interval and the 2D systems.
-Smoothing is Gauss-Seidel over the free DOFs, optionally followed by extra
-sweeps on the cut-cell DOFs only, and the coarsest level is solved exactly.
+free DOFs, and coarse operators are Galerkin triple products.  The coarse
+cut DOFs are, by the same rule, the coarse nodes the fine cut DOFs reach, so
+the hierarchy reads no geometry: no level set is evaluated below the finest
+grid.  Constrained nodes (ghost exterior nodes, strongly eliminated nodes)
+appear only at the API edge: ``solve`` takes and returns vectors on the
+whole background grid, with constrained entries equal to F, and one cycle
+is ``solve`` with ``max_iters=1``.  One builder serves the 1D interval and
+the 2D systems.  Smoothing is Gauss-Seidel over the free DOFs, optionally
+followed by extra sweeps on the cut-cell DOFs only, and the coarsest level
+is solved exactly.
 
 In 2D, Gauss-Seidel runs over four colour classes, (i % 2) + 2 (j % 2) of
 the grid node: the 9-point stencil, which Galerkin products of Q1 keep,
@@ -335,14 +338,15 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
                     config: CycleConfig) -> Hierarchy:
     """Hierarchy for an assembled 1D or 2D system.
 
-    Both system types supply A on their grid's nodes, the free and cut
-    masks there, and cut_mask(grid) for any coarser grid.  A level's
-    restriction is the refinement-weight matrix cut to the fine
-    free DOFs (columns) and to the coarse nodes they reach (rows), which are
-    the coarse free DOFs, both numbered by dof_order; coarse operators are
-    Galerkin products.  Coarse cut masks, which only steer the extra
-    smoothing sweeps and the numbering, come from the system's cut_mask on
-    each coarser grid.
+    Both system types supply A on their grid's nodes and the free and cut
+    masks there.  A level's restriction is the refinement-weight matrix cut
+    to the fine free DOFs (columns) and to the coarse nodes they reach
+    (rows), which are the coarse free DOFs, both numbered by dof_order;
+    coarse operators are Galerkin products.  The coarse cut DOFs, which only
+    steer the extra smoothing sweeps and the numbering, are the coarse nodes
+    the fine cut DOFs reach by the same rule: the corners of the coarse
+    cells that hold a fine cut cell.  No level set is evaluated below the
+    finest grid.
     """
     start = time.perf_counter()
     grid = system.grid
@@ -355,8 +359,10 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
         fine = levels[-1]
         R = restriction(fine.n)[:, fine.order]
         free_c = np.diff(R.indptr) > 0
+        # R is positive, so the restricted cut indicator is nonzero exactly
+        # on the coarse nodes the fine cut DOFs reach.
+        cut_c = R @ fine.cut[fine.order] > 0
         grid_c = fine.grid.coarsen()
-        cut_c = system.cut_mask(grid_c)
         order_c = dof_order(free_c, cut_c, grid_c)
         fine.R = canonical_csr(R[order_c])
         fine.P = canonical_csr(fine.R.T)

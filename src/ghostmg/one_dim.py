@@ -83,12 +83,8 @@ class OneDimSystem:
 
     @property
     def cut_dofs(self) -> np.ndarray:
-        return self.cut_mask(self.grid)
-
-    @staticmethod
-    def cut_mask(grid: CartesianGrid) -> np.ndarray:
-        """The nodes of the two boundary cells, on any level's grid."""
-        mask = np.zeros(grid.num_nodes, dtype=bool)
+        """The nodes of the two boundary cells."""
+        mask = np.zeros(self.n + 1, dtype=bool)
         mask[[0, 1, -2, -1]] = True
         return mask
 

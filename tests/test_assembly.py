@@ -327,19 +327,6 @@ def test_cut_dofs_are_active_free_cut_nodes():
     np.testing.assert_array_equal(system.cut_dofs, expected)
 
 
-def test_cut_mask_reclassifies_on_any_grid():
-    # On the system's own grid cut_mask is the classification's cut nodes;
-    # on a coarser grid it re-classifies the same level set there.
-    ls = domain_catalog("annulus")
-    system = assemble(ProblemSpec(ls, 2.0 / 32))
-    np.testing.assert_array_equal(system.cut_mask(system.grid),
-                                  system.classification.cut_nodes)
-    coarse = system.grid.coarsen()
-    mask = system.cut_mask(coarse)
-    assert mask.shape == (coarse.num_nodes,)
-    assert 0 < mask.sum() < system.cut_dofs.sum()
-
-
 # ---------------------------------------------------------------------------
 # Pattern-built operator against the triplet construction
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for the command-line front end: run, catalog, verify."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ghostmg import cli
@@ -76,6 +81,14 @@ def test_run_with_a_missing_output_directory_exits_two(tmp_path, capsys,
     assert "config error" in err and "absent" in err
 
 
+def test_run_with_a_directory_as_output_exits_two(tmp_path, capsys, no_work):
+    # The CSV could not be written there, so the sweep must not start.
+    config = write_config(tmp_path, SMOKE_CONFIG, tmp_path)
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "is a directory" in err
+
+
 @pytest.mark.parametrize("key, point", [
     ("theta1", "dimension = 1\ntheta1 = 0.3, 0.5"),
     ("theta", "dimension = 2\ndomain = rectangle\ntheta = 0.3, 0.5"),
@@ -148,6 +161,19 @@ def test_verify_passes_all_checks(capsys):
     assert out.count("[PASS]") == 5
     assert "[FAIL]" not in out
     assert "5/5 checks passed" in out
+
+
+def test_module_entry_point_runs_without_a_runpy_warning():
+    # runpy warns when the package import has already loaded ghostmg.cli.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ghostmg.cli",
+         "catalog"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "interval" in done.stdout
 
 
 def test_main_requires_a_subcommand(capsys):

@@ -229,6 +229,43 @@ def test_hierarchy_2d_structure():
         assert not np.any(lvl.cut & ~lvl.free)
 
 
+def _cell_corners(cells: np.ndarray) -> np.ndarray:
+    """Flat mask of the corner nodes of the marked cells of an (n,)*dim
+    cell array indexed [j, i]."""
+    corners = np.zeros(tuple(m + 1 for m in cells.shape), dtype=bool)
+    for offset in np.ndindex((2,) * cells.ndim):
+        corners[tuple(slice(o, o + m) for o, m in
+                      zip(offset, cells.shape))] |= cells
+    return corners.ravel()
+
+
+def _pooled(cells: np.ndarray) -> np.ndarray:
+    """Cells of the coarser grid holding a marked cell: 2 x 2 pooling (2
+    in 1D)."""
+    shape = sum(((m // 2, 2) for m in cells.shape), ())
+    return cells.reshape(shape).any(axis=tuple(range(1, 2 * cells.ndim, 2)))
+
+
+@pytest.mark.parametrize("name", domain_names() + ["interval"])
+def test_coarse_cut_dofs_are_corners_of_the_pooled_cut_cells(name):
+    # The coarse nodes the fine cut DOFs restrict to are the corners of the
+    # coarse cells that hold a fine cut cell, on every level.
+    if name == "interval":
+        system = assemble_1d(64, 0.3, 0.6, 1.1 / (0.3 / 64))
+        cells = np.zeros(64, dtype=bool)
+        cells[[0, -1]] = True
+    else:
+        system = _catalog_system(name)
+        cells = system.classification.cut
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
+    assert len(hierarchy.levels) == 5
+    for lvl in hierarchy.levels:
+        np.testing.assert_array_equal(
+            lvl.cut, _cell_corners(cells) & lvl.free,
+            err_msg=f"{name}, level {lvl.index}")
+        cells = _pooled(cells)
+
+
 def test_coarsest_indefinite_raises():
     # A penalty far below the trace constant leaves even the coarsest
     # operator indefinite; the exact solver reports it instead of silently

@@ -179,16 +179,13 @@ def test_coarse_splitting_requires_even_n():
 
 
 def test_system_supplies_level_grid_and_masks():
-    # Every node of the interval is free; the cut mask on any level's grid
-    # holds the two nodes of each boundary cell.
+    # Every node of the interval is free; the cut mask holds the two nodes
+    # of each boundary cell.
     system = assemble_1d(16, 0.3, 0.6, 50.0)
     assert system.grid.dim == 1 and system.grid.n == 16
     assert system.free_dofs.shape == (17,) and system.free_dofs.all()
     np.testing.assert_array_equal(np.flatnonzero(system.cut_dofs),
                                   [0, 1, 15, 16])
-    coarse = system.grid.coarsen().coarsen()
-    np.testing.assert_array_equal(np.flatnonzero(system.cut_mask(coarse)),
-                                  [0, 1, 3, 4])
 
 
 def test_coarse_theta_halves_distance():
