@@ -4,7 +4,7 @@ The disk is embedded in the unit square and the method assembles only cells
 that intersect {psi < 0}.  Cut cells carry the Nitsche boundary terms, and
 the penalty is sized per cell from the local trace constant (lambda = 2 C(K)).
 Plain four-colour Gauss-Seidel with two pre- and one post-smoothing step
-converges at about 0.23-0.33 per cycle, held back near the boundary;
+converges at about 0.35-0.39 per cycle, held back near the boundary;
 appending a few extra sweeps over the cut unknowns after each full sweep
 brings the factor to about 0.019-0.026 at n = 64 ... 256, at negligible
 cost, because the cut set is a lower-dimensional fraction of the unknowns.

@@ -270,7 +270,9 @@ class ProblemSpec:
 @dataclass
 class AssembledSystem:
     """Assembled system A u = F with its geometry and DOF bookkeeping;
-    assemble_ms is the wall time `assemble` took to build it."""
+    penalty holds the Dirichlet cut cells from which the hierarchy sizes
+    each coarse level's penalty, and assemble_ms is the wall time `assemble`
+    took to build the system."""
 
     problem: ProblemSpec
     grid: CartesianGrid
@@ -278,6 +280,7 @@ class AssembledSystem:
     classification: CellClassification
     cut_cells: CutCells
     stabilization: "object"
+    penalty: "object"
     A: sp.csr_matrix
     F: np.ndarray
     active_dofs: np.ndarray
@@ -319,7 +322,7 @@ def apply_strong_dirichlet(A: sp.csr_matrix, F: np.ndarray,
 def assemble(problem: ProblemSpec) -> AssembledSystem:
     """Snap, classify, extract cut geometry, size the penalties and build the
     global system."""
-    from ghostmg.stabilization import build_stabilization
+    from ghostmg.stabilization import PenaltyCells, build_stabilization
 
     start = time.perf_counter()
     levelset = problem.levelset
@@ -394,6 +397,11 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         classification=classification,
         cut_cells=cut_cells,
         stabilization=stabilization,
+        penalty=PenaltyCells(
+            cells=cut_cells.cells[dirichlet], S=batch.S[dirichlet],
+            B=batch.B[dirichlet], M=batch.mass[dirichlet], lam=lam,
+            full=classification.internal.ravel(),
+            reference=full_cell_stiffness(), gamma=problem.gamma),
         A=A,
         F=F,
         active_dofs=active,

@@ -3,12 +3,24 @@
 Restriction rows carry the shape-function refinement weights (1/2, 1, 1/2)
 in 1D and their tensor product in 2D, and prolongation is exactly the
 transpose.  Every level holds its operator, transfers and vectors on its
-free DOFs only: a level's restriction is the refinement-weight matrix cut to
-the fine free DOFs and to the coarse nodes they reach, which are the coarse
-free DOFs, and coarse operators are Galerkin triple products.  The coarse
-cut DOFs are, by the same rule, the coarse nodes the fine cut DOFs reach, so
-the hierarchy reads no geometry: no level set is evaluated below the finest
-grid.  Constrained nodes (ghost exterior nodes, strongly eliminated nodes)
+free DOFs only: a level's prolongation takes each fine free DOF from its
+coarse parents with weights 1, 1/2 or 1/4, and those parents are the coarse
+free DOFs.  The coarse cut DOFs are, by the same rule, the parents of the
+fine cut DOFs, so the hierarchy reads no geometry: no level set is
+evaluated below the finest grid.
+
+A coarse operator is the Galerkin product R A P with the finer level's weak
+Dirichlet penalty exchanged for its own.  Each level keeps the cells that
+carry the penalty (`stabilization.PenaltyCells`); pooling them 2x2 (2 in
+1D) through the local bilinear prolongation gives the coarse cells' trace
+constants, and a coarse cell's penalty is gamma times its constant, floored
+by the largest penalty it pools over KAPPA.  A Galerkin level would inherit
+the finest penalty, 102x to 708x each 1D coarse level's tuned value, and
+the deep V-cycle would degrade with depth.  Since R A P holds sum P^T lam M
+P over the pooled cells, the exchange adds sum (lam_c - lam) P^T M P: one
+small block per pooled cell, with no second product.
+
+Constrained nodes (ghost exterior nodes, strongly eliminated nodes)
 appear only at the API edge: ``solve`` takes and returns vectors on the
 whole background grid, with constrained entries equal to F, and one cycle
 is ``solve`` with ``max_iters=1``.  One builder serves the 1D interval and
@@ -17,13 +29,13 @@ followed by extra sweeps on the cut-cell DOFs only, and the coarsest level
 is solved exactly.
 
 In 2D, Gauss-Seidel runs over four colour classes, (i % 2) + 2 (j % 2) of
-the grid node: the 9-point stencil, which Galerkin products of Q1 keep,
+the grid node: the 9-point stencil, which the coarse operators of Q1 keep,
 couples no two nodes of one class, so each class is one row-block product
 and a diagonal scale.  Each 2D level numbers its free DOFs class by class,
 cut DOFs first within a class (``dof_order``), so every class step of the
 full sweep is one contiguous row range of A and every cut-sweep step that
 range's leading part: a step works on slice views of u, F and A's CSR
-arrays, with no gathers, scatters or copies of A.  R, P and the Galerkin
+arrays, with no gathers, scatters or copies of A.  R, P and the coarse
 operators are built in this numbering; only ``solve`` maps to
 and from grid order.  In 1D the DOFs keep node order, one
 lexicographic class solved by its lower triangle.  Two colours in 1D
@@ -49,7 +61,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -61,9 +73,17 @@ from ghostmg.geometry import CartesianGrid
 from ghostmg.linalg import (NotSPDError, canonical_csr, matvec_into,
                             rap_product)
 from ghostmg.one_dim import OneDimSystem, split_residual_coarse
+from ghostmg.stabilization import CORNERS, PenaltyCells, pencil_max
 
 #: Number of consecutive growing-residual cycles before a run is flagged.
 DIVERGENCE_PATIENCE = 5
+
+#: A coarse cell's penalty is at least the largest penalty of the finer
+#: cells it pools over KAPPA.  Without that floor the coarse operators drift
+#: too far from the Galerkin ones (the V-cycle diverges on the hourglass at
+#: n = 1024); with KAPPA = 32 the 2D V-cycle diverges at eta = 0, and 16
+#: leaves the 1D V-cycle at a factor near 0.2 for theta1 = 0.0099.
+KAPPA = 8.0
 
 
 def restriction_1d(n: int) -> sp.csr_matrix:
@@ -82,12 +102,6 @@ def restriction_1d(n: int) -> sp.csr_matrix:
     vals = np.repeat([1.0, 0.5], [nc + 1, 2 * nc])
     R = sp.csr_matrix((vals, (rows, cols)), shape=(nc + 1, n + 1))
     return canonical_csr(R)
-
-
-def restriction_2d(n: int) -> sp.csr_matrix:
-    """Tensor-product restriction for the flat node index k = i + j (n + 1)."""
-    R1 = restriction_1d(n)
-    return canonical_csr(sp.kron(R1, R1, format="csr"))
 
 
 @dataclass
@@ -177,10 +191,12 @@ class MgLevel:
     """One level: its operator and transfers on its free DOFs, numbered as
     in `order`, which must be dof_order of the masks, the free and cut masks
     over its grid's nodes, its solver caches and its cycle workspace.  The
-    operator must be bitwise symmetric, as assembled and Galerkin operators
+    operator must be bitwise symmetric, as assembled and coarse operators
     are.  `scratch` holds every intermediate vector of the level's steps,
     residual and prolongation; `iterate` and `rhs`, set on coarse levels
-    only, are the level's u and F within a cycle."""
+    only, are the level's u and F within a cycle.  `penalty`, set by
+    `build_hierarchy`, holds the cells of the level's weak Dirichlet
+    penalty."""
 
     def __init__(self, A: sp.csr_matrix, free: np.ndarray, cut: np.ndarray,
                  grid: CartesianGrid, order: np.ndarray, index: int = 0):
@@ -195,6 +211,7 @@ class MgLevel:
         self.order = order
         self.R: Optional[sp.csr_matrix] = None
         self.P: Optional[sp.csr_matrix] = None
+        self.penalty: Optional[PenaltyCells] = None
         self.idx_cut = np.flatnonzero(self.cut[self.order])
         self._free_steps: list = []
         self._cut_steps: list = []
@@ -265,10 +282,19 @@ class MgLevel:
                              _triangle_solve(self.A))]
         if self.idx_cut.size:
             rows = self.A[self.idx_cut]
+            # rows[:, idx_cut] by masking the canonical rows, which keeps
+            # their column order.
+            column = np.full(self.num_dofs, -1, dtype=rows.indices.dtype)
+            column[self.idx_cut] = np.arange(self.idx_cut.size)
+            cols = column[rows.indices]
+            kept = cols >= 0
+            block = sp.csr_matrix(
+                (rows.data[kept], cols[kept],
+                 np.concatenate(([0], np.cumsum(kept)))[rows.indptr]),
+                shape=(self.idx_cut.size, self.idx_cut.size))
             self._cut_steps = [(self.idx_cut, rows,
                                 self.scratch[:self.idx_cut.size],
-                                _triangle_solve(
-                                    canonical_csr(rows[:, self.idx_cut])))]
+                                _triangle_solve(block))]
 
     def smooth(self, u: np.ndarray, F: np.ndarray, eta: int):
         """One full sweep plus eta extra cut-DOF sweeps, in place.  A step
@@ -329,46 +355,202 @@ def _finalize(levels: list, config: CycleConfig) -> Hierarchy:
 
 
 def _symmetrized(A: sp.csr_matrix) -> sp.csr_matrix:
-    """Average away the one-ulp asymmetry of a floating-point triple product
-    whose exact value is symmetric (P = R^T and A = A^T)."""
-    return canonical_csr(0.5 * (A + A.T))
+    """Average away the one-ulp asymmetry of a floating-point sum of
+    products whose exact value is symmetric (P = R^T and A = A^T)."""
+    S = A + A.T.tocsr()
+    # Fresh arrays of the sum's size: the sum's own are views of buffers
+    # sized for nnz(A) + nnz(A^T), which S would otherwise keep alive.
+    S.data, S.indices = 0.5 * S.data, S.indices.copy()
+    return S
+
+
+def _block_sum(blocks: np.ndarray, dofs: np.ndarray,
+               size: int) -> sp.csr_matrix:
+    """The blocks (K, m, m) summed over their DOFs (K, m) into a canonical
+    CSR matrix of the given size; rows and columns at DOF -1 are dropped."""
+    m = dofs.shape[1]
+    rows = np.repeat(dofs, m, axis=1).ravel()
+    cols = np.tile(dofs, m).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    keys, slot = np.unique(rows[kept].astype(np.int64) * size + cols[kept],
+                           return_inverse=True)
+    rows, cols = np.divmod(keys, size)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    return sp.csr_matrix((np.bincount(slot, blocks.reshape(-1)[kept]),
+                          cols.astype(np.int32), indptr), shape=(size, size))
+
+
+@lru_cache(maxsize=None)
+def _parent_steps(dim: int, nodes_per_side: int) -> tuple:
+    """For a fine node of parity code c (bit d set where its coordinate
+    along axis d is odd): its number of coarse parents, 2 to the power of
+    the number of bits set in c, and, in row c, the node steps from its
+    first parent to each parent, in increasing order and padded with
+    zeros."""
+    codes = np.arange(2 ** dim)
+    count = 1 << np.count_nonzero(codes[:, None] >> np.arange(dim) & 1, axis=1)
+    steps = np.zeros((codes.size, codes.size), dtype=np.int32)
+    for c in codes:
+        subsets = codes[codes & c == codes]
+        steps[c, :subsets.size] = (subsets[:, None] >> np.arange(dim) & 1) \
+            @ nodes_per_side ** np.arange(dim)
+    return count.astype(np.int32), steps
+
+
+def _transfers(fine: MgLevel, grid_c: CartesianGrid) -> tuple:
+    """R and P of a level in its and the coarser level's DOF numbering, the
+    coarser level's free and cut masks and DOF order, and the coarse DOF
+    of each coarse node (-1 off the coarse free nodes).
+
+    Each fine DOF interpolates from its 1, 2 or 4 coarse parents (1 or 2 in
+    1D), the coarse nodes at x // 2 and (x + 1) // 2 along each axis, with
+    weights 1, 1/2 and 1/4; those are the rows of P.  The coarse free DOFs
+    are the parents of the fine DOFs, the coarse cut DOFs the parents of
+    the fine cut DOFs.
+    """
+    dim, nps, ncs = fine.grid.dim, fine.n + 1, grid_c.nodes_per_side
+    count_of, steps = _parent_steps(dim, ncs)
+    rest, first, odd = fine.order, 0, 0
+    for d in range(dim):
+        rest, x = np.divmod(rest, nps)
+        first = first + (x >> 1) * ncs ** d
+        odd = odd | (x & 1) << d
+    count = count_of[odd]
+    indptr = np.zeros(fine.num_dofs + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
+    # Entry k of row r takes step k of the row's code from its first parent.
+    parents = np.repeat(first, count) + steps.ravel()[
+        np.repeat(steps.shape[1] * odd - indptr[:-1], count)
+        + np.arange(indptr[-1])]
+    free_c = np.zeros(grid_c.num_nodes, dtype=bool)
+    free_c[parents] = True
+    cut = fine.idx_cut
+    cut_c = np.zeros(grid_c.num_nodes, dtype=bool)
+    cut_c[(first[cut, None] + steps[odd[cut]])
+          [np.arange(steps.shape[1]) < count[cut, None]]] = True
+    order_c = dof_order(free_c, cut_c, grid_c)
+    dof_c = np.full(grid_c.num_nodes, -1, dtype=np.int32)
+    dof_c[order_c] = np.arange(order_c.size, dtype=np.int32)
+    P = sp.csr_matrix((np.repeat(1.0 / count, count), dof_c[parents], indptr),
+                      shape=(fine.num_dofs, order_c.size))
+    P.sort_indices()
+    return P.T.tocsr(), P, free_c, cut_c, order_c, dof_c
+
+
+@lru_cache(maxsize=None)
+def _child_prolongations(dim: int) -> np.ndarray:
+    """P[c, a, A] (m, m, m), m = 2**dim: the bilinear function of coarse
+    corner A at corner a of child c, the child at offset c_d = (c >> d) & 1
+    in its parent along each axis d; corners in `stabilization.CORNERS`
+    order."""
+    corners = CORNERS[dim]
+    offsets = np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
+    x = 0.5 * (offsets[:, None, :] + corners)[:, :, None, :]
+    return np.prod(np.where(corners == 1, x, 1.0 - x), axis=-1)
+
+
+def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
+                    n: int) -> tuple:
+    """The penalty cells of the next coarser grid and the blocks (K_c, m, m)
+    that their penalty adds to the Galerkin product, over their corners.
+
+    The cells are pooled 2x2 (2 in 1D) through the local prolongations P:
+    S_c sums P^T S P over the penalty children and the reference stiffness
+    over the full ones, B_c and M_c sum P^T B P and P^T M P over the
+    penalty children, M masked to the free fine DOFs as R is.  A coarse
+    cell's penalty is gamma times the trace constant of (B_c, S_c), floored
+    by the largest child penalty over KAPPA, and the largest child penalty
+    where that pencil is singular.  The Galerkin product holds the
+    children's penalties, sum P^T lam M P, so the coarse operator is that
+    product plus sum (lam_c - lam) P^T M P.
+    """
+    m, dim = penalty.corners.shape
+    half = n // 2
+    prolong = _child_prolongations(dim)
+    child = (penalty.cells & 1) @ (1 << np.arange(dim))
+    parent = (penalty.cells >> 1) @ half ** np.arange(dim)
+    # The coarse cells that hold a penalty cell, in flat order, and the
+    # rank of each cell's parent among them.
+    held = np.zeros(half ** dim, dtype=np.intp)
+    held[parent] = 1
+    parents = np.flatnonzero(held)
+    inverse = np.cumsum(held)[parent] - 1
+    slot = m * inverse + child
+
+    def pooled(values: np.ndarray) -> np.ndarray:
+        # Each child has its own slot in its parent: no two values collide.
+        out = np.zeros((m * parents.size,) + values.shape[1:])
+        out[slot] = values
+        return out.reshape((parents.size, m) + values.shape[1:])
+
+    P = prolong[child][:, None]
+    mask = free[penalty.nodes(n)]
+    M = penalty.M * (mask[:, :, None] & mask[:, None, :])
+    # Per child, P^T S P, P^T B P and P^T M P.
+    SBM = P.transpose(0, 1, 3, 2) @ np.stack([penalty.S, penalty.B, M],
+                                             axis=1) @ P
+    S, B, M_c = pooled(SBM).sum(axis=1).transpose(1, 0, 2, 3)
+    cells = parents[:, None] // half ** np.arange(dim) % half
+    offsets = np.arange(m)[:, None] >> np.arange(dim) & 1
+    children = (2 * cells[:, None, :] + offsets) @ n ** np.arange(dim)
+    full = penalty.full[children]
+    S += (full @ (prolong.transpose(0, 2, 1) @ penalty.reference @ prolong)
+          .reshape(m, m * m)).reshape(-1, m, m)
+    floor = pooled(penalty.lam).max(axis=1)
+    C = pencil_max(B, S)
+    lam = np.where(np.isnan(C), floor,
+                   np.maximum(penalty.gamma * C, floor / KAPPA))
+    correction = pooled((lam[inverse] - penalty.lam)[:, None, None]
+                        * SBM[:, 2]).sum(axis=1)
+    grouped = penalty.full.reshape(sum(((half, 2),) * dim, ()))
+    full_c = np.logical_and.reduce([
+        grouped[sum(((slice(None), o) for o in reversed(offset)), ())]
+        for offset in offsets])
+    coarse = PenaltyCells(
+        cells=cells, S=S, B=B, M=M_c, lam=lam, full=full_c.ravel(),
+        reference=penalty.reference * 2.0 ** (dim - 2), gamma=penalty.gamma)
+    return coarse, correction
 
 
 def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
                     config: CycleConfig) -> Hierarchy:
     """Hierarchy for an assembled 1D or 2D system.
 
-    Both system types supply A on their grid's nodes and the free and cut
-    masks there.  A level's restriction is the refinement-weight matrix cut
-    to the fine free DOFs (columns) and to the coarse nodes they reach
-    (rows), which are the coarse free DOFs, both numbered by dof_order;
-    coarse operators are Galerkin products.  The coarse cut DOFs, which only
-    steer the extra smoothing sweeps and the numbering, are the coarse nodes
-    the fine cut DOFs reach by the same rule: the corners of the coarse
-    cells that hold a fine cut cell.  No level set is evaluated below the
-    finest grid.
+    Both system types supply A on their grid's nodes, the free and cut
+    masks there, and the cells that carry the weak Dirichlet penalty.  A
+    level's P takes each fine free DOF from its coarse parents, whose union
+    is the coarse free DOFs, and R = P^T, both numbered by dof_order.  The
+    coarse cut DOFs, which only steer the extra smoothing sweeps and the
+    numbering, are the parents of the fine cut DOFs: the corners of the
+    coarse cells that hold a fine cut cell.  A coarse operator is the
+    Galerkin product R A P with its penalty exchanged for the coarse
+    level's own (`_coarse_penalty`), so no level inherits the finest
+    penalty.  No level set is evaluated below the finest grid.
     """
     start = time.perf_counter()
     grid = system.grid
     _validate_depth(grid.n, config.coarsest_n)
-    restriction = restriction_1d if grid.dim == 1 else restriction_2d
     free, cut = system.free_dofs, system.cut_dofs
     order = dof_order(free, cut, grid)
-    levels = [MgLevel(system.A[order][:, order], free, cut, grid, order)]
+    # A 1D system frees every node, in node order: its A is the level's.
+    A = system.A if np.array_equal(order, np.arange(free.size)) \
+        else system.A[order][:, order]
+    levels = [MgLevel(A, free, cut, grid, order)]
+    levels[0].penalty = system.penalty
     while levels[-1].n > config.coarsest_n:
         fine = levels[-1]
-        R = restriction(fine.n)[:, fine.order]
-        free_c = np.diff(R.indptr) > 0
-        # R is positive, so the restricted cut indicator is nonzero exactly
-        # on the coarse nodes the fine cut DOFs reach.
-        cut_c = R @ fine.cut[fine.order] > 0
         grid_c = fine.grid.coarsen()
-        order_c = dof_order(free_c, cut_c, grid_c)
-        fine.R = canonical_csr(R[order_c])
-        fine.P = canonical_csr(fine.R.T)
-        A_c = _symmetrized(rap_product(fine.R, fine.A, fine.P))
+        fine.R, fine.P, free_c, cut_c, order_c, dof_c = _transfers(fine,
+                                                                   grid_c)
+        penalty, blocks = _coarse_penalty(fine.penalty, fine.free, fine.n)
+        # Corners that no free fine DOF reaches carry exact zeros.
+        correction = _block_sum(blocks, dof_c[penalty.nodes(grid_c.n)],
+                                order_c.size)
+        A_c = _symmetrized(rap_product(fine.R, fine.A, fine.P) + correction)
         levels.append(MgLevel(A_c, free_c, cut_c, grid_c, order_c,
                               index=len(levels)))
+        levels[-1].penalty = penalty
     hierarchy = _finalize(levels, config)
     hierarchy.setup_ms = 1e3 * (time.perf_counter() - start)
     return hierarchy

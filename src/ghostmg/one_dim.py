@@ -26,6 +26,7 @@ import scipy.sparse as sp
 
 from ghostmg.geometry import CartesianGrid
 from ghostmg.linalg import canonical_csr
+from ghostmg.stabilization import PenaltyCells
 
 
 @dataclass
@@ -87,6 +88,24 @@ class OneDimSystem:
         mask = np.zeros(self.n + 1, dtype=bool)
         mask[[0, 1, -2, -1]] = True
         return mask
+
+    @property
+    def penalty(self) -> PenaltyCells:
+        """The Dirichlet cell, cell 0, as the 2-node case of the 2D cut
+        cells: the stiffness of its part of length theta1 h, the Gram of
+        the flux u'(a), the trace mass at a and the penalty lam, which is
+        gamma / (theta1 h).  Cells 1 to n - 2 are full."""
+        blocks = self.blocks
+        h, theta1 = blocks.h, blocks.theta1
+        diff = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        trace = np.array([theta1, 1.0 - theta1])
+        full = np.ones(self.n, dtype=bool)
+        full[[0, -1]] = False
+        return PenaltyCells(
+            cells=np.zeros((1, 1), dtype=int), S=(theta1 / h * diff)[None],
+            B=(diff / h ** 2)[None], M=np.outer(trace, trace)[None],
+            lam=np.array([blocks.lam]), full=full, reference=diff / h,
+            gamma=blocks.lam * theta1 * h)
 
 
 def _check_params(n: int, theta1: float, theta2: float) -> None:

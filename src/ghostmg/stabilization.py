@@ -28,6 +28,9 @@ quadrilateral          no closed form: the sharp value from `pencil_max`.
                        theta) it is exactly 1 / (theta h).
 
 `cell_constants` applies these rules, the one penalty rule of `assemble`.
+`PenaltyCells` keeps what sizing the coarse levels' penalties needs: the
+multigrid hierarchy pools the cells 2x2 and solves the pooled pencils with
+`pencil_max`, which also takes the 2x2 pencils of the 1D boundary cell.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Optional
 import numpy as np
 
 from ghostmg import assembly
+from ghostmg.geometry import CORNER_DX, CORNER_DY
 from ghostmg.linalg import DegeneratePencilError, generalized_eig_max
 
 
@@ -90,28 +94,31 @@ def c_pentagon(h: float) -> float:
     return 3.0 * math.sqrt(2.0) / h
 
 
-# The three corners kept when corner k is dropped.
-_OTHERS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
-
-
 def pencil_max(B: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each pencil B_k v = C S_k v, for stacks (n, 4, 4)
-    whose common null space is the constants.
+    """Largest eigenvalue of each pencil B_k v = C S_k v, for stacks (n, m, m)
+    whose common null space is the constants: m = 4 corners of a square
+    cell, or the 2 ends of a 1D cell.
 
     The constants are deflated by dropping the row and column of one corner,
     which is exact because B 1 = S 1 = 0.  Dropping the corner with the
     largest stiffness diagonal keeps the tiny entries of a thin cut in rows
-    of their own, so the 3x3 Cholesky resolves them to full relative
-    accuracy.  NaN marks a pencil whose reduced stiffness is not positive
-    definite (a non-positive Cholesky pivot).
+    of their own, so the Cholesky factor of the reduced S resolves them to
+    full relative accuracy.  NaN marks a pencil whose reduced stiffness is
+    not positive definite (a non-positive Cholesky pivot).
     """
-    keep = _OTHERS[np.argmax(np.diagonal(S, axis1=1, axis2=2), axis=1)]
+    m = S.shape[1]
+    if m == 2:
+        # The reduced pencil of a 1D cell is 1x1, a quotient.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(S[:, 0, 0] > 0.0, B[:, 0, 0] / S[:, 0, 0], np.nan)
+    others = np.array([[c for c in range(m) if c != k] for k in range(m)])
+    keep = others[np.argmax(np.diagonal(S, axis1=1, axis2=2), axis=1)]
     index = (np.arange(len(S))[:, None, None], keep[:, :, None], keep[:, None, :])
     Sr, Br = S[index], B[index]
     L = np.zeros_like(Sr)
     ok = np.ones(len(Sr), dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(3):
+        for j in range(m - 1):
             pivot = Sr[:, j, j] - np.einsum("kp,kp->k", L[:, j, :j], L[:, j, :j])
             ok &= pivot > 0.0
             L[:, j, j] = np.sqrt(pivot)
@@ -171,6 +178,46 @@ class StabilizationField:
     C: np.ndarray
     lam: np.ndarray
     global_C: Optional[float]
+
+
+#: Corner offsets of a cell, (m, dim): left, right in 1D; BL, BR, TR, TL in
+#: 2D, the corner order of the cut-cell kernels.
+CORNERS = {1: np.array([[0], [1]]),
+           2: np.stack([CORNER_DX, CORNER_DY], axis=1)}
+
+
+@dataclass(eq=False)
+class PenaltyCells:
+    """The cells of one grid that carry a weak Dirichlet penalty, with what
+    sizing the penalty of the coarser grids needs.
+
+    cells (K, dim) holds each cell's index, i first; S, B and M (K, m, m),
+    over the cell's m = 2**dim corners in `CORNERS` order, its interior
+    stiffness, chord flux Gram and chord mass; lam (K,) its penalty, so the
+    operator holds lam M on the cell.  full (n**dim,) marks the cells wholly
+    inside the domain by flat index i + n j; their stiffness is `reference`.
+    gamma is the safety factor of the penalty over the trace constant.
+    """
+
+    cells: np.ndarray
+    S: np.ndarray
+    B: np.ndarray
+    M: np.ndarray
+    lam: np.ndarray
+    full: np.ndarray
+    reference: np.ndarray
+    gamma: float
+
+    @property
+    def corners(self) -> np.ndarray:
+        return CORNERS[self.cells.shape[1]]
+
+    def nodes(self, n: int) -> np.ndarray:
+        """Grid node of each corner of each cell, (K, m), on a grid of n
+        cells per side."""
+        dim = self.cells.shape[1]
+        return ((self.cells[:, None, :] + self.corners)
+                @ (n + 1) ** np.arange(dim))
 
 
 _MODES = ("local", "global")

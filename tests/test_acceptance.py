@@ -7,6 +7,7 @@ numeric bars.  Failure messages carry the full measured table so a red test
 documents exactly which parameter point broke the bar and by how much.
 """
 
+import dataclasses
 import time
 from functools import lru_cache
 
@@ -26,7 +27,8 @@ from ghostmg.geometry import (
     extract_cut_geometry,
 )
 from ghostmg.one_dim import assemble_1d, coarse_theta
-from ghostmg.stabilization import c_triangle, dense_global_C_1d, pencil_max
+from ghostmg.stabilization import (c_one_dim, c_triangle, dense_global_C_1d,
+                                   pencil_max)
 
 NS_1D = (128, 256, 512, 1024)          # h = 2^-7 ... 2^-10
 NS_DISK = (64, 128, 256)               # h = 2^-6 ... 2^-8 on the unit square
@@ -136,17 +138,19 @@ def test_grid_scaled_penalty_degrades_small_fraction_convergence():
 
 def test_w_cycle_convergence_tracks_two_grid():
     # A W-cycle tracks the two-grid cycle only if every level has a two-grid
-    # factor as good as the finest.  The Galerkin coarse levels are the
+    # factor as good as the finest.  Galerkin coarse levels would be the
     # direct assembly at cut fraction (1 + theta1)/2 with the *fine* penalty
-    # (test 7).  At theta1 = 0.0099, n = 128 that penalty is 102x, 304x and
-    # 708x each coarse level's own tuned value, and with eta = 0 those levels
-    # have two-grid factors 0.675, 0.576 and 0.473.  So the W-cycle has a
-    # real dominant eigenvalue of 0.1217-0.1229 for n = 128 ... 1024,
-    # mesh-independent but well above the two-grid's (spectral radius 0.032
-    # at n = 128).  Four extra boundary sweeps bring the coarse levels to
-    # 0.381, 0.250 and 0.117, and the W-cycle then stays within 0.0114 of
-    # the two-grid at all 44 points.  Without the extra sweeps the W-cycle
-    # is held to the bar of test 1 (measured maximum 0.1229).
+    # (test 7): at theta1 = 0.0099, n = 128, 102x, 304x and 708x each coarse
+    # level's own tuned value, and the W-cycle then had a dominant
+    # eigenvalue of 0.1217-0.1229.  Each coarse level has its own penalty,
+    # floored by the finer level's over KAPPA = 8: there the floor leaves
+    # the first coarse level at 12.8x its tuned value (then 4.8x, 1.4x and
+    # 1x), and with eta = 0 that level has a two-grid factor of 0.521, the
+    # others 0.029-0.047.  The W-cycle reads at most 0.0872 over the 44
+    # points (0.0599 at theta1 = 0.0099 for every n) and is held to the bar
+    # of test 1.  Four extra boundary sweeps bring every level to
+    # 0.029-0.040, and the W-cycle then stays within 0.0114 of the two-grid
+    # at all 44 points.
     violations = []
     for theta1 in THETA1_GRID:
         for n in NS_1D:
@@ -353,3 +357,79 @@ def test_structural_self_checks_all_pass(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 5
     assert "[FAIL]" not in out
+
+
+# -- 13. deep V-cycles converge like the two-grid method ----------------------
+
+
+DEEP_NS = (64, 128, 256, 512)
+DEEP_DOMAINS = ("flower", "hourglass", "annulus", "leaf", "disk")
+
+
+def deep_v_rho(hierarchy, iterations=30, window=(21, 30)):
+    """Windowed mean factor of the homogeneous problem from all ones."""
+    m = hierarchy.finest.free.size
+    _, trace = mg.solve(hierarchy, np.zeros(m), u0=np.ones(m),
+                        max_iters=iterations)
+    return trace.rho_mean(*window)
+
+
+def test_deep_v_cycle_converges_on_every_level_count():
+    # Every coarse level has its own chord penalty, floored by the finer
+    # one over KAPPA.  The Galerkin levels inherited the finest penalty,
+    # and the deep V(2,1), eta = 4, cycle down to n = 8 read 0.166, 0.205,
+    # 0.244 and 0.302 on the flower for n = 64 ... 512 (0.183 on the
+    # hourglass at 512); without the extra cut sweeps (eta = 0) the cycle
+    # must still converge.  In 1D the V-cycle down to n = 8 at eta = 0 read
+    # up to 0.335 at theta1 = 0.0099; it is now held to the two-grid bar.
+    start = time.perf_counter()
+    violations, measured = [], []
+    for name in DEEP_DOMAINS:
+        levelset = domain_catalog(name)
+        for n in DEEP_NS:
+            system = assemble(ProblemSpec(
+                levelset=levelset, h=levelset.art_extent / n, gamma=2.0,
+                strong_predicate=levelset.params.get("strong_predicate")))
+            hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
+                nu1=2, nu2=1, eta=4, coarsest_n=8))
+            rho = deep_v_rho(hierarchy)
+            measured.append(f"{name} n={n} eta=4: rho_mean={rho:.4f}")
+            if not rho <= 0.15:
+                violations.append(measured[-1] + " > 0.15")
+        rho = deep_v_rho(dataclasses.replace(
+            hierarchy, config=dataclasses.replace(hierarchy.config, eta=0)))
+        measured.append(f"{name} n={n} eta=0: rho_mean={rho:.4f}")
+        if not rho < 0.75:
+            violations.append(measured[-1] + " >= 0.75")
+    for theta1 in THETA1_GRID:
+        for n in NS_1D:
+            system = assemble_1d(n, theta1, THETA2,
+                                 tuned_penalty(theta1, 1.0 / n))
+            hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
+                nu1=2, nu2=1, eta=0, coarsest_n=8))
+            rho = deep_v_rho(hierarchy, iterations=50, window=(41, 50))
+            if not rho <= 0.15:
+                violations.append(
+                    f"interval theta1={theta1} n={n} eta=0: "
+                    f"rho_mean={rho:.4f} > 0.15")
+    elapsed = time.perf_counter() - start
+    assert not violations, format_table(violations + ["--"] + measured)
+    assert elapsed < 60.0, f"deep V sweep took {elapsed:.1f}s (bar: 60s)"
+
+
+def test_pooled_1d_trace_constant_is_the_coarse_cell_constant():
+    # Pooling the Dirichlet cell with its full neighbour through the local
+    # prolongation gives the coarse cell's pencil, whose constant is the
+    # closed form at the pulled-in fraction and twice the spacing.
+    worst = 0.0
+    for theta1 in THETA1_GRID:
+        for n in NS_1D:
+            system = assemble_1d(n, theta1, THETA2,
+                                 tuned_penalty(theta1, 1.0 / n))
+            hierarchy = mg.build_hierarchy(system,
+                                           mg.CycleConfig(coarsest_n=n // 2))
+            penalty = hierarchy.levels[1].penalty
+            C = pencil_max(penalty.B, penalty.S)[0]
+            want = c_one_dim(coarse_theta(theta1), 2.0 / n)
+            worst = max(worst, abs(C - want) / want)
+    assert worst <= 1e-12, f"pooled vs closed-form constant: rel {worst:.2e}"

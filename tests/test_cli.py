@@ -163,6 +163,31 @@ def test_verify_passes_all_checks(capsys):
     assert "5/5 checks passed" in out
 
 
+def test_verify_checks_positive_definiteness_on_every_level(monkeypatch):
+    # The coarse levels size their own penalties, so the check factors
+    # every level of its disk hierarchy and names the first that fails.
+    levels = cli.mg.build_hierarchy(
+        cli.assemble(cli.ProblemSpec(levelset=cli.domain_catalog("disk"),
+                                     h=1.0 / 32)),
+        cli.mg.CycleConfig(coarsest_n=4)).levels
+    name, ok, detail = cli._check_spd()
+    assert ok
+    assert detail.endswith(
+        "/".join(str(level.num_dofs) for level in levels) + " DOFs")
+    assert len(levels) == 4
+    build = cli.mg.build_hierarchy
+
+    def indefinite_level_two(system, config):
+        hierarchy = build(system, config)
+        hierarchy.levels[2].A = -hierarchy.levels[2].A
+        return hierarchy
+
+    monkeypatch.setattr(cli.mg, "build_hierarchy", indefinite_level_two)
+    name, ok, detail = cli._check_spd()
+    assert not ok
+    assert detail.startswith("level 2:")
+
+
 def test_module_entry_point_runs_without_a_runpy_warning():
     # runpy warns when the package import has already loaded ghostmg.cli.
     src = Path(cli.__file__).resolve().parents[1]

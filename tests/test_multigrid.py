@@ -15,6 +15,14 @@ from ghostmg.linalg import NotSPDError, canonical_csr
 from ghostmg.one_dim import assemble_1d, coarse_theta
 
 
+def restriction_2d(n):
+    """Tensor-product restriction for the flat node index k = i + j (n + 1):
+    the refinement-weight matrix of the whole grid, the oracle of the
+    transfers that the hierarchy builds on its free DOFs."""
+    R1 = mg.restriction_1d(n)
+    return canonical_csr(sp.kron(R1, R1, format="csr"))
+
+
 # ---------------------------------------------------------------------------
 # Transfer operators
 # ---------------------------------------------------------------------------
@@ -62,7 +70,7 @@ def test_prolongation_reproduces_coarse_hat():
 
 
 def test_restriction_2d_tensor_structure():
-    R = mg.restriction_2d(2)
+    R = restriction_2d(2)
     assert R.shape == (4, 9)
     R1 = mg.restriction_1d(2)
     np.testing.assert_array_equal(R.toarray(),
@@ -74,7 +82,7 @@ def test_restriction_row_sums():
     # Galerkin coarse operator match direct coarse assembly).
     R1 = mg.restriction_1d(8).toarray()
     np.testing.assert_allclose(R1[1:-1].sum(axis=1), 2.0, rtol=1e-15)
-    R2 = mg.restriction_2d(8)
+    R2 = restriction_2d(8)
     sums = np.asarray(R2.sum(axis=1)).ravel().reshape(5, 5)
     np.testing.assert_allclose(sums[1:-1, 1:-1], 4.0, rtol=1e-15)
 
@@ -95,7 +103,7 @@ def test_masked_transfers_zero_constrained_columns():
     system, fine, coarse = _disk_two_levels()
     np.testing.assert_array_equal(fine.free, system.free_dofs)
     assert (~fine.free).any()
-    raw = mg.restriction_2d(16).toarray()
+    raw = restriction_2d(16).toarray()
     full = np.zeros_like(raw)
     full[np.ix_(coarse.order, fine.order)] = fine.R.toarray()
     assert np.all(full[:, ~fine.free] == 0.0)
@@ -109,13 +117,38 @@ def test_masked_transfers_flag_dead_coarse_rows():
     # every other coarse node has no free fine support and is left out.
     # Rows and columns follow the coarse and the fine DOF order.
     system, fine, coarse = _disk_two_levels()
-    raw = mg.restriction_2d(16)[:, fine.order]
+    raw = restriction_2d(16)[:, fine.order]
     reached = np.diff(raw.indptr) > 0
     np.testing.assert_array_equal(coarse.free, reached)
     assert 0 < reached.sum() < reached.size
     np.testing.assert_array_equal(fine.R.toarray(),
                                   raw[coarse.order].toarray())
     assert np.all(np.diff(fine.R.indptr) > 0)
+
+
+@pytest.mark.parametrize("name", domain_names() + ["interval"])
+def test_transfers_equal_the_sliced_refinement_matrix_bitwise(name):
+    # Each level's R, built from the coarse parents of its fine DOFs, is the
+    # refinement-weight matrix of the whole grid cut to the fine DOFs
+    # (columns) and the coarse DOFs (rows), canonical and bit for bit; P is
+    # its canonical transpose.
+    if name == "interval":
+        system = assemble_1d(64, 0.3, 0.6, 1.1 / (0.3 / 64))
+        restriction = mg.restriction_1d
+    else:
+        system = _catalog_system(name)
+        restriction = restriction_2d
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
+    assert len(hierarchy.levels) == 5
+    for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
+        expected = canonical_csr(
+            restriction(fine.n)[:, fine.order][coarse.order])
+        transposed = canonical_csr(expected.T)
+        for got, want in ((fine.R, expected), (fine.P, transposed)):
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(
+                    getattr(got, part), getattr(want, part),
+                    err_msg=f"{name}, level {fine.index}: {part}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +173,39 @@ def test_depth_validation():
         mg.build_hierarchy(system8, mg.CycleConfig(coarsest_n=8))
 
 
+def _penalty_operator(level):
+    """sum lam M over the penalty cells of a level, on its DOFs, dense."""
+    penalty = level.penalty
+    dof = np.full(level.grid.num_nodes, -1)
+    dof[level.order] = np.arange(level.num_dofs)
+    nodes = dof[penalty.nodes(level.n)]
+    m = nodes.shape[1]
+    rows = np.repeat(nodes, m, axis=1).ravel()
+    cols = np.tile(nodes, m).ravel()
+    values = (penalty.lam[:, None, None] * penalty.M).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    out = np.zeros((level.num_dofs, level.num_dofs))
+    np.add.at(out, (rows[kept], cols[kept]), values[kept])
+    return out
+
+
 def _assert_compressed_galerkin(hierarchy):
     """Levels live on their free DOFs, P = R^T exactly, and each coarse
-    operator is the bitwise-symmetric Galerkin product of its parent."""
+    operator is bitwise symmetric and equals the Galerkin product of its
+    parent with the parent's penalty exchanged for its own:
+    A_c = R (A - Pen) P + Pen_c, Pen = sum lam M over a level's penalty
+    cells."""
     for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
         free_f, free_c = fine.free.sum(), coarse.free.sum()
         assert fine.A.shape == (free_f, free_f)
         assert fine.R.shape == (free_c, free_f)
         np.testing.assert_array_equal(fine.P.toarray(), fine.R.T.toarray())
         assert (coarse.A - coarse.A.T).nnz == 0
-        rap = (fine.R @ fine.A @ fine.P).toarray()
-        np.testing.assert_allclose(coarse.A.toarray(), rap, rtol=0.0,
+        R = fine.R.toarray()
+        rap = R @ fine.A.toarray() @ R.T
+        exchanged = R @ (fine.A.toarray() - _penalty_operator(fine)) @ R.T \
+            + _penalty_operator(coarse)
+        np.testing.assert_allclose(coarse.A.toarray(), exchanged, rtol=0.0,
                                    atol=1e-14 * np.abs(rap).max())
 
 
@@ -170,6 +225,31 @@ def test_hierarchy_1d_structure():
         np.testing.assert_array_equal(lvl.R.toarray(),
                                       mg.restriction_1d(lvl.n).toarray())
     _assert_compressed_galerkin(hierarchy)
+
+
+@pytest.mark.parametrize("theta1", [0.0099, 0.3, 1.0])
+def test_coarse_levels_1d_are_direct_assemblies_with_their_own_penalty(
+        theta1):
+    # A 1D coarse level is the direct assembly at the pulled-in fractions
+    # with its own penalty, gamma / (theta_k h_k), floored by the finer
+    # level's over KAPPA; the Galerkin product would keep the finest one.
+    n, theta2, gamma = 256, 0.6, 1.1
+    system = assemble_1d(n, theta1, theta2, gamma / (theta1 / n))
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
+    lam, floored = system.blocks.lam, False
+    for level in hierarchy.levels[1:]:
+        theta1, theta2 = coarse_theta(theta1), coarse_theta(theta2)
+        own = gamma / (theta1 / level.n)
+        floored |= lam / mg.KAPPA > own
+        lam = max(own, lam / mg.KAPPA)
+        assert level.penalty.lam[0] == pytest.approx(lam, rel=1e-12)
+        direct = assemble_1d(level.n, theta1, theta2,
+                             level.penalty.lam[0]).A.toarray()
+        # Each level exchanges a penalty as large as the finest one.
+        np.testing.assert_allclose(level.A.toarray(), direct, rtol=0.0,
+                                   atol=1e-15 * abs(system.A).max(),
+                                   err_msg=f"level {level.index}")
+    assert floored == (system.blocks.theta1 < 0.1)
 
 
 @pytest.mark.parametrize("theta1", [0.1, 0.5, 1.0])
