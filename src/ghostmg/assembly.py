@@ -401,7 +401,8 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
             cells=cut_cells.cells[dirichlet], S=batch.S[dirichlet],
             B=batch.B[dirichlet], M=batch.mass[dirichlet], lam=lam,
             full=classification.internal.ravel(),
-            reference=full_cell_stiffness(), gamma=problem.gamma),
+            reference=full_cell_stiffness(), gamma=problem.gamma,
+            mode=problem.lambda_mode),
         A=A,
         F=F,
         active_dofs=active,

@@ -29,6 +29,7 @@ from ghostmg.experiments import (ConfigError, load_config, emit_accuracy,
                                  emit_results, run_accuracy_study,
                                  run_experiment)
 from ghostmg.geometry import domain_catalog, domain_names
+from ghostmg.linalg import NotSPDError
 from ghostmg.one_dim import assemble_1d
 
 
@@ -114,18 +115,24 @@ def _check_symmetry() -> tuple:
 
 def _check_spd() -> tuple:
     # Each coarse level sizes its own penalty, so coercivity is at stake on
-    # every level, not only on the assembled one.
+    # every level, not only on the assembled one.  Building the hierarchy
+    # factors its coarsest level, which fails there if that level is not
+    # positive definite.
     disk = domain_catalog("disk")
     system = assemble(ProblemSpec(levelset=disk, h=1.0 / 32, gamma=2.0))
-    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
+    config = mg.CycleConfig(coarsest_n=4)
     sizes = []
     try:
+        hierarchy = mg.build_hierarchy(system, config)
         for level in hierarchy.levels:
             scipy.linalg.cho_factor(level.A.toarray())
             sizes.append(str(level.num_dofs))
         ok, detail = True, f"Cholesky succeeded on {'/'.join(sizes)} DOFs"
     except scipy.linalg.LinAlgError as err:
         ok, detail = False, f"level {len(sizes)}: {err}"
+    except NotSPDError as err:
+        coarsest = (system.grid.n // config.coarsest_n).bit_length() - 1
+        ok, detail = False, f"level {coarsest}: {err}"
     return "every level with penalty 2 C(K) is positive definite", ok, detail
 
 

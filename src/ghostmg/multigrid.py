@@ -14,7 +14,8 @@ Dirichlet penalty exchanged for its own.  Each level keeps the cells that
 carry the penalty (`stabilization.PenaltyCells`); pooling them 2x2 (2 in
 1D) through the local bilinear prolongation gives the coarse cells' trace
 constants, and a coarse cell's penalty is gamma times its constant, floored
-by the largest penalty it pools over KAPPA.  A Galerkin level would inherit
+by the largest penalty it pools over KAPPA; under the global rule a level
+takes the largest of its cells' penalties.  A Galerkin level would inherit
 the finest penalty, 102x to 708x each 1D coarse level's tuned value, and
 the deep V-cycle would degrade with depth.  Since R A P holds sum P^T lam M
 P over the pooled cells, the exchange adds sum (lam_c - lam) P^T M P: one
@@ -439,15 +440,15 @@ def _transfers(fine: MgLevel, grid_c: CartesianGrid) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _child_prolongations(dim: int) -> np.ndarray:
-    """P[c, a, A] (m, m, m), m = 2**dim: the bilinear function of coarse
-    corner A at corner a of child c, the child at offset c_d = (c >> d) & 1
-    in its parent along each axis d; corners in `stabilization.CORNERS`
-    order."""
+def _child_prolongations(dim: int) -> tuple:
+    """The offsets (m, dim), m = 2**dim, of the children of a cell, child c
+    at offset c_d = (c >> d) & 1 along axis d, and P[c, a, A] (m, m, m): the
+    bilinear function of coarse corner A at corner a of child c; corners in
+    `stabilization.CORNERS` order."""
     corners = CORNERS[dim]
     offsets = np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
     x = 0.5 * (offsets[:, None, :] + corners)[:, :, None, :]
-    return np.prod(np.where(corners == 1, x, 1.0 - x), axis=-1)
+    return offsets, np.prod(np.where(corners == 1, x, 1.0 - x), axis=-1)
 
 
 def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
@@ -461,21 +462,19 @@ def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
     penalty children, M masked to the free fine DOFs as R is.  A coarse
     cell's penalty is gamma times the trace constant of (B_c, S_c), floored
     by the largest child penalty over KAPPA, and the largest child penalty
-    where that pencil is singular.  The Galerkin product holds the
-    children's penalties, sum P^T lam M P, so the coarse operator is that
-    product plus sum (lam_c - lam) P^T M P.
+    where that pencil is singular; under the global rule every coarse cell
+    takes the largest of these.  The Galerkin product holds the children's
+    penalties, sum P^T lam M P, so the coarse operator is that product plus
+    sum (lam_c - lam) P^T M P.
     """
     m, dim = penalty.corners.shape
     half = n // 2
-    prolong = _child_prolongations(dim)
+    offsets, prolong = _child_prolongations(dim)
+    # The coarse cells that hold a penalty cell, in flat order, the rank of
+    # each cell's parent among them, and each cell's slot in its parent.
+    parents, inverse = np.unique((penalty.cells >> 1) @ half ** np.arange(dim),
+                                 return_inverse=True)
     child = (penalty.cells & 1) @ (1 << np.arange(dim))
-    parent = (penalty.cells >> 1) @ half ** np.arange(dim)
-    # The coarse cells that hold a penalty cell, in flat order, and the
-    # rank of each cell's parent among them.
-    held = np.zeros(half ** dim, dtype=np.intp)
-    held[parent] = 1
-    parents = np.flatnonzero(held)
-    inverse = np.cumsum(held)[parent] - 1
     slot = m * inverse + child
 
     def pooled(values: np.ndarray) -> np.ndarray:
@@ -492,24 +491,26 @@ def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
                                              axis=1) @ P
     S, B, M_c = pooled(SBM).sum(axis=1).transpose(1, 0, 2, 3)
     cells = parents[:, None] // half ** np.arange(dim) % half
-    offsets = np.arange(m)[:, None] >> np.arange(dim) & 1
-    children = (2 * cells[:, None, :] + offsets) @ n ** np.arange(dim)
-    full = penalty.full[children]
+    full = penalty.full[(2 * cells[:, None, :] + offsets) @ n ** np.arange(dim)]
     S += (full @ (prolong.transpose(0, 2, 1) @ penalty.reference @ prolong)
           .reshape(m, m * m)).reshape(-1, m, m)
     floor = pooled(penalty.lam).max(axis=1)
     C = pencil_max(B, S)
     lam = np.where(np.isnan(C), floor,
                    np.maximum(penalty.gamma * C, floor / KAPPA))
+    if penalty.mode == "global":
+        lam.fill(lam.max(initial=0.0))
     correction = pooled((lam[inverse] - penalty.lam)[:, None, None]
                         * SBM[:, 2]).sum(axis=1)
-    grouped = penalty.full.reshape(sum(((half, 2),) * dim, ()))
-    full_c = np.logical_and.reduce([
-        grouped[sum(((slice(None), o) for o in reversed(offset)), ())]
-        for offset in offsets])
+    # A coarse cell is full where its children are, halving axis by axis.
+    full_c = penalty.full.reshape((half, 2) * dim)
+    for axis in range(2 * dim - 1, 0, -2):
+        lead = (slice(None),) * axis
+        full_c = full_c[lead + (0,)] & full_c[lead + (1,)]
     coarse = PenaltyCells(
         cells=cells, S=S, B=B, M=M_c, lam=lam, full=full_c.ravel(),
-        reference=penalty.reference * 2.0 ** (dim - 2), gamma=penalty.gamma)
+        reference=penalty.reference * 2.0 ** (dim - 2), gamma=penalty.gamma,
+        mode=penalty.mode)
     return coarse, correction
 
 
@@ -533,10 +534,7 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
     _validate_depth(grid.n, config.coarsest_n)
     free, cut = system.free_dofs, system.cut_dofs
     order = dof_order(free, cut, grid)
-    # A 1D system frees every node, in node order: its A is the level's.
-    A = system.A if np.array_equal(order, np.arange(free.size)) \
-        else system.A[order][:, order]
-    levels = [MgLevel(A, free, cut, grid, order)]
+    levels = [MgLevel(system.A[order][:, order], free, cut, grid, order)]
     levels[0].penalty = system.penalty
     while levels[-1].n > config.coarsest_n:
         fine = levels[-1]

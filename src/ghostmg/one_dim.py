@@ -93,8 +93,11 @@ class OneDimSystem:
     def penalty(self) -> PenaltyCells:
         """The Dirichlet cell, cell 0, as the 2-node case of the 2D cut
         cells: the stiffness of its part of length theta1 h, the Gram of
-        the flux u'(a), the trace mass at a and the penalty lam, which is
-        gamma / (theta1 h).  Cells 1 to n - 2 are full."""
+        the flux u'(a), the trace mass at a and the penalty lam.  The
+        system knows lam, not the rule that chose it, so gamma is lam over
+        the cell's trace constant 1 / (theta1 h), and the coarse levels
+        size their penalties with that gamma under the local rule.  Cells
+        1 to n - 2 are full."""
         blocks = self.blocks
         h, theta1 = blocks.h, blocks.theta1
         diff = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -105,7 +108,7 @@ class OneDimSystem:
             cells=np.zeros((1, 1), dtype=int), S=(theta1 / h * diff)[None],
             B=(diff / h ** 2)[None], M=np.outer(trace, trace)[None],
             lam=np.array([blocks.lam]), full=full, reference=diff / h,
-            gamma=blocks.lam * theta1 * h)
+            gamma=blocks.lam * theta1 * h, mode="local")
 
 
 def _check_params(n: int, theta1: float, theta2: float) -> None:

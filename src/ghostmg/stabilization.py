@@ -107,10 +107,6 @@ def pencil_max(B: np.ndarray, S: np.ndarray) -> np.ndarray:
     not positive definite (a non-positive Cholesky pivot).
     """
     m = S.shape[1]
-    if m == 2:
-        # The reduced pencil of a 1D cell is 1x1, a quotient.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(S[:, 0, 0] > 0.0, B[:, 0, 0] / S[:, 0, 0], np.nan)
     others = np.array([[c for c in range(m) if c != k] for k in range(m)])
     keep = others[np.argmax(np.diagonal(S, axis1=1, axis2=2), axis=1)]
     index = (np.arange(len(S))[:, None, None], keep[:, :, None], keep[:, None, :])
@@ -196,7 +192,9 @@ class PenaltyCells:
     stiffness, chord flux Gram and chord mass; lam (K,) its penalty, so the
     operator holds lam M on the cell.  full (n**dim,) marks the cells wholly
     inside the domain by flat index i + n j; their stiffness is `reference`.
-    gamma is the safety factor of the penalty over the trace constant.
+    gamma is the safety factor of the penalty over the trace constant, and
+    mode the rule that sized lam, "local" per cell or "global" (one value
+    for all cells), which the coarser grids keep.
     """
 
     cells: np.ndarray
@@ -207,6 +205,7 @@ class PenaltyCells:
     full: np.ndarray
     reference: np.ndarray
     gamma: float
+    mode: str
 
     @property
     def corners(self) -> np.ndarray:

@@ -100,13 +100,16 @@ def test_interval_two_grid_convergence_is_optimal_for_every_cut_fraction():
 def test_grid_scaled_penalty_degrades_small_fraction_convergence():
     # The two rules differ by the factor (1/h^2) / (1.1/(theta1 h)) =
     # theta1 n / 1.1, and the degradation follows that mismatch.  Where it
-    # is at least 2 (measured 2.30 to 93), 1/h^2 raises the factor 2.47x
-    # to 16.3x.  At theta1 = 0.0099, n = 128 it is only 1.15: both iteration
-    # operators have spectral radius 0.0318 (windowed means 0.0451 vs
-    # 0.0414), so no doubling is possible and the two factors must agree
-    # instead.  At fixed theta1 the mismatch grows with n, and so must the
-    # grid-scaled factor (0.045 -> 0.216 -> 0.508 -> 0.723 at
-    # theta1 = 0.0099).
+    # is at least 2 (measured 2.30 to 93), 1/h^2 raises the factor 2.57x
+    # to 19.8x.  At theta1 = 0.0099, n = 128 it is only 1.15 (windowed means
+    # 0.0403 vs 0.0401), so no doubling is possible and the two factors must
+    # agree instead.  At fixed theta1 the mismatch grows with n, and so must
+    # the grid-scaled factor (0.040 -> 0.226 -> 0.521 -> 0.733 at
+    # theta1 = 0.0099).  A 1D system carries its penalty, not the rule that
+    # chose it, so the coarse level sizes its own from gamma = lam theta1 h;
+    # for theta1 <= 0.1 that gives the floor lam / KAPPA = 1/(8 h^2), half
+    # the coarse grid-scaled 1/H^2.  The test thus compares a hierarchy
+    # scaled by 1/h^2 on both levels with the tuned one.
     violations = []
     for theta1 in (t for t in THETA1_GRID if t <= 0.1):
         degraded = [interval_rho(theta1, n, penalty="grid_scaled")
@@ -364,6 +367,12 @@ def test_structural_self_checks_all_pass(capsys):
 
 DEEP_NS = (64, 128, 256, 512)
 DEEP_DOMAINS = ("flower", "hourglass", "annulus", "leaf", "disk")
+# Bars of the eta = 0 deep V at n = 512, just above the measured 0.5812,
+# 0.5875, 0.5608, 0.3509 and 0.4052.  The cycle is slower there than it was
+# with the inherited penalty (0.501, 0.505, 0.467, 0.307 and 0.397), and
+# these bars keep it from sliding further.
+DEEP_ETA0_BARS = {"flower": 0.60, "hourglass": 0.60, "annulus": 0.58,
+                  "leaf": 0.37, "disk": 0.42}
 
 
 def deep_v_rho(hierarchy, iterations=30, window=(21, 30)):
@@ -380,7 +389,7 @@ def test_deep_v_cycle_converges_on_every_level_count():
     # and the deep V(2,1), eta = 4, cycle down to n = 8 read 0.166, 0.205,
     # 0.244 and 0.302 on the flower for n = 64 ... 512 (0.183 on the
     # hourglass at 512); without the extra cut sweeps (eta = 0) the cycle
-    # must still converge.  In 1D the V-cycle down to n = 8 at eta = 0 read
+    # is held to DEEP_ETA0_BARS.  In 1D the V-cycle down to n = 8 at eta = 0 read
     # up to 0.335 at theta1 = 0.0099; it is now held to the two-grid bar.
     start = time.perf_counter()
     violations, measured = [], []
@@ -399,8 +408,8 @@ def test_deep_v_cycle_converges_on_every_level_count():
         rho = deep_v_rho(dataclasses.replace(
             hierarchy, config=dataclasses.replace(hierarchy.config, eta=0)))
         measured.append(f"{name} n={n} eta=0: rho_mean={rho:.4f}")
-        if not rho < 0.75:
-            violations.append(measured[-1] + " >= 0.75")
+        if not rho <= DEEP_ETA0_BARS[name]:
+            violations.append(measured[-1] + f" > {DEEP_ETA0_BARS[name]}")
     for theta1 in THETA1_GRID:
         for n in NS_1D:
             system = assemble_1d(n, theta1, THETA2,

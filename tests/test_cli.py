@@ -1,5 +1,6 @@
 """Tests for the command-line front end: run, catalog, verify."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -186,6 +187,25 @@ def test_verify_checks_positive_definiteness_on_every_level(monkeypatch):
     name, ok, detail = cli._check_spd()
     assert not ok
     assert detail.startswith("level 2:")
+
+
+def test_verify_reports_an_indefinite_coarsest_level(monkeypatch):
+    # Building the hierarchy factors its coarsest level, so a coarsest level
+    # that is not positive definite fails inside the build; the check must
+    # report it as a failure, not raise.
+    coarse_penalty = cli.mg._coarse_penalty
+
+    def negative_penalty(penalty, free, n):
+        coarse, blocks = coarse_penalty(penalty, free, n)
+        # Each coarse cell's penalty lam_c M_c becomes -lam_c M_c.
+        blocks = blocks - 2.0 * coarse.lam[:, None, None] * coarse.M
+        return dataclasses.replace(coarse, lam=-coarse.lam), blocks
+
+    monkeypatch.setattr(cli.mg, "_coarse_penalty", negative_penalty)
+    name, ok, detail = cli._check_spd()
+    assert not ok
+    assert detail.startswith("level 3: coarsest operator is not positive "
+                             "definite")
 
 
 def test_module_entry_point_runs_without_a_runpy_warning():

@@ -13,6 +13,7 @@ from ghostmg.assembly import ProblemSpec, assemble
 from ghostmg.geometry import domain_catalog, domain_names
 from ghostmg.linalg import NotSPDError, canonical_csr
 from ghostmg.one_dim import assemble_1d, coarse_theta
+from ghostmg.stabilization import pencil_max
 
 
 def restriction_2d(n):
@@ -224,6 +225,26 @@ def test_hierarchy_1d_structure():
     for lvl in hierarchy.levels[:-1]:
         np.testing.assert_array_equal(lvl.R.toarray(),
                                       mg.restriction_1d(lvl.n).toarray())
+    _assert_compressed_galerkin(hierarchy)
+
+
+@pytest.mark.parametrize("name", ["flower", "disk"])
+def test_global_penalty_rule_holds_on_every_level(name):
+    # Under the global rule each coarse level has one penalty, the largest
+    # that the local rule gives its cells, floored by the finer level's
+    # penalty over KAPPA.
+    levelset = domain_catalog(name)
+    system = assemble(ProblemSpec(levelset=levelset, gamma=2.0,
+                                  h=levelset.art_extent / 64,
+                                  lambda_mode="global"))
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
+    for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
+        lam = coarse.penalty.lam
+        assert coarse.penalty.mode == "global" and lam.size > 0
+        own = 2.0 * pencil_max(coarse.penalty.B, coarse.penalty.S)
+        assert not np.isnan(own).any()
+        want = max(own.max(), fine.penalty.lam.max() / mg.KAPPA)
+        np.testing.assert_array_equal(lam, np.full(lam.size, want))
     _assert_compressed_galerkin(hierarchy)
 
 
