@@ -42,16 +42,6 @@ def main():
         rho_stiff = convergence_factor(N, t1, 1.0 / h ** 2)
         print(f"{t1:8.4f} {rho_opt:30.4f} {rho_stiff:22.4f}")
 
-    print()
-    print("residual splitting: restricting the fine residual equals")
-    print("rebuilding its boundary parts on the coarse grid:")
-    system = assemble_1d(64, 0.3, 0.7, 1.1 / (0.3 / 64))
-    rng = np.random.default_rng(0)
-    worst = max(mg.verify_splitting_equivalence(system,
-                                                rng.standard_normal(65))
-                for _ in range(5))
-    print(f"  max defect over 5 random iterates: {worst:.3e}")
-
 
 if __name__ == "__main__":
     main()

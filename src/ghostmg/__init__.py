@@ -11,8 +11,7 @@ operators come from the shape-function refinement identity.
 Subpackages
 -----------
 linalg
-    CSR helpers, Galerkin triple product, deflated generalized
-    eigensolver.
+    CSR helpers, Galerkin triple product, CSR product into a buffer.
 geometry
     Background grids, level sets, node snapping, cell classification and cut
     geometry extraction, plus the catalog of benchmark domains.
@@ -24,11 +23,12 @@ one_dim
     Dirichlet and one Neumann end.
 stabilization
     Penalty constants: closed forms for 1D, triangle and pentagon cuts, the
-    batched 4x4 pencil solve for trapezoids, global constants.
+    batched pencil solve for trapezoids and pooled coarse cells, the penalty
+    cells of a level.
 multigrid
     Transfer operators, one hierarchy builder for 1D and 2D with every
-    level on its free DOFs, Gauss-Seidel smoothing, cycles, convergence
-    traces, and the 1D residual splitting identity.
+    level on its free DOFs and its own coarse penalty, Gauss-Seidel
+    smoothing, cycles, convergence traces.
 experiments
     Config parsing, parameter sweeps, accuracy studies, CSV output.
 cli

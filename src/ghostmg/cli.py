@@ -141,11 +141,13 @@ def _check_constants() -> tuple:
     details = []
     ok = True
 
-    val = stab.dense_global_C_1d(64, 0.3, 0.5)
-    want = stab.c_one_dim(0.3, 0.015625)
+    # The 2x2 pencil of the 1D Dirichlet cell, as build_hierarchy pools it.
+    want = stab.c_one_dim(0.3, h)
+    cell = assemble_1d(64, 0.3, 0.5, 2.0 * want).penalty
+    val = stab.pencil_max(cell.B, cell.S)[0]
     rel = abs(val - want) / want
     ok &= rel < 1e-10
-    details.append(f"1D pencil vs 1/(theta1 h): rel {rel:.2e}")
+    details.append(f"1D cell pencil vs 1/(theta1 h): rel {rel:.2e}")
 
     tri = stab.c_triangle(1.0, 1.0, h)
     rel = abs(tri - 3.0 * np.sqrt(2.0) / h) / tri

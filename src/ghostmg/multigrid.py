@@ -73,7 +73,7 @@ from ghostmg.assembly import AssembledSystem
 from ghostmg.geometry import CartesianGrid
 from ghostmg.linalg import (NotSPDError, canonical_csr, matvec_into,
                             rap_product)
-from ghostmg.one_dim import OneDimSystem, split_residual_coarse
+from ghostmg.one_dim import OneDimSystem
 from ghostmg.stabilization import CORNERS, PenaltyCells, pencil_max
 
 #: Number of consecutive growing-residual cycles before a run is flagged.
@@ -85,24 +85,6 @@ DIVERGENCE_PATIENCE = 5
 #: n = 1024); with KAPPA = 32 the 2D V-cycle diverges at eta = 0, and 16
 #: leaves the 1D V-cycle at a factor near 0.2 for theta1 = 0.0099.
 KAPPA = 8.0
-
-
-def restriction_1d(n: int) -> sp.csr_matrix:
-    """Restriction from n+1 fine nodes to n/2 + 1 coarse nodes.
-
-    Row I holds weight 1 at fine node 2I and 1/2 at its fine neighbours, the
-    coefficients of the coarse hat function in the fine basis; boundary rows
-    lose the outside neighbour.
-    """
-    if n % 2 != 0 or n < 2:
-        raise ValueError(f"need an even number of cells >= 2, got {n}")
-    nc = n // 2
-    odd = np.arange(1, n, 2)
-    rows = np.concatenate([np.arange(nc + 1), odd // 2, odd // 2 + 1])
-    cols = np.concatenate([np.arange(0, n + 1, 2), odd, odd])
-    vals = np.repeat([1.0, 0.5], [nc + 1, 2 * nc])
-    R = sp.csr_matrix((vals, (rows, cols)), shape=(nc + 1, n + 1))
-    return canonical_csr(R)
 
 
 @dataclass
@@ -339,10 +321,6 @@ class Hierarchy:
     levels: list
     config: CycleConfig
     setup_ms: float = 0.0
-
-    @property
-    def finest(self) -> MgLevel:
-        return self.levels[0]
 
 
 def _finalize(levels: list, config: CycleConfig) -> Hierarchy:
@@ -659,18 +637,3 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     return u, ConvergenceTrace(residual_norms=np.array(norms),
                                wall_ms=wall_ms, diverged=diverged)
 
-
-def verify_splitting_equivalence(system: OneDimSystem,
-                                 u: np.ndarray) -> float:
-    """Max abs difference between restricting the full fine residual and
-    rebuilding its boundary pieces directly on the coarse grid.
-
-    The interval system's residual splits into an interior part plus
-    Dirichlet-flux, penalty and Neumann parts proportional to the boundary
-    data residuals; restriction preserves each piece, so the difference is
-    zero to roundoff for every iterate.
-    """
-    restrict = restriction_1d(system.n)
-    direct = restrict @ (system.F - system.A @ u)
-    split = split_residual_coarse(system, u, restrict)
-    return float(np.max(np.abs(direct - split)))

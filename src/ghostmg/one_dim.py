@@ -9,11 +9,6 @@ lambda is imposed at a and a Neumann condition at b.  The system splits into
 
 with A_I the P1 stiffness of the truncated mesh, A_B the Dirichlet
 consistency block, A_lam the penalty block; F = F_f + F_B + F_lam + F_N.
-A separate flux block A_BN (whose action is -u'(b) times the Neumann trace
-weights) enters the residual splitting used to justify coarse-grid transfer
-of boundary data: cell fractions coarsen as theta -> (1 + theta) / 2 while
-lambda stays fixed, and the coarse boundary residual blocks reproduce the
-restriction of the fine residual exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ class OneDimBlocks:
     A_I: sp.csr_matrix
     A_B: sp.csr_matrix
     A_lam: sp.csr_matrix
-    A_BN: sp.csr_matrix
 
     @property
     def h(self) -> float:
@@ -120,12 +114,11 @@ def _check_params(n: int, theta1: float, theta2: float) -> None:
 
 
 def system_blocks(n: int, theta1: float, theta2: float, lam: float) -> OneDimBlocks:
-    """Build A_I, A_B, A_lam and A_BN for the cut interval.
+    """Build A_I, A_B and A_lam for the cut interval.
 
     A_I comes from summing per-cell stiffness contributions with the first
     and last cells shortened to theta1 h and theta2 h.  A_B and A_lam are the
-    rank-one boundary blocks phi_i(a) phi_j'(a) and lam phi_i(a) phi_j(a);
-    A_BN carries -u'(b) times the Neumann-end trace weights.
+    rank-one boundary blocks phi_i(a) phi_j'(a) and lam phi_i(a) phi_j(a).
     """
     _check_params(n, theta1, theta2)
     h = 1.0 / n
@@ -148,15 +141,8 @@ def system_blocks(n: int, theta1: float, theta2: float, lam: float) -> OneDimBlo
     pen = lam * np.outer(p, p)
     A_lam = sp.csr_matrix((pen.ravel(), ([0, 0, 1, 1], [0, 1, 0, 1])), shape=(m, m))
 
-    # s_i = phi_i(b); A_BN u = -u'(b) s, so rows are s_i * (1, -1) / h.
-    s = np.array([1.0 - theta2, theta2])
-    flux = np.outer(s, np.array([1.0, -1.0]) / h)
-    A_BN = sp.csr_matrix(
-        (flux.ravel(), ([n - 1, n - 1, n, n], [n - 1, n, n - 1, n])), shape=(m, m)
-    )
-
     return OneDimBlocks(n, theta1, theta2, lam, A_I.tocsr(), A_B.tocsr(),
-                        A_lam.tocsr(), A_BN.tocsr())
+                        A_lam.tocsr())
 
 
 def source_vector(n: int, theta1: float, theta2: float,
@@ -233,68 +219,3 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
     F = source_vector(n, theta1, theta2, f) + F_B + F_lam + F_N
     return OneDimSystem(blocks, A, F, g_a, g_b)
 
-
-def coarse_theta(theta: float) -> float:
-    """Cut fraction seen by the next coarser grid: (1 + theta) / 2.
-
-    The boundary point is fixed; doubling h halves the distance fraction
-    between the boundary and the surrounding coarse node.
-    """
-    return 0.5 * (1.0 + theta)
-
-
-def trace_at_a(u: np.ndarray, theta1: float) -> float:
-    """Value of the P1 iterate at the Dirichlet point a."""
-    return theta1 * u[0] + (1.0 - theta1) * u[1]
-
-
-def flux_at_b(u: np.ndarray, h: float) -> float:
-    """Derivative of the P1 iterate in the last cell (the flux at b)."""
-    return (u[-1] - u[-2]) / h
-
-
-def boundary_residuals(system: OneDimSystem, u: np.ndarray) -> tuple[float, float]:
-    """Dirichlet and Neumann data residuals (r_a, r_b) of an iterate."""
-    blocks = system.blocks
-    r_a = system.g_a - trace_at_a(u, blocks.theta1)
-    r_b = system.g_b - flux_at_b(u, blocks.h)
-    return r_a, r_b
-
-
-def split_residual_fine(system: OneDimSystem, u: np.ndarray) -> dict:
-    """The four-way residual splitting on the fine grid.
-
-    r = r_int + r_B + r_lam + r_N, where r_int = F - F_B - F_lam - F_N -
-    (A_I + A_B + A_BN) u and the boundary pieces are `rhs_blocks` of the
-    data residuals r_a, r_b in place of the data.
-    """
-    blocks = system.blocks
-    n, theta1, theta2, lam = blocks.n, blocks.theta1, blocks.theta2, blocks.lam
-    F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, system.g_a, system.g_b)
-    r_a, r_b = boundary_residuals(system, u)
-    r_int = system.F - F_B - F_lam - F_N \
-        - (blocks.A_I + blocks.A_B + blocks.A_BN) @ u
-    r_B, r_lam, r_N = rhs_blocks(n, theta1, theta2, lam, r_a, r_b)
-    return {"interior": r_int, "dirichlet_flux": r_B, "penalty": r_lam,
-            "neumann": r_N, "r_a": r_a, "r_b": r_b}
-
-
-def split_residual_coarse(system: OneDimSystem, u: np.ndarray,
-                          restrict: sp.csr_matrix) -> np.ndarray:
-    """Coarse residual assembled from restricted interior residual plus
-    coarse-grid boundary blocks.
-
-    Only the interior part is restricted; the Dirichlet flux, penalty and
-    Neumann parts are rebuilt on the coarse grid with spacing 2h, coarse
-    fractions (1 + theta) / 2 and the same lambda, using the fine data
-    residuals r_a, r_b.  This equals the full restriction of the fine
-    residual exactly.
-    """
-    blocks = system.blocks
-    if blocks.n % 2 != 0:
-        raise ValueError("fine grid must have an even number of cells")
-    parts = split_residual_fine(system, u)
-    r_B, r_lam, r_N = rhs_blocks(blocks.n // 2, coarse_theta(blocks.theta1),
-                                 coarse_theta(blocks.theta2), blocks.lam,
-                                 parts["r_a"], parts["r_b"])
-    return restrict @ parts["interior"] + (r_B + r_lam + r_N)

@@ -12,8 +12,7 @@ stiffness restricted to the interior polygon, both from the batched cut-cell
 kernel `assembly.cut_cell_batch`.  The constants span the null space of both,
 so `pencil_max` deflates them analytically, by dropping one corner; a stacked
 3x3 Cholesky of the reduced S and `eigvalsh` then solve every pencil of the
-batch at once.  The general deflating solver `linalg.generalized_eig_max` is
-the oracle the tests check it against.
+batch at once.
 
 Constants by shape
 ------------------
@@ -37,13 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ghostmg import assembly
 from ghostmg.geometry import CORNER_DX, CORNER_DY
-from ghostmg.linalg import DegeneratePencilError, generalized_eig_max
+from ghostmg.linalg import DegeneratePencilError
 
 
 def c_one_dim(theta1: float, h: float) -> float:
@@ -164,8 +162,7 @@ class StabilizationField:
 
     cells (D, 2) holds the (i, j) of the Dirichlet cut cells in cut-cell
     order; C (D,) their trace constants and lam (D,) the penalties used in
-    assembly; global_C is the max of the constants (None when the grid has
-    no Dirichlet chords).
+    assembly.
     """
 
     gamma: float
@@ -173,7 +170,6 @@ class StabilizationField:
     cells: np.ndarray
     C: np.ndarray
     lam: np.ndarray
-    global_C: Optional[float]
 
 
 #: Corner offsets of a cell, (m, dim): left, right in 1D; BL, BR, TR, TL in
@@ -237,77 +233,10 @@ def build_stabilization(batch: "assembly.CutCellBatch", gamma: float = 2.0,
     if gamma <= 0.0:
         raise ValueError(f"need gamma > 0, got {gamma}")
     values = cell_constants(batch, np.flatnonzero(batch.dirichlet))
-    global_C = float(values.max()) if values.size else None
     lam = gamma * values
     if mode == "global" and values.size:
-        lam[:] = gamma * global_C
+        lam[:] = gamma * float(values.max())
     return StabilizationField(gamma=gamma, mode=mode,
                               cells=batch.cut_cells.cells[batch.dirichlet],
-                              C=values, lam=lam, global_C=global_C)
+                              C=values, lam=lam)
 
-
-def global_C(system) -> float:
-    """Sharp global trace constant of an assembled 2D system.
-
-    The max of the sharp per-cell constants, `pencil_max` over the Dirichlet
-    cut cells: summing the local inequalities shows the global constant
-    never exceeds it, and cut cells dominate the bound.  `dense_global_C_2d`
-    solves the genuinely global pencil, which is only affordable on small
-    grids and serves as a cross-check.
-    """
-    batch = assembly.cut_cell_batch(system.cut_cells)
-    dirichlet = np.flatnonzero(batch.dirichlet)
-    if not dirichlet.size:
-        raise ValueError(
-            "the domain has no weak Dirichlet chords, so the boundary trace "
-            "constant is undefined")
-    return float(_sharp_constants(batch, dirichlet).max())
-
-
-def dense_global_C_1d(n: int, theta1: float, theta2: float) -> float:
-    """Global trace constant of the 1D grid: largest generalized eigenvalue
-    of the Dirichlet-end flux Gram matrix against the bulk stiffness of the
-    whole cut interval.
-
-    The maximizing function concentrates its seminorm on the boundary cell,
-    so this equals the local constant 1 / (theta1 h); it cross-checks the
-    max-over-cells production path against a genuinely global eigensolve.
-    """
-    from ghostmg.one_dim import system_blocks
-
-    blocks = system_blocks(n, theta1, theta2, lam=1.0)
-    h = blocks.h
-    q = np.zeros(n + 1)
-    q[0] = -1.0 / h
-    q[1] = 1.0 / h
-    B = np.outer(q, q)
-    S = blocks.A_I.toarray()
-    return generalized_eig_max(B, S).value
-
-
-def dense_global_C_2d(system) -> float:
-    """Global trace constant of an assembled 2D system: the largest
-    generalized eigenvalue of the summed Dirichlet chord Gram matrices
-    against the bulk stiffness of the active mesh, on the free DOFs.
-
-    Bounded above by the max of the local constants (summing the local
-    inequalities); intended as a small-grid cross-check of the production
-    per-cell path, since it is dense in the number of nodes.
-    """
-    grid = system.grid
-    nn = grid.num_nodes
-    batch = assembly.cut_cell_batch(system.cut_cells)
-    in_js, in_is = np.nonzero(system.classification.internal)
-    internal = assembly.cell_nodes(grid, in_is, in_js)
-    d = batch.dirichlet
-    B = np.zeros((nn, nn))
-    S = np.zeros((nn, nn))
-
-    def scatter(M, nodes, blocks):
-        np.add.at(M, (nodes[:, :, None], nodes[:, None, :]), blocks)
-
-    scatter(S, internal, assembly.full_cell_stiffness())
-    scatter(S, batch.cut_cells.nodes, batch.S)
-    scatter(B, batch.cut_cells.nodes[d], batch.B[d])
-    free = np.flatnonzero(system.free_dofs)
-    return generalized_eig_max(B[np.ix_(free, free)], S[np.ix_(free, free)]).value

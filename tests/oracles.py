@@ -1,0 +1,268 @@
+"""Reference implementations that the tests check the solver against.
+
+None of this runs when the package solves: a deflating dense generalized
+eigensolver, the global trace constants it gives, the four-way residual
+splitting of the 1D system and its coarse-grid identity, and the
+whole-grid refinement matrices.  The tests import these as
+``from oracles import ...``; pytest puts this directory on ``sys.path``.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+
+from ghostmg import assembly
+from ghostmg.linalg import DegeneratePencilError, canonical_csr
+from ghostmg.one_dim import OneDimSystem, rhs_blocks, system_blocks
+from ghostmg.stabilization import _sharp_constants
+
+
+@dataclass
+class GeneralizedEigResult:
+    """Largest finite eigenvalue of a symmetric pencil K v = lam M v, on the
+    complement of the common nullspace of K and M, and the dimension of that
+    nullspace."""
+
+    value: float
+    deflated_dim: int
+
+
+#: Relative threshold of the rank decisions in `generalized_eig_max`.
+RANK_TOLERANCE = 1e-12
+
+
+def generalized_eig_max(K: np.ndarray, M: np.ndarray) -> GeneralizedEigResult:
+    """Largest finite eigenvalue of the symmetric pencil K v = lam M v.
+
+    K and M are symmetric positive semidefinite and may be singular.  The
+    common nullspace (directions with zero energy in both forms) is removed
+    first; on the complement M must be positive definite, which holds for
+    the boundary-penalty pencils where M is an interior Dirichlet form.
+    Directions with zero M-energy but nonzero K-energy make the pencil
+    unbounded and raise.
+
+    The common nullspace is detected from a symmetric eigendecomposition of
+    the scale-normalized sum K/|K|_max + M/|M|_max with relative threshold
+    RANK_TOLERANCE, scaled by the largest eigenvalue magnitude of the matrix
+    being examined (for PSD forms, the sum vanishes exactly on the
+    intersection of the nullspaces).
+    """
+    K = np.asarray(K, dtype=float)
+    M = np.asarray(M, dtype=float)
+    if K.shape != M.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError("K and M must be square matrices of equal shape")
+    n = K.shape[0]
+    s_k = float(np.abs(K).max(initial=0.0))
+    s_m = float(np.abs(M).max(initial=0.0))
+    if s_k == 0.0 and s_m == 0.0:
+        return GeneralizedEigResult(0.0, n)
+    S = np.zeros_like(K)
+    if s_k > 0.0:
+        S += K / s_k
+    if s_m > 0.0:
+        S += M / s_m
+    w, V = np.linalg.eigh(S)
+    keep = w > RANK_TOLERANCE * w[-1]
+    deflated = int(n - np.count_nonzero(keep))
+    if not np.any(keep):
+        return GeneralizedEigResult(0.0, n)
+    Vk = V[:, keep]
+    Kr = Vk.T @ K @ Vk
+    Mr = Vk.T @ M @ Vk
+    wm, Um = np.linalg.eigh(Mr)
+    null_m = wm <= RANK_TOLERANCE * max(wm[-1], 0.0)
+    if np.any(null_m):
+        # Residual M-null directions: admissible only if K also vanishes
+        # there, otherwise the Rayleigh quotient is unbounded.
+        U0 = Um[:, null_m]
+        if np.abs(Kr @ U0).max(initial=0.0) > RANK_TOLERANCE * max(s_k, 1.0):
+            raise DegeneratePencilError(
+                "pencil has a direction with zero M-energy and nonzero "
+                "K-energy; the stabilization constant is unbounded"
+            )
+        U1 = Um[:, ~null_m]
+        Kr = U1.T @ Kr @ U1
+        Mr = U1.T @ Mr @ U1
+        deflated += int(np.count_nonzero(null_m))
+        if Kr.size == 0:
+            return GeneralizedEigResult(0.0, deflated)
+    lam = scipy.linalg.eigh(Kr, Mr, eigvals_only=True, check_finite=False)
+    return GeneralizedEigResult(float(lam[-1]), deflated)
+
+
+def global_C(system) -> float:
+    """Max of the sharp per-cell constants over the Dirichlet cut cells of
+    an assembled 2D system: summing the local inequalities shows the global
+    constant never exceeds it."""
+    batch = assembly.cut_cell_batch(system.cut_cells)
+    dirichlet = np.flatnonzero(batch.dirichlet)
+    if not dirichlet.size:
+        raise ValueError(
+            "the domain has no weak Dirichlet chords, so the boundary trace "
+            "constant is undefined")
+    return float(_sharp_constants(batch, dirichlet).max())
+
+
+def dense_global_C_1d(n: int, theta1: float, theta2: float) -> float:
+    """Global trace constant of the 1D grid: largest generalized eigenvalue
+    of the Dirichlet-end flux Gram matrix against the bulk stiffness of the
+    whole cut interval.
+
+    The maximizing function concentrates its seminorm on the boundary cell,
+    so this equals the local constant 1 / (theta1 h).
+    """
+    blocks = system_blocks(n, theta1, theta2, lam=1.0)
+    h = blocks.h
+    q = np.zeros(n + 1)
+    q[0] = -1.0 / h
+    q[1] = 1.0 / h
+    return generalized_eig_max(np.outer(q, q), blocks.A_I.toarray()).value
+
+
+def dense_global_C_2d(system) -> float:
+    """Global trace constant of an assembled 2D system: the largest
+    generalized eigenvalue of the summed Dirichlet chord Gram matrices
+    against the bulk stiffness of the active mesh, on the free DOFs.
+
+    Bounded above by the max of the local constants; dense in the number of
+    nodes, so only for small grids.
+    """
+    grid = system.grid
+    nn = grid.num_nodes
+    batch = assembly.cut_cell_batch(system.cut_cells)
+    in_js, in_is = np.nonzero(system.classification.internal)
+    internal = assembly.cell_nodes(grid, in_is, in_js)
+    d = batch.dirichlet
+    B = np.zeros((nn, nn))
+    S = np.zeros((nn, nn))
+
+    def scatter(M, nodes, blocks):
+        np.add.at(M, (nodes[:, :, None], nodes[:, None, :]), blocks)
+
+    scatter(S, internal, assembly.full_cell_stiffness())
+    scatter(S, batch.cut_cells.nodes, batch.S)
+    scatter(B, batch.cut_cells.nodes[d], batch.B[d])
+    free = np.flatnonzero(system.free_dofs)
+    return generalized_eig_max(B[np.ix_(free, free)],
+                               S[np.ix_(free, free)]).value
+
+
+def restriction_1d(n: int) -> sp.csr_matrix:
+    """Restriction from n+1 fine nodes to n/2 + 1 coarse nodes.
+
+    Row I holds weight 1 at fine node 2I and 1/2 at its fine neighbours, the
+    coefficients of the coarse hat function in the fine basis; boundary rows
+    lose the outside neighbour.
+    """
+    if n % 2 != 0 or n < 2:
+        raise ValueError(f"need an even number of cells >= 2, got {n}")
+    nc = n // 2
+    odd = np.arange(1, n, 2)
+    rows = np.concatenate([np.arange(nc + 1), odd // 2, odd // 2 + 1])
+    cols = np.concatenate([np.arange(0, n + 1, 2), odd, odd])
+    vals = np.repeat([1.0, 0.5], [nc + 1, 2 * nc])
+    R = sp.csr_matrix((vals, (rows, cols)), shape=(nc + 1, n + 1))
+    return canonical_csr(R)
+
+
+def restriction_2d(n: int) -> sp.csr_matrix:
+    """Tensor-product restriction for the flat node index k = i + j (n + 1):
+    the refinement-weight matrix of the whole grid, the oracle of the
+    transfers that the hierarchy builds on its free DOFs."""
+    R1 = restriction_1d(n)
+    return canonical_csr(sp.kron(R1, R1, format="csr"))
+
+
+def dense_blocks_oracle(n, theta1, theta2, lam):
+    """Hand-built dense A_I, A_B and A_lam of the 1D system, and the flux
+    block A_BN, whose action is -u'(b) times the Neumann trace weights."""
+    h = 1.0 / n
+    m = n + 1
+    A_I = np.zeros((m, m))
+    for c in range(n):
+        w = {0: theta1, n - 1: theta2}.get(c, 1.0) / h
+        A_I[c, c] += w
+        A_I[c, c + 1] -= w
+        A_I[c + 1, c] -= w
+        A_I[c + 1, c + 1] += w
+    p = np.array([theta1, 1.0 - theta1])        # phi_i(a)
+    q = np.array([-1.0, 1.0]) / h               # phi_i'(a)
+    A_B = np.zeros((m, m))
+    A_B[:2, :2] = np.outer(p, q)
+    A_lam = np.zeros((m, m))
+    A_lam[:2, :2] = lam * np.outer(p, p)
+    # A_BN u = -u'(b) * s with u'(b) = q . (u_{n-1}, u_n).
+    s = np.array([1.0 - theta2, theta2])        # phi_i(b)
+    A_BN = np.zeros((m, m))
+    A_BN[n - 1:, n - 1:] = -np.outer(s, q)
+    return A_I, A_B, A_lam, A_BN
+
+
+def coarse_theta(theta: float) -> float:
+    """Cut fraction seen by the next coarser grid: (1 + theta) / 2.
+
+    The boundary point is fixed; doubling h halves the distance fraction
+    between the boundary and the surrounding coarse node.
+    """
+    return 0.5 * (1.0 + theta)
+
+
+def trace_at_a(u: np.ndarray, theta1: float) -> float:
+    """Value of the P1 iterate at the Dirichlet point a."""
+    return theta1 * u[0] + (1.0 - theta1) * u[1]
+
+
+def flux_at_b(u: np.ndarray, h: float) -> float:
+    """Derivative of the P1 iterate in the last cell (the flux at b)."""
+    return (u[-1] - u[-2]) / h
+
+
+def boundary_residuals(system: OneDimSystem,
+                       u: np.ndarray) -> tuple[float, float]:
+    """Dirichlet and Neumann data residuals (r_a, r_b) of an iterate."""
+    blocks = system.blocks
+    r_a = system.g_a - trace_at_a(u, blocks.theta1)
+    r_b = system.g_b - flux_at_b(u, blocks.h)
+    return r_a, r_b
+
+
+def split_residual_fine(system: OneDimSystem, u: np.ndarray) -> dict:
+    """The four-way residual splitting on the fine grid.
+
+    r = r_int + r_B + r_lam + r_N, where r_int = F - F_B - F_lam - F_N -
+    (A_I + A_B + A_BN) u and the boundary pieces are `rhs_blocks` of the
+    data residuals r_a, r_b in place of the data.
+    """
+    blocks = system.blocks
+    n, theta1, theta2, lam = blocks.n, blocks.theta1, blocks.theta2, blocks.lam
+    F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, system.g_a, system.g_b)
+    r_a, r_b = boundary_residuals(system, u)
+    A_BN = dense_blocks_oracle(n, theta1, theta2, lam)[3]
+    r_int = system.F - F_B - F_lam - F_N \
+        - (blocks.A_I + blocks.A_B) @ u - A_BN @ u
+    r_B, r_lam, r_N = rhs_blocks(n, theta1, theta2, lam, r_a, r_b)
+    return {"interior": r_int, "dirichlet_flux": r_B, "penalty": r_lam,
+            "neumann": r_N, "r_a": r_a, "r_b": r_b}
+
+
+def split_residual_coarse(system: OneDimSystem, u: np.ndarray,
+                          restrict: sp.csr_matrix) -> np.ndarray:
+    """Coarse residual assembled from restricted interior residual plus
+    coarse-grid boundary blocks.
+
+    Only the interior part is restricted; the Dirichlet flux, penalty and
+    Neumann parts are rebuilt on the coarse grid with spacing 2h, coarse
+    fractions (1 + theta) / 2 and the same lambda, using the fine data
+    residuals r_a, r_b.  This equals the full restriction of the fine
+    residual exactly.
+    """
+    blocks = system.blocks
+    if blocks.n % 2 != 0:
+        raise ValueError("fine grid must have an even number of cells")
+    parts = split_residual_fine(system, u)
+    r_B, r_lam, r_N = rhs_blocks(blocks.n // 2, coarse_theta(blocks.theta1),
+                                 coarse_theta(blocks.theta2), blocks.lam,
+                                 parts["r_a"], parts["r_b"])
+    return restrict @ parts["interior"] + (r_B + r_lam + r_N)

@@ -208,6 +208,20 @@ def test_verify_reports_an_indefinite_coarsest_level(monkeypatch):
                              "definite")
 
 
+def test_verify_checks_the_1d_cell_pencil_that_the_hierarchy_pools(
+        monkeypatch, capsys):
+    # The 1D constant comes from pencil_max on the system's penalty cell, the
+    # production path, so a wrong pencil_max shows as a failed line.
+    pencil_max = cli.stab.pencil_max
+    monkeypatch.setattr(cli.stab, "pencil_max",
+                        lambda B, S: 2.0 * pencil_max(B, S))
+    assert main(["verify"]) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "trace constants" in line)
+    assert line.startswith("[FAIL]")
+    assert "1D cell pencil vs 1/(theta1 h): rel 1.00e+00" in line
+
+
 def test_module_entry_point_runs_without_a_runpy_warning():
     # runpy warns when the package import has already loaded ghostmg.cli.
     src = Path(cli.__file__).resolve().parents[1]

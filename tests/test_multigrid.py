@@ -12,16 +12,10 @@ from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble
 from ghostmg.geometry import domain_catalog, domain_names
 from ghostmg.linalg import NotSPDError, canonical_csr
-from ghostmg.one_dim import assemble_1d, coarse_theta
+from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import pencil_max
-
-
-def restriction_2d(n):
-    """Tensor-product restriction for the flat node index k = i + j (n + 1):
-    the refinement-weight matrix of the whole grid, the oracle of the
-    transfers that the hierarchy builds on its free DOFs."""
-    R1 = mg.restriction_1d(n)
-    return canonical_csr(sp.kron(R1, R1, format="csr"))
+from oracles import (coarse_theta, restriction_1d, restriction_2d,
+                     split_residual_coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +23,7 @@ def restriction_2d(n):
 # ---------------------------------------------------------------------------
 
 def test_restriction_1d_matrix():
-    R = mg.restriction_1d(4).toarray()
+    R = restriction_1d(4).toarray()
     expected = 0.5 * np.array([
         [2.0, 1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 2.0, 1.0, 0.0],
@@ -48,22 +42,22 @@ def test_restriction_1d_matches_the_hat_coefficient_loop(n):
         for neighbor in (2 * I - 1, 2 * I + 1):
             if 0 <= neighbor <= n:
                 expected[I, neighbor] = 0.5
-    R = mg.restriction_1d(n)
+    R = restriction_1d(n)
     assert R.has_canonical_format
     np.testing.assert_array_equal(R.toarray(), expected)
 
 
 def test_restriction_1d_validation():
     with pytest.raises(ValueError):
-        mg.restriction_1d(5)
+        restriction_1d(5)
     with pytest.raises(ValueError):
-        mg.restriction_1d(0)
+        restriction_1d(0)
 
 
 def test_prolongation_reproduces_coarse_hat():
     # The middle coarse basis function interpolates to the fine hat of
     # double width.
-    R = mg.restriction_1d(4)
+    R = restriction_1d(4)
     P = R.T.tocsr()
     e1 = np.zeros(3)
     e1[1] = 1.0
@@ -73,7 +67,7 @@ def test_prolongation_reproduces_coarse_hat():
 def test_restriction_2d_tensor_structure():
     R = restriction_2d(2)
     assert R.shape == (4, 9)
-    R1 = mg.restriction_1d(2)
+    R1 = restriction_1d(2)
     np.testing.assert_array_equal(R.toarray(),
                                   sp.kron(R1, R1).toarray())
 
@@ -81,7 +75,7 @@ def test_restriction_2d_tensor_structure():
 def test_restriction_row_sums():
     # Interior rows sum to 2 in 1D and 4 in 2D (the scaling that makes the
     # Galerkin coarse operator match direct coarse assembly).
-    R1 = mg.restriction_1d(8).toarray()
+    R1 = restriction_1d(8).toarray()
     np.testing.assert_allclose(R1[1:-1].sum(axis=1), 2.0, rtol=1e-15)
     R2 = restriction_2d(8)
     sums = np.asarray(R2.sum(axis=1)).ravel().reshape(5, 5)
@@ -135,7 +129,7 @@ def test_transfers_equal_the_sliced_refinement_matrix_bitwise(name):
     # its canonical transpose.
     if name == "interval":
         system = assemble_1d(64, 0.3, 0.6, 1.1 / (0.3 / 64))
-        restriction = mg.restriction_1d
+        restriction = restriction_1d
     else:
         system = _catalog_system(name)
         restriction = restriction_2d
@@ -220,11 +214,11 @@ def test_hierarchy_1d_structure():
         np.testing.assert_array_equal(lvl.order, np.arange(m))
         np.testing.assert_array_equal(np.flatnonzero(lvl.cut),
                                       [0, 1, m - 2, m - 1])
-    np.testing.assert_array_equal(hierarchy.finest.A.toarray(),
+    np.testing.assert_array_equal(hierarchy.levels[0].A.toarray(),
                                   system.A.toarray())
     for lvl in hierarchy.levels[:-1]:
         np.testing.assert_array_equal(lvl.R.toarray(),
-                                      mg.restriction_1d(lvl.n).toarray())
+                                      restriction_1d(lvl.n).toarray())
     _assert_compressed_galerkin(hierarchy)
 
 
@@ -280,7 +274,7 @@ def test_galerkin_equals_direct_coarse_assembly_1d(theta1, theta2):
     # grid with halved resolution, pulled-in fractions and the same penalty.
     n, lam = 8, 64.0
     fine = assemble_1d(n, theta1, theta2, lam)
-    R = mg.restriction_1d(n)
+    R = restriction_1d(n)
     rap = (R @ fine.A @ R.T).toarray()
     coarse = assemble_1d(n // 2, coarse_theta(theta1), coarse_theta(theta2),
                          lam)
@@ -316,15 +310,15 @@ def test_hierarchy_2d_structure():
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
     assert [lvl.n for lvl in hierarchy.levels] == [16, 8, 4]
     free = system.free_dofs
-    order = hierarchy.finest.order
+    order = hierarchy.levels[0].order
     np.testing.assert_array_equal(np.sort(order), np.flatnonzero(free))
-    np.testing.assert_array_equal(hierarchy.finest.A.toarray(),
+    np.testing.assert_array_equal(hierarchy.levels[0].A.toarray(),
                                   system.A[order][:, order].toarray())
     _assert_compressed_galerkin(hierarchy)
     # No identity rows remain: the finest level drops every constrained
     # node.  Masks stay over each level's grid nodes, and cut DOFs for the
     # extra sweeps are always free.
-    assert hierarchy.finest.num_dofs == free.sum() < free.size
+    assert hierarchy.levels[0].num_dofs == free.sum() < free.size
     for lvl in hierarchy.levels:
         assert lvl.free.size == lvl.grid.num_nodes
         assert not np.any(lvl.cut & ~lvl.free)
@@ -439,7 +433,7 @@ def test_cycle_is_linear():
 
 def test_smooth_preserves_exact_solution():
     system, hierarchy = small_1d_hierarchy()
-    level = hierarchy.finest
+    level = hierarchy.levels[0]
     x = np.linalg.solve(system.A.toarray(), system.F)
     u = x.copy()
     level.smooth(u, system.F, 2)
@@ -555,8 +549,8 @@ def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
     assert len(hierarchy.levels) == 4
     assert factored == [hierarchy.levels[-1].A.shape]
-    assert hierarchy.finest._cut_steps
-    np.testing.assert_array_equal(np.sort(hierarchy.finest.order),
+    assert hierarchy.levels[0]._cut_steps
+    np.testing.assert_array_equal(np.sort(hierarchy.levels[0].order),
                                   np.flatnonzero(system.free_dofs))
     for level in hierarchy.levels:
         order = level.order
@@ -628,7 +622,7 @@ def test_cycle_allocates_nothing_on_smoothed_levels(name):
     hierarchy = mg.build_hierarchy(
         system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
     levels, config = hierarchy.levels, hierarchy.config
-    order = hierarchy.finest.order
+    order = hierarchy.levels[0].order
     F = system.F[order]
     u = np.zeros(order.size)
     mg._cycle(levels, 0, u, F, config, 1)
@@ -793,8 +787,10 @@ def test_cut_dofs_are_lower_dimensional_on_disk():
 def test_splitting_equivalence_random_states(n):
     system = assemble_1d(n, 0.3, 0.7, 1.1 / (0.3 / n), f=lambda x: x,
                          g_a=0.5, g_b=-1.0)
+    R = restriction_1d(n)
     rng = np.random.default_rng(42)
     worst = max(
-        mg.verify_splitting_equivalence(system, rng.standard_normal(n + 1))
-        for _ in range(20))
+        np.max(np.abs(R @ (system.F - system.A @ u)
+                      - split_residual_coarse(system, u, R)))
+        for u in (rng.standard_normal(n + 1) for _ in range(20)))
     assert worst <= 1e-12

