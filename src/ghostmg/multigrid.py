@@ -39,7 +39,10 @@ range's leading part: a step works on slice views of u, F and A's CSR
 arrays, with no gathers, scatters or copies of A.  R, P and the coarse
 operators are built in this numbering; only ``solve`` maps to
 and from grid order.  In 1D the DOFs keep node order, one
-lexicographic class solved by its lower triangle.  Two colours in 1D
+lexicographic class: the operator is tridiagonal, so its lower triangle is
+bidiagonal and a step is one banded forward substitution, in place in the
+step's scratch slice.  SuperLU factors only the coarsest level, in 1D as in
+2D.  Two colours in 1D
 (red-black) would turn the V(2,1) cycle into a near-direct solve, at
 theta1 = 0.99 and n = 1024 from a factor of 0.085 to 0.017 (eta = 0) and
 0.00018 (eta = 4), and so erase the 1D theta1 study.
@@ -68,6 +71,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dtbsv
 
 from ghostmg.assembly import AssembledSystem
 from ghostmg.geometry import CartesianGrid
@@ -121,28 +125,15 @@ def _validate_depth(n: int, coarsest_n: int):
             "of two >= 2, so no nested hierarchy reaches the coarsest size")
 
 
-def _triangle_solve(A: sp.csr_matrix) -> Callable:
-    """Solve with tril(A) of a bitwise symmetric canonical CSR matrix, one
-    forward Gauss-Seidel step.  tril(A) is taken as CSC: the CSR arrays of
-    triu(A) are the CSC arrays of tril(A^T) = tril(A).
-
-    The factor is SuperLU's complete LU of the triangle, L = tril(A) D^-1
-    and U = D, made by its ILU driver with nothing dropped (drop_tol = 0)
-    and a workspace of fill_factor = 1 times the triangle, which suffices
-    since a triangle has no fill.  Its factors and solves are bitwise those
-    of splu, which sizes its workspace by a fixed fill estimate and keeps
-    it with the factor: 22 MB at n = 16384 against 1.3 MB here.  Reused
-    after free, those workspaces made the peak memory of a 1D sweep vary by
-    10 MB from run to run."""
-    upper = A.indices >= np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    indptr = np.concatenate(([0], np.cumsum(upper)))[A.indptr]
-    tril = sp.csc_matrix((A.data[upper], A.indices[upper], indptr),
-                         shape=A.shape)
-    return spla.spilu(tril, drop_tol=0.0, fill_factor=1.0, drop_rule="basic",
-                      permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True, "Equil": False,
-                               "RowPerm": "NOROWPERM",
-                               "ILU_MILU": "SILU"}).solve
+def _triangle_solve(diag: np.ndarray, sub: np.ndarray) -> Callable:
+    """Solve with the lower bidiagonal triangle of diagonal diag and first
+    sub-diagonal sub, one forward Gauss-Seidel step of a tridiagonal
+    operator: BLAS banded forward substitution (dtbsv, bandwidth 1), in
+    place in the vector it is given.  The band is Fortran-ordered, since
+    f2py would copy a C-ordered one on every call."""
+    band = np.zeros((2, diag.size), order="F")
+    band[0], band[1, :-1] = diag, sub
+    return partial(dtbsv, 1, band, lower=1, overwrite_x=1)
 
 
 def _row_range(A: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
@@ -261,23 +252,21 @@ class MgLevel:
             self._free_steps, self._cut_steps = self._colour_steps(1.0 / diag)
             return
         # 1D: one lexicographic step, solved by the lower triangle.
+        below = self.A.indices < np.repeat(np.arange(-1, self.num_dofs - 1),
+                                           np.diff(self.A.indptr))
+        if below.any():
+            raise ValueError(
+                f"level {self.index}: the 1D operator has entries below its "
+                "first sub-diagonal; the smoother needs a tridiagonal one")
+        sub = self.A.diagonal(-1)
         self._free_steps = [(slice(None), self.A, self.scratch,
-                             _triangle_solve(self.A))]
-        if self.idx_cut.size:
-            rows = self.A[self.idx_cut]
-            # rows[:, idx_cut] by masking the canonical rows, which keeps
-            # their column order.
-            column = np.full(self.num_dofs, -1, dtype=rows.indices.dtype)
-            column[self.idx_cut] = np.arange(self.idx_cut.size)
-            cols = column[rows.indices]
-            kept = cols >= 0
-            block = sp.csr_matrix(
-                (rows.data[kept], cols[kept],
-                 np.concatenate(([0], np.cumsum(kept)))[rows.indptr]),
-                shape=(self.idx_cut.size, self.idx_cut.size))
-            self._cut_steps = [(self.idx_cut, rows,
-                                self.scratch[:self.idx_cut.size],
-                                _triangle_solve(block))]
+                             _triangle_solve(diag, sub))]
+        cut = self.idx_cut
+        if cut.size:
+            # The cut block couples two cut DOFs only where they are adjacent.
+            sub_cut = np.where(np.diff(cut) == 1, sub[cut[:-1]], 0.0)
+            self._cut_steps = [(cut, self.A[cut], self.scratch[:cut.size],
+                                _triangle_solve(diag[cut], sub_cut))]
 
     def smooth(self, u: np.ndarray, F: np.ndarray, eta: int):
         """One full sweep plus eta extra cut-DOF sweeps, in place.  A step

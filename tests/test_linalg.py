@@ -25,13 +25,26 @@ def random_spd(rng, m):
     return B @ B.T + m * np.eye(m)
 
 
-def level_for(A, cut=None):
-    """A level on every row of A (all DOFs free), smoothers prepared."""
+def random_tridiagonal_spd(rng, m):
+    """B B^T + m I for a random lower bidiagonal B: tridiagonal, as every
+    1D operator is."""
+    B = np.diag(rng.standard_normal(m)) \
+        + np.diag(rng.standard_normal(m - 1), -1)
+    return B @ B.T + m * np.eye(m)
+
+
+def bare_level(A, cut=None):
+    """A 1D level on every row of A (all DOFs free), nothing prepared."""
     m = A.shape[0]
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool) if cut is None else cut
     grid = CartesianGrid(m - 1, (0.0,), 1.0)
-    level = mg.MgLevel(A, free, cut, grid, mg.dof_order(free, cut, grid))
+    return mg.MgLevel(A, free, cut, grid, mg.dof_order(free, cut, grid))
+
+
+def level_for(A, cut=None):
+    """A 1D level on every row of a tridiagonal A, smoothers prepared."""
+    level = bare_level(A, cut)
     level.prepare_smoothers()
     return level
 
@@ -47,7 +60,7 @@ def test_gauss_seidel_masked_rows_only():
     # Each extra cut sweep changes the cut DOFs only, by one Gauss-Seidel
     # sweep of the cut rows: tril(A_cc) delta = (F - A u)_c.
     rng = np.random.default_rng(3)
-    A_dense = random_spd(rng, 6)
+    A_dense = random_tridiagonal_spd(rng, 6)
     F = rng.standard_normal(6)
     cut = np.array([True, False, True, True, False, True])
     level = level_for(sp.csr_matrix(A_dense), cut=cut)
@@ -127,7 +140,7 @@ def test_colour_sweep_rejects_in_class_coupling():
 def test_gauss_seidel_empty_mask_is_noop():
     # With no cut DOFs, extra cut sweeps change nothing.
     rng = np.random.default_rng(5)
-    level = level_for(sp.csr_matrix(random_spd(rng, 5)))
+    level = level_for(sp.csr_matrix(random_tridiagonal_spd(rng, 5)))
     F = rng.standard_normal(5)
     u_plain = rng.standard_normal(5)
     u_extra = u_plain.copy()
@@ -144,7 +157,7 @@ def test_gauss_seidel_zero_diagonal_raises():
 
 def test_gauss_seidel_exact_solution_is_fixed_point():
     rng = np.random.default_rng(11)
-    A = sp.csr_matrix(random_spd(rng, 8))
+    A = sp.csr_matrix(random_tridiagonal_spd(rng, 8))
     x = rng.standard_normal(8)
     F = A @ x
     u = x.copy()
@@ -217,7 +230,7 @@ def test_coarse_solve_dense_spd():
     rng = np.random.default_rng(1)
     A = random_spd(rng, 10)
     b = rng.standard_normal(10)
-    level = level_for(sp.csr_matrix(A))
+    level = bare_level(sp.csr_matrix(A))
     level.prepare_coarse_solver()
     x = level.coarse_solve(b)
     np.testing.assert_allclose(A @ x, b, rtol=0.0, atol=1e-10)
@@ -225,10 +238,7 @@ def test_coarse_solve_dense_spd():
 
 def test_dense_solve_indefinite_raises():
     A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    free, cut = np.ones(2, dtype=bool), np.zeros(2, dtype=bool)
-    grid = CartesianGrid(1, (0.0,), 1.0)
-    level = mg.MgLevel(sp.csr_matrix(A), free, cut, grid,
-                       mg.dof_order(free, cut, grid))
+    level = bare_level(sp.csr_matrix(A))
     with pytest.raises(linalg.NotSPDError):
         level.prepare_coarse_solver()
 
@@ -272,7 +282,7 @@ def test_gauss_seidel_decreases_energy_norm(seed):
     """For SPD A the error of a Gauss-Seidel sweep contracts in the A-norm."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 12))
-    A_dense = random_spd(rng, m)
+    A_dense = random_tridiagonal_spd(rng, m)
     x = rng.standard_normal(m)
     F = A_dense @ x
     u = rng.standard_normal(m)

@@ -7,10 +7,11 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble
-from ghostmg.geometry import domain_catalog, domain_names
+from ghostmg.geometry import CartesianGrid, domain_catalog, domain_names
 from ghostmg.linalg import NotSPDError, canonical_csr
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import pencil_max
@@ -282,26 +283,65 @@ def test_galerkin_equals_direct_coarse_assembly_1d(theta1, theta2):
 
 
 @pytest.mark.parametrize("theta1", [0.0099, 0.5, 0.99])
-def test_triangle_solve_equals_the_complete_lu_bitwise(theta1):
-    # The 1D Gauss-Seidel triangle is factored by SuperLU's ILU driver with
-    # nothing dropped.  On every smoothed level, for the full and the cut
-    # triangle, its factors and solves are bitwise those of splu.
+def test_triangle_solve_is_the_forward_substitution_in_place(theta1):
+    # A 1D step solves with the lower triangle of its block, A for the full
+    # step and A's cut block for the cut step, by banded forward
+    # substitution.  On every smoothed level it agrees with a sparse
+    # triangular solve to roundoff, and it solves in the step's scratch
+    # slice.
     n = 1024
     system = assemble_1d(n, theta1, 0.01, 1.1 / (theta1 / n))
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
     rng = np.random.default_rng(31)
     for level in hierarchy.levels[:-1]:
         cut = level.idx_cut
-        for A in (level.A, canonical_csr(level.A[cut][:, cut])):
-            lu = mg.spla.splu(sp.tril(A, format="csc"), permc_spec="NATURAL",
-                              options={"DiagPivotThresh": 0.0,
-                                       "SymmetricMode": True})
-            solve = mg._triangle_solve(A)
-            assert (solve.__self__.L != lu.L).nnz == 0
-            assert (solve.__self__.U != lu.U).nnz == 0
+        (full,), (cut_step,) = level._free_steps, level._cut_steps
+        for (_, _, y, solve), block in ((full, level.A),
+                                        (cut_step, level.A[cut][:, cut])):
+            lower = sp.tril(block, format="csr")
             for scale in (1e-8, 1.0, 1e8):
-                b = scale * rng.standard_normal(A.shape[0])
-                np.testing.assert_array_equal(solve(b), lu.solve(b))
+                y[:] = scale * rng.standard_normal(block.shape[0])
+                expected = spsolve_triangular(lower, y, lower=True)
+                assert solve(y) is y
+                assert np.abs(y - expected).max() \
+                    <= 1e-13 * np.abs(expected).max()
+
+
+def test_one_dimensional_sweeps_factor_only_the_coarsest_level(monkeypatch):
+    # A 1D operator is tridiagonal, so each step of the full and the cut
+    # sweep solves a bidiagonal triangle by forward substitution: building
+    # the hierarchy factors the coarsest operator and no triangle.
+    factored, incomplete = [], []
+    splu = mg.spla.splu
+
+    def counting_splu(A, **options):
+        factored.append(A.shape)
+        return splu(A, **options)
+
+    monkeypatch.setattr(mg.spla, "splu", counting_splu)
+    monkeypatch.setattr(mg.spla, "spilu",
+                        lambda A, **options: incomplete.append(A.shape))
+    system = assemble_1d(1024, 0.5, 0.01, 1.1 / (0.5 / 1024))
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
+    assert factored == [hierarchy.levels[-1].A.shape]
+    assert incomplete == []
+    for level in hierarchy.levels[:-1]:
+        assert len(level._free_steps) == len(level._cut_steps) == 1
+
+
+def test_one_dimensional_smoother_rejects_a_wider_operator():
+    # The 1D step solves a bidiagonal triangle, so an operator that couples
+    # DOFs two apart raises, naming the level, as a 2D colour class that
+    # couples to itself does.
+    m = 9
+    A = sp.diags([-0.5, -1.0, 6.0, -1.0, -0.5], [-2, -1, 0, 1, 2],
+                 shape=(m, m), format="csr")
+    grid = CartesianGrid(m - 1, (0.0,), 1.0)
+    free, cut = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
+    level = mg.MgLevel(A, free, cut, grid, mg.dof_order(free, cut, grid),
+                       index=2)
+    with pytest.raises(ValueError, match="level 2: the 1D operator"):
+        level.prepare_smoothers()
 
 
 def test_hierarchy_2d_structure():
@@ -640,7 +680,8 @@ def _reference_residual_norms(hierarchy, F, target, max_iters=100):
     workspace form: a step is u[sel] += solve(F[sel] - rows @ u), the
     coarse right-hand side R @ (F - A u) and the correction u += P @ u_c.
     The oracle takes each step's rows from the level; its solve is the
-    diagonal scale in 2D and the lower-triangle solve in 1D."""
+    diagonal scale in 2D and, in 1D, the lower-triangle solve built from
+    the diagonals of the step's block."""
     levels, config = hierarchy.levels, hierarchy.config
 
     def oracle_steps(level, steps):
@@ -650,7 +691,9 @@ def _reference_residual_norms(hierarchy, F, target, max_iters=100):
                 dinv = 1.0 / level.A.diagonal()[sel]
                 solve = partial(np.multiply, dinv)
             else:
-                solve = mg._triangle_solve(canonical_csr(rows[:, sel]))
+                block = rows[:, sel]
+                solve = mg._triangle_solve(block.diagonal(),
+                                           block.diagonal(-1))
             out.append((sel, rows, solve))
         return out
 
