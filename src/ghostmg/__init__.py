@@ -11,7 +11,7 @@ operators come from the shape-function refinement identity.
 Subpackages
 -----------
 linalg
-    CSR helpers, Galerkin triple product, CSR product into a buffer.
+    CSR helpers, CSR product into a buffer.
 geometry
     Background grids, level sets, node snapping, cell classification and cut
     geometry extraction, plus the catalog of benchmark domains.

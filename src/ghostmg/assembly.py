@@ -5,7 +5,8 @@ with a Dirichlet chord additionally contribute the penalty and consistency
 chord integrals, and Neumann chords load the right-hand side.  Nodes outside
 every active cell keep identity rows so the global numbering stays Cartesian.
 The operator is accumulated on its fixed 9-point pattern, one array plane per
-stencil slot, and emitted as canonical CSR directly.
+stencil slot, and emitted as canonical CSR directly.  That builder,
+`_stencil_operator`, also assembles every coarse level, 1D or 2D.
 
 Cut cells are integrated in one batched pass, `cut_cell_batch`, over the
 arrays of `extract_cut_geometry`: polygons come grouped by vertex count (3, 4
@@ -21,7 +22,6 @@ from the same stiffness S and chord flux Gram B; `fan_kernels` and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,14 +29,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from ghostmg.geometry import (
-    CORNER_DX,
-    CORNER_DY,
+    CORNERS,
     DIRICHLET,
     NEUMANN,
     CartesianGrid,
     CellClassification,
     CutCells,
     LevelSet,
+    corner_nodes,
     SnappedNodeField,
     classify_cells,
     extract_cut_geometry,
@@ -94,11 +94,6 @@ def full_cell_stiffness() -> np.ndarray:
         [c, e, d, e],
         [e, c, e, d],
     ])
-
-
-def cell_nodes(grid: CartesianGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Global corner nodes (BL, BR, TR, TL) of cells (i, j); shape (K, 4)."""
-    return (i[:, None] + CORNER_DX) + (j[:, None] + CORNER_DY) * grid.nodes_per_side
 
 
 def _local(points: np.ndarray, origins: np.ndarray, h: float):
@@ -270,9 +265,7 @@ class ProblemSpec:
 @dataclass
 class AssembledSystem:
     """Assembled system A u = F with its geometry and DOF bookkeeping;
-    penalty holds the Dirichlet cut cells from which the hierarchy sizes
-    each coarse level's penalty, and assemble_ms is the wall time `assemble`
-    took to build the system."""
+    penalty holds the cells that the hierarchy pools."""
 
     problem: ProblemSpec
     grid: CartesianGrid
@@ -286,7 +279,6 @@ class AssembledSystem:
     active_dofs: np.ndarray
     strong_dofs: np.ndarray
     cut_dofs: np.ndarray
-    assemble_ms: float = 0.0
 
     @property
     def free_dofs(self) -> np.ndarray:
@@ -324,7 +316,6 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
     global system."""
     from ghostmg.stabilization import PenaltyCells, build_stabilization
 
-    start = time.perf_counter()
     levelset = problem.levelset
     grid = levelset.grid(problem.h)
     h = grid.h
@@ -363,7 +354,11 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
     # they can drift apart by one ulp; average the halves to keep the
     # assembled operator bitwise symmetric.
     cut_K = 0.5 * (cut_K + cut_K.transpose(0, 2, 1))
-    A = _stencil_operator(classification, cut_cells.nodes, cut_K)
+    reference = full_cell_stiffness()
+    A = _stencil_operator(grid, classification.internal, reference,
+                          cut_cells.nodes, cut_K)
+    K0 = batch.S.copy()
+    K0[dirichlet] -= consistency + consistency.transpose(0, 2, 1)
 
     # Loads accumulate internal cells first, then cut cells, each in
     # row-major cell order.
@@ -371,7 +366,7 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         lam, problem.f, problem.g_dirichlet, problem.g_neumann)]
     in_js, in_is = np.nonzero(classification.internal)
     if in_is.size and problem.f is not None:
-        nodes.insert(0, cell_nodes(grid, in_is, in_js))
+        nodes.insert(0, corner_nodes(np.stack((in_is, in_js), 1), grid.n))
         loads.insert(0, _internal_source(problem.f, grid, in_is, in_js))
     F = np.bincount(np.concatenate(nodes).ravel(), np.concatenate(loads).ravel(),
                     minlength=grid.num_nodes)
@@ -389,6 +384,11 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
             else:
                 g_vals = np.zeros(grid.num_nodes)
             A, F = apply_strong_dirichlet(A, F, strong, g_vals)
+    # An internal cell with a strong corner holds the reference stiffness on
+    # its free corners only, so the hierarchy pools it as a block.
+    at = strong.reshape(grid.nodes_per_side, -1)
+    js, is_ = np.nonzero(classification.internal & (
+        at[:-1, :-1] | at[:-1, 1:] | at[1:, :-1] | at[1:, 1:]))
 
     return AssembledSystem(
         problem=problem,
@@ -400,81 +400,94 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         penalty=PenaltyCells(
             cells=cut_cells.cells[dirichlet], S=batch.S[dirichlet],
             B=batch.B[dirichlet], M=batch.mass[dirichlet], lam=lam,
-            full=classification.internal.ravel(),
-            reference=full_cell_stiffness(), gamma=problem.gamma,
-            mode=problem.lambda_mode),
+            full=classification.internal.ravel(), reference=reference,
+            gamma=problem.gamma, mode=problem.lambda_mode,
+            blocks=np.concatenate([cut_cells.cells, np.stack((is_, js), 1)]),
+            K0=np.concatenate([K0, np.broadcast_to(reference,
+                                                   (is_.size, 4, 4))])),
         A=A,
         F=F,
         active_dofs=active,
         strong_dofs=strong,
         cut_dofs=classification.cut_nodes & active & ~strong,
-        assemble_ms=1e3 * (time.perf_counter() - start),
     )
 
 
-# Stencil slot 3 (dy + 1) + (dx + 1) of the coupling from cell corner a to
-# cell corner b.
-_SLOT = (3 * (CORNER_DY[None, :] - CORNER_DY[:, None] + 1)
-         + CORNER_DX[None, :] - CORNER_DX[:, None] + 1)
-# The cells around a node in row-major order (SW, SE, NW, NE) hold it as
-# their corner TR, TL, BR, BL.
-_AROUND = (2, 3, 1, 0)
+# Stencil slot sum_d 3**d (offset_d + 1) of the coupling from cell corner a
+# to cell corner b, per dimension.
+_SLOT = {d: (c[None] - c[:, None] + 1) @ 3 ** np.arange(d)
+         for d, c in CORNERS.items()}
+# The cells around a node in row-major order hold it as their corner: right,
+# left in 1D; TR, TL, BR, BL in 2D (cells SW, SE, NW, NE).
+_AROUND = {1: (1, 0), 2: (2, 3, 1, 0)}
 # Rows per block when the stencil planes become CSR; a block's temporaries
 # stay near 2 MB.
 _BLOCK_ROWS = 1 << 15
 
 
-def _stencil_operator(classification: CellClassification, cut_nodes: np.ndarray,
-                      cut_K: np.ndarray) -> sp.csr_matrix:
-    """The global operator on its 9-point pattern, as canonical CSR.
+def _stencil_operator(grid: CartesianGrid, full: np.ndarray,
+                      reference: np.ndarray, nodes: np.ndarray,
+                      blocks: np.ndarray, rows: Optional[np.ndarray] = None,
+                      dof: Optional[np.ndarray] = None) -> sp.csr_matrix:
+    """The operator of a 1D or 2D grid on its 3**dim-point pattern, as CSR.
 
-    Each node's couplings sum over its cells in row-major order, internal
-    cells first (shifted copies of the reference stiffness), then cut cells
-    (the element matrices cut_K, (K, 4, 4)); nodes outside every active
-    cell get identity rows.  An entry is stored where some active cell
-    holds both nodes, whatever its value.
+    Each node's couplings sum over its cells in row-major order, first the
+    cells that `full` marks (flat index i + n j), shifted copies of the
+    stiffness `reference`, then the cells of corner nodes `nodes` (K, m)
+    with the blocks `blocks` (K, m, m); nodes outside every such cell get
+    identity rows.  An entry is stored where some such cell holds both
+    nodes, whatever its value.  The rows are the nodes `rows`, in order,
+    and the column of node q is dof[q], couplings to a node of DOF -1
+    dropped; by default every node, with sorted columns of node number.
     """
-    grid = classification.grid
-    n, nps, N = grid.n, grid.nodes_per_side, grid.num_nodes
+    n, nps, N, dim = grid.n, grid.nodes_per_side, grid.num_nodes, grid.dim
+    slot, size = _SLOT[dim], 3 ** dim
     # One array per stencil slot, and CSR emitted in blocks of rows: once a
     # (9, N) temporary is freed, malloc serves arrays up to its size from a
     # heap it does not trim, which raised the peak memory of a later solve.
-    values = [np.zeros((nps, nps)) for _ in range(9)]
-    stored = [np.zeros((nps, nps), dtype=bool) for _ in range(9)]
-    inside = classification.internal.astype(float)
-    reference = full_cell_stiffness()
-    # The reference stiffness holds three distinct values; scale once each.
+    values = [np.zeros((nps,) * dim) for _ in range(size)]
+    stored = [np.zeros((nps,) * dim, dtype=bool) for _ in range(size)]
+    full = np.reshape(full, (n,) * dim)
+    inside = full.astype(float)
+    # The reference stiffness holds few distinct values; scale once each.
     scaled = {v: v * inside for v in np.unique(reference)}
-    for a in _AROUND:
-        at_a = (slice(CORNER_DY[a], CORNER_DY[a] + n),
-                slice(CORNER_DX[a], CORNER_DX[a] + n))
-        for b in range(4):
-            values[_SLOT[a, b]][at_a] += scaled[reference[a, b]]
-            stored[_SLOT[a, b]][at_a] |= classification.active
-    for a in _AROUND:
-        for b in range(4):
-            # Node cut_nodes[k, a] is corner a of one cell only, so each
-            # scatter writes distinct entries.
-            values[_SLOT[a, b]].reshape(N)[cut_nodes[:, a]] += cut_K[:, a, b]
-    values[4].reshape(N)[~classification.active_nodes] = 1.0
-    stored[4][:] = True
-    # Row-major blocks of rows: a row's stored slots in ascending column
-    # order.
-    shifts = (np.arange(-1, 2, dtype=np.int32)[:, None] * nps
-              + np.arange(-1, 2, dtype=np.int32)).ravel()
+    for a in _AROUND[dim]:
+        at_a = tuple(slice(c, c + n) for c in CORNERS[dim][a][::-1])
+        for b in range(len(slot)):
+            values[slot[a, b]][at_a] += scaled[reference[a, b]]
+            stored[slot[a, b]][at_a] |= full
+    for a in _AROUND[dim]:
+        for b in range(len(slot)):
+            # Node nodes[k, a] is corner a of one cell only, so each scatter
+            # writes distinct entries.
+            values[slot[a, b]].reshape(N)[nodes[:, a]] += blocks[:, a, b]
+            stored[slot[a, b]].reshape(N)[nodes[:, a]] = True
+    values[size // 2][~stored[size // 2]] = 1.0
+    stored[size // 2][:] = True
+    shifts = ((np.arange(size)[:, None] // 3 ** np.arange(dim) % 3 - 1)
+              @ nps ** np.arange(dim)).astype(np.int32)
+    count = N if rows is None else rows.size
     counts, data, indices = [], [], []
-    for start in range(0, N, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        keep = np.stack([plane.reshape(N)[block] for plane in stored], axis=1)
+    for start in range(0, count, _BLOCK_ROWS):
+        if rows is None:
+            at = slice(start, start + _BLOCK_ROWS)
+            row = np.arange(start, min(start + _BLOCK_ROWS, N), dtype=np.int32)
+        else:
+            at = row = rows[start:start + _BLOCK_ROWS]
+        keep = np.stack([plane.reshape(N)[at] for plane in stored], axis=1)
+        cols = row[:, None] + shifts
+        if dof is not None:
+            # Couplings off the grid are not stored, so clipping is safe.
+            cols = dof.take(cols, mode="clip")
+            keep &= cols >= 0
         counts.append(keep.sum(axis=1))
-        data.append(np.stack([plane.reshape(N)[block] for plane in values],
+        data.append(np.stack([plane.reshape(N)[at] for plane in values],
                              axis=1)[keep])
-        rows = np.arange(start, start + len(keep), dtype=np.int32)
-        indices.append((rows[:, None] + shifts)[keep])
+        indices.append(cols[keep])
     return sp.csr_matrix(
         (np.concatenate(data), np.concatenate(indices),
          np.concatenate(([0], np.cumsum(np.concatenate(counts))))),
-        shape=(N, N))
+        shape=(count, count))
 
 
 def _internal_source(f: Callable, grid: CartesianGrid, in_is: np.ndarray,

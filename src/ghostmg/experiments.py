@@ -124,8 +124,11 @@ class ExperimentConfig:
                 "iterations")
         if self.alpha == 0.0:
             self.alpha = 2.0 if one_d else 1.75
-        if any(e < 0 for e in self.eta):
-            raise ConfigError("eta values must be nonnegative")
+        try:  # the cycle's own checks, before any point assembles
+            mg.CycleConfig(self.nu1, self.nu2, min(self.eta, default=0),
+                           coarsest_n=self.coarsest_n)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if self.experiment == "accuracy":
             for key in ("theta1", "theta", "gamma", "eta"):
                 if len(getattr(self, key)) > 1:

@@ -269,6 +269,19 @@ def classify_cells(field: SnappedNodeField) -> CellClassification:
 # Corner offsets of the cell corners BL, BR, TR, TL (counterclockwise).
 CORNER_DX = np.array([0, 1, 1, 0])
 CORNER_DY = np.array([0, 0, 1, 1])
+#: Corner offsets of a cell, (m, dim): left, right in 1D; BL, BR, TR, TL in
+#: 2D, the corner order of the cut-cell kernels.
+CORNERS = {1: np.array([[0], [1]]),
+           2: np.stack([CORNER_DX, CORNER_DY], axis=1)}
+
+
+def corner_nodes(cells: np.ndarray, n: int) -> np.ndarray:
+    """Grid node of each corner of the cells (K, dim), i first, in `CORNERS`
+    order, (K, m), on a grid of n cells per side."""
+    weights = (n + 1) ** np.arange(cells.shape[1])
+    return (cells @ weights)[:, None] + CORNERS[cells.shape[1]] @ weights
+
+
 # The scalar math.hypot as a ufunc: np.hypot rounds differently in the last
 # bit on about 0.6 % of chords, which would move thin-cut operator entries by
 # up to 6e-14 relative.

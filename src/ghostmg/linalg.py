@@ -1,8 +1,8 @@
 """Sparse linear-algebra kernels used by the solver stack.
 
 Sparse matrices are scipy CSR throughout; helpers here pin down the canonical
-form (sorted column indices, duplicates summed) and provide the Galerkin
-triple product and a CSR product into a caller's buffer.
+form (sorted column indices, duplicates summed) and provide a CSR product
+into a caller's buffer.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ def canonical_csr(matrix) -> sp.csr_matrix:
     a.sum_duplicates()
     a.sort_indices()
     return a
-
-
-def rap_product(R: sp.csr_matrix, A: sp.csr_matrix, P: sp.csr_matrix) -> sp.csr_matrix:
-    """Galerkin triple product R A P as canonical CSR."""
-    coarse = R @ A @ P
-    return canonical_csr(coarse)
 
 
 def matvec_into(A: sp.csr_matrix, x: np.ndarray,

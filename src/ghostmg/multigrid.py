@@ -9,17 +9,18 @@ free DOFs.  The coarse cut DOFs are, by the same rule, the parents of the
 fine cut DOFs, so the hierarchy reads no geometry: no level set is
 evaluated below the finest grid.
 
-A coarse operator is the Galerkin product R A P with the finer level's weak
-Dirichlet penalty exchanged for its own.  Each level keeps the cells that
-carry the penalty (`stabilization.PenaltyCells`); pooling them 2x2 (2 in
-1D) through the local bilinear prolongation gives the coarse cells' trace
-constants, and a coarse cell's penalty is gamma times its constant, floored
-by the largest penalty it pools over KAPPA; under the global rule a level
-takes the largest of its cells' penalties.  A Galerkin level would inherit
-the finest penalty, 102x to 708x each 1D coarse level's tuned value, and
-the deep V-cycle would degrade with depth.  Since R A P holds sum P^T lam M
-P over the pooled cells, the exchange adds sum (lam_c - lam) P^T M P: one
-small block per pooled cell, with no second product.
+On nested Q1 spaces the Galerkin product R A P is the coarse assembly of
+the fine cell blocks pooled 2x2 (2 in 1D) through the local bilinear
+prolongation.  So each level keeps its cells (`stabilization.PenaltyCells`):
+the blocks K0 of those that are not full, without the penalty, and the
+trace mass M of those that carry the weak Dirichlet penalty lam M.  The
+builder of the finest 2D operator (`assembly._stencil_operator`) assembles
+each coarse level from the pooled blocks K0_c + lam_c M_c, with the level's
+own penalty lam_c: gamma times the pooled cell's trace constant, floored by
+the largest penalty it pools over KAPPA, and under the global rule the
+largest of a level's cells.  A Galerkin level would inherit the finest
+penalty, 102x to 708x each 1D coarse level's tuned value, and the deep
+V-cycle would degrade with depth.
 
 Constrained nodes (ghost exterior nodes, strongly eliminated nodes)
 appear only at the API edge: ``solve`` takes and returns vectors on the
@@ -73,12 +74,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtbsv
 
-from ghostmg.assembly import AssembledSystem
-from ghostmg.geometry import CartesianGrid
-from ghostmg.linalg import (NotSPDError, canonical_csr, matvec_into,
-                            rap_product)
+from ghostmg.assembly import AssembledSystem, _stencil_operator
+from ghostmg.geometry import CORNERS, CartesianGrid, corner_nodes
+from ghostmg.linalg import NotSPDError, canonical_csr, matvec_into
 from ghostmg.one_dim import OneDimSystem
-from ghostmg.stabilization import CORNERS, PenaltyCells, pencil_max
+from ghostmg.stabilization import PenaltyCells, pencil_max
 
 #: Number of consecutive growing-residual cycles before a run is flagged.
 DIVERGENCE_PATIENCE = 5
@@ -168,12 +168,12 @@ class MgLevel:
     operator must be bitwise symmetric, as assembled and coarse operators
     are.  `scratch` holds every intermediate vector of the level's steps,
     residual and prolongation; `iterate` and `rhs`, set on coarse levels
-    only, are the level's u and F within a cycle.  `penalty`, set by
-    `build_hierarchy`, holds the cells of the level's weak Dirichlet
-    penalty."""
+    only, are the level's u and F within a cycle.  `penalty` holds the
+    cells the next coarser level is pooled from."""
 
     def __init__(self, A: sp.csr_matrix, free: np.ndarray, cut: np.ndarray,
-                 grid: CartesianGrid, order: np.ndarray, index: int = 0):
+                 grid: CartesianGrid, order: np.ndarray, index: int = 0,
+                 penalty: Optional[PenaltyCells] = None):
         self.A = canonical_csr(A)
         self.scratch = np.empty(self.num_dofs)
         self.iterate: Optional[np.ndarray] = None
@@ -185,7 +185,7 @@ class MgLevel:
         self.order = order
         self.R: Optional[sp.csr_matrix] = None
         self.P: Optional[sp.csr_matrix] = None
-        self.penalty: Optional[PenaltyCells] = None
+        self.penalty = penalty
         self.idx_cut = np.flatnonzero(self.cut[self.order])
         self._free_steps: list = []
         self._cut_steps: list = []
@@ -304,12 +304,10 @@ class MgLevel:
 
 @dataclass
 class Hierarchy:
-    """Prepared multigrid levels plus the cycle configuration; setup_ms is
-    the wall time `build_hierarchy` took to build and prepare them."""
+    """Prepared multigrid levels plus the cycle configuration."""
 
     levels: list
     config: CycleConfig
-    setup_ms: float = 0.0
 
 
 def _finalize(levels: list, config: CycleConfig) -> Hierarchy:
@@ -320,33 +318,6 @@ def _finalize(levels: list, config: CycleConfig) -> Hierarchy:
         level.rhs = np.empty(level.num_dofs)
     levels[-1].prepare_coarse_solver()
     return Hierarchy(levels=levels, config=config)
-
-
-def _symmetrized(A: sp.csr_matrix) -> sp.csr_matrix:
-    """Average away the one-ulp asymmetry of a floating-point sum of
-    products whose exact value is symmetric (P = R^T and A = A^T)."""
-    S = A + A.T.tocsr()
-    # Fresh arrays of the sum's size: the sum's own are views of buffers
-    # sized for nnz(A) + nnz(A^T), which S would otherwise keep alive.
-    S.data, S.indices = 0.5 * S.data, S.indices.copy()
-    return S
-
-
-def _block_sum(blocks: np.ndarray, dofs: np.ndarray,
-               size: int) -> sp.csr_matrix:
-    """The blocks (K, m, m) summed over their DOFs (K, m) into a canonical
-    CSR matrix of the given size; rows and columns at DOF -1 are dropped."""
-    m = dofs.shape[1]
-    rows = np.repeat(dofs, m, axis=1).ravel()
-    cols = np.tile(dofs, m).ravel()
-    kept = (rows >= 0) & (cols >= 0)
-    keys, slot = np.unique(rows[kept].astype(np.int64) * size + cols[kept],
-                           return_inverse=True)
-    rows, cols = np.divmod(keys, size)
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    return sp.csr_matrix((np.bincount(slot, blocks.reshape(-1)[kept]),
-                          cols.astype(np.int32), indptr), shape=(size, size))
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +382,7 @@ def _child_prolongations(dim: int) -> tuple:
     """The offsets (m, dim), m = 2**dim, of the children of a cell, child c
     at offset c_d = (c >> d) & 1 along axis d, and P[c, a, A] (m, m, m): the
     bilinear function of coarse corner A at corner a of child c; corners in
-    `stabilization.CORNERS` order."""
+    `geometry.CORNERS` order."""
     corners = CORNERS[dim]
     offsets = np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
     x = 0.5 * (offsets[:, None, :] + corners)[:, :, None, :]
@@ -419,66 +390,81 @@ def _child_prolongations(dim: int) -> tuple:
 
 
 def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
-                    n: int) -> tuple:
-    """The penalty cells of the next coarser grid and the blocks (K_c, m, m)
-    that their penalty adds to the Galerkin product, over their corners.
+                    n: int) -> PenaltyCells:
+    """The penalty cells of the next coarser grid, pooled 2x2 (2 in 1D)
+    through the local prolongations P.
 
-    The cells are pooled 2x2 (2 in 1D) through the local prolongations P:
     S_c sums P^T S P over the penalty children and the reference stiffness
     over the full ones, B_c and M_c sum P^T B P and P^T M P over the
-    penalty children, M masked to the free fine DOFs as R is.  A coarse
-    cell's penalty is gamma times the trace constant of (B_c, S_c), floored
-    by the largest child penalty over KAPPA, and the largest child penalty
-    where that pencil is singular; under the global rule every coarse cell
-    takes the largest of these.  The Galerkin product holds the children's
-    penalties, sum P^T lam M P, so the coarse operator is that product plus
-    sum (lam_c - lam) P^T M P.
+    penalty children.  A coarse cell's penalty is gamma times the trace
+    constant of (B_c, S_c), floored by the largest child penalty over
+    KAPPA, and the largest child penalty where that pencil is singular;
+    under the global rule every coarse cell takes the largest of these.
+    K0_c sums P^T K0 P over the block children and the reference stiffness
+    over the other full ones.  M and K0 are masked to the free fine DOFs,
+    as R is.
     """
-    m, dim = penalty.corners.shape
-    half = n // 2
+    dim = penalty.cells.shape[1]
+    m, half, flat = 2 ** dim, n // 2, (n // 2) ** np.arange(dim)
     offsets, prolong = _child_prolongations(dim)
-    # The coarse cells that hold a penalty cell, in flat order, the rank of
-    # each cell's parent among them, and each cell's slot in its parent.
-    parents, inverse = np.unique((penalty.cells >> 1) @ half ** np.arange(dim),
-                                 return_inverse=True)
-    child = (penalty.cells & 1) @ (1 << np.arange(dim))
-    slot = m * inverse + child
+    pooled_ref = (prolong.transpose(0, 2, 1) @ penalty.reference @ prolong
+                  ).reshape(m, m * m)
 
-    def pooled(values: np.ndarray) -> np.ndarray:
-        # Each child has its own slot in its parent: no two values collide.
-        out = np.zeros((m * parents.size,) + values.shape[1:])
-        out[slot] = values
-        return out.reshape((parents.size, m) + values.shape[1:])
+    def pooled(values, cells, coarse):
+        # values (K, ...) of the fine cells `cells` as the children of the
+        # coarse cells of sorted flat index `coarse`, absent children zero.
+        out = np.zeros((coarse.size, m) + values.shape[1:])
+        out[np.searchsorted(coarse, (cells >> 1) @ flat),
+            (cells & 1) @ (1 << np.arange(dim))] = values
+        return out
 
-    P = prolong[child][:, None]
-    mask = free[penalty.nodes(n)]
-    M = penalty.M * (mask[:, :, None] & mask[:, None, :])
+    def over_children(op, mask):
+        # Axis by axis: one reduction over strided axes is many times slower.
+        mask = mask.reshape((half, 2) * dim)
+        for axis in range(2 * dim - 1, 0, -2):
+            mask = op(*np.moveaxis(mask, axis, 0))
+        return mask.ravel()
+
+    def prolonged(cells):
+        # P of each fine cell and the mask of its pairs of free corners.
+        mask = free[corner_nodes(cells, n)]
+        return (prolong[(cells & 1) @ (1 << np.arange(dim))],
+                mask[:, :, None] & mask[:, None, :])
+
+    P, mask = prolonged(penalty.cells)
     # Per child, P^T S P, P^T B P and P^T M P.
-    SBM = P.transpose(0, 1, 3, 2) @ np.stack([penalty.S, penalty.B, M],
-                                             axis=1) @ P
-    S, B, M_c = pooled(SBM).sum(axis=1).transpose(1, 0, 2, 3)
-    cells = parents[:, None] // half ** np.arange(dim) % half
-    full = penalty.full[(2 * cells[:, None, :] + offsets) @ n ** np.arange(dim)]
-    S += (full @ (prolong.transpose(0, 2, 1) @ penalty.reference @ prolong)
-          .reshape(m, m * m)).reshape(-1, m, m)
-    floor = pooled(penalty.lam).max(axis=1)
+    SBM = P[:, None].transpose(0, 1, 3, 2) @ np.stack(
+        [penalty.S, penalty.B, penalty.M * mask], axis=1) @ P[:, None]
+    parents = np.unique((penalty.cells >> 1) @ flat)
+    S, B, M = pooled(SBM, penalty.cells, parents).sum(axis=1).transpose(
+        1, 0, 2, 3)
+    cells = parents[:, None] // flat % half
+    S += (penalty.full[(2 * cells[:, None, :] + offsets) @ n ** np.arange(dim)]
+          @ pooled_ref).reshape(-1, m, m)
+    floor = pooled(penalty.lam, penalty.cells, parents).max(axis=1)
     C = pencil_max(B, S)
     lam = np.where(np.isnan(C), floor,
                    np.maximum(penalty.gamma * C, floor / KAPPA))
     if penalty.mode == "global":
         lam.fill(lam.max(initial=0.0))
-    correction = pooled((lam[inverse] - penalty.lam)[:, None, None]
-                        * SBM[:, 2]).sum(axis=1)
-    # A coarse cell is full where its children are, halving axis by axis.
-    full_c = penalty.full.reshape((half, 2) * dim)
-    for axis in range(2 * dim - 1, 0, -2):
-        lead = (slice(None),) * axis
-        full_c = full_c[lead + (0,)] & full_c[lead + (1,)]
-    coarse = PenaltyCells(
-        cells=cells, S=S, B=B, M=M_c, lam=lam, full=full_c.ravel(),
+    full_c = over_children(np.logical_and, penalty.full)
+    # The coarse blocks: cells with a block child or with full and inactive
+    # children both.
+    coarse = over_children(np.logical_or, penalty.full) & ~full_c
+    coarse[(penalty.blocks >> 1) @ flat] = True
+    coarse = np.flatnonzero(coarse)
+    blocks = coarse[:, None] // flat % half
+    P, mask = prolonged(penalty.blocks)
+    K0 = pooled(P.transpose(0, 2, 1) @ (penalty.K0 * mask) @ P,
+                penalty.blocks, coarse).sum(axis=1)
+    full = penalty.full.copy()
+    full[penalty.blocks @ n ** np.arange(dim)] = False
+    K0 += (full[(2 * blocks[:, None, :] + offsets) @ n ** np.arange(dim)]
+           @ pooled_ref).reshape(-1, m, m)
+    return PenaltyCells(
+        cells=cells, S=S, B=B, M=M, lam=lam, full=full_c,
         reference=penalty.reference * 2.0 ** (dim - 2), gamma=penalty.gamma,
-        mode=penalty.mode)
-    return coarse, correction
+        mode=penalty.mode, blocks=blocks, K0=K0)
 
 
 def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
@@ -486,39 +472,39 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
     """Hierarchy for an assembled 1D or 2D system.
 
     Both system types supply A on their grid's nodes, the free and cut
-    masks there, and the cells that carry the weak Dirichlet penalty.  A
+    masks there, and the cells that the coarser levels are pooled from.  A
     level's P takes each fine free DOF from its coarse parents, whose union
     is the coarse free DOFs, and R = P^T, both numbered by dof_order.  The
     coarse cut DOFs, which only steer the extra smoothing sweeps and the
-    numbering, are the parents of the fine cut DOFs: the corners of the
-    coarse cells that hold a fine cut cell.  A coarse operator is the
-    Galerkin product R A P with its penalty exchanged for the coarse
-    level's own (`_coarse_penalty`), so no level inherits the finest
-    penalty.  No level set is evaluated below the finest grid.
+    numbering, are the parents of the fine cut DOFs.  A coarse operator is
+    assembled from the pooled blocks K0_c + lam_c M_c, with the coarse
+    level's own penalty (`_coarse_penalty`).
     """
-    start = time.perf_counter()
     grid = system.grid
     _validate_depth(grid.n, config.coarsest_n)
     free, cut = system.free_dofs, system.cut_dofs
     order = dof_order(free, cut, grid)
-    levels = [MgLevel(system.A[order][:, order], free, cut, grid, order)]
-    levels[0].penalty = system.penalty
+    levels = [MgLevel(system.A[order][:, order], free, cut, grid, order,
+                      penalty=system.penalty)]
     while levels[-1].n > config.coarsest_n:
         fine = levels[-1]
         grid_c = fine.grid.coarsen()
         fine.R, fine.P, free_c, cut_c, order_c, dof_c = _transfers(fine,
                                                                    grid_c)
-        penalty, blocks = _coarse_penalty(fine.penalty, fine.free, fine.n)
-        # Corners that no free fine DOF reaches carry exact zeros.
-        correction = _block_sum(blocks, dof_c[penalty.nodes(grid_c.n)],
-                                order_c.size)
-        A_c = _symmetrized(rap_product(fine.R, fine.A, fine.P) + correction)
+        penalty = _coarse_penalty(fine.penalty, fine.free, fine.n)
+        # The penalty cells are blocks; both are in flat order.
+        flat = grid_c.n ** np.arange(grid.dim)
+        K, full = penalty.K0.copy(), penalty.full.copy()
+        K[np.searchsorted(penalty.blocks @ flat, penalty.cells @ flat)] += \
+            penalty.lam[:, None, None] * penalty.M
+        full[penalty.blocks @ flat] = False
+        A_c = _stencil_operator(grid_c, full, penalty.reference,
+                                corner_nodes(penalty.blocks, grid_c.n),
+                                0.5 * (K + K.transpose(0, 2, 1)), order_c,
+                                dof_c)
         levels.append(MgLevel(A_c, free_c, cut_c, grid_c, order_c,
-                              index=len(levels)))
-        levels[-1].penalty = penalty
-    hierarchy = _finalize(levels, config)
-    hierarchy.setup_ms = 1e3 * (time.perf_counter() - start)
-    return hierarchy
+                              index=len(levels), penalty=penalty))
+    return _finalize(levels, config)
 
 
 def _cycle(levels: list, k: int, u: np.ndarray, F: np.ndarray,

@@ -91,18 +91,22 @@ class OneDimSystem:
         system knows lam, not the rule that chose it, so gamma is lam over
         the cell's trace constant 1 / (theta1 h), and the coarse levels
         size their penalties with that gamma under the local rule.  Cells
-        1 to n - 2 are full."""
-        blocks = self.blocks
-        h, theta1 = blocks.h, blocks.theta1
+        1 to n - 2 are full; the blocks are cells 0 and n - 1, the stiffness
+        of their parts, cell 0's plus A_B + A_B^T."""
+        b = self.blocks
+        h, theta1 = b.h, b.theta1
         diff = np.array([[1.0, -1.0], [-1.0, 1.0]])
         trace = np.array([theta1, 1.0 - theta1])
+        C = np.outer(trace, [-1.0 / h, 1.0 / h])
         full = np.ones(self.n, dtype=bool)
         full[[0, -1]] = False
         return PenaltyCells(
             cells=np.zeros((1, 1), dtype=int), S=(theta1 / h * diff)[None],
             B=(diff / h ** 2)[None], M=np.outer(trace, trace)[None],
-            lam=np.array([blocks.lam]), full=full, reference=diff / h,
-            gamma=blocks.lam * theta1 * h, mode="local")
+            lam=np.array([b.lam]), full=full, reference=diff / h,
+            gamma=b.lam * theta1 * h, mode="local",
+            blocks=np.array([[0], [self.n - 1]]),
+            K0=np.stack([theta1 / h * diff + C + C.T, b.theta2 / h * diff]))
 
 
 def _check_params(n: int, theta1: float, theta2: float) -> None:

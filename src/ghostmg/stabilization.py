@@ -27,8 +27,8 @@ quadrilateral          no closed form: the sharp value from `pencil_max`.
                        theta) it is exactly 1 / (theta h).
 
 `cell_constants` applies these rules, the one penalty rule of `assemble`.
-`PenaltyCells` keeps what sizing the coarse levels' penalties needs: the
-multigrid hierarchy pools the cells 2x2 and solves the pooled pencils with
+`PenaltyCells` keeps what the coarse levels are pooled from: the multigrid
+hierarchy pools the cells 2x2 and solves the pooled pencils with
 `pencil_max`, which also takes the 2x2 pencils of the 1D boundary cell.
 """
 
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ghostmg import assembly
-from ghostmg.geometry import CORNER_DX, CORNER_DY
 from ghostmg.linalg import DegeneratePencilError
 
 
@@ -172,25 +171,21 @@ class StabilizationField:
     lam: np.ndarray
 
 
-#: Corner offsets of a cell, (m, dim): left, right in 1D; BL, BR, TR, TL in
-#: 2D, the corner order of the cut-cell kernels.
-CORNERS = {1: np.array([[0], [1]]),
-           2: np.stack([CORNER_DX, CORNER_DY], axis=1)}
-
-
 @dataclass(eq=False)
 class PenaltyCells:
     """The cells of one grid that carry a weak Dirichlet penalty, with what
-    sizing the penalty of the coarser grids needs.
+    the coarser grids' penalties and operators are pooled from.
 
     cells (K, dim) holds each cell's index, i first; S, B and M (K, m, m),
-    over the cell's m = 2**dim corners in `CORNERS` order, its interior
-    stiffness, chord flux Gram and chord mass; lam (K,) its penalty, so the
-    operator holds lam M on the cell.  full (n**dim,) marks the cells wholly
-    inside the domain by flat index i + n j; their stiffness is `reference`.
-    gamma is the safety factor of the penalty over the trace constant, and
-    mode the rule that sized lam, "local" per cell or "global" (one value
-    for all cells), which the coarser grids keep.
+    over the cell's m = 2**dim corners in `geometry.CORNERS` order, its
+    interior stiffness, chord flux Gram and chord mass; lam (K,) its
+    penalty.  full (n**dim,) marks the cells wholly inside the domain by
+    flat index i + n j; their stiffness is `reference`.  blocks (J, dim)
+    holds every active cell whose operator block is not `reference` on
+    free corners, and K0 (J, m, m) that block less lam M.  gamma is the
+    safety factor of the penalty over the trace constant, and mode the rule
+    that sized lam, "local" per cell or "global" (one value for all cells),
+    which the coarser grids keep.
     """
 
     cells: np.ndarray
@@ -202,17 +197,8 @@ class PenaltyCells:
     reference: np.ndarray
     gamma: float
     mode: str
-
-    @property
-    def corners(self) -> np.ndarray:
-        return CORNERS[self.cells.shape[1]]
-
-    def nodes(self, n: int) -> np.ndarray:
-        """Grid node of each corner of each cell, (K, m), on a grid of n
-        cells per side."""
-        dim = self.cells.shape[1]
-        return ((self.cells[:, None, :] + self.corners)
-                @ (n + 1) ** np.arange(dim))
+    blocks: np.ndarray
+    K0: np.ndarray
 
 
 _MODES = ("local", "global")

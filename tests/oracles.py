@@ -14,6 +14,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from ghostmg import assembly
+from ghostmg.geometry import corner_nodes
 from ghostmg.linalg import DegeneratePencilError, canonical_csr
 from ghostmg.one_dim import OneDimSystem, rhs_blocks, system_blocks
 from ghostmg.stabilization import _sharp_constants
@@ -133,7 +134,7 @@ def dense_global_C_2d(system) -> float:
     nn = grid.num_nodes
     batch = assembly.cut_cell_batch(system.cut_cells)
     in_js, in_is = np.nonzero(system.classification.internal)
-    internal = assembly.cell_nodes(grid, in_is, in_js)
+    internal = corner_nodes(np.stack((in_is, in_js), 1), grid.n)
     d = batch.dirichlet
     B = np.zeros((nn, nn))
     S = np.zeros((nn, nn))

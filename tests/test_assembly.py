@@ -12,7 +12,6 @@ from ghostmg.assembly import (
     _internal_source,
     apply_strong_dirichlet,
     assemble,
-    cell_nodes,
     chord_kernels,
     cut_cell_batch,
     fan_kernels,
@@ -20,7 +19,7 @@ from ghostmg.assembly import (
     shape_gradients,
     shape_values,
 )
-from ghostmg.geometry import DIRICHLET, LevelSet, domain_catalog
+from ghostmg.geometry import DIRICHLET, LevelSet, corner_nodes, domain_catalog
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,7 @@ def triplet_reference(system):
     K[d] = K[d] + lam[:, None, None] * batch.mass[d] - C - C.transpose(0, 2, 1)
     K = 0.5 * (K + K.transpose(0, 2, 1))
     in_js, in_is = np.nonzero(cls.internal)
-    internal = cell_nodes(grid, in_is, in_js)
+    internal = corner_nodes(np.stack((in_is, in_js), 1), grid.n)
     nodes = np.concatenate([internal, system.cut_cells.nodes])
     inactive = np.flatnonzero(~cls.active_nodes)
     N = grid.num_nodes

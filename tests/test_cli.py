@@ -196,10 +196,9 @@ def test_verify_reports_an_indefinite_coarsest_level(monkeypatch):
     coarse_penalty = cli.mg._coarse_penalty
 
     def negative_penalty(penalty, free, n):
-        coarse, blocks = coarse_penalty(penalty, free, n)
         # Each coarse cell's penalty lam_c M_c becomes -lam_c M_c.
-        blocks = blocks - 2.0 * coarse.lam[:, None, None] * coarse.M
-        return dataclasses.replace(coarse, lam=-coarse.lam), blocks
+        coarse = coarse_penalty(penalty, free, n)
+        return dataclasses.replace(coarse, lam=-coarse.lam)
 
     monkeypatch.setattr(cli.mg, "_coarse_penalty", negative_penalty)
     name, ok, detail = cli._check_spd()

@@ -177,10 +177,14 @@ def test_explicit_values_override_defaults():
     (dict(iterations=30, window=(25, 35)), "does not fit"),
     (dict(window=(0, 10)), "does not fit"),
     (dict(eta=(-1,)), "nonnegative"),
+    (dict(nu1=-1), "nonnegative"),
+    (dict(nu2=-1), "nonnegative"),
+    (dict(coarsest_n=0), "coarsest_n must be at least 1"),
 ], ids=["bad-dim", "1d-domain", "2d-domain", "empty-ns", "odd-n", "tiny-n",
         "theta-off-rectangle", "rectangle-sans-theta", "theta1-high",
         "theta1-zero", "theta2-zero", "bad-lambda-mode", "inverse-h2-2d",
-        "bad-cycle", "window-overflow", "window-underflow", "negative-eta"])
+        "bad-cycle", "window-overflow", "window-underflow", "negative-eta",
+        "negative-nu1", "negative-nu2", "zero-coarsest-n"])
 def test_inconsistent_configs_raise(kwargs, fragment):
     base = dict(experiment="x", dimension=1, ns=(16,))
     base.update(kwargs)

@@ -165,17 +165,6 @@ def test_gauss_seidel_exact_solution_is_fixed_point():
     np.testing.assert_allclose(u, x, rtol=0.0, atol=1e-12)
 
 
-def test_rap_matches_dense_triple_product():
-    rng = np.random.default_rng(0)
-    R = rng.standard_normal((3, 5))
-    A = rng.standard_normal((5, 5))
-    P = rng.standard_normal((5, 3))
-    out = linalg.rap_product(sp.csr_matrix(R), sp.csr_matrix(A),
-                             sp.csr_matrix(P))
-    np.testing.assert_allclose(out.toarray(), R @ A @ P, rtol=1e-14)
-    assert out.has_canonical_format
-
-
 def test_canonical_csr_sums_duplicates():
     A = sp.coo_matrix(([1.0, 2.0, 5.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
     out = linalg.canonical_csr(A)

@@ -11,7 +11,8 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble
-from ghostmg.geometry import CartesianGrid, domain_catalog, domain_names
+from ghostmg.geometry import (CartesianGrid, corner_nodes, domain_catalog,
+                              domain_names)
 from ghostmg.linalg import NotSPDError, canonical_csr
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import pencil_max
@@ -174,7 +175,7 @@ def _penalty_operator(level):
     penalty = level.penalty
     dof = np.full(level.grid.num_nodes, -1)
     dof[level.order] = np.arange(level.num_dofs)
-    nodes = dof[penalty.nodes(level.n)]
+    nodes = dof[corner_nodes(penalty.cells, level.n)]
     m = nodes.shape[1]
     rows = np.repeat(nodes, m, axis=1).ravel()
     cols = np.tile(nodes, m).ravel()
@@ -190,7 +191,9 @@ def _assert_compressed_galerkin(hierarchy):
     operator is bitwise symmetric and equals the Galerkin product of its
     parent with the parent's penalty exchanged for its own:
     A_c = R (A - Pen) P + Pen_c, Pen = sum lam M over a level's penalty
-    cells."""
+    cells.  Every nonzero of that product is stored; the operator may
+    store exact zeros besides, where a coarse cell holds two nodes that
+    the product does not couple."""
     for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
         free_f, free_c = fine.free.sum(), coarse.free.sum()
         assert fine.A.shape == (free_f, free_f)
@@ -203,6 +206,39 @@ def _assert_compressed_galerkin(hierarchy):
             + _penalty_operator(coarse)
         np.testing.assert_allclose(coarse.A.toarray(), exchanged, rtol=0.0,
                                    atol=1e-14 * np.abs(rap).max())
+        stored = sp.csr_matrix((np.ones(coarse.A.nnz), coarse.A.indices,
+                                coarse.A.indptr), shape=coarse.A.shape)
+        assert not exchanged[stored.toarray() == 0.0].any()
+
+
+@pytest.mark.parametrize("name", domain_names() + ["interval"])
+def test_coarse_operators_are_the_exchanged_galerkin_products(name):
+    # The pooled cell assembly of every coarse level is the Galerkin product
+    # with the penalty exchanged: with Neumann cut cells (annulus, leaf),
+    # with the rectangle's strong DOFs, and in 1D.
+    if name == "interval":
+        system = assemble_1d(64, 0.3, 0.6, 1.1 / (0.3 / 64))
+    else:
+        system = _catalog_system(name)
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
+    assert len(hierarchy.levels) == 5
+    _assert_compressed_galerkin(hierarchy)
+
+
+def test_coarse_operators_skip_constrained_coarse_nodes():
+    # Strong nodes inside the domain, a 3x3 block around node (32, 32),
+    # leave coarse node (16, 16) without a free fine DOF: it is no coarse
+    # DOF, though the coarse cells around it are active, and the coarse
+    # operators drop its couplings.
+    levelset = domain_catalog("disk")
+    system = assemble(ProblemSpec(
+        levelset, 1.0 / 64, gamma=2.0,
+        strong_predicate=lambda x, y: ((np.abs(x - 0.5) < 1.5 / 64)
+                                       & (np.abs(y - 0.5) < 1.5 / 64))))
+    assert system.strong_dofs.sum() == 9
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
+    assert not hierarchy.levels[1].free[16 + 33 * 16]
+    _assert_compressed_galerkin(hierarchy)
 
 
 def test_hierarchy_1d_structure():
@@ -261,9 +297,8 @@ def test_coarse_levels_1d_are_direct_assemblies_with_their_own_penalty(
         assert level.penalty.lam[0] == pytest.approx(lam, rel=1e-12)
         direct = assemble_1d(level.n, theta1, theta2,
                              level.penalty.lam[0]).A.toarray()
-        # Each level exchanges a penalty as large as the finest one.
         np.testing.assert_allclose(level.A.toarray(), direct, rtol=0.0,
-                                   atol=1e-15 * abs(system.A).max(),
+                                   atol=1e-14 * np.abs(direct).max(),
                                    err_msg=f"level {level.index}")
     assert floored == (system.blocks.theta1 < 0.1)
 
