@@ -6,7 +6,8 @@ chord integrals, and Neumann chords load the right-hand side.  Nodes outside
 every active cell keep identity rows so the global numbering stays Cartesian.
 The operator is accumulated on its fixed 9-point pattern, one array plane per
 stencil slot, and emitted as canonical CSR directly.  That builder,
-`_stencil_operator`, also assembles every coarse level, 1D or 2D.
+`_stencil_operator`, also assembles the finest 1D level and every coarse
+level, 1D or 2D, from their cells (`stabilization.PenaltyCells.operator`).
 
 Cut cells are integrated in one batched pass, `cut_cell_batch`, over the
 arrays of `extract_cut_geometry`: polygons come grouped by vertex count (3, 4

@@ -13,10 +13,11 @@ On nested Q1 spaces the Galerkin product R A P is the coarse assembly of
 the fine cell blocks pooled 2x2 (2 in 1D) through the local bilinear
 prolongation.  So each level keeps its cells (`stabilization.PenaltyCells`):
 the blocks K0 of those that are not full, without the penalty, and the
-trace mass M of those that carry the weak Dirichlet penalty lam M.  The
-builder of the finest 2D operator (`assembly._stencil_operator`) assembles
-each coarse level from the pooled blocks K0_c + lam_c M_c, with the level's
-own penalty lam_c: gamma times the pooled cell's trace constant, floored by
+trace mass M of those that carry the weak Dirichlet penalty lam M.  Each
+coarse level is assembled from its pooled blocks K0_c + lam_c M_c
+(`PenaltyCells.operator`, which also assembles the finest 1D operator and
+shares its stencil builder with the finest 2D one), with the level's own
+penalty lam_c: gamma times the pooled cell's trace constant, floored by
 the largest penalty it pools over KAPPA, and under the global rule the
 largest of a level's cells.  A Galerkin level would inherit the finest
 penalty, 102x to 708x each 1D coarse level's tuned value, and the deep
@@ -74,7 +75,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtbsv
 
-from ghostmg.assembly import AssembledSystem, _stencil_operator
+from ghostmg.assembly import AssembledSystem
 from ghostmg.geometry import CORNERS, CartesianGrid, corner_nodes
 from ghostmg.linalg import NotSPDError, canonical_csr, matvec_into
 from ghostmg.one_dim import OneDimSystem
@@ -478,31 +479,24 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
     coarse cut DOFs, which only steer the extra smoothing sweeps and the
     numbering, are the parents of the fine cut DOFs.  A coarse operator is
     assembled from the pooled blocks K0_c + lam_c M_c, with the coarse
-    level's own penalty (`_coarse_penalty`).
+    level's own penalty (`_coarse_penalty`), by `PenaltyCells.operator`.
     """
     grid = system.grid
     _validate_depth(grid.n, config.coarsest_n)
     free, cut = system.free_dofs, system.cut_dofs
     order = dof_order(free, cut, grid)
-    levels = [MgLevel(system.A[order][:, order], free, cut, grid, order,
-                      penalty=system.penalty)]
+    # Where every node is a DOF in node order (1D), level 0 is A, not a copy.
+    identity = np.array_equal(order, np.arange(grid.num_nodes))
+    levels = [MgLevel(system.A if identity else system.A[order][:, order],
+                      free, cut, grid, order, penalty=system.penalty)]
     while levels[-1].n > config.coarsest_n:
         fine = levels[-1]
         grid_c = fine.grid.coarsen()
         fine.R, fine.P, free_c, cut_c, order_c, dof_c = _transfers(fine,
                                                                    grid_c)
         penalty = _coarse_penalty(fine.penalty, fine.free, fine.n)
-        # The penalty cells are blocks; both are in flat order.
-        flat = grid_c.n ** np.arange(grid.dim)
-        K, full = penalty.K0.copy(), penalty.full.copy()
-        K[np.searchsorted(penalty.blocks @ flat, penalty.cells @ flat)] += \
-            penalty.lam[:, None, None] * penalty.M
-        full[penalty.blocks @ flat] = False
-        A_c = _stencil_operator(grid_c, full, penalty.reference,
-                                corner_nodes(penalty.blocks, grid_c.n),
-                                0.5 * (K + K.transpose(0, 2, 1)), order_c,
-                                dof_c)
-        levels.append(MgLevel(A_c, free_c, cut_c, grid_c, order_c,
+        levels.append(MgLevel(penalty.operator(grid_c, order_c, dof_c),
+                              free_c, cut_c, grid_c, order_c,
                               index=len(levels), penalty=penalty))
     return _finalize(levels, config)
 

@@ -3,12 +3,16 @@
 The domain is (a, b) inside the unit artificial domain [0, 1] with n cells of
 width h = 1/n, where a = (1 - theta1) h lies in the first cell and
 b = 1 - (1 - theta2) h in the last.  A weak Dirichlet condition with penalty
-lambda is imposed at a and a Neumann condition at b.  The system splits into
+lambda is imposed at a and a Neumann condition at b.  The operator is
+assembled from its cells by `stabilization.PenaltyCells.operator`, as every
+coarse level is.  Summed over the cells it is the splitting
 
     A = A_I + A_B + A_B^T + A_lam,
 
 with A_I the P1 stiffness of the truncated mesh, A_B the Dirichlet
-consistency block, A_lam the penalty block; F = F_f + F_B + F_lam + F_N.
+consistency block and A_lam the penalty block.  This splitting is the tests'
+oracle of A: they build the blocks densely and check A against their sum.
+F = F_f + F_B + F_lam + F_N.
 """
 
 from __future__ import annotations
@@ -17,55 +21,39 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ghostmg.geometry import CartesianGrid
-from ghostmg.linalg import canonical_csr
 from ghostmg.stabilization import PenaltyCells
 
 
 @dataclass
-class OneDimBlocks:
-    """The individual matrix and vector blocks of the 1D system."""
+class OneDimSystem:
+    """Assembled 1D Nitsche system A u = F, A canonical CSR on the n + 1
+    nodes, and the cells the hierarchy pools from (`penalty`).
+
+    The Dirichlet cell, cell 0, is the 2-node case of the 2D cut cells: the
+    stiffness of its part of length theta1 h, the Gram of the flux u'(a),
+    the trace mass at a and the penalty lam.  The system knows lam, not the
+    rule that chose it, so gamma is lam over the cell's trace constant
+    1 / (theta1 h), and the coarse levels size their penalties with that
+    gamma under the local rule.  Cells 1 to n - 2 are full; the blocks are
+    cells 0 and n - 1, the stiffness of their parts, cell 0's plus
+    A_B + A_B^T.
+    """
 
     n: int
     theta1: float
     theta2: float
     lam: float
-    A_I: sp.csr_matrix
-    A_B: sp.csr_matrix
-    A_lam: sp.csr_matrix
+    g_a: float
+    g_b: float
+    A: object
+    F: np.ndarray
+    penalty: PenaltyCells
 
     @property
     def h(self) -> float:
         return 1.0 / self.n
-
-    @property
-    def a(self) -> float:
-        return (1.0 - self.theta1) * self.h
-
-    @property
-    def b(self) -> float:
-        return 1.0 - (1.0 - self.theta2) * self.h
-
-
-@dataclass
-class OneDimSystem:
-    """Assembled 1D Nitsche system A u = F with its blocks."""
-
-    blocks: OneDimBlocks
-    A: sp.csr_matrix
-    F: np.ndarray
-    g_a: float
-    g_b: float
-
-    @property
-    def n(self) -> int:
-        return self.blocks.n
-
-    @property
-    def h(self) -> float:
-        return self.blocks.h
 
     @property
     def grid(self) -> CartesianGrid:
@@ -83,31 +71,6 @@ class OneDimSystem:
         mask[[0, 1, -2, -1]] = True
         return mask
 
-    @property
-    def penalty(self) -> PenaltyCells:
-        """The Dirichlet cell, cell 0, as the 2-node case of the 2D cut
-        cells: the stiffness of its part of length theta1 h, the Gram of
-        the flux u'(a), the trace mass at a and the penalty lam.  The
-        system knows lam, not the rule that chose it, so gamma is lam over
-        the cell's trace constant 1 / (theta1 h), and the coarse levels
-        size their penalties with that gamma under the local rule.  Cells
-        1 to n - 2 are full; the blocks are cells 0 and n - 1, the stiffness
-        of their parts, cell 0's plus A_B + A_B^T."""
-        b = self.blocks
-        h, theta1 = b.h, b.theta1
-        diff = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        trace = np.array([theta1, 1.0 - theta1])
-        C = np.outer(trace, [-1.0 / h, 1.0 / h])
-        full = np.ones(self.n, dtype=bool)
-        full[[0, -1]] = False
-        return PenaltyCells(
-            cells=np.zeros((1, 1), dtype=int), S=(theta1 / h * diff)[None],
-            B=(diff / h ** 2)[None], M=np.outer(trace, trace)[None],
-            lam=np.array([b.lam]), full=full, reference=diff / h,
-            gamma=b.lam * theta1 * h, mode="local",
-            blocks=np.array([[0], [self.n - 1]]),
-            K0=np.stack([theta1 / h * diff + C + C.T, b.theta2 / h * diff]))
-
 
 def _check_params(n: int, theta1: float, theta2: float) -> None:
     if n < 2:
@@ -115,38 +78,6 @@ def _check_params(n: int, theta1: float, theta2: float) -> None:
     for name, t in (("theta1", theta1), ("theta2", theta2)):
         if not (0.0 < t <= 1.0):
             raise ValueError(f"{name} must lie in (0, 1], got {t}")
-
-
-def system_blocks(n: int, theta1: float, theta2: float, lam: float) -> OneDimBlocks:
-    """Build A_I, A_B and A_lam for the cut interval.
-
-    A_I comes from summing per-cell stiffness contributions with the first
-    and last cells shortened to theta1 h and theta2 h.  A_B and A_lam are the
-    rank-one boundary blocks phi_i(a) phi_j'(a) and lam phi_i(a) phi_j(a).
-    """
-    _check_params(n, theta1, theta2)
-    h = 1.0 / n
-    m = n + 1
-
-    weights = np.ones(n)
-    weights[0] = theta1
-    weights[-1] = theta2
-    cells = np.arange(n)
-    rows = np.concatenate([cells, cells, cells + 1, cells + 1])
-    cols = np.concatenate([cells, cells + 1, cells, cells + 1])
-    vals = np.concatenate([weights, -weights, -weights, weights]) / h
-    A_I = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
-
-    # p_i = phi_i(a), q_j = phi_j'(a): only the first two basis functions see a.
-    p = np.array([theta1, 1.0 - theta1])
-    q = np.array([-1.0, 1.0]) / h
-    corner = np.outer(p, q)
-    A_B = sp.csr_matrix((corner.ravel(), ([0, 0, 1, 1], [0, 1, 0, 1])), shape=(m, m))
-    pen = lam * np.outer(p, p)
-    A_lam = sp.csr_matrix((pen.ravel(), ([0, 0, 1, 1], [0, 1, 0, 1])), shape=(m, m))
-
-    return OneDimBlocks(n, theta1, theta2, lam, A_I.tocsr(), A_B.tocsr(),
-                        A_lam.tocsr())
 
 
 def source_vector(n: int, theta1: float, theta2: float,
@@ -217,9 +148,22 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
     g_b : float
         Neumann datum u'(b) at b.
     """
-    blocks = system_blocks(n, theta1, theta2, lam)
-    A = canonical_csr(blocks.A_I + blocks.A_B + blocks.A_B.T + blocks.A_lam)
+    _check_params(n, theta1, theta2)
+    h = 1.0 / n
+    diff = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    trace = np.array([theta1, 1.0 - theta1])
+    C = np.outer(trace, [-1.0 / h, 1.0 / h])
+    full = np.ones(n, dtype=bool)
+    full[[0, -1]] = False
+    penalty = PenaltyCells(
+        cells=np.zeros((1, 1), dtype=int), S=(theta1 / h * diff)[None],
+        B=(diff / h ** 2)[None], M=np.outer(trace, trace)[None],
+        lam=np.array([lam]), full=full, reference=diff / h,
+        gamma=lam * theta1 * h, mode="local", blocks=np.array([[0], [n - 1]]),
+        K0=np.stack([theta1 / h * diff + C + C.T, theta2 / h * diff]))
     F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, g_a, g_b)
     F = source_vector(n, theta1, theta2, f) + F_B + F_lam + F_N
-    return OneDimSystem(blocks, A, F, g_a, g_b)
+    return OneDimSystem(n, theta1, theta2, lam, g_a, g_b,
+                        penalty.operator(CartesianGrid(n, (0.0,), 1.0)), F,
+                        penalty)
 

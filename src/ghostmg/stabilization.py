@@ -30,16 +30,20 @@ quadrilateral          no closed form: the sharp value from `pencil_max`.
 `PenaltyCells` keeps what the coarse levels are pooled from: the multigrid
 hierarchy pools the cells 2x2 and solves the pooled pencils with
 `pencil_max`, which also takes the 2x2 pencils of the 1D boundary cell.
+`PenaltyCells.operator` assembles a level's operator from its cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from ghostmg import assembly
+from ghostmg.geometry import CartesianGrid, corner_nodes
 from ghostmg.linalg import DegeneratePencilError
 
 
@@ -199,6 +203,21 @@ class PenaltyCells:
     mode: str
     blocks: np.ndarray
     K0: np.ndarray
+
+    def operator(self, grid: CartesianGrid, rows: Optional[np.ndarray] = None,
+                 dof: Optional[np.ndarray] = None) -> sp.csr_matrix:
+        """The operator of the grid these cells tile, as CSR: the reference
+        stiffness on the full cells that are no blocks, K0 + lam M,
+        symmetrized, on the blocks.  The blocks must be in flat order.
+        rows and dof are those of `assembly._stencil_operator`."""
+        flat = grid.n ** np.arange(grid.dim)
+        K, full = self.K0.copy(), self.full.copy()
+        K[np.searchsorted(self.blocks @ flat, self.cells @ flat)] += \
+            self.lam[:, None, None] * self.M
+        full[self.blocks @ flat] = False
+        return assembly._stencil_operator(
+            grid, full, self.reference, corner_nodes(self.blocks, grid.n),
+            0.5 * (K + K.transpose(0, 2, 1)), rows, dof)
 
 
 _MODES = ("local", "global")

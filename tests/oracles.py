@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from ghostmg import assembly
 from ghostmg.geometry import corner_nodes
 from ghostmg.linalg import DegeneratePencilError, canonical_csr
-from ghostmg.one_dim import OneDimSystem, rhs_blocks, system_blocks
+from ghostmg.one_dim import OneDimSystem, rhs_blocks
 from ghostmg.stabilization import _sharp_constants
 
 
@@ -114,12 +114,12 @@ def dense_global_C_1d(n: int, theta1: float, theta2: float) -> float:
     The maximizing function concentrates its seminorm on the boundary cell,
     so this equals the local constant 1 / (theta1 h).
     """
-    blocks = system_blocks(n, theta1, theta2, lam=1.0)
-    h = blocks.h
+    A_I = dense_blocks_oracle(n, theta1, theta2, lam=1.0)[0]
+    h = 1.0 / n
     q = np.zeros(n + 1)
     q[0] = -1.0 / h
     q[1] = 1.0 / h
-    return generalized_eig_max(np.outer(q, q), blocks.A_I.toarray()).value
+    return generalized_eig_max(np.outer(q, q), A_I).value
 
 
 def dense_global_C_2d(system) -> float:
@@ -223,9 +223,8 @@ def flux_at_b(u: np.ndarray, h: float) -> float:
 def boundary_residuals(system: OneDimSystem,
                        u: np.ndarray) -> tuple[float, float]:
     """Dirichlet and Neumann data residuals (r_a, r_b) of an iterate."""
-    blocks = system.blocks
-    r_a = system.g_a - trace_at_a(u, blocks.theta1)
-    r_b = system.g_b - flux_at_b(u, blocks.h)
+    r_a = system.g_a - trace_at_a(u, system.theta1)
+    r_b = system.g_b - flux_at_b(u, system.h)
     return r_a, r_b
 
 
@@ -236,13 +235,11 @@ def split_residual_fine(system: OneDimSystem, u: np.ndarray) -> dict:
     (A_I + A_B + A_BN) u and the boundary pieces are `rhs_blocks` of the
     data residuals r_a, r_b in place of the data.
     """
-    blocks = system.blocks
-    n, theta1, theta2, lam = blocks.n, blocks.theta1, blocks.theta2, blocks.lam
+    n, theta1, theta2, lam = system.n, system.theta1, system.theta2, system.lam
     F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, system.g_a, system.g_b)
     r_a, r_b = boundary_residuals(system, u)
-    A_BN = dense_blocks_oracle(n, theta1, theta2, lam)[3]
-    r_int = system.F - F_B - F_lam - F_N \
-        - (blocks.A_I + blocks.A_B) @ u - A_BN @ u
+    A_I, A_B, _, A_BN = dense_blocks_oracle(n, theta1, theta2, lam)
+    r_int = system.F - F_B - F_lam - F_N - (A_I + A_B + A_BN) @ u
     r_B, r_lam, r_N = rhs_blocks(n, theta1, theta2, lam, r_a, r_b)
     return {"interior": r_int, "dirichlet_flux": r_B, "penalty": r_lam,
             "neumann": r_N, "r_a": r_a, "r_b": r_b}
@@ -259,11 +256,10 @@ def split_residual_coarse(system: OneDimSystem, u: np.ndarray,
     residuals r_a, r_b.  This equals the full restriction of the fine
     residual exactly.
     """
-    blocks = system.blocks
-    if blocks.n % 2 != 0:
+    if system.n % 2 != 0:
         raise ValueError("fine grid must have an even number of cells")
     parts = split_residual_fine(system, u)
-    r_B, r_lam, r_N = rhs_blocks(blocks.n // 2, coarse_theta(blocks.theta1),
-                                 coarse_theta(blocks.theta2), blocks.lam,
+    r_B, r_lam, r_N = rhs_blocks(system.n // 2, coarse_theta(system.theta1),
+                                 coarse_theta(system.theta2), system.lam,
                                  parts["r_a"], parts["r_b"])
     return restrict @ parts["interior"] + (r_B + r_lam + r_N)

@@ -1,14 +1,11 @@
-"""The cut-interval model problem: blocks, loads and residual splitting."""
+"""The cut-interval model problem: operator, loads and residual splitting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghostmg.one_dim import (
-    assemble_1d,
-    rhs_blocks,
-    source_vector,
-    system_blocks,
-)
+from ghostmg.one_dim import assemble_1d, rhs_blocks, source_vector
 from oracles import (
     boundary_residuals,
     coarse_theta,
@@ -21,30 +18,62 @@ from oracles import (
 )
 
 
+def _dense_sum(n, theta1, theta2, lam):
+    """A_I + A_B + A_B^T + A_lam of the dense oracle."""
+    A_I, A_B, A_lam, _ = dense_blocks_oracle(n, theta1, theta2, lam)
+    return A_I + A_B + A_B.T + A_lam
+
+
 @pytest.mark.parametrize("theta1", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("theta2", [0.1, 0.5, 1.0])
 def test_blocks_match_dense_oracle(theta1, theta2):
+    # The operator assembled from the cells is the sum of the blocks.
     n, lam = 8, 37.0
-    blocks = system_blocks(n, theta1, theta2, lam)
-    A_I, A_B, A_lam, _ = dense_blocks_oracle(n, theta1, theta2, lam)
-    np.testing.assert_allclose(blocks.A_I.toarray(), A_I, atol=1e-13)
-    np.testing.assert_allclose(blocks.A_B.toarray(), A_B, atol=1e-13)
-    np.testing.assert_allclose(blocks.A_lam.toarray(), A_lam, atol=1e-13)
+    A = assemble_1d(n, theta1, theta2, lam).A.toarray()
+    np.testing.assert_allclose(A, _dense_sum(n, theta1, theta2, lam),
+                               atol=1e-13)
 
 
 def test_block_corner_entries():
+    # The Dirichlet corner: the first cell shortened to theta1 h, the
+    # consistency terms of u'(a) against phi_0(a) = theta1 and
+    # phi_1(a) = 1 - theta1, and the penalty lam phi_i(a) phi_j(a); the
+    # Neumann corner: the last cell shortened to theta2 h.
     n, theta1, theta2, lam = 16, 0.3, 0.8, 11.0
     h = 1.0 / n
-    blocks = system_blocks(n, theta1, theta2, lam)
-    # First stiffness row is the shortened first cell.
-    row0 = blocks.A_I.toarray()[0]
-    assert row0[0] == pytest.approx(theta1 / h, rel=1e-15)
-    assert row0[1] == pytest.approx(-theta1 / h, rel=1e-15)
-    assert np.all(row0[2:] == 0.0)
-    # Penalty block corner is lam * phi_0(a)^2 = lam * theta1^2.
-    assert blocks.A_lam[0, 0] == pytest.approx(lam * theta1 ** 2, rel=1e-15)
-    assert blocks.a == pytest.approx((1.0 - theta1) * h, rel=1e-15)
-    assert blocks.b == pytest.approx(1.0 - (1.0 - theta2) * h, rel=1e-15)
+    A = assemble_1d(n, theta1, theta2, lam).A.toarray()
+    np.testing.assert_allclose(
+        A[:2, :2],
+        [[-theta1 / h + lam * theta1 ** 2,
+          -(1.0 - theta1) / h + lam * theta1 * (1.0 - theta1)],
+         [-(1.0 - theta1) / h + lam * theta1 * (1.0 - theta1),
+          (3.0 - theta1) / h + lam * (1.0 - theta1) ** 2]], rtol=1e-14)
+    np.testing.assert_allclose(A[-2:, -2:], [[(1.0 + theta2) / h, -theta2 / h],
+                                             [-theta2 / h, theta2 / h]],
+                               rtol=1e-15)
+    assert np.all(A[0, 2:] == 0.0) and np.all(A[-1, :-2] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_n=st.integers(3, 10),
+       # Above 1e-300 the penalty gamma / (theta1 h) stays finite.
+       theta1=st.floats(1e-300, 1.0),
+       theta2=st.floats(0.0, 1.0, exclude_min=True),
+       gamma=st.floats(1.1, 10.0))
+def test_operator_is_the_symmetric_tridiagonal_block_sum(log_n, theta1,
+                                                         theta2, gamma):
+    """For any fractions and penalty lam = gamma / (theta1 h), A is bitwise
+    symmetric, stores nothing outside the tridiagonal band and is the dense
+    block sum to roundoff."""
+    n = 2 ** log_n
+    lam = gamma / (theta1 / n)
+    A = assemble_1d(n, theta1, theta2, lam).A
+    assert (A - A.T).nnz == 0
+    rows = np.repeat(np.arange(n + 1), np.diff(A.indptr))
+    assert np.all(np.abs(A.indices - rows) <= 1)
+    dense = A.toarray()
+    np.testing.assert_allclose(dense, _dense_sum(n, theta1, theta2, lam),
+                               rtol=0.0, atol=1e-13 * np.abs(dense).max())
 
 
 def test_assembled_operator_is_symmetric():
@@ -55,11 +84,11 @@ def test_assembled_operator_is_symmetric():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        system_blocks(1, 0.5, 0.5, 1.0)
+        assemble_1d(1, 0.5, 0.5, 1.0)
     with pytest.raises(ValueError):
-        system_blocks(8, 0.0, 0.5, 1.0)
+        assemble_1d(8, 0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
-        system_blocks(8, 0.5, 1.5, 1.0)
+        assemble_1d(8, 0.5, 1.5, 1.0)
 
 
 def test_rhs_blocks_entries():
