@@ -386,10 +386,14 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
                 g_vals = np.zeros(grid.num_nodes)
             A, F = apply_strong_dirichlet(A, F, strong, g_vals)
     # An internal cell with a strong corner holds the reference stiffness on
-    # its free corners only, so the hierarchy pools it as a block.
+    # its free corners only, so the hierarchy pools it as a block.  The
+    # blocks go in flat order, as `PenaltyCells.operator` needs.
     at = strong.reshape(grid.nodes_per_side, -1)
     js, is_ = np.nonzero(classification.internal & (
         at[:-1, :-1] | at[:-1, 1:] | at[1:, :-1] | at[1:, 1:]))
+    blocks = np.concatenate([cut_cells.cells, np.stack((is_, js), 1)])
+    by_flat = np.argsort(blocks @ (1, grid.n))
+    K0 = np.concatenate([K0, np.broadcast_to(reference, (is_.size, 4, 4))])
 
     return AssembledSystem(
         problem=problem,
@@ -403,9 +407,7 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
             B=batch.B[dirichlet], M=batch.mass[dirichlet], lam=lam,
             full=classification.internal.ravel(), reference=reference,
             gamma=problem.gamma, mode=problem.lambda_mode,
-            blocks=np.concatenate([cut_cells.cells, np.stack((is_, js), 1)]),
-            K0=np.concatenate([K0, np.broadcast_to(reference,
-                                                   (is_.size, 4, 4))])),
+            blocks=blocks[by_flat], K0=K0[by_flat]),
         A=A,
         F=F,
         active_dofs=active,

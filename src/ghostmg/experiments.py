@@ -3,15 +3,20 @@
 An experiment is described by a flat text config (one ``key = value`` per
 line, lists comma-separated, ``#`` starts a comment) and expands into a
 deterministic cartesian sweep over grid size, boundary position, penalty
-factor and extra cut-cell sweeps.  Every parameter point assembles its own
-system and hierarchy, runs the homogeneous problem (zero data, all-ones
-initial iterate, so the iteration contracts toward the zero solution and the
-residual never collides with a nonzero solution's rounding floor), and
-records the windowed mean convergence factor.  Failures at one point are
-recorded on that row and do not abort the sweep.
+factor and extra cut-cell sweeps.  Points that differ only in eta share one
+assembly and one hierarchy: eta enters only the cycle, and a solve
+overwrites every workspace vector before reading it, so each point's
+residual history is bitwise what a build of its own gives.  Every point runs
+the homogeneous problem (zero data, all-ones initial iterate, so the
+iteration contracts toward the zero solution and the residual never collides
+with a nonzero solution's rounding floor) and records the windowed mean
+convergence factor.  Failures at one point are recorded on that row and do
+not abort the sweep; a failed assembly or build fails every eta of it.
 
 Results serialize to CSV with a fixed column set; wall-clock time is the
-only nondeterministic column.  Accuracy studies replace the homogeneous
+only nondeterministic column.  A row's wall_ms is the shared set-up plus its
+own cycles, the cost of its point alone, so the column sums to more than the
+sweep's wall time.  Accuracy studies replace the homogeneous
 problem with a manufactured solution and report nodal errors and refinement
 ratios instead.
 """
@@ -19,7 +24,7 @@ ratios instead.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -284,25 +289,12 @@ def _cycle_config(config: ExperimentConfig, n: int, eta: int) -> mg.CycleConfig:
                           coarsest_n=coarsest)
 
 
-def _run_homogeneous(row: ResultRow, system, config: ExperimentConfig):
-    """Fill row's metrics from the homogeneous problem on `system`."""
-    hierarchy = mg.build_hierarchy(system,
-                                   _cycle_config(config, row.n, row.eta))
-    m = system.A.shape[0]
-    _, trace = mg.solve(hierarchy, np.zeros(m), u0=np.ones(m),
-                        max_iters=config.iterations)
-    row.rho_mean = trace.rho_mean(*config.window)
-    row.final_residual = float(trace.residual_norms[-1])
-    row.iters = trace.iterations
-
-
-def _point_1d(config: ExperimentConfig, row: ResultRow):
+def _system_1d(config: ExperimentConfig, row: ResultRow):
     # The 1D trace constant is 1/(theta1 h) whether sized per cell or
     # globally (a single Dirichlet cell), so local and global coincide.
     lam = (1.0 / row.h ** 2 if config.lambda_mode == "inverse_h2"
            else row.gamma / (row.theta1 * row.h))
-    _run_homogeneous(row, assemble_1d(row.n, row.theta1, config.theta2, lam),
-                     config)
+    return assemble_1d(row.n, row.theta1, config.theta2, lam)
 
 
 def _levelset_for(config: ExperimentConfig, h: float,
@@ -312,48 +304,80 @@ def _levelset_for(config: ExperimentConfig, h: float,
     return domain_catalog(config.domain)
 
 
-def _point_2d(config: ExperimentConfig, row: ResultRow):
+def _system_2d(config: ExperimentConfig, row: ResultRow):
     levelset = _levelset_for(config, row.h, row.theta1)
-    problem = ProblemSpec(
+    return assemble(ProblemSpec(
         levelset=levelset, h=row.h, gamma=row.gamma,
         lambda_mode=config.lambda_mode, alpha=config.alpha,
-        strong_predicate=levelset.params.get("strong_predicate"))
-    _run_homogeneous(row, assemble(problem), config)
+        strong_predicate=levelset.params.get("strong_predicate")))
+
+
+def _solve_homogeneous(row: ResultRow, hierarchy: mg.Hierarchy,
+                       config: ExperimentConfig):
+    """Fill row's metrics from the homogeneous problem on `hierarchy`."""
+    m = hierarchy.levels[0].grid.num_nodes
+    _, trace = mg.solve(hierarchy, np.zeros(m), u0=np.ones(m),
+                        max_iters=config.iterations)
+    row.rho_mean = trace.rho_mean(*config.window)
+    row.final_residual = float(trace.residual_norms[-1])
+    row.iters = trace.iterations
+
+
+def _run_group(config: ExperimentConfig, rows: list):
+    """Run the rows of one point that differ only in eta on one system and
+    hierarchy, each with its own cycle.  The system and hierarchy are
+    local, so they are freed before the next group assembles."""
+    first = rows[0]
+    start = time.perf_counter()
+    try:
+        system = (_system_1d if config.dimension == 1 else _system_2d)(
+            config, first)
+        hierarchy = mg.build_hierarchy(
+            system, _cycle_config(config, first.n, first.eta))
+    except Exception as err:  # noqa: BLE001 - sweep isolation
+        for row in rows:
+            row.error = f"{type(err).__name__}: {err}"
+        return
+    setup = time.perf_counter() - start
+    for row in rows:
+        start = time.perf_counter()
+        try:
+            _solve_homogeneous(row, replace(
+                hierarchy, config=_cycle_config(config, row.n, row.eta)),
+                config)
+            row.wall_ms = 1e3 * (setup + time.perf_counter() - start)
+        except Exception as err:  # noqa: BLE001 - sweep isolation
+            row.error = f"{type(err).__name__}: {err}"
 
 
 def run_experiment(config: ExperimentConfig) -> list:
     """Expand the config's cartesian sweep and run every parameter point.
 
     The sweep order is grid size, then boundary position, then gamma, then
-    eta; it is deterministic so reruns produce identical rows.  A failing
-    point yields a row with empty metrics and the error recorded on it.
+    eta; it is deterministic so reruns produce identical rows.  The points
+    of one grid size, position and gamma share an assembly and a hierarchy
+    (`_run_group`).  A failing point yields a row with empty metrics and the
+    error recorded on it.
     """
     rows = []
     one_d = config.dimension == 1
-    point = _point_1d if one_d else _point_2d
     extent = _artificial_extent(config.domain)
     positions: Sequence = (config.theta1 if one_d else config.theta) \
         or (None,)
     for n in config.ns:
         for position in positions:
             for gamma in config.gamma:
-                for eta in config.eta:
-                    row = ResultRow(
-                        experiment=config.experiment, domain=config.domain,
-                        dim=config.dimension, n=n, h=extent / n,
-                        theta1=position,
-                        theta2=config.theta2 if one_d else position,
-                        gamma=(None if config.lambda_mode == "inverse_h2"
-                               else gamma),
-                        eta=eta, cycle=config.cycle,
-                        lambda_mode=config.lambda_mode)
-                    start = time.perf_counter()
-                    try:
-                        point(config, row)
-                        row.wall_ms = 1e3 * (time.perf_counter() - start)
-                    except Exception as err:  # noqa: BLE001 - sweep isolation
-                        row.error = f"{type(err).__name__}: {err}"
-                    rows.append(row)
+                group = [ResultRow(
+                    experiment=config.experiment, domain=config.domain,
+                    dim=config.dimension, n=n, h=extent / n,
+                    theta1=position,
+                    theta2=config.theta2 if one_d else position,
+                    gamma=(None if config.lambda_mode == "inverse_h2"
+                           else gamma),
+                    eta=eta, cycle=config.cycle,
+                    lambda_mode=config.lambda_mode) for eta in config.eta]
+                _run_group(config, group)
+                rows.extend(group)
     return rows
 
 

@@ -81,7 +81,9 @@ from ghostmg.linalg import NotSPDError, canonical_csr, matvec_into
 from ghostmg.one_dim import OneDimSystem
 from ghostmg.stabilization import PenaltyCells, pencil_max
 
-#: Number of consecutive growing-residual cycles before a run is flagged.
+#: Number of consecutive growing-residual cycles before a run is flagged
+#: diverged, and of cycles without a new lowest residual before a run with
+#: a target stops as stalled.
 DIVERGENCE_PATIENCE = 5
 
 #: A coarse cell's penalty is at least the largest penalty of the finer
@@ -528,12 +530,15 @@ class ConvergenceTrace:
 
     residual_norms[m] is the max-norm of the free-DOF residual after m
     cycles.  diverged flags a run whose residual grew for
-    DIVERGENCE_PATIENCE consecutive cycles.
+    DIVERGENCE_PATIENCE consecutive cycles; stalled a run with a target
+    that stopped after DIVERGENCE_PATIENCE cycles without a new lowest
+    residual.
     """
 
     residual_norms: np.ndarray
     wall_ms: float
     diverged: bool = False
+    stalled: bool = False
 
     @property
     def iterations(self) -> int:
@@ -569,9 +574,12 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     DOFs take their right-hand side values and are never iterated, and u0
     is not modified.  With target_residual set, iteration stops once the
     residual norm is at or below it, before the first cycle if u0 already
-    meets it.  A residual that grows for DIVERGENCE_PATIENCE consecutive
-    cycles flags the trace as diverged (with a warning) but the run is
-    preserved.
+    meets it.  It also stops once DIVERGENCE_PATIENCE consecutive cycles
+    bring no residual below the lowest so far, which has then met its
+    rounding floor above the target: the trace is flagged as stalled, with
+    a warning that names that floor.  A residual that grows for
+    DIVERGENCE_PATIENCE consecutive cycles flags the trace as diverged
+    (with a warning) but the run is preserved.
     """
     levels = hierarchy.levels
     level0 = levels[0]
@@ -587,8 +595,9 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
 
     start = time.perf_counter()
     norms = [residual_norm()]
-    growing = 0
-    diverged = False
+    growing = stagnant = 0
+    diverged = stalled = False
+    best = norms[0]
     for _ in range(max_iters):
         if target_residual is not None and norms[-1] <= target_residual:
             break
@@ -600,9 +609,21 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
             warnings.warn(
                 f"residual grew for {DIVERGENCE_PATIENCE} consecutive "
                 "cycles; continuing and keeping the trace", RuntimeWarning)
+        if norms[-1] < best:
+            best, stagnant = norms[-1], 0
+        else:
+            stagnant += 1
+        if target_residual is not None and stagnant >= DIVERGENCE_PATIENCE:
+            stalled = True
+            warnings.warn(
+                f"residual stalled at {best:.3e}, above the target "
+                f"{target_residual:g}: no lower residual in "
+                f"{DIVERGENCE_PATIENCE} cycles; stopping", RuntimeWarning)
+            break
     wall_ms = 1e3 * (time.perf_counter() - start)
     u = np.array(F, dtype=float, copy=True)
     u[order] = u_free
     return u, ConvergenceTrace(residual_norms=np.array(norms),
-                               wall_ms=wall_ms, diverged=diverged)
+                               wall_ms=wall_ms, diverged=diverged,
+                               stalled=stalled)
 

@@ -193,6 +193,23 @@ def test_assembled_operator_exactly_symmetric(name):
 
 @pytest.mark.parametrize("name", ["disk", "annulus", "flower", "leaf",
                                   "hourglass", "rectangle"])
+def test_finest_penalty_cells_assemble_the_free_block(name):
+    # The cells the hierarchy pools from give back A on the free DOFs.  The
+    # rectangle's internal cells with a strong corner are blocks too, and
+    # sort among its cut cells, since the operator needs flat order.
+    kw = {"theta": 0.55, "h": 1.0 / 64} if name == "rectangle" else {}
+    ls = domain_catalog(name, **kw)
+    system = assemble(ProblemSpec(
+        ls, ls.art_extent / 64, gamma=2.0,
+        strong_predicate=ls.params.get("strong_predicate")))
+    free = np.flatnonzero(system.free_dofs)
+    A = system.A[free][:, free]
+    B = system.penalty.operator(system.grid)[free][:, free]
+    assert abs(A - B).max() <= 1e-13 * abs(A).max()
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus", "flower", "leaf",
+                                  "hourglass", "rectangle"])
 def test_assembled_operator_positive_definite(name):
     kw = {"theta": 0.61, "h": 1.0 / 32} if name == "rectangle" else {}
     ls = domain_catalog(name, **kw)

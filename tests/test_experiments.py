@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ghostmg import multigrid as mg
 from ghostmg.experiments import (
     ACCURACY_CSV_HEADER,
     CSV_HEADER,
@@ -20,6 +21,7 @@ from ghostmg.experiments import (
     run_accuracy_study,
     run_experiment,
 )
+from ghostmg.one_dim import assemble_1d
 
 MINIMAL_1D = """
 experiment = smoke
@@ -244,17 +246,21 @@ def test_sweep_is_deterministic_up_to_wall_time():
 
 def test_a_failing_point_is_recorded_without_aborting_the_sweep():
     # n = 4 cannot reach the default coarsest size 8 of a V-cycle hierarchy,
-    # so that one point fails while the n = 16 points still run.
-    rows = run_experiment(small_sweep(ns=(4, 16), cycle="v"))
+    # so that one point fails while the n = 16 points still run.  The
+    # failed build is shared by both eta values of each n = 4 point, so
+    # every one of their rows carries its error.
+    rows = run_experiment(small_sweep(ns=(4, 16), cycle="v", eta=(0, 4)))
     failed = [row for row in rows if row.error is not None]
     passed = [row for row in rows if row.error is None]
-    assert len(rows) == 4
-    assert {row.n for row in failed} == {4}
+    assert len(rows) == 8
+    assert [(row.n, row.eta) for row in failed] == [(4, 0), (4, 4)] * 2
     assert {row.n for row in passed} == {16}
+    assert len({row.error for row in failed}) == 1
     for row in failed:
         assert row.rho_mean is None
         assert row.final_residual is None
         assert row.iters is None
+        assert row.wall_ms is None
     for row in passed:
         assert row.rho_mean is not None
 
@@ -269,6 +275,38 @@ def test_failure_rows_follow_the_success_row_convention():
     assert failed.gamma is None and passed.gamma is None
     assert (failed.h, failed.theta1, failed.theta2) == (0.25, 0.5, 0.01)
     assert failed.wall_ms is None and failed.rho_mean is None
+
+
+def test_points_that_differ_only_in_eta_share_one_build(monkeypatch):
+    # Each (n, theta1, gamma) builds one hierarchy for all its eta values,
+    # and its rows are those of a build per point, apart from wall_ms.
+    config = small_sweep(ns=(16,), theta1=(0.3, 0.5), eta=(0, 2, 4))
+    builds, build_hierarchy = [], mg.build_hierarchy
+
+    def counting(system, cycle):
+        builds.append(cycle)
+        return build_hierarchy(system, cycle)
+
+    monkeypatch.setattr(mg, "build_hierarchy", counting)
+    rows = run_experiment(config)
+    assert len(builds) == 2
+    monkeypatch.undo()
+
+    reference = []
+    for theta1 in config.theta1:
+        for eta in config.eta:
+            system = assemble_1d(16, theta1, config.theta2,
+                                 1.1 / (theta1 / 16))
+            hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
+                nu1=2, nu2=1, eta=eta, coarsest_n=8))
+            _, trace = mg.solve(hierarchy, np.zeros(17), u0=np.ones(17),
+                                max_iters=12)
+            reference.append((theta1, eta, trace.rho_mean(9, 12),
+                              float(trace.residual_norms[-1]),
+                              trace.iterations))
+    assert [(r.theta1, r.eta, r.rho_mean, r.final_residual, r.iters)
+            for r in rows] == reference
+    assert all(r.error is None and r.wall_ms > 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("config", [

@@ -564,7 +564,7 @@ def test_solve_1d_converges_to_direct_solution():
     direct = np.linalg.solve(system.A.toarray(), system.F)
     np.testing.assert_allclose(u, direct, rtol=0.0, atol=1e-9)
     assert trace.residual_norms[-1] <= 1e-12
-    assert not trace.diverged
+    assert not trace.diverged and not trace.stalled
     assert trace.iterations < 40  # early stop triggered
 
 
@@ -836,6 +836,27 @@ def test_divergent_run_is_flagged_but_kept():
     assert len(record) == 1
     assert trace.diverged
     assert trace.iterations == 12
+
+
+def test_a_run_stuck_above_its_target_stops_as_stalled():
+    # At n = 16384 the residual of a random right-hand side bottoms out
+    # near 5e-10, above the target 1e-10; the run stops once five cycles
+    # bring no new lowest residual, and names the floor it reached.
+    n = 16384
+    system = assemble_1d(n, 0.5, 0.01, 1.1 / (0.5 / n))
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
+    F = np.random.default_rng(0).standard_normal(n + 1)
+    with pytest.warns(RuntimeWarning, match="stalled at") as record:
+        _, trace = mg.solve(hierarchy, F, max_iters=60,
+                            target_residual=1e-10)
+    assert len(record) == 1
+    assert trace.stalled and not trace.diverged
+    assert trace.iterations < 60
+    norms = trace.residual_norms
+    best = norms[:-mg.DIVERGENCE_PATIENCE].min()
+    assert best > 1e-10
+    assert np.all(norms[-mg.DIVERGENCE_PATIENCE:] >= best)
+    assert f"{best:.3e}" in str(record[0].message)
 
 
 def test_extra_cut_sweeps_help_on_the_disk():
