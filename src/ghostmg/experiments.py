@@ -23,6 +23,7 @@ ratios instead.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -152,20 +153,29 @@ _FLOAT_KEYS = {"theta2", "alpha"}
 
 
 def _parse_number(token: str) -> float:
-    """A float literal, allowing the power forms 2^-7 and 2**-7."""
+    """A finite float literal, allowing the power forms 2^-7 and 2**-7."""
     token = token.replace("**", "^")
-    if "^" in token:
-        base, _, exponent = token.partition("^")
-        return float(base) ** float(exponent)
-    return float(token)
+    try:
+        if "^" in token:
+            base, _, exponent = token.partition("^")
+            value = math.pow(float(base), float(exponent))
+        else:
+            value = float(token)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not a finite number")
+    return value
 
 
 def _artificial_extent(domain: str) -> float:
-    if domain in ("interval", ""):
-        return 1.0
+    """Extent of the domain's background grid; 1 for the interval and for
+    a domain that ExperimentConfig then rejects."""
     if domain == "rectangle":
         return domain_catalog("rectangle", theta=0.5, h=0.125).art_extent
-    return domain_catalog(domain).art_extent
+    if domain in domain_names():
+        return domain_catalog(domain).art_extent
+    return 1.0
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -210,7 +220,7 @@ def parse_config(text: str) -> ExperimentConfig:
             elif key in _INT_KEYS:
                 kwargs[key] = int(value)
             elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
+                kwargs[key] = _parse_number(value)
             else:
                 kwargs[key] = value
         except ValueError as err:
@@ -225,7 +235,11 @@ def parse_config(text: str) -> ExperimentConfig:
         extent = _artificial_extent(kwargs.get("domain", "")
                                     or ("interval" if kwargs["dimension"] == 1
                                         else ""))
-        kwargs["ns"] = tuple(int(round(extent / h)) for h in lists.pop("h"))
+        hs = lists.pop("h")
+        if not all(h > 0.0 and math.isfinite(extent / h) for h in hs):
+            raise ConfigError(f"h: grid spacings must be positive and give a "
+                              f"finite grid, got {hs}")
+        kwargs["ns"] = tuple(int(round(extent / h)) for h in hs)
     if "eta" in lists:
         etas = lists.pop("eta")
         if any(v != int(v) for v in etas):

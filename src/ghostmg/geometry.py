@@ -403,9 +403,13 @@ def _flower(params: dict) -> LevelSet:
     def psi(x, y):
         X = x - _FLOWER_X0
         Y = y - _FLOWER_Y0
-        R = np.sqrt(X ** 2 + Y ** 2)
+        # Products: numpy sends every exponent but 2 to the slow libm pow.
+        X2 = X * X
+        Y2 = Y * Y
+        R2 = X2 + Y2
+        R = np.sqrt(R2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            pert = (Y ** 5 + 5.0 * X ** 4 * Y - 10.0 * X ** 2 * Y ** 3) / (5.0 * R ** 5)
+            pert = Y * (Y2 * Y2 + 5.0 * X2 * X2 - 10.0 * X2 * Y2) / (5.0 * R2 * R2 * R)
         pert = np.where(R > 0.0, pert, 0.0)
         return R - r0 - pert
 
@@ -434,7 +438,10 @@ def _hourglass(params: dict) -> LevelSet:
     def psi(x, y):
         X = x - _FLOWER_X0
         Y = y - _FLOWER_Y0
-        return 256.0 * Y ** 4 - 16.0 * X ** 4 - 128.0 * Y ** 2 + 36.0 * X ** 2
+        # Products, not libm pow, as in the flower.
+        X2 = X * X
+        Y2 = Y * Y
+        return 256.0 * (Y2 * Y2) - 16.0 * (X2 * X2) - 128.0 * Y2 + 36.0 * X2
 
     return LevelSet("hourglass", (psi,), (DIRICHLET,), params={},
                     art_origin=(-1.0, -1.0), art_extent=2.0)

@@ -2,19 +2,21 @@
 
 None of this runs when the package solves: a deflating dense generalized
 eigensolver, the global trace constants it gives, the four-way residual
-splitting of the 1D system and its coarse-grid identity, and the
-whole-grid refinement matrices.  The tests import these as
+splitting of the 1D system and its coarse-grid identity, the
+whole-grid refinement matrices, and the float-power forms of the flower
+and hourglass level sets.  The tests import these as
 ``from oracles import ...``; pytest puts this directory on ``sys.path``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from ghostmg import assembly
-from ghostmg.geometry import corner_nodes
+from ghostmg.geometry import (_FLOWER_X0, _FLOWER_Y0, LevelSet, corner_nodes,
+                              domain_catalog)
 from ghostmg.linalg import DegeneratePencilError, canonical_csr
 from ghostmg.one_dim import OneDimSystem, rhs_blocks
 from ghostmg.stabilization import _sharp_constants
@@ -263,3 +265,37 @@ def split_residual_coarse(system: OneDimSystem, u: np.ndarray,
                                  coarse_theta(system.theta2), system.lam,
                                  parts["r_a"], parts["r_b"])
     return restrict @ parts["interior"] + (r_B + r_lam + r_N)
+
+
+def flower_pow(r0: float):
+    """The flower level set of radius r0 written with float powers, the
+    reference for the catalog's evaluation by products."""
+    def psi(x, y):
+        X = x - _FLOWER_X0
+        Y = y - _FLOWER_Y0
+        R = np.sqrt(X ** 2 + Y ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pert = (Y ** 5 + 5.0 * X ** 4 * Y - 10.0 * X ** 2 * Y ** 3) / (5.0 * R ** 5)
+        pert = np.where(R > 0.0, pert, 0.0)
+        return R - r0 - pert
+    return psi
+
+
+def hourglass_pow(x, y):
+    """The hourglass level set written with float powers."""
+    X = x - _FLOWER_X0
+    Y = y - _FLOWER_Y0
+    return 256.0 * Y ** 4 - 16.0 * X ** 4 - 128.0 * Y ** 2 + 36.0 * X ** 2
+
+
+def pow_levelset(name: str) -> LevelSet:
+    """The catalog flower or hourglass with its one component replaced by
+    the float-power form."""
+    levelset = domain_catalog(name)
+    if name == "flower":
+        component = flower_pow(levelset.params["radius"])
+    elif name == "hourglass":
+        component = hourglass_pow
+    else:
+        raise ValueError(f"no float-power oracle for {name!r}")
+    return replace(levelset, components=(component,))

@@ -90,6 +90,45 @@ def test_run_with_a_directory_as_output_exits_two(tmp_path, capsys, no_work):
     assert "config error" in err and "is a directory" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("h", "0"),
+    ("h", "1e-320"),
+    ("n", "nan"),
+    ("eta", "nan"),
+    ("n", "inf"),
+    ("window", "41, inf"),
+    ("gamma", "nan"),
+    ("gamma", "inf"),
+    ("alpha", "nan"),
+], ids=["h-zero", "h-subnormal", "n-nan", "eta-nan", "n-inf", "window-inf",
+        "gamma-nan", "gamma-inf", "alpha-nan"])
+def test_run_with_a_bad_number_exits_two(tmp_path, capsys, no_work, key,
+                                         value):
+    # Each of these once escaped as a traceback, ran every point into a
+    # misleading error, or was accepted silently.
+    settings = {"n": "8, 16", "theta1": "0.5", "eta": "0, 4",
+                "iterations": "50", "window": "41, 50", key: value}
+    if key == "h":
+        del settings["n"]
+    out = tmp_path / "rows.csv"
+    config = write_config(
+        tmp_path, "experiment = interval_sweep\ndimension = 1\n"
+        + "".join(f"{k} = {v}\n" for k, v in settings.items()), out)
+    assert main(["run", str(config)]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_with_an_unknown_domain_given_spacings_exits_two(tmp_path, capsys,
+                                                           no_work):
+    # Spacings are converted through the domain's extent before the domain
+    # itself is checked.
+    config = write_config(tmp_path, "experiment = x\ndimension = 2\n"
+                          "domain = torus\nh = 2^-6\n", tmp_path / "r.csv")
+    assert main(["run", str(config)]) == 2
+    assert "config error: unknown domain 'torus'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, point", [
     ("theta1", "dimension = 1\ntheta1 = 0.3, 0.5"),
     ("theta", "dimension = 2\ndomain = rectangle\ntheta = 0.3, 0.5"),

@@ -21,6 +21,7 @@ from ghostmg.geometry import (
     extract_cut_geometry,
     snap_nodes,
 )
+from oracles import pow_levelset
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +324,44 @@ def test_leaf_assigns_bc_by_predicate():
     ls = domain_catalog("leaf")
     assert ls.chord_bc(0.5, 0.1) == geometry.DIRICHLET
     assert ls.chord_bc(-0.5, 0.1) == geometry.NEUMANN
+
+
+def cut_cells_or_error(field):
+    """Cut cells and polygon vertex counts of a field, or the error text of
+    the cell that its extraction rejects."""
+    try:
+        cut = extract_cut_geometry(field)
+    except CheckerboardCellError as err:
+        return str(err)
+    return cut.cells, cut.vertices
+
+
+@pytest.mark.parametrize("name, tol", [("flower", 1e-15),
+                                       ("hourglass", 1e-12)])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])
+def test_product_level_sets_match_their_float_power_form(name, tol, n):
+    # The catalog evaluates the flower and the hourglass with products; the
+    # oracle keeps the float powers.  Worst differences seen: 3.3e-16 on the
+    # flower, 1.1e-13 on the hourglass, whose terms reach about 1e2.
+    ls, oracle = domain_catalog(name), pow_levelset(name)
+    grid = ls.grid(ls.art_extent / n)
+    x, y = grid.node_coordinates()
+    assert np.abs(ls.evaluate(x, y) - oracle.evaluate(x, y)).max() <= tol
+    field = snap_nodes(grid, ls, 1.75)
+    reference = snap_nodes(grid, oracle, 1.75)
+    for test in (np.less, np.equal, np.greater):
+        np.testing.assert_array_equal(test(field.values, 0.0),
+                                      test(reference.values, 0.0))
+    cls, ref_cls = classify_cells(field), classify_cells(reference)
+    for mask in ("internal", "cut", "external", "active_nodes", "cut_nodes"):
+        np.testing.assert_array_equal(getattr(cls, mask),
+                                      getattr(ref_cls, mask))
+    got, want = cut_cells_or_error(field), cut_cells_or_error(reference)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_multi_component_levelset_is_intersection():

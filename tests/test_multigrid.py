@@ -16,8 +16,8 @@ from ghostmg.geometry import (CartesianGrid, corner_nodes, domain_catalog,
 from ghostmg.linalg import NotSPDError, canonical_csr
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import pencil_max
-from oracles import (coarse_theta, restriction_1d, restriction_2d,
-                     split_residual_coarse)
+from oracles import (coarse_theta, pow_levelset, restriction_1d,
+                     restriction_2d, split_residual_coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +880,35 @@ def test_cut_dofs_are_lower_dimensional_on_disk():
     free = int(system.free_dofs.sum())
     cut = int(system.cut_dofs.sum())
     assert cut / free < 0.2
+
+
+@pytest.mark.parametrize("name", ["flower", "hourglass"])
+def test_product_level_sets_move_the_solve_only_at_roundoff(name):
+    # The catalog's products and the oracle's float powers give the same
+    # nodal signs, so the DOFs and the sparsity agree exactly and only the
+    # cut fractions, and through them A and F, move at roundoff.
+    def setup(levelset):
+        system = assemble(ProblemSpec(
+            levelset, levelset.art_extent / 256, gamma=2.0,
+            f=lambda x, y: np.ones_like(x)))
+        _, trace = mg.solve(
+            mg.build_hierarchy(system, mg.CycleConfig(2, 1, 4, coarsest_n=8)),
+            system.F, max_iters=100, target_residual=1e-10)
+        return system, trace
+
+    system, trace = setup(domain_catalog(name))
+    reference, ref_trace = setup(pow_levelset(name))
+    for mask in ("free_dofs", "cut_dofs"):
+        np.testing.assert_array_equal(getattr(system, mask),
+                                      getattr(reference, mask))
+    np.testing.assert_array_equal(system.A.indptr, reference.A.indptr)
+    np.testing.assert_array_equal(system.A.indices, reference.A.indices)
+    assert (np.abs(system.A.data - reference.A.data).max()
+            <= 1e-12 * np.abs(reference.A.data).max())
+    assert (np.abs(system.F - reference.F).max()
+            <= 1e-12 * np.abs(reference.F).max())
+    assert trace.iterations == ref_trace.iterations
+    assert trace.residual_norms[-1] <= 1e-10
 
 
 # ---------------------------------------------------------------------------
