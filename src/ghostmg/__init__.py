@@ -16,15 +16,15 @@ geometry
     Background grids, level sets, node snapping, cell classification and cut
     geometry extraction, plus the catalog of benchmark domains.
 assembly
-    Bilinear/linear form assembly in 2D; element kernels; strong Dirichlet
-    elimination.
+    Bilinear/linear form assembly in 2D; element kernels; the cells of a
+    level and the one operator builder; strong Dirichlet elimination.
 one_dim
     Closed-form 1D system blocks for the interval domain with one weak
     Dirichlet and one Neumann end.
 stabilization
     Penalty constants: closed forms for 1D, triangle and pentagon cuts, the
-    batched pencil solve for trapezoids and pooled coarse cells, the penalty
-    cells of a level.
+    batched pencil solve for trapezoids and pooled coarse cells, penalty
+    sizing.
 multigrid
     Transfer operators, one hierarchy builder for 1D and 2D with every
     level on its free DOFs and its own coarse penalty, Gauss-Seidel

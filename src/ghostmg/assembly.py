@@ -4,10 +4,14 @@ Every active cell contributes the stiffness of its interior part; cut cells
 with a Dirichlet chord additionally contribute the penalty and consistency
 chord integrals, and Neumann chords load the right-hand side.  Nodes outside
 every active cell keep identity rows so the global numbering stays Cartesian.
-The operator is accumulated on its fixed 9-point pattern, one array plane per
-stencil slot, and emitted as canonical CSR directly.  That builder,
-`_stencil_operator`, also assembles the finest 1D level and every coarse
-level, 1D or 2D, from their cells (`stabilization.PenaltyCells.operator`).
+A level is its cells (`PenaltyCells`): the full cells, and a list of the
+others, each with its block K0 without the penalty and, where it has a
+Dirichlet chord, the penalty lam M.  `PenaltyCells.operator` assembles every
+operator, the finest in 1D and 2D and each coarse one, from its cells: K0 +
+lam M, symmetrized, on the listed cells, the reference stiffness on the
+other full ones.  It accumulates them on the fixed 9-point pattern (3-point
+in 1D), one array plane per stencil slot, and emits canonical CSR directly
+(`_stencil_operator`).
 
 Cut cells are integrated in one batched pass, `cut_cell_batch`, over the
 arrays of `extract_cut_geometry`: polygons come grouped by vertex count (3, 4
@@ -29,6 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ghostmg import stabilization
 from ghostmg.geometry import (
     CORNERS,
     DIRICHLET,
@@ -266,15 +271,16 @@ class ProblemSpec:
 @dataclass
 class AssembledSystem:
     """Assembled system A u = F with its geometry and DOF bookkeeping;
-    penalty holds the cells that the hierarchy pools."""
+    penalty holds the cells that A is assembled from and the hierarchy
+    pools."""
 
     problem: ProblemSpec
     grid: CartesianGrid
     field: SnappedNodeField
     classification: CellClassification
     cut_cells: CutCells
-    stabilization: "object"
-    penalty: "object"
+    stabilization: stabilization.StabilizationField
+    penalty: PenaltyCells
     A: sp.csr_matrix
     F: np.ndarray
     active_dofs: np.ndarray
@@ -314,9 +320,7 @@ def apply_strong_dirichlet(A: sp.csr_matrix, F: np.ndarray,
 
 def assemble(problem: ProblemSpec) -> AssembledSystem:
     """Snap, classify, extract cut geometry, size the penalties and build the
-    global system."""
-    from ghostmg.stabilization import PenaltyCells, build_stabilization
-
+    global system from its cells."""
     levelset = problem.levelset
     grid = levelset.grid(problem.h)
     h = grid.h
@@ -337,63 +341,59 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         k = np.argmax(unknown)
         raise AssemblyError(
             f"cut cell {cut_cells.cell(k)} has unknown bc {str(cut_cells.bc[k])!r}")
-    stabilization = build_stabilization(
+    stab = stabilization.build_stabilization(
         batch, gamma=problem.gamma, mode=problem.lambda_mode)
     dirichlet = np.flatnonzero(batch.dirichlet)
-    lam = stabilization.lam
-    unpenalized = ~(lam > 0.0)
+    unpenalized = ~(stab.lam > 0.0)
     if unpenalized.any():
         k = dirichlet[np.argmax(unpenalized)]
         raise AssemblyError(
             f"Dirichlet cut cell {cut_cells.cell(k)} lacks a positive penalty")
 
-    cut_K = batch.S.copy()
-    consistency = batch.consistency[dirichlet]
-    cut_K[dirichlet] = (cut_K[dirichlet] + lam[:, None, None] * batch.mass[dirichlet]
-                        - consistency - consistency.transpose(0, 2, 1))
-    # Entries (i, j) and (j, i) accumulate the terms in different orders, so
-    # they can drift apart by one ulp; average the halves to keep the
-    # assembled operator bitwise symmetric.
-    cut_K = 0.5 * (cut_K + cut_K.transpose(0, 2, 1))
+    active = classification.active_nodes
+    strong = np.zeros(grid.num_nodes, dtype=bool)
+    if problem.strong_predicate is not None:
+        X, Y = grid.node_coordinates()
+        strong = np.broadcast_to(np.asarray(problem.strong_predicate(X, Y),
+                                            dtype=bool), X.shape) & active
+    # The cells: every cut cell, and every internal cell with a strong
+    # corner, which holds the reference stiffness on its free corners only.
+    at = strong.reshape(grid.nodes_per_side, -1)
+    js, is_ = np.nonzero(classification.internal & (
+        at[:-1, :-1] | at[:-1, 1:] | at[1:, :-1] | at[1:, 1:]))
+    cells = np.concatenate([cut_cells.cells, np.stack((is_, js), 1)])
     reference = full_cell_stiffness()
-    A = _stencil_operator(grid, classification.internal, reference,
-                          cut_cells.nodes, cut_K)
-    K0 = batch.S.copy()
+    K0 = np.concatenate([batch.S, np.broadcast_to(reference, (is_.size, 4, 4))])
+    consistency = batch.consistency[dirichlet]
     K0[dirichlet] -= consistency + consistency.transpose(0, 2, 1)
+    S, B, M = np.zeros((3,) + K0.shape)
+    S[dirichlet], B[dirichlet], M[dirichlet] = (
+        batch.S[dirichlet], batch.B[dirichlet], batch.mass[dirichlet])
+    lam = np.zeros(len(cells))
+    lam[dirichlet] = stab.lam
+    penalty = PenaltyCells(
+        cells=cells, S=S, B=B, M=M, lam=lam,
+        full=classification.internal.ravel(), reference=reference,
+        gamma=problem.gamma, mode=problem.lambda_mode, K0=K0)
+    A = penalty.operator(grid)
 
     # Loads accumulate internal cells first, then cut cells, each in
     # row-major cell order.
     nodes, loads = [cut_cells.nodes], [batch.loads(
-        lam, problem.f, problem.g_dirichlet, problem.g_neumann)]
+        stab.lam, problem.f, problem.g_dirichlet, problem.g_neumann)]
     in_js, in_is = np.nonzero(classification.internal)
     if in_is.size and problem.f is not None:
         nodes.insert(0, corner_nodes(np.stack((in_is, in_js), 1), grid.n))
         loads.insert(0, _internal_source(problem.f, grid, in_is, in_js))
     F = np.bincount(np.concatenate(nodes).ravel(), np.concatenate(loads).ravel(),
                     minlength=grid.num_nodes)
-    active = classification.active_nodes
     F[~active] = 0.0
-
-    strong = np.zeros(grid.num_nodes, dtype=bool)
-    if problem.strong_predicate is not None:
-        X, Y = grid.node_coordinates()
-        strong = np.broadcast_to(np.asarray(problem.strong_predicate(X, Y),
-                                            dtype=bool), X.shape) & active
-        if np.any(strong):
-            if problem.g_dirichlet is not None:
-                g_vals = np.asarray(problem.g_dirichlet(X, Y), dtype=float)
-            else:
-                g_vals = np.zeros(grid.num_nodes)
-            A, F = apply_strong_dirichlet(A, F, strong, g_vals)
-    # An internal cell with a strong corner holds the reference stiffness on
-    # its free corners only, so the hierarchy pools it as a block.  The
-    # blocks go in flat order, as `PenaltyCells.operator` needs.
-    at = strong.reshape(grid.nodes_per_side, -1)
-    js, is_ = np.nonzero(classification.internal & (
-        at[:-1, :-1] | at[:-1, 1:] | at[1:, :-1] | at[1:, 1:]))
-    blocks = np.concatenate([cut_cells.cells, np.stack((is_, js), 1)])
-    by_flat = np.argsort(blocks @ (1, grid.n))
-    K0 = np.concatenate([K0, np.broadcast_to(reference, (is_.size, 4, 4))])
+    if np.any(strong):
+        if problem.g_dirichlet is not None:
+            g_vals = np.asarray(problem.g_dirichlet(X, Y), dtype=float)
+        else:
+            g_vals = np.zeros(grid.num_nodes)
+        A, F = apply_strong_dirichlet(A, F, strong, g_vals)
 
     return AssembledSystem(
         problem=problem,
@@ -401,13 +401,8 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         field=field,
         classification=classification,
         cut_cells=cut_cells,
-        stabilization=stabilization,
-        penalty=PenaltyCells(
-            cells=cut_cells.cells[dirichlet], S=batch.S[dirichlet],
-            B=batch.B[dirichlet], M=batch.mass[dirichlet], lam=lam,
-            full=classification.internal.ravel(), reference=reference,
-            gamma=problem.gamma, mode=problem.lambda_mode,
-            blocks=blocks[by_flat], K0=K0[by_flat]),
+        stabilization=stab,
+        penalty=penalty,
         A=A,
         F=F,
         active_dofs=active,
@@ -491,6 +486,51 @@ def _stencil_operator(grid: CartesianGrid, full: np.ndarray,
         (np.concatenate(data), np.concatenate(indices),
          np.concatenate(([0], np.cumsum(np.concatenate(counts))))),
         shape=(count, count))
+
+
+@dataclass(eq=False)
+class PenaltyCells:
+    """The cells of one grid, with what the coarser grids' penalties and
+    operators are pooled from.
+
+    cells (K, dim) holds, i first and in any order, every active cell whose
+    operator block is not `reference` on its free corners; K0 (K, m, m),
+    over the cell's m = 2**dim corners in `geometry.CORNERS` order, its
+    block less the penalty lam M.  S, B and M (K, m, m) hold its interior
+    stiffness, chord flux Gram and chord mass, and lam (K,) its penalty; the
+    four are zero on a cell without a Dirichlet chord, so lam > 0 marks a
+    penalty cell.  full (n**dim,) marks the cells wholly inside the domain
+    by flat index i + n j; their stiffness is `reference`.  gamma is the
+    safety factor of the penalty over the trace constant, and mode the rule
+    that sized lam, "local" per cell or "global" (one value for all penalty
+    cells), which the coarser grids keep.
+    """
+
+    cells: np.ndarray
+    S: np.ndarray
+    B: np.ndarray
+    M: np.ndarray
+    lam: np.ndarray
+    full: np.ndarray
+    reference: np.ndarray
+    gamma: float
+    mode: str
+    K0: np.ndarray
+
+    def operator(self, grid: CartesianGrid, rows: Optional[np.ndarray] = None,
+                 dof: Optional[np.ndarray] = None) -> sp.csr_matrix:
+        """The operator of the grid these cells tile, as CSR: K0 + lam M,
+        symmetrized, on the cells, and the reference stiffness on the other
+        full cells.  rows and dof are those of `_stencil_operator`."""
+        K = self.K0 + self.lam[:, None, None] * self.M
+        full = self.full.copy()
+        full[self.cells @ grid.n ** np.arange(grid.dim)] = False
+        # Entries (i, j) and (j, i) accumulate the terms in different
+        # orders, so they can drift apart by one ulp; averaging the halves
+        # keeps the operator bitwise symmetric.
+        return _stencil_operator(
+            grid, full, self.reference, corner_nodes(self.cells, grid.n),
+            0.5 * (K + K.transpose(0, 2, 1)), rows, dof)
 
 
 def _internal_source(f: Callable, grid: CartesianGrid, in_is: np.ndarray,

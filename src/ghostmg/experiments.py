@@ -111,6 +111,9 @@ class ExperimentConfig:
             raise ConfigError(f"theta2 must be in (0, 1], got {self.theta2}")
         if not self.gamma:
             self.gamma = (1.1,) if one_d else (2.0,)
+        if any(not g > 0.0 for g in self.gamma):
+            raise ConfigError(f"gamma: penalty factors must be positive, got "
+                              f"{self.gamma}")
         if self.lambda_mode not in _LAMBDA_MODES:
             raise ConfigError(f"lambda_mode must be one of {_LAMBDA_MODES}, "
                               f"got {self.lambda_mode!r}")

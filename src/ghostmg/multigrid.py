@@ -11,15 +11,15 @@ evaluated below the finest grid.
 
 On nested Q1 spaces the Galerkin product R A P is the coarse assembly of
 the fine cell blocks pooled 2x2 (2 in 1D) through the local bilinear
-prolongation.  So each level keeps its cells (`stabilization.PenaltyCells`):
-the blocks K0 of those that are not full, without the penalty, and the
-trace mass M of those that carry the weak Dirichlet penalty lam M.  Each
-coarse level is assembled from its pooled blocks K0_c + lam_c M_c
-(`PenaltyCells.operator`, which also assembles the finest 1D operator and
-shares its stencil builder with the finest 2D one), with the level's own
-penalty lam_c: gamma times the pooled cell's trace constant, floored by
-the largest penalty it pools over KAPPA, and under the global rule the
-largest of a level's cells.  A Galerkin level would inherit the finest
+prolongation.  So each level is its cells (`assembly.PenaltyCells`): one
+list of those that are not full, each with its block K0 without the
+penalty and, on a penalty cell, the trace mass M of its weak Dirichlet
+penalty lam M.  `_coarse_penalty` pools the list in one pass, and
+`PenaltyCells.operator`, which assembles every level's operator, the finest
+too, builds a coarse level from K0_c + lam_c M_c with the level's own
+penalty lam_c: gamma times the pooled cell's trace constant, floored by the
+largest penalty it pools over KAPPA, and under the global rule the largest
+of a level's penalty cells.  A Galerkin level would inherit the finest
 penalty, 102x to 708x each 1D coarse level's tuned value, and the deep
 V-cycle would degrade with depth.
 
@@ -75,11 +75,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtbsv
 
-from ghostmg.assembly import AssembledSystem
+from ghostmg.assembly import AssembledSystem, PenaltyCells
 from ghostmg.geometry import CORNERS, CartesianGrid, corner_nodes
 from ghostmg.linalg import NotSPDError, canonical_csr, matvec_into
 from ghostmg.one_dim import OneDimSystem
-from ghostmg.stabilization import PenaltyCells, pencil_max
+from ghostmg.stabilization import pencil_max
 
 #: Number of consecutive growing-residual cycles before a run is flagged
 #: diverged, and of cycles without a new lowest residual before a run with
@@ -394,32 +394,25 @@ def _child_prolongations(dim: int) -> tuple:
 
 def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
                     n: int) -> PenaltyCells:
-    """The penalty cells of the next coarser grid, pooled 2x2 (2 in 1D)
-    through the local prolongations P.
+    """The cells of the next coarser grid, pooled 2x2 (2 in 1D) through the
+    local prolongations P.
 
-    S_c sums P^T S P over the penalty children and the reference stiffness
-    over the full ones, B_c and M_c sum P^T B P and P^T M P over the
-    penalty children.  A coarse cell's penalty is gamma times the trace
-    constant of (B_c, S_c), floored by the largest child penalty over
-    KAPPA, and the largest child penalty where that pencil is singular;
-    under the global rule every coarse cell takes the largest of these.
-    K0_c sums P^T K0 P over the block children and the reference stiffness
-    over the other full ones.  M and K0 are masked to the free fine DOFs,
-    as R is.
+    A coarse cell is listed where a child is, or where full and inactive
+    children meet.  Its K0, S, B and M sum P^T X P over its listed
+    children, K0 and M masked to the free fine DOFs, as R is; K0 adds the
+    reference stiffness of its other full children, and S, on a coarse cell
+    with a penalty child, that of every full child.  Such a cell's penalty
+    is gamma times the trace constant of (B, S), floored by the largest
+    child penalty over KAPPA, and the largest child penalty where that
+    pencil is singular; under the global rule every such cell takes the
+    largest of these.  The other coarse cells keep S, B, M and lam zero.
     """
     dim = penalty.cells.shape[1]
-    m, half, flat = 2 ** dim, n // 2, (n // 2) ** np.arange(dim)
+    m, half = 2 ** dim, n // 2
+    flat, fine_flat = half ** np.arange(dim), n ** np.arange(dim)
     offsets, prolong = _child_prolongations(dim)
     pooled_ref = (prolong.transpose(0, 2, 1) @ penalty.reference @ prolong
                   ).reshape(m, m * m)
-
-    def pooled(values, cells, coarse):
-        # values (K, ...) of the fine cells `cells` as the children of the
-        # coarse cells of sorted flat index `coarse`, absent children zero.
-        out = np.zeros((coarse.size, m) + values.shape[1:])
-        out[np.searchsorted(coarse, (cells >> 1) @ flat),
-            (cells & 1) @ (1 << np.arange(dim))] = values
-        return out
 
     def over_children(op, mask):
         # Axis by axis: one reduction over strided axes is many times slower.
@@ -428,46 +421,43 @@ def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
             mask = op(*np.moveaxis(mask, axis, 0))
         return mask.ravel()
 
-    def prolonged(cells):
-        # P of each fine cell and the mask of its pairs of free corners.
-        mask = free[corner_nodes(cells, n)]
-        return (prolong[(cells & 1) @ (1 << np.arange(dim))],
-                mask[:, :, None] & mask[:, None, :])
-
-    P, mask = prolonged(penalty.cells)
-    # Per child, P^T S P, P^T B P and P^T M P.
-    SBM = P[:, None].transpose(0, 1, 3, 2) @ np.stack(
-        [penalty.S, penalty.B, penalty.M * mask], axis=1) @ P[:, None]
-    parents = np.unique((penalty.cells >> 1) @ flat)
-    S, B, M = pooled(SBM, penalty.cells, parents).sum(axis=1).transpose(
-        1, 0, 2, 3)
-    cells = parents[:, None] // flat % half
-    S += (penalty.full[(2 * cells[:, None, :] + offsets) @ n ** np.arange(dim)]
-          @ pooled_ref).reshape(-1, m, m)
-    floor = pooled(penalty.lam, penalty.cells, parents).max(axis=1)
-    C = pencil_max(B, S)
-    lam = np.where(np.isnan(C), floor,
-                   np.maximum(penalty.gamma * C, floor / KAPPA))
-    if penalty.mode == "global":
-        lam.fill(lam.max(initial=0.0))
     full_c = over_children(np.logical_and, penalty.full)
-    # The coarse blocks: cells with a block child or with full and inactive
-    # children both.
-    coarse = over_children(np.logical_or, penalty.full) & ~full_c
-    coarse[(penalty.blocks >> 1) @ flat] = True
-    coarse = np.flatnonzero(coarse)
-    blocks = coarse[:, None] // flat % half
-    P, mask = prolonged(penalty.blocks)
-    K0 = pooled(P.transpose(0, 2, 1) @ (penalty.K0 * mask) @ P,
-                penalty.blocks, coarse).sum(axis=1)
+    listed = over_children(np.logical_or, penalty.full) & ~full_c
+    parent = (penalty.cells >> 1) @ flat
+    listed[parent] = True
+    coarse = np.flatnonzero(listed)
+    cells = coarse[:, None] // flat % half
+    children = (2 * cells[:, None, :] + offsets) @ fine_flat
+    # Each fine cell is child `child` of coarse cell `at`; one batched
+    # P^T X P pools its four matrices.
+    at = np.searchsorted(coarse, parent)
+    child = (penalty.cells & 1) @ (1 << np.arange(dim))
+    P = prolong[child][:, None]
+    mask = free[corner_nodes(penalty.cells, n)]
+    mask = mask[:, :, None] & mask[:, None, :]
+    pooled = np.zeros((coarse.size, m, 4, m, m))
+    pooled[at, child] = P.transpose(0, 1, 3, 2) @ np.stack(
+        [penalty.K0 * mask, penalty.S, penalty.B, penalty.M * mask],
+        axis=1) @ P
+    K0, S, B, M = pooled.sum(axis=1).transpose(1, 0, 2, 3)
+    floor = np.zeros((coarse.size, m))
+    floor[at, child] = penalty.lam
+    floor = floor.max(axis=1)
     full = penalty.full.copy()
-    full[penalty.blocks @ n ** np.arange(dim)] = False
-    K0 += (full[(2 * blocks[:, None, :] + offsets) @ n ** np.arange(dim)]
-           @ pooled_ref).reshape(-1, m, m)
+    full[penalty.cells @ fine_flat] = False
+    K0 += (full[children] @ pooled_ref).reshape(-1, m, m)
+    pen = floor > 0.0
+    S[pen] += (penalty.full[children[pen]] @ pooled_ref).reshape(-1, m, m)
+    C = pencil_max(B[pen], S[pen])
+    lam = np.zeros(coarse.size)
+    lam[pen] = np.where(np.isnan(C), floor[pen],
+                        np.maximum(penalty.gamma * C, floor[pen] / KAPPA))
+    if penalty.mode == "global":
+        lam[pen] = lam.max(initial=0.0)
     return PenaltyCells(
         cells=cells, S=S, B=B, M=M, lam=lam, full=full_c,
         reference=penalty.reference * 2.0 ** (dim - 2), gamma=penalty.gamma,
-        mode=penalty.mode, blocks=blocks, K0=K0)
+        mode=penalty.mode, K0=K0)
 
 
 def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
@@ -480,7 +470,7 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
     is the coarse free DOFs, and R = P^T, both numbered by dof_order.  The
     coarse cut DOFs, which only steer the extra smoothing sweeps and the
     numbering, are the parents of the fine cut DOFs.  A coarse operator is
-    assembled from the pooled blocks K0_c + lam_c M_c, with the coarse
+    assembled from the pooled cells' K0_c + lam_c M_c, with the coarse
     level's own penalty (`_coarse_penalty`), by `PenaltyCells.operator`.
     """
     grid = system.grid

@@ -4,8 +4,8 @@ The domain is (a, b) inside the unit artificial domain [0, 1] with n cells of
 width h = 1/n, where a = (1 - theta1) h lies in the first cell and
 b = 1 - (1 - theta2) h in the last.  A weak Dirichlet condition with penalty
 lambda is imposed at a and a Neumann condition at b.  The operator is
-assembled from its cells by `stabilization.PenaltyCells.operator`, as every
-coarse level is.  Summed over the cells it is the splitting
+assembled from its cells by `assembly.PenaltyCells.operator`, as every
+level is.  Summed over the cells it is the splitting
 
     A = A_I + A_B + A_B^T + A_lam,
 
@@ -17,13 +17,14 @@ F = F_f + F_B + F_lam + F_N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ghostmg.assembly import PenaltyCells
 from ghostmg.geometry import CartesianGrid
-from ghostmg.stabilization import PenaltyCells
 
 
 @dataclass
@@ -36,9 +37,9 @@ class OneDimSystem:
     the trace mass at a and the penalty lam.  The system knows lam, not the
     rule that chose it, so gamma is lam over the cell's trace constant
     1 / (theta1 h), and the coarse levels size their penalties with that
-    gamma under the local rule.  Cells 1 to n - 2 are full; the blocks are
-    cells 0 and n - 1, the stiffness of their parts, cell 0's plus
-    A_B + A_B^T.
+    gamma under the local rule.  Cells 1 to n - 2 are full; the listed
+    cells are 0 and n - 1, K0 the stiffness of their parts, cell 0's plus
+    A_B + A_B^T, and cell n - 1 carries no penalty.
     """
 
     n: int
@@ -72,12 +73,14 @@ class OneDimSystem:
         return mask
 
 
-def _check_params(n: int, theta1: float, theta2: float) -> None:
+def _check_params(n: int, theta1: float, theta2: float, lam: float) -> None:
     if n < 2:
         raise ValueError("need at least two cells")
     for name, t in (("theta1", theta1), ("theta2", theta2)):
         if not (0.0 < t <= 1.0):
             raise ValueError(f"{name} must lie in (0, 1], got {t}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"need a finite penalty lam > 0, got {lam}")
 
 
 def source_vector(n: int, theta1: float, theta2: float,
@@ -140,7 +143,7 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
         Cut fractions of the first (Dirichlet) and last (Neumann) cells,
         in (0, 1].
     lam : float
-        Nitsche penalty.
+        Nitsche penalty, finite and positive.
     f : callable or None
         Source term f(x), vectorized; None means zero.
     g_a : float
@@ -148,18 +151,19 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
     g_b : float
         Neumann datum u'(b) at b.
     """
-    _check_params(n, theta1, theta2)
+    _check_params(n, theta1, theta2, lam)
     h = 1.0 / n
     diff = np.array([[1.0, -1.0], [-1.0, 1.0]])
     trace = np.array([theta1, 1.0 - theta1])
     C = np.outer(trace, [-1.0 / h, 1.0 / h])
     full = np.ones(n, dtype=bool)
     full[[0, -1]] = False
+    zero = np.zeros((2, 2))
     penalty = PenaltyCells(
-        cells=np.zeros((1, 1), dtype=int), S=(theta1 / h * diff)[None],
-        B=(diff / h ** 2)[None], M=np.outer(trace, trace)[None],
-        lam=np.array([lam]), full=full, reference=diff / h,
-        gamma=lam * theta1 * h, mode="local", blocks=np.array([[0], [n - 1]]),
+        cells=np.array([[0], [n - 1]]), S=np.stack([theta1 / h * diff, zero]),
+        B=np.stack([diff / h ** 2, zero]),
+        M=np.stack([np.outer(trace, trace), zero]), lam=np.array([lam, 0.0]),
+        full=full, reference=diff / h, gamma=lam * theta1 * h, mode="local",
         K0=np.stack([theta1 / h * diff + C + C.T, theta2 / h * diff]))
     F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, g_a, g_b)
     F = source_vector(n, theta1, theta2, f) + F_B + F_lam + F_N

@@ -27,23 +27,18 @@ quadrilateral          no closed form: the sharp value from `pencil_max`.
                        theta) it is exactly 1 / (theta h).
 
 `cell_constants` applies these rules, the one penalty rule of `assemble`.
-`PenaltyCells` keeps what the coarse levels are pooled from: the multigrid
-hierarchy pools the cells 2x2 and solves the pooled pencils with
-`pencil_max`, which also takes the 2x2 pencils of the 1D boundary cell.
-`PenaltyCells.operator` assembles a level's operator from its cells.
+The multigrid hierarchy pools each level's cells (`assembly.PenaltyCells`)
+2x2 and solves the pooled pencils with `pencil_max`, which also takes the
+2x2 pencils of the 1D boundary cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from ghostmg import assembly
-from ghostmg.geometry import CartesianGrid, corner_nodes
 from ghostmg.linalg import DegeneratePencilError
 
 
@@ -173,51 +168,6 @@ class StabilizationField:
     cells: np.ndarray
     C: np.ndarray
     lam: np.ndarray
-
-
-@dataclass(eq=False)
-class PenaltyCells:
-    """The cells of one grid that carry a weak Dirichlet penalty, with what
-    the coarser grids' penalties and operators are pooled from.
-
-    cells (K, dim) holds each cell's index, i first; S, B and M (K, m, m),
-    over the cell's m = 2**dim corners in `geometry.CORNERS` order, its
-    interior stiffness, chord flux Gram and chord mass; lam (K,) its
-    penalty.  full (n**dim,) marks the cells wholly inside the domain by
-    flat index i + n j; their stiffness is `reference`.  blocks (J, dim)
-    holds every active cell whose operator block is not `reference` on
-    free corners, and K0 (J, m, m) that block less lam M.  gamma is the
-    safety factor of the penalty over the trace constant, and mode the rule
-    that sized lam, "local" per cell or "global" (one value for all cells),
-    which the coarser grids keep.
-    """
-
-    cells: np.ndarray
-    S: np.ndarray
-    B: np.ndarray
-    M: np.ndarray
-    lam: np.ndarray
-    full: np.ndarray
-    reference: np.ndarray
-    gamma: float
-    mode: str
-    blocks: np.ndarray
-    K0: np.ndarray
-
-    def operator(self, grid: CartesianGrid, rows: Optional[np.ndarray] = None,
-                 dof: Optional[np.ndarray] = None) -> sp.csr_matrix:
-        """The operator of the grid these cells tile, as CSR: the reference
-        stiffness on the full cells that are no blocks, K0 + lam M,
-        symmetrized, on the blocks.  The blocks must be in flat order.
-        rows and dof are those of `assembly._stencil_operator`."""
-        flat = grid.n ** np.arange(grid.dim)
-        K, full = self.K0.copy(), self.full.copy()
-        K[np.searchsorted(self.blocks @ flat, self.cells @ flat)] += \
-            self.lam[:, None, None] * self.M
-        full[self.blocks @ flat] = False
-        return assembly._stencil_operator(
-            grid, full, self.reference, corner_nodes(self.blocks, grid.n),
-            0.5 * (K + K.transpose(0, 2, 1)), rows, dof)
 
 
 _MODES = ("local", "global")

@@ -119,6 +119,21 @@ def test_run_with_a_bad_number_exits_two(tmp_path, capsys, no_work, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("point", [
+    "dimension = 1\nn = 8, 16\ngamma = 1.1, -1",
+    "dimension = 2\ndomain = disk\nn = 16\ngamma = 0",
+], ids=["1d-negative", "2d-zero"])
+def test_run_with_a_penalty_factor_not_positive_exits_two(tmp_path, capsys,
+                                                         no_work, point):
+    # Each point used to fail on its own, with NotSPDError in 1D and
+    # ValueError in 2D, and the run exited 1.
+    out = tmp_path / "rows.csv"
+    config = write_config(tmp_path, f"experiment = x\n{point}\n", out)
+    assert main(["run", str(config)]) == 2
+    assert "config error: gamma: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_with_an_unknown_domain_given_spacings_exits_two(tmp_path, capsys,
                                                            no_work):
     # Spacings are converted through the domain's extent before the domain

@@ -1,5 +1,6 @@
 """Transfers, hierarchies, cycles and the convergence bookkeeping."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from functools import partial
@@ -259,24 +260,64 @@ def test_hierarchy_1d_structure():
     _assert_compressed_galerkin(hierarchy)
 
 
-@pytest.mark.parametrize("name", ["flower", "disk"])
+@pytest.mark.parametrize("name", ["flower", "disk", "annulus", "leaf",
+                                  "rectangle"])
 def test_global_penalty_rule_holds_on_every_level(name):
-    # Under the global rule each coarse level has one penalty, the largest
-    # that the local rule gives its cells, floored by the finer level's
-    # penalty over KAPPA.
-    levelset = domain_catalog(name)
-    system = assemble(ProblemSpec(levelset=levelset, gamma=2.0,
-                                  h=levelset.art_extent / 64,
-                                  lambda_mode="global"))
+    # Under the global rule each coarse level has one penalty on its penalty
+    # cells (lam > 0), the largest that the local rule gives them, floored
+    # by the finer level's penalty over KAPPA.  On the annulus, the leaf and
+    # the rectangle most listed cells carry no penalty (Neumann chords,
+    # strong edges) and keep S, B and M zero.
+    kw = {"theta": 0.5, "h": 1.0 / 64} if name == "rectangle" else {}
+    levelset = domain_catalog(name, **kw)
+    system = assemble(ProblemSpec(
+        levelset=levelset, gamma=2.0, h=levelset.art_extent / 64,
+        lambda_mode="global",
+        strong_predicate=levelset.params.get("strong_predicate")))
+    penalized = system.penalty.lam > 0.0
+    assert penalized.all() == (name in ("flower", "disk"))
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
     for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
-        lam = coarse.penalty.lam
-        assert coarse.penalty.mode == "global" and lam.size > 0
-        own = 2.0 * pencil_max(coarse.penalty.B, coarse.penalty.S)
+        penalty = coarse.penalty
+        pen = penalty.lam > 0.0
+        assert penalty.mode == "global" and pen.any()
+        own = 2.0 * pencil_max(penalty.B[pen], penalty.S[pen])
         assert not np.isnan(own).any()
         want = max(own.max(), fine.penalty.lam.max() / mg.KAPPA)
-        np.testing.assert_array_equal(lam, np.full(lam.size, want))
+        np.testing.assert_array_equal(penalty.lam[pen],
+                                      np.full(pen.sum(), want))
+        for zero in (penalty.S, penalty.B, penalty.M):
+            assert not zero[~pen].any()
     _assert_compressed_galerkin(hierarchy)
+
+
+def _reversed(penalty):
+    """The penalty cells with every per-cell array in reverse order."""
+    return dataclasses.replace(penalty, **{
+        key: getattr(penalty, key)[::-1]
+        for key in ("cells", "K0", "S", "B", "M", "lam")})
+
+
+@pytest.mark.parametrize("name", ["disk", "rectangle"])
+def test_levels_do_not_depend_on_the_order_of_their_cells(name):
+    # Reversing every array of the finest cells gives bitwise the same
+    # finest operator, coarse operators, penalties and one-cycle iterate,
+    # with the rectangle's strong DOFs too.
+    system = _catalog_system(name)
+    assert system.strong_dofs.any() == (name == "rectangle")
+    flipped = dataclasses.replace(system, penalty=_reversed(system.penalty))
+    operators = [s.penalty.operator(s.grid) for s in (system, flipped)]
+    config = mg.CycleConfig(coarsest_n=4, eta=1)
+    hierarchies = [mg.build_hierarchy(s, config) for s in (system, flipped)]
+    for a, b in [operators] + [
+            (x.A, y.A) for x, y in zip(*(h.levels for h in hierarchies))]:
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+    for x, y in zip(*(h.levels[1:] for h in hierarchies)):
+        np.testing.assert_array_equal(x.penalty.lam, y.penalty.lam)
+    F = np.random.default_rng(3).standard_normal(system.grid.num_nodes)
+    u, v = (mg.solve(h, F, max_iters=1)[0] for h in hierarchies)
+    np.testing.assert_array_equal(u, v)
 
 
 @pytest.mark.parametrize("theta1", [0.0099, 0.3, 1.0])

@@ -91,6 +91,15 @@ def test_parameter_validation():
         assemble_1d(8, 0.5, 1.5, 1.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -5.0])
+def test_penalty_must_be_finite_and_positive(lam):
+    # A NaN penalty once gave a NaN operator, and zero or negative ones
+    # were accepted; lam > 0 is what marks the Dirichlet cell as a penalty
+    # cell for the hierarchy.
+    with pytest.raises(ValueError, match="lam"):
+        assemble_1d(8, 0.5, 0.5, lam)
+
+
 def test_rhs_blocks_entries():
     n, theta1, theta2, lam = 8, 0.3, 0.9, 50.0
     g_a, g_b = 2.0, -1.5
