@@ -34,7 +34,7 @@ def convergence_factors(n: int, etas: tuple,
                                   lambda_mode=lambda_mode))
     config = mg.CycleConfig(nu1=2, nu2=1, gamma_star=1, coarsest_n=n // 2)
     hierarchy = mg.build_hierarchy(system, config)
-    m = system.A.shape[0]
+    m = system.grid.num_nodes
     rhos = []
     for eta in etas:
         cycle = replace(hierarchy, config=replace(config, eta=eta))

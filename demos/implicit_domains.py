@@ -35,7 +35,7 @@ def main():
         config = mg.CycleConfig(nu1=2, nu2=1, eta=4, gamma_star=1,
                                 coarsest_n=system.grid.n // 2)
         hierarchy = mg.build_hierarchy(system, config)
-        m = system.A.shape[0]
+        m = system.grid.num_nodes
         _, trace = mg.solve(hierarchy, np.zeros(m), u0=np.ones(m),
                             max_iters=30)
         active = int(system.classification.active.sum())

@@ -17,7 +17,7 @@ geometry
     geometry extraction, plus the catalog of benchmark domains.
 assembly
     Bilinear/linear form assembly in 2D; element kernels; the cells of a
-    level and the one operator builder; strong Dirichlet elimination.
+    level, its DOFs and the one operator builder; the strong Dirichlet lift.
 one_dim
     Closed-form 1D system blocks for the interval domain with one weak
     Dirichlet and one Neumann end.

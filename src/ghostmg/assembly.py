@@ -2,8 +2,7 @@
 
 Every active cell contributes the stiffness of its interior part; cut cells
 with a Dirichlet chord additionally contribute the penalty and consistency
-chord integrals, and Neumann chords load the right-hand side.  Nodes outside
-every active cell keep identity rows so the global numbering stays Cartesian.
+chord integrals, and Neumann chords load the right-hand side.
 A level is its cells (`PenaltyCells`): the full cells, and a list of the
 others, each with its block K0 without the penalty and, where it has a
 Dirichlet chord, the penalty lam M.  `PenaltyCells.operator` assembles every
@@ -11,7 +10,10 @@ operator, the finest in 1D and 2D and each coarse one, from its cells: K0 +
 lam M, symmetrized, on the listed cells, the reference stiffness on the
 other full ones.  It accumulates them on the fixed 9-point pattern (3-point
 in 1D), one array plane per stencil slot, and emits canonical CSR directly
-(`_stencil_operator`).
+(`_stencil_operator`), on the level's free DOFs as `number_dofs` numbers
+them.  A strong Dirichlet node is no DOF: its couplings move to the
+right-hand side.  The whole-grid matrix is a view built on first use
+(`AssembledSystem.A`).
 
 Cut cells are integrated in one batched pass, `cut_cell_batch`, over the
 arrays of `extract_cut_geometry`: polygons come grouped by vertex count (3, 4
@@ -28,12 +30,14 @@ from the same stiffness S and chord flux Gram B; `fan_kernels` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ghostmg import stabilization
+from ghostmg.linalg import canonical_csr
 from ghostmg.geometry import (
     CORNERS,
     DIRICHLET,
@@ -270,9 +274,11 @@ class ProblemSpec:
 
 @dataclass
 class AssembledSystem:
-    """Assembled system A u = F with its geometry and DOF bookkeeping;
-    penalty holds the cells that A is assembled from and the hierarchy
-    pools."""
+    """Assembled system A u = F with its geometry and DOF bookkeeping:
+    operator is A on the free DOFs in `order` (`number_dofs`), the
+    hierarchy's finest level, and penalty the cells it is assembled from
+    and the hierarchy pools.  F is on every grid node: zero on the inactive
+    ones, the boundary value on the strong ones."""
 
     problem: ProblemSpec
     grid: CartesianGrid
@@ -281,7 +287,8 @@ class AssembledSystem:
     cut_cells: CutCells
     stabilization: stabilization.StabilizationField
     penalty: PenaltyCells
-    A: sp.csr_matrix
+    operator: sp.csr_matrix
+    order: np.ndarray
     F: np.ndarray
     active_dofs: np.ndarray
     strong_dofs: np.ndarray
@@ -291,36 +298,27 @@ class AssembledSystem:
     def free_dofs(self) -> np.ndarray:
         return self.active_dofs & ~self.strong_dofs
 
-
-def apply_strong_dirichlet(A: sp.csr_matrix, F: np.ndarray,
-                           strong: np.ndarray, g: np.ndarray
-                           ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Eliminate strongly constrained DOFs symmetrically.
-
-    Constrained rows and columns become identity with the boundary value on
-    the right-hand side; the eliminated column contributions move to the
-    right-hand side of the free rows, so symmetry is preserved.  A is
-    canonical CSR with a stored diagonal at every constrained DOF; the
-    result keeps its order and drops its stored zeros.
-    """
-    strong = np.asarray(strong, dtype=bool)
-    g_vec = np.zeros(A.shape[0])
-    g_vec[strong] = np.asarray(g)[strong] if np.ndim(g) else g
-    F_out = F - A @ g_vec
-    F_out[strong] = g_vec[strong]
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    constrained = strong[rows] | strong[A.indices]
-    keep = np.where(constrained, rows == A.indices, A.data != 0.0)
-    A_out = sp.csr_matrix((np.where(constrained, 1.0, A.data)[keep],
-                           A.indices[keep],
-                           np.concatenate(([0], np.cumsum(keep)))[A.indptr]),
-                          shape=A.shape)
-    return A_out, F_out
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        """The whole-grid view, built from `operator` on first use: canonical
+        CSR in node order, with an identity row and column on each
+        constrained node.  Neither assembly nor the hierarchy reads it."""
+        N, free, order = self.grid.num_nodes, self.free_dofs, self.order
+        rows = self.operator[np.argsort(order)]
+        counts = np.ones(N, dtype=np.int32)
+        counts[free] = np.diff(rows.indptr)
+        # Each constrained row holds its diagonal only.
+        indices = np.repeat(np.arange(N, dtype=np.int32), counts)
+        data = np.ones(indices.size)
+        inside = np.repeat(free, counts)
+        indices[inside], data[inside] = order[rows.indices], rows.data
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return canonical_csr(sp.csr_matrix((data, indices, indptr), (N, N)))
 
 
 def assemble(problem: ProblemSpec) -> AssembledSystem:
     """Snap, classify, extract cut geometry, size the penalties and build the
-    global system from its cells."""
+    system from its cells, on its free DOFs."""
     levelset = problem.levelset
     grid = levelset.grid(problem.h)
     h = grid.h
@@ -375,7 +373,9 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         cells=cells, S=S, B=B, M=M, lam=lam,
         full=classification.internal.ravel(), reference=reference,
         gamma=problem.gamma, mode=problem.lambda_mode, K0=K0)
-    A = penalty.operator(grid)
+    free = active & ~strong
+    cut = classification.cut_nodes & free
+    order, dof = number_dofs(free, cut, grid)
 
     # Loads accumulate internal cells first, then cut cells, each in
     # row-major cell order.
@@ -388,27 +388,26 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
     F = np.bincount(np.concatenate(nodes).ravel(), np.concatenate(loads).ravel(),
                     minlength=grid.num_nodes)
     F[~active] = 0.0
-    if np.any(strong):
+    if strong.any():
+        # F - A g, g zero off the strong nodes.  A's couplings to a strong
+        # node sum the blocks of the listed cells that hold it, at most two
+        # per pair of nodes, so in any order they are A's entries bit for bit.
+        g = np.zeros(grid.num_nodes)
         if problem.g_dirichlet is not None:
-            g_vals = np.asarray(problem.g_dirichlet(X, Y), dtype=float)
-        else:
-            g_vals = np.zeros(grid.num_nodes)
-        A, F = apply_strong_dirichlet(A, F, strong, g_vals)
+            g[strong] = _at_points(problem.g_dirichlet, X, Y)[strong]
+        nodes = corner_nodes(cells, grid.n)
+        coupling = sp.csr_matrix(
+            (penalty.blocks().ravel(),
+             (np.repeat(nodes, 4, axis=1).ravel(), np.tile(nodes, 4).ravel())),
+            shape=(grid.num_nodes,) * 2)
+        F -= coupling @ g
+        F[strong] = g[strong]
 
     return AssembledSystem(
-        problem=problem,
-        grid=grid,
-        field=field,
-        classification=classification,
-        cut_cells=cut_cells,
-        stabilization=stab,
-        penalty=penalty,
-        A=A,
-        F=F,
-        active_dofs=active,
-        strong_dofs=strong,
-        cut_dofs=classification.cut_nodes & active & ~strong,
-    )
+        problem=problem, grid=grid, field=field, classification=classification,
+        cut_cells=cut_cells, stabilization=stab, penalty=penalty,
+        operator=penalty.operator(grid, order, dof), order=order, F=F,
+        active_dofs=active, strong_dofs=strong, cut_dofs=cut)
 
 
 # Stencil slot sum_d 3**d (offset_d + 1) of the coupling from cell corner a
@@ -425,18 +424,17 @@ _BLOCK_ROWS = 1 << 15
 
 def _stencil_operator(grid: CartesianGrid, full: np.ndarray,
                       reference: np.ndarray, nodes: np.ndarray,
-                      blocks: np.ndarray, rows: Optional[np.ndarray] = None,
-                      dof: Optional[np.ndarray] = None) -> sp.csr_matrix:
-    """The operator of a 1D or 2D grid on its 3**dim-point pattern, as CSR.
+                      blocks: np.ndarray, rows: np.ndarray,
+                      dof: np.ndarray) -> sp.csr_matrix:
+    """A 1D or 2D grid's operator on its 3**dim-point pattern, canonical CSR.
 
     Each node's couplings sum over its cells in row-major order, first the
     cells that `full` marks (flat index i + n j), shifted copies of the
     stiffness `reference`, then the cells of corner nodes `nodes` (K, m)
-    with the blocks `blocks` (K, m, m); nodes outside every such cell get
-    identity rows.  An entry is stored where some such cell holds both
-    nodes, whatever its value.  The rows are the nodes `rows`, in order,
-    and the column of node q is dof[q], couplings to a node of DOF -1
-    dropped; by default every node, with sorted columns of node number.
+    with the blocks `blocks` (K, m, m).  An entry is stored where some such
+    cell holds both nodes, whatever its value.  The rows are the nodes
+    `rows`, in order, and the column of node q is dof[q], couplings to a
+    node of DOF -1 dropped.
     """
     n, nps, N, dim = grid.n, grid.nodes_per_side, grid.num_nodes, grid.dim
     slot, size = _SLOT[dim], 3 ** dim
@@ -460,32 +458,23 @@ def _stencil_operator(grid: CartesianGrid, full: np.ndarray,
             # writes distinct entries.
             values[slot[a, b]].reshape(N)[nodes[:, a]] += blocks[:, a, b]
             stored[slot[a, b]].reshape(N)[nodes[:, a]] = True
-    values[size // 2][~stored[size // 2]] = 1.0
-    stored[size // 2][:] = True
     shifts = ((np.arange(size)[:, None] // 3 ** np.arange(dim) % 3 - 1)
               @ nps ** np.arange(dim)).astype(np.int32)
-    count = N if rows is None else rows.size
     counts, data, indices = [], [], []
-    for start in range(0, count, _BLOCK_ROWS):
-        if rows is None:
-            at = slice(start, start + _BLOCK_ROWS)
-            row = np.arange(start, min(start + _BLOCK_ROWS, N), dtype=np.int32)
-        else:
-            at = row = rows[start:start + _BLOCK_ROWS]
-        keep = np.stack([plane.reshape(N)[at] for plane in stored], axis=1)
-        cols = row[:, None] + shifts
-        if dof is not None:
-            # Couplings off the grid are not stored, so clipping is safe.
-            cols = dof.take(cols, mode="clip")
-            keep &= cols >= 0
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        row = rows[start:start + _BLOCK_ROWS]
+        keep = np.stack([plane.reshape(N)[row] for plane in stored], axis=1)
+        # Couplings off the grid are not stored, so clipping is safe.
+        cols = dof.take(row[:, None] + shifts, mode="clip")
+        keep &= cols >= 0
         counts.append(keep.sum(axis=1))
-        data.append(np.stack([plane.reshape(N)[at] for plane in values],
+        data.append(np.stack([plane.reshape(N)[row] for plane in values],
                              axis=1)[keep])
         indices.append(cols[keep])
-    return sp.csr_matrix(
+    return canonical_csr(sp.csr_matrix(
         (np.concatenate(data), np.concatenate(indices),
          np.concatenate(([0], np.cumsum(np.concatenate(counts))))),
-        shape=(count, count))
+        shape=(rows.size, rows.size)))
 
 
 @dataclass(eq=False)
@@ -517,20 +506,41 @@ class PenaltyCells:
     mode: str
     K0: np.ndarray
 
-    def operator(self, grid: CartesianGrid, rows: Optional[np.ndarray] = None,
-                 dof: Optional[np.ndarray] = None) -> sp.csr_matrix:
-        """The operator of the grid these cells tile, as CSR: K0 + lam M,
-        symmetrized, on the cells, and the reference stiffness on the other
-        full cells.  rows and dof are those of `_stencil_operator`."""
+    def blocks(self) -> np.ndarray:
+        """The cells' operator blocks K0 + lam M, symmetrized."""
         K = self.K0 + self.lam[:, None, None] * self.M
-        full = self.full.copy()
-        full[self.cells @ grid.n ** np.arange(grid.dim)] = False
         # Entries (i, j) and (j, i) accumulate the terms in different
         # orders, so they can drift apart by one ulp; averaging the halves
         # keeps the operator bitwise symmetric.
+        return 0.5 * (K + K.transpose(0, 2, 1))
+
+    def operator(self, grid: CartesianGrid, rows: np.ndarray,
+                 dof: np.ndarray) -> sp.csr_matrix:
+        """The operator of the grid these cells tile, as canonical CSR on
+        the DOFs that rows and dof number (`number_dofs`): the blocks on the
+        cells, and the reference stiffness on the other full cells."""
+        full = self.full.copy()
+        full[self.cells @ grid.n ** np.arange(grid.dim)] = False
         return _stencil_operator(
             grid, full, self.reference, corner_nodes(self.cells, grid.n),
-            0.5 * (K + K.transpose(0, 2, 1)), rows, dof)
+            self.blocks(), rows, dof)
+
+
+def number_dofs(free: np.ndarray, cut: np.ndarray,
+                grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The DOFs of a level: the grid node of each, and the DOF of each grid
+    node, -1 off the free nodes.  The DOFs are the free nodes, in 2D sorted
+    by colour class (i % 2) + 2 (j % 2), cut nodes first within a class and
+    node order after that; in 1D in node order."""
+    order = np.flatnonzero(free)
+    if grid.dim == 2:
+        j, i = np.divmod(order, grid.n + 1)
+        # A stable sort of small integers is a radix sort.
+        key = 2 * (i % 2 + 2 * (j % 2)) + ~cut[order]
+        order = order[np.argsort(key.astype(np.int8), kind="stable")]
+    dof = np.full(grid.num_nodes, -1, dtype=np.int32)
+    dof[order] = np.arange(order.size, dtype=np.int32)
+    return order, dof
 
 
 def _internal_source(f: Callable, grid: CartesianGrid, in_is: np.ndarray,

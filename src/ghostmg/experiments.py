@@ -432,12 +432,8 @@ def run_accuracy_study(config: ExperimentConfig) -> list:
     solution rather than the solution itself, so their deviation from the
     manufactured formula says nothing about the order of the method.
     """
-    rows = []
-    for n in config.ns:
-        if config.dimension == 1:
-            rows.append(_accuracy_point_1d(config, n))
-        else:
-            rows.append(_accuracy_point_2d(config, n))
+    point = _accuracy_point_1d if config.dimension == 1 else _accuracy_point_2d
+    rows = [point(config, n) for n in config.ns]
     for prev, cur in zip(rows, rows[1:]):
         cur.linf_ratio = prev.linf_error / cur.linf_error
         cur.l2_ratio = prev.l2_error / cur.l2_error
@@ -489,21 +485,17 @@ def _accuracy_point_2d(config: ExperimentConfig, n: int) -> AccuracyRow:
                        l2_error=float(np.sqrt(h * h * np.sum(err ** 2))))
 
 
-def emit_results(rows: list, path: Union[str, Path]) -> Path:
-    """Write sweep rows as CSV (fixed header, one line per row)."""
+def emit_results(rows: list, path: Union[str, Path],
+                 header: str = CSV_HEADER) -> Path:
+    """Write rows as CSV under `header`, one line per row."""
     if not rows:
         raise ValueError("no rows to write")
     path = Path(path)
-    lines = [CSV_HEADER] + [row.csv_line() for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join([header] + [row.csv_line() for row in rows])
+                    + "\n")
     return path
 
 
 def emit_accuracy(rows: list, path: Union[str, Path]) -> Path:
     """Write accuracy-study rows as CSV."""
-    if not rows:
-        raise ValueError("no rows to write")
-    path = Path(path)
-    lines = [ACCURACY_CSV_HEADER] + [row.csv_line() for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return emit_results(rows, path, ACCURACY_CSV_HEADER)

@@ -23,28 +23,27 @@ of a level's penalty cells.  A Galerkin level would inherit the finest
 penalty, 102x to 708x each 1D coarse level's tuned value, and the deep
 V-cycle would degrade with depth.
 
-Constrained nodes (ghost exterior nodes, strongly eliminated nodes)
-appear only at the API edge: ``solve`` takes and returns vectors on the
-whole background grid, with constrained entries equal to F, and one cycle
-is ``solve`` with ``max_iters=1``.  One builder serves the 1D interval and
-the 2D systems.  Smoothing is Gauss-Seidel over the free DOFs, optionally
-followed by extra sweeps on the cut-cell DOFs only, and the coarsest level
-is solved exactly.
+Constrained nodes (ghost exterior nodes, strong Dirichlet nodes) appear
+only at the API edge: ``solve`` takes and returns vectors on the whole
+background grid, with constrained entries equal to F, and one cycle is
+``solve`` with ``max_iters=1``.  One builder serves the 1D interval and
+the 2D systems, and takes their finest operator as is.  Smoothing is
+Gauss-Seidel over the free DOFs, optionally followed by extra sweeps on the
+cut-cell DOFs only, and the coarsest level is solved exactly.
 
 In 2D, Gauss-Seidel runs over four colour classes, (i % 2) + 2 (j % 2) of
 the grid node: the 9-point stencil, which the coarse operators of Q1 keep,
 couples no two nodes of one class, so each class is one row-block product
 and a diagonal scale.  Each 2D level numbers its free DOFs class by class,
-cut DOFs first within a class (``dof_order``), so every class step of the
-full sweep is one contiguous row range of A and every cut-sweep step that
-range's leading part: a step works on slice views of u, F and A's CSR
-arrays, with no gathers, scatters or copies of A.  R, P and the coarse
-operators are built in this numbering; only ``solve`` maps to
-and from grid order.  In 1D the DOFs keep node order, one
-lexicographic class: the operator is tridiagonal, so its lower triangle is
-bidiagonal and a step is one banded forward substitution, in place in the
-step's scratch slice.  SuperLU factors only the coarsest level, in 1D as in
-2D.  Two colours in 1D
+cut DOFs first within a class (``assembly.number_dofs``), so every class
+step of the full sweep is one contiguous row range of A and every cut-sweep
+step that range's leading part: a step works on slice views of u, F and
+A's CSR arrays, with no gathers, scatters or copies of A.  Every operator,
+R and P is built in this numbering; only ``solve`` maps to and from grid
+order.  In 1D the DOFs keep node order, one lexicographic class: the
+operator is tridiagonal, so its lower triangle is bidiagonal and a step is
+one banded forward substitution, in place in the step's scratch slice.
+SuperLU factors only the coarsest level, in 1D as in 2D.  Two colours in 1D
 (red-black) would turn the V(2,1) cycle into a near-direct solve, at
 theta1 = 0.99 and n = 1024 from a factor of 0.085 to 0.017 (eta = 0) and
 0.00018 (eta = 4), and so erase the 1D theta1 study.
@@ -75,9 +74,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtbsv
 
-from ghostmg.assembly import AssembledSystem, PenaltyCells
+from ghostmg.assembly import AssembledSystem, PenaltyCells, number_dofs
 from ghostmg.geometry import CORNERS, CartesianGrid, corner_nodes
-from ghostmg.linalg import NotSPDError, canonical_csr, matvec_into
+from ghostmg.linalg import NotSPDError, matvec_into
 from ghostmg.one_dim import OneDimSystem
 from ghostmg.stabilization import pencil_max
 
@@ -150,26 +149,12 @@ def _row_range(A: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
     return rows
 
 
-def dof_order(free: np.ndarray, cut: np.ndarray,
-              grid: CartesianGrid) -> np.ndarray:
-    """Grid node of each DOF of a level: the free nodes, in 2D sorted by
-    colour class (i % 2) + 2 (j % 2), cut nodes first within a class and
-    node order after that; in 1D in node order."""
-    nodes = np.flatnonzero(free)
-    if grid.dim == 1:
-        return nodes
-    j, i = np.divmod(nodes, grid.n + 1)
-    # A stable sort of small integers is a radix sort.
-    key = 2 * (i % 2 + 2 * (j % 2)) + ~cut[nodes]
-    return nodes[np.argsort(key.astype(np.int8), kind="stable")]
-
-
 class MgLevel:
     """One level: its operator and transfers on its free DOFs, numbered as
-    in `order`, which must be dof_order of the masks, the free and cut masks
+    in `order`, the order number_dofs gives the masks, the free and cut masks
     over its grid's nodes, its solver caches and its cycle workspace.  The
-    operator must be bitwise symmetric, as assembled and coarse operators
-    are.  `scratch` holds every intermediate vector of the level's steps,
+    operator, taken as is, must be canonical CSR and bitwise symmetric, as
+    `PenaltyCells.operator` builds every level's.  `scratch` holds every intermediate vector of the level's steps,
     residual and prolongation; `iterate` and `rhs`, set on coarse levels
     only, are the level's u and F within a cycle.  `penalty` holds the
     cells the next coarser level is pooled from."""
@@ -177,7 +162,7 @@ class MgLevel:
     def __init__(self, A: sp.csr_matrix, free: np.ndarray, cut: np.ndarray,
                  grid: CartesianGrid, order: np.ndarray, index: int = 0,
                  penalty: Optional[PenaltyCells] = None):
-        self.A = canonical_csr(A)
+        self.A = A
         self.scratch = np.empty(self.num_dofs)
         self.iterate: Optional[np.ndarray] = None
         self.rhs: Optional[np.ndarray] = None
@@ -371,9 +356,7 @@ def _transfers(fine: MgLevel, grid_c: CartesianGrid) -> tuple:
     cut_c = np.zeros(grid_c.num_nodes, dtype=bool)
     cut_c[(first[cut, None] + steps[odd[cut]])
           [np.arange(steps.shape[1]) < count[cut, None]]] = True
-    order_c = dof_order(free_c, cut_c, grid_c)
-    dof_c = np.full(grid_c.num_nodes, -1, dtype=np.int32)
-    dof_c[order_c] = np.arange(order_c.size, dtype=np.int32)
+    order_c, dof_c = number_dofs(free_c, cut_c, grid_c)
     P = sp.csr_matrix((np.repeat(1.0 / count, count), dof_c[parents], indptr),
                       shape=(fine.num_dofs, order_c.size))
     P.sort_indices()
@@ -464,10 +447,11 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
                     config: CycleConfig) -> Hierarchy:
     """Hierarchy for an assembled 1D or 2D system.
 
-    Both system types supply A on their grid's nodes, the free and cut
-    masks there, and the cells that the coarser levels are pooled from.  A
-    level's P takes each fine free DOF from its coarse parents, whose union
-    is the coarse free DOFs, and R = P^T, both numbered by dof_order.  The
+    Both system types supply the finest operator on their free DOFs in
+    their order, taken as is, the free and cut masks over their nodes, and
+    the cells that the coarser levels are pooled from.  A level's P takes
+    each fine free DOF from its coarse parents, whose union is the coarse
+    free DOFs, and R = P^T, both numbered by `number_dofs`.  The
     coarse cut DOFs, which only steer the extra smoothing sweeps and the
     numbering, are the parents of the fine cut DOFs.  A coarse operator is
     assembled from the pooled cells' K0_c + lam_c M_c, with the coarse
@@ -475,12 +459,8 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
     """
     grid = system.grid
     _validate_depth(grid.n, config.coarsest_n)
-    free, cut = system.free_dofs, system.cut_dofs
-    order = dof_order(free, cut, grid)
-    # Where every node is a DOF in node order (1D), level 0 is A, not a copy.
-    identity = np.array_equal(order, np.arange(grid.num_nodes))
-    levels = [MgLevel(system.A if identity else system.A[order][:, order],
-                      free, cut, grid, order, penalty=system.penalty)]
+    levels = [MgLevel(system.operator, system.free_dofs, system.cut_dofs,
+                      grid, system.order, penalty=system.penalty)]
     while levels[-1].n > config.coarsest_n:
         fine = levels[-1]
         grid_c = fine.grid.coarsen()
@@ -565,9 +545,9 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     is not modified.  With target_residual set, iteration stops once the
     residual norm is at or below it, before the first cycle if u0 already
     meets it.  It also stops once DIVERGENCE_PATIENCE consecutive cycles
-    bring no residual below the lowest so far, which has then met its
-    rounding floor above the target: the trace is flagged as stalled, with
-    a warning that names that floor.  A residual that grows for
+    bring no residual below the lowest since the first cycle, which has
+    then met its rounding floor above the target: the trace is flagged as
+    stalled, with a warning that names that floor.  A residual that grows for
     DIVERGENCE_PATIENCE consecutive cycles flags the trace as diverged
     (with a warning) but the run is preserved.
     """
@@ -587,7 +567,9 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     norms = [residual_norm()]
     growing = stagnant = 0
     diverged = stalled = False
-    best = norms[0]
+    # The first cycle can raise the residual many times over, since the cut
+    # rows carry the penalty, so the lowest residual counts from cycle 1.
+    best = np.inf
     for _ in range(max_iters):
         if target_residual is not None and norms[-1] <= target_residual:
             break

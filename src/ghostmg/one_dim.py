@@ -29,8 +29,8 @@ from ghostmg.geometry import CartesianGrid
 
 @dataclass
 class OneDimSystem:
-    """Assembled 1D Nitsche system A u = F, A canonical CSR on the n + 1
-    nodes, and the cells the hierarchy pools from (`penalty`).
+    """Assembled 1D Nitsche system A u = F, operator canonical CSR on the
+    n + 1 nodes, and the cells the hierarchy pools from (`penalty`).
 
     The Dirichlet cell, cell 0, is the 2-node case of the 2D cut cells: the
     stiffness of its part of length theta1 h, the Gram of the flux u'(a),
@@ -48,7 +48,7 @@ class OneDimSystem:
     lam: float
     g_a: float
     g_b: float
-    A: object
+    operator: object
     F: np.ndarray
     penalty: PenaltyCells
 
@@ -64,6 +64,16 @@ class OneDimSystem:
     @property
     def free_dofs(self) -> np.ndarray:
         return np.ones(self.n + 1, dtype=bool)
+
+    @property
+    def order(self) -> np.ndarray:
+        """Every node is a DOF, in node order."""
+        return np.arange(self.n + 1)
+
+    @property
+    def A(self):
+        """The whole-grid view, which in 1D is the operator itself."""
+        return self.operator
 
     @property
     def cut_dofs(self) -> np.ndarray:
@@ -167,7 +177,7 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
         K0=np.stack([theta1 / h * diff + C + C.T, theta2 / h * diff]))
     F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, g_a, g_b)
     F = source_vector(n, theta1, theta2, f) + F_B + F_lam + F_N
-    return OneDimSystem(n, theta1, theta2, lam, g_a, g_b,
-                        penalty.operator(CartesianGrid(n, (0.0,), 1.0)), F,
-                        penalty)
+    nodes = np.arange(n + 1)
+    return OneDimSystem(n, theta1, theta2, lam, g_a, g_b, penalty.operator(
+        CartesianGrid(n, (0.0,), 1.0), nodes, nodes), F, penalty)
 

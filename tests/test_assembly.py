@@ -10,7 +10,6 @@ from ghostmg.assembly import (
     AssemblyError,
     ProblemSpec,
     _internal_source,
-    apply_strong_dirichlet,
     assemble,
     chord_kernels,
     cut_cell_batch,
@@ -194,21 +193,25 @@ def test_assembled_operator_exactly_symmetric(name):
 @pytest.mark.parametrize("name", ["disk", "annulus", "flower", "leaf",
                                   "hourglass", "rectangle"])
 def test_finest_penalty_cells_assemble_the_free_block(name):
-    # A is assembled from the cells the hierarchy pools from: it is their
-    # operator bit for bit, and on the rectangle, whose internal cells with
-    # a strong corner are listed cells too, that operator's free block.
+    # The finest operator is the cells' operator over the whole grid,
+    # restricted to the free DOFs in their order, bit for bit; on the
+    # rectangle, whose internal cells with a strong corner are listed cells
+    # too, the couplings to the strong nodes drop.  The whole-grid view
+    # holds it as its free block.
     kw = {"theta": 0.55, "h": 1.0 / 64} if name == "rectangle" else {}
     ls = domain_catalog(name, **kw)
     system = assemble(ProblemSpec(
         ls, ls.art_extent / 64, gamma=2.0,
         strong_predicate=ls.params.get("strong_predicate")))
-    B = system.penalty.operator(system.grid)
-    if not system.strong_dofs.any():
+    nodes = np.arange(system.grid.num_nodes)
+    whole = system.penalty.operator(system.grid, nodes, nodes)
+    order, free = system.order, np.flatnonzero(system.free_dofs)
+    block = whole[order][:, order]
+    block.sort_indices()
+    for a, b in ((system.operator, block),
+                 (system.A[free][:, free], whole[free][:, free])):
         for part in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(system.A, part),
-                                          getattr(B, part))
-    free = np.flatnonzero(system.free_dofs)
-    assert abs(system.A[free][:, free] - B[free][:, free]).max() == 0.0
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
 
 
 @pytest.mark.parametrize("name", ["disk", "annulus", "flower", "leaf",
@@ -242,41 +245,6 @@ def test_inactive_nodes_carry_identity_rows():
     assert sub.nnz == inactive.size
     np.testing.assert_array_equal(system.A.diagonal()[inactive], 1.0)
     assert np.all(system.F[inactive] == 0.0)
-
-
-def test_strong_elimination_preserves_symmetry_and_values():
-    import scipy.sparse as sp
-    rng = np.random.default_rng(4)
-    B = rng.standard_normal((6, 6))
-    A = sp.csr_matrix(B @ B.T + 6.0 * np.eye(6))
-    F = rng.standard_normal(6)
-    strong = np.array([True, False, False, True, False, False])
-    g = rng.standard_normal(6)
-    A2, F2 = apply_strong_dirichlet(A, F, strong, g)
-    assert (A2 - A2.T).nnz == 0
-    np.testing.assert_array_equal(F2[strong], g[strong])
-    # The eliminated solve agrees with the constrained full solve.
-    u = spla.spsolve(A2.tocsc(), F2)
-    np.testing.assert_allclose(u[strong], g[strong], atol=1e-14)
-    free = ~strong
-    dense = A.toarray()
-    u_free = np.linalg.solve(dense[np.ix_(free, free)],
-                             (F - dense @ (g * strong))[free])
-    np.testing.assert_allclose(u[free], u_free, atol=1e-12)
-
-
-def test_strong_elimination_drops_stored_zeros():
-    # A stored zero off the constrained rows and columns goes, as it does in
-    # diag(keep) A diag(keep); the constrained diagonal becomes 1.
-    A = sp.csr_matrix((np.array([4.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.0, 2.0, 4.0]),
-                       np.array([0, 1, 2, 0, 1, 2, 0, 1, 2]),
-                       np.array([0, 3, 6, 9])), shape=(3, 3))
-    A2, F2 = apply_strong_dirichlet(A, np.ones(3), np.array([False, False, True]),
-                                    np.array([0.0, 0.0, 3.0]))
-    np.testing.assert_array_equal(A2.indptr, [0, 1, 2, 3])
-    np.testing.assert_array_equal(A2.indices, [0, 1, 2])
-    np.testing.assert_array_equal(A2.data, [4.0, 4.0, 1.0])
-    np.testing.assert_array_equal(F2, [-2.0, -5.0, 3.0])
 
 
 def test_degenerate_sliver_raises():

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse as sp
 
 from ghostmg import cli
 from ghostmg.cli import main
@@ -241,6 +242,26 @@ def test_verify_checks_positive_definiteness_on_every_level(monkeypatch):
     name, ok, detail = cli._check_spd()
     assert not ok
     assert detail.startswith("level 2:")
+
+
+def test_verify_checks_symmetry_on_every_level(monkeypatch):
+    # The check reads the operators the cycles run, every hierarchy level,
+    # and names the first that is not exactly symmetric.
+    name, ok, detail = cli._check_symmetry()
+    assert ok
+    assert detail == "A = A^T bitwise on 4 levels"
+    build = cli.mg.build_hierarchy
+
+    def asymmetric_level_two(system, config):
+        hierarchy = build(system, config)
+        A = hierarchy.levels[2].A
+        hierarchy.levels[2].A = (A + 1e-9 * sp.triu(A, k=1)).tocsr()
+        return hierarchy
+
+    monkeypatch.setattr(cli.mg, "build_hierarchy", asymmetric_level_two)
+    name, ok, detail = cli._check_symmetry()
+    assert not ok
+    assert detail.startswith("level 2: max |A - A^T| = ")
 
 
 def test_verify_reports_an_indefinite_coarsest_level(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ghostmg import linalg
 from ghostmg import multigrid as mg
-from ghostmg.assembly import ProblemSpec, assemble
+from ghostmg.assembly import ProblemSpec, assemble, number_dofs
 from ghostmg.geometry import CartesianGrid, domain_catalog
 from oracles import generalized_eig_max
 
@@ -39,7 +39,7 @@ def bare_level(A, cut=None):
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool) if cut is None else cut
     grid = CartesianGrid(m - 1, (0.0,), 1.0)
-    return mg.MgLevel(A, free, cut, grid, mg.dof_order(free, cut, grid))
+    return mg.MgLevel(A, free, cut, grid, number_dofs(free, cut, grid)[0])
 
 
 def level_for(A, cut=None):
@@ -131,7 +131,7 @@ def test_colour_sweep_rejects_in_class_coupling():
     A = sp.csr_matrix(random_spd(np.random.default_rng(23), 9))
     free, cut = np.ones(9, dtype=bool), np.zeros(9, dtype=bool)
     grid = CartesianGrid(2, (0.0, 0.0), 1.0)
-    level = mg.MgLevel(A, free, cut, grid, mg.dof_order(free, cut, grid),
+    level = mg.MgLevel(A, free, cut, grid, number_dofs(free, cut, grid)[0],
                        index=3)
     with pytest.raises(ValueError, match="level 3: colour class 0"):
         level.prepare_smoothers()

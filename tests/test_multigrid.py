@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 from ghostmg import multigrid as mg
-from ghostmg.assembly import ProblemSpec, assemble
+from ghostmg.assembly import ProblemSpec, assemble, number_dofs
 from ghostmg.geometry import (CartesianGrid, corner_nodes, domain_catalog,
                               domain_names)
 from ghostmg.linalg import NotSPDError, canonical_csr
@@ -252,8 +252,8 @@ def test_hierarchy_1d_structure():
         np.testing.assert_array_equal(lvl.order, np.arange(m))
         np.testing.assert_array_equal(np.flatnonzero(lvl.cut),
                                       [0, 1, m - 2, m - 1])
-    # Every node is a DOF in node order, so level 0 is A, not a copy.
-    assert np.shares_memory(hierarchy.levels[0].A.data, system.A.data)
+    # Level 0 is the system's operator, not a copy.
+    assert np.shares_memory(hierarchy.levels[0].A.data, system.operator.data)
     for lvl in hierarchy.levels[:-1]:
         np.testing.assert_array_equal(lvl.R.toarray(),
                                       restriction_1d(lvl.n).toarray())
@@ -306,7 +306,9 @@ def test_levels_do_not_depend_on_the_order_of_their_cells(name):
     system = _catalog_system(name)
     assert system.strong_dofs.any() == (name == "rectangle")
     flipped = dataclasses.replace(system, penalty=_reversed(system.penalty))
-    operators = [s.penalty.operator(s.grid) for s in (system, flipped)]
+    rows = np.arange(system.grid.num_nodes)
+    operators = [s.penalty.operator(s.grid, rows, rows)
+                 for s in (system, flipped)]
     config = mg.CycleConfig(coarsest_n=4, eta=1)
     hierarchies = [mg.build_hierarchy(s, config) for s in (system, flipped)]
     for a, b in [operators] + [
@@ -414,7 +416,7 @@ def test_one_dimensional_smoother_rejects_a_wider_operator():
                  shape=(m, m), format="csr")
     grid = CartesianGrid(m - 1, (0.0,), 1.0)
     free, cut = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
-    level = mg.MgLevel(A, free, cut, grid, mg.dof_order(free, cut, grid),
+    level = mg.MgLevel(A, free, cut, grid, number_dofs(free, cut, grid)[0],
                        index=2)
     with pytest.raises(ValueError, match="level 2: the 1D operator"):
         level.prepare_smoothers()
@@ -428,7 +430,9 @@ def test_hierarchy_2d_structure():
     free = system.free_dofs
     order = hierarchy.levels[0].order
     np.testing.assert_array_equal(np.sort(order), np.flatnonzero(free))
-    # Level 0 is the free block of A, permuted, bitwise and in CSR order.
+    # Level 0 is the system's operator, not a copy, and the free block of
+    # the whole-grid view, permuted, bitwise and in CSR order.
+    assert np.shares_memory(hierarchy.levels[0].A.data, system.operator.data)
     block = system.A[order][:, order]
     block.sort_indices()
     for part in ("data", "indices", "indptr"):
@@ -442,6 +446,21 @@ def test_hierarchy_2d_structure():
     for lvl in hierarchy.levels:
         assert lvl.free.size == lvl.grid.num_nodes
         assert not np.any(lvl.cut & ~lvl.free)
+
+
+def test_set_up_never_builds_the_whole_grid_view():
+    # The hierarchy takes the finest operator as is: neither assembly nor
+    # build_hierarchy reads system.A, which is built on first use only.
+    ls = domain_catalog("rectangle", theta=0.4, h=1.0 / 32)
+    for system in (assemble_1d(32, 0.3, 0.6, 1.1 / (0.3 / 32)),
+                   assemble(ProblemSpec(
+                       ls, 1.0 / 32, g_dirichlet=lambda x, y: x + y,
+                       strong_predicate=ls.params["strong_predicate"]))):
+        hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
+        mg.solve(hierarchy, system.F, max_iters=2)
+        assert "A" not in vars(system)
+        assert np.shares_memory(hierarchy.levels[0].A.data,
+                                system.operator.data)
 
 
 def _cell_corners(cells: np.ndarray) -> np.ndarray:
@@ -508,8 +527,7 @@ def one_cycle(hierarchy, F, u):
 def test_one_level_hierarchy_solves_exactly():
     # With no coarser level the cycle is the exact coarsest solve.
     system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16))
-    free, cut = system.free_dofs, system.cut_dofs
-    order = mg.dof_order(free, cut, system.grid)
+    free, cut, order = system.free_dofs, system.cut_dofs, system.order
     level = mg.MgLevel(system.A, free, cut, system.grid, order)
     single = mg._finalize([level], mg.CycleConfig(coarsest_n=16))
     u, trace = mg.solve(single, system.F, max_iters=1)
@@ -567,7 +585,7 @@ def test_identity_transfers_solve_in_one_cycle():
     m = system.A.shape[0]
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool)
-    order = mg.dof_order(free, cut, system.grid)
+    order = system.order
     level0 = mg.MgLevel(system.A, free, cut, system.grid, order)
     level1 = mg.MgLevel(system.A, free, cut, system.grid.coarsen(), order,
                         index=1)
@@ -898,6 +916,25 @@ def test_a_run_stuck_above_its_target_stops_as_stalled():
     assert best > 1e-10
     assert np.all(norms[-mg.DIVERGENCE_PATIENCE:] >= best)
     assert f"{best:.3e}" in str(record[0].message)
+
+
+def test_a_converging_run_is_not_called_stalled():
+    # From u = 0 at eta = 0 the first cycle raises the residual many times
+    # over, and at a factor near 0.5 the run takes more than five cycles
+    # to get back below its start.  The lowest residual counts from cycle
+    # 1, so the run goes on to its target.
+    ls = domain_catalog("hourglass")
+    system = assemble(ProblemSpec(ls, ls.art_extent / 512, gamma=2.0,
+                                  f=lambda x, y: np.ones_like(x)))
+    hierarchy = mg.build_hierarchy(
+        system, mg.CycleConfig(nu1=2, nu2=1, eta=0, coarsest_n=8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, trace = mg.solve(hierarchy, system.F, max_iters=100,
+                            target_residual=1e-10)
+    assert trace.residual_norms[1] > trace.residual_norms[0]
+    assert not trace.stalled and not trace.diverged
+    assert trace.residual_norms[-1] <= 1e-10
 
 
 def test_extra_cut_sweeps_help_on_the_disk():
