@@ -8,12 +8,12 @@ others, each with its block K0 without the penalty and, where it has a
 Dirichlet chord, the penalty lam M.  `PenaltyCells.operator` assembles every
 operator, the finest in 1D and 2D and each coarse one, from its cells: K0 +
 lam M, symmetrized, on the listed cells, the reference stiffness on the
-other full ones.  It accumulates them on the fixed 9-point pattern (3-point
-in 1D), one array plane per stencil slot, and emits canonical CSR directly
-(`_stencil_operator`), on the level's free DOFs as `number_dofs` numbers
-them.  A strong Dirichlet node is no DOF: its couplings move to the
-right-hand side.  The whole-grid matrix is a view built on first use
-(`AssembledSystem.A`).
+other full ones.  It emits canonical CSR on the fixed 9-point pattern
+(3-point in 1D) for the rows it is asked for, each gathered from the cells
+around it, and the columns `number_dofs` gives, the level's free DOFs.  A
+strong Dirichlet node is no DOF: its couplings, from the same builder with
+the strong nodes as columns, move to the right-hand side.  The whole-grid
+matrix is a view built on first use (`AssembledSystem.A`).
 
 Cut cells are integrated in one batched pass, `cut_cell_batch`, over the
 arrays of `extract_cut_geometry`: polygons come grouped by vertex count (3, 4
@@ -389,19 +389,16 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
                     minlength=grid.num_nodes)
     F[~active] = 0.0
     if strong.any():
-        # F - A g, g zero off the strong nodes.  A's couplings to a strong
-        # node sum the blocks of the listed cells that hold it, at most two
-        # per pair of nodes, so in any order they are A's entries bit for bit.
-        g = np.zeros(grid.num_nodes)
+        # F - A g over the free rows, on the strong columns in node order.
+        # Those couplings lie in listed cells only, at most two per pair of
+        # nodes, so they are A's entries bit for bit.
+        g = np.zeros(np.count_nonzero(strong))
         if problem.g_dirichlet is not None:
-            g[strong] = _at_points(problem.g_dirichlet, X, Y)[strong]
-        nodes = corner_nodes(cells, grid.n)
-        coupling = sp.csr_matrix(
-            (penalty.blocks().ravel(),
-             (np.repeat(nodes, 4, axis=1).ravel(), np.tile(nodes, 4).ravel())),
-            shape=(grid.num_nodes,) * 2)
-        F -= coupling @ g
-        F[strong] = g[strong]
+            g = _at_points(problem.g_dirichlet, X, Y)[strong]
+        column = np.full(grid.num_nodes, -1, dtype=np.int32)
+        column[strong] = np.arange(g.size, dtype=np.int32)
+        F[order] -= penalty.operator(grid, order, column) @ g
+        F[strong] = g
 
     return AssembledSystem(
         problem=problem, grid=grid, field=field, classification=classification,
@@ -417,64 +414,8 @@ _SLOT = {d: (c[None] - c[:, None] + 1) @ 3 ** np.arange(d)
 # The cells around a node in row-major order hold it as their corner: right,
 # left in 1D; TR, TL, BR, BL in 2D (cells SW, SE, NW, NE).
 _AROUND = {1: (1, 0), 2: (2, 3, 1, 0)}
-# Rows per block when the stencil planes become CSR; a block's temporaries
-# stay near 2 MB.
+# Rows per block of the operator; a block's temporaries stay near 2 MB.
 _BLOCK_ROWS = 1 << 15
-
-
-def _stencil_operator(grid: CartesianGrid, full: np.ndarray,
-                      reference: np.ndarray, nodes: np.ndarray,
-                      blocks: np.ndarray, rows: np.ndarray,
-                      dof: np.ndarray) -> sp.csr_matrix:
-    """A 1D or 2D grid's operator on its 3**dim-point pattern, canonical CSR.
-
-    Each node's couplings sum over its cells in row-major order, first the
-    cells that `full` marks (flat index i + n j), shifted copies of the
-    stiffness `reference`, then the cells of corner nodes `nodes` (K, m)
-    with the blocks `blocks` (K, m, m).  An entry is stored where some such
-    cell holds both nodes, whatever its value.  The rows are the nodes
-    `rows`, in order, and the column of node q is dof[q], couplings to a
-    node of DOF -1 dropped.
-    """
-    n, nps, N, dim = grid.n, grid.nodes_per_side, grid.num_nodes, grid.dim
-    slot, size = _SLOT[dim], 3 ** dim
-    # One array per stencil slot, and CSR emitted in blocks of rows: once a
-    # (9, N) temporary is freed, malloc serves arrays up to its size from a
-    # heap it does not trim, which raised the peak memory of a later solve.
-    values = [np.zeros((nps,) * dim) for _ in range(size)]
-    stored = [np.zeros((nps,) * dim, dtype=bool) for _ in range(size)]
-    full = np.reshape(full, (n,) * dim)
-    inside = full.astype(float)
-    # The reference stiffness holds few distinct values; scale once each.
-    scaled = {v: v * inside for v in np.unique(reference)}
-    for a in _AROUND[dim]:
-        at_a = tuple(slice(c, c + n) for c in CORNERS[dim][a][::-1])
-        for b in range(len(slot)):
-            values[slot[a, b]][at_a] += scaled[reference[a, b]]
-            stored[slot[a, b]][at_a] |= full
-    for a in _AROUND[dim]:
-        for b in range(len(slot)):
-            # Node nodes[k, a] is corner a of one cell only, so each scatter
-            # writes distinct entries.
-            values[slot[a, b]].reshape(N)[nodes[:, a]] += blocks[:, a, b]
-            stored[slot[a, b]].reshape(N)[nodes[:, a]] = True
-    shifts = ((np.arange(size)[:, None] // 3 ** np.arange(dim) % 3 - 1)
-              @ nps ** np.arange(dim)).astype(np.int32)
-    counts, data, indices = [], [], []
-    for start in range(0, rows.size, _BLOCK_ROWS):
-        row = rows[start:start + _BLOCK_ROWS]
-        keep = np.stack([plane.reshape(N)[row] for plane in stored], axis=1)
-        # Couplings off the grid are not stored, so clipping is safe.
-        cols = dof.take(row[:, None] + shifts, mode="clip")
-        keep &= cols >= 0
-        counts.append(keep.sum(axis=1))
-        data.append(np.stack([plane.reshape(N)[row] for plane in values],
-                             axis=1)[keep])
-        indices.append(cols[keep])
-    return canonical_csr(sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices),
-         np.concatenate(([0], np.cumsum(np.concatenate(counts))))),
-        shape=(rows.size, rows.size)))
 
 
 @dataclass(eq=False)
@@ -516,14 +457,61 @@ class PenaltyCells:
 
     def operator(self, grid: CartesianGrid, rows: np.ndarray,
                  dof: np.ndarray) -> sp.csr_matrix:
-        """The operator of the grid these cells tile, as canonical CSR on
-        the DOFs that rows and dof number (`number_dofs`): the blocks on the
-        cells, and the reference stiffness on the other full cells."""
-        full = self.full.copy()
-        full[self.cells @ grid.n ** np.arange(grid.dim)] = False
-        return _stencil_operator(
-            grid, full, self.reference, corner_nodes(self.cells, grid.n),
-            self.blocks(), rows, dof)
+        """The operator of the grid these cells tile on its 3**dim-point
+        pattern, canonical CSR: a row per node of `rows`, in order, and the
+        column dof[q] for node q, couplings to a node of DOF -1 dropped
+        (`number_dofs`).
+
+        A coupling sums over the cells that hold both nodes in row-major
+        order, first the full cells that are not listed, with the reference
+        stiffness, then the listed cells, with their blocks.  It is stored
+        where some such cell holds both nodes, whatever its value.  Only the
+        cells around the rows are read.
+        """
+        n, dim = grid.n, grid.dim
+        m, slot, size = 2 ** dim, _SLOT[dim], 3 ** dim
+        # The kind of each cell, on the grid padded by one cell per side:
+        # 0 no cell, 1 a full cell that is not listed, k + 2 listed cell k.
+        stride = (n + 2) ** np.arange(dim)
+        kinds = np.zeros((n + 2,) * dim, dtype=np.int32)
+        kinds[(slice(1, -1),) * dim] = np.reshape(self.full, (n,) * dim)
+        kinds = kinds.reshape(-1)
+        kinds[(self.cells + 1) @ stride] = np.arange(
+            2, len(self.cells) + 2, dtype=np.int32)
+        # Row m a + b holds coupling (a, b) of each kind of cell.
+        table = np.concatenate([np.zeros((2, m * m)),
+                                self.blocks().reshape(-1, m * m)]).T.copy()
+        # Padded cell i + (n + 2) j holds node i + (n + 1) j as its TR
+        # corner (right in 1D); these steps reach the cell that holds it as
+        # corner a.
+        around = (1 - CORNERS[dim]) @ stride
+        shifts = ((np.arange(size)[:, None] // 3 ** np.arange(dim) % 3 - 1)
+                  @ (n + 1) ** np.arange(dim)).astype(np.int32)
+        counts, data, indices = [], [], []
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            row = rows[start:start + _BLOCK_ROWS]
+            kind = kinds.take((row if dim == 1 else row + row // (n + 1))
+                              + around[:, None])
+            values = np.zeros((size, row.size))
+            stored = np.zeros((size, row.size), dtype=bool)
+            for a in _AROUND[dim]:
+                full, held = (kind[a] == 1).astype(float), kind[a] > 0
+                for b in range(m):
+                    values[slot[a, b]] += full * self.reference[a, b]
+                    stored[slot[a, b]] |= held
+            for a in _AROUND[dim]:
+                for b in range(m):
+                    values[slot[a, b]] += table[m * a + b].take(kind[a])
+            # Couplings off the grid are not stored, so clipping is safe.
+            cols = dof.take(row + shifts[:, None], mode="clip")
+            keep = (stored & (cols >= 0)).T
+            counts.append(keep.sum(axis=1))
+            data.append(values.T[keep])
+            indices.append(cols.T[keep])
+        return canonical_csr(sp.csr_matrix(
+            (np.concatenate(data), np.concatenate(indices),
+             np.concatenate(([0], np.cumsum(np.concatenate(counts))))),
+            shape=(rows.size, dof.max(initial=-1) + 1)))
 
 
 def number_dofs(free: np.ndarray, cut: np.ndarray,

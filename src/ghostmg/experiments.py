@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -146,13 +146,10 @@ class ExperimentConfig:
                         f"{getattr(self, key)}")
 
 
-_LIST_KEYS = {"n", "h", "theta1", "theta", "gamma", "eta", "window"}
-_KNOWN_KEYS = {"experiment", "dimension", "domain", "n", "h", "theta1",
-               "theta2", "theta", "gamma", "eta", "lambda_mode", "cycle",
-               "nu1", "nu2", "iterations", "window", "coarsest_n", "alpha",
-               "output"}
-_INT_KEYS = {"dimension", "nu1", "nu2", "iterations", "coarsest_n"}
-_FLOAT_KEYS = {"theta2", "alpha"}
+# The config keys are ExperimentConfig's fields, n and h standing for ns,
+# each with its annotation: "tuple" for a list, or "int", "float", "str".
+_KEY_TYPES = {key: field.type for field in fields(ExperimentConfig)
+              for key in (("n", "h") if field.name == "ns" else (field.name,))}
 
 
 def _parse_number(token: str) -> float:
@@ -193,7 +190,7 @@ def parse_config(text: str) -> ExperimentConfig:
                               f"got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -217,12 +214,12 @@ def parse_config(text: str) -> ExperimentConfig:
     lists: dict = {}
     for key, value in raw.items():
         try:
-            if key in _LIST_KEYS:
+            if _KEY_TYPES[key] == "tuple":
                 lists[key] = tuple(_parse_number(tok.strip())
                                    for tok in value.split(","))
-            elif key in _INT_KEYS:
+            elif _KEY_TYPES[key] == "int":
                 kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
+            elif _KEY_TYPES[key] == "float":
                 kwargs[key] = _parse_number(value)
             else:
                 kwargs[key] = value

@@ -212,14 +212,11 @@ def snap_nodes(grid: CartesianGrid, levelset: LevelSet, alpha: float) -> Snapped
     """Evaluate the level set at the nodes and snap near-zero values to 0.
 
     Every node with |psi| < h^alpha stores exactly 0, which removes the
-    smallest cut fractions; alpha = 2 is used in 1D studies and alpha = 1.75
-    in 2D.
+    smallest cut fractions; `ProblemSpec` defaults to alpha = 1.75.  Only 2D
+    grids snap: the interval's system is built in closed form.
     """
-    coords = grid.node_coordinates()
-    if grid.dim == 1:
-        values = np.asarray(levelset.evaluate(coords[0], np.zeros_like(coords[0])), dtype=float)
-    else:
-        values = np.asarray(levelset.evaluate(coords[0], coords[1]), dtype=float)
+    X, Y = grid.node_coordinates()
+    values = np.asarray(levelset.evaluate(X, Y), dtype=float)
     threshold = grid.h ** alpha
     snapped = np.abs(values) < threshold
     values = values.copy()

@@ -549,11 +549,17 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     then met its rounding floor above the target: the trace is flagged as
     stalled, with a warning that names that floor.  A residual that grows for
     DIVERGENCE_PATIENCE consecutive cycles flags the trace as diverged
-    (with a warning) but the run is preserved.
+    (with a warning) but the run is preserved.  Raises ValueError if F or
+    u0 is not one value per grid node.
     """
     levels = hierarchy.levels
     level0 = levels[0]
     order = level0.order
+    nodes = level0.grid.num_nodes
+    for name, vector in (("F", F), ("u0", u0)):
+        if vector is not None and np.shape(vector) != (nodes,):
+            raise ValueError(f"{name} has shape {np.shape(vector)}; the grid "
+                             f"has {nodes} nodes")
     F_free = F[order]
     u_free = np.zeros(level0.num_dofs) if u0 is None \
         else np.asarray(u0, dtype=float)[order]

@@ -1,5 +1,7 @@
 """Element kernels and global assembly of the embedded-boundary system."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +17,7 @@ from ghostmg.assembly import (
     cut_cell_batch,
     fan_kernels,
     full_cell_stiffness,
+    number_dofs,
     shape_gradients,
     shape_values,
 )
@@ -363,6 +366,26 @@ def triplet_reference(system):
         A.sort_indices()
         F[strong] = g[strong]
     return A, F
+
+
+@pytest.mark.parametrize("name", ["disk", "flower", "hourglass"])
+def test_a_build_reads_only_its_rows(name):
+    # 100 rows of the finest operator at n = 512 are its first 100 rows,
+    # built with less than two floats per grid node: the builder reads only
+    # the cells around its rows.
+    ls = domain_catalog(name)
+    system = assemble(ProblemSpec(ls, ls.art_extent / 512))
+    order, dof = number_dofs(system.free_dofs, system.cut_dofs, system.grid)
+    tracemalloc.start()
+    try:
+        rows = system.penalty.operator(system.grid, order[:100], dof)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * system.grid.num_nodes
+    first = system.operator[:100]
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(rows, part), getattr(first, part))
 
 
 @pytest.mark.parametrize("name", ["disk", "annulus", "flower", "leaf",

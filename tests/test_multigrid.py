@@ -642,6 +642,18 @@ def test_solve_fixes_constrained_dofs():
     np.testing.assert_array_equal(u[fixed], system.F[fixed])
 
 
+@pytest.mark.parametrize("size", [10, 20, 30])
+def test_solve_rejects_vectors_not_on_the_grid(size):
+    # A hierarchy on 17 nodes names the size of an F or u0 of any other
+    # length instead of indexing it at its DOFs.
+    system, hierarchy = small_1d_hierarchy(n=16)
+    with pytest.raises(ValueError, match=f"F has shape \\({size},\\); the "
+                       "grid has 17 nodes"):
+        mg.solve(hierarchy, np.zeros(size))
+    with pytest.raises(ValueError, match=f"u0 has shape \\({size},\\)"):
+        mg.solve(hierarchy, system.F, u0=np.zeros(size))
+
+
 def test_readme_quick_start():
     # The README's first example, as printed there.
     problem = ProblemSpec(levelset=domain_catalog("disk"), h=1.0 / 64,
