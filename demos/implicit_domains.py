@@ -28,9 +28,7 @@ def main():
             levelset = domain_catalog(name)
         extent = levelset.art_extent
         h = levelset_h(extent, 128)
-        problem = ProblemSpec(levelset, h, gamma=2.0,
-                              strong_predicate=levelset.params.get(
-                                  "strong_predicate"))
+        problem = ProblemSpec(levelset, h, gamma=2.0)
         system = assemble(problem)
         config = mg.CycleConfig(nu1=2, nu2=1, eta=4, gamma_star=1,
                                 coarsest_n=system.grid.n // 2)

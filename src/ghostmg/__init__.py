@@ -11,7 +11,7 @@ operators come from the shape-function refinement identity.
 Subpackages
 -----------
 linalg
-    CSR helpers, CSR product into a buffer.
+    CSR product into a buffer, solver error types.
 geometry
     Background grids, level sets, node snapping, cell classification and cut
     geometry extraction, plus the catalog of benchmark domains.
@@ -19,8 +19,8 @@ assembly
     Bilinear/linear form assembly in 2D; element kernels; the cells of a
     level, its DOFs and the one operator builder; the strong Dirichlet lift.
 one_dim
-    Closed-form 1D system blocks for the interval domain with one weak
-    Dirichlet and one Neumann end.
+    The 1D system of the interval domain with one weak Dirichlet and one
+    Neumann end, operator and right-hand side gathered from its cells.
 stabilization
     Penalty constants: closed forms for 1D, triangle and pentagon cuts, the
     batched pencil solve for trapezoids and pooled coarse cells, penalty

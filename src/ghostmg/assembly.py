@@ -37,7 +37,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ghostmg import stabilization
-from ghostmg.linalg import canonical_csr
 from ghostmg.geometry import (
     CORNERS,
     DIRICHLET,
@@ -255,10 +254,6 @@ class ProblemSpec:
         local constants everywhere.
     alpha : float
         Snapping exponent, threshold h^alpha.
-    strong_predicate : callable or None
-        Nodes (x, y) on the artificial boundary to constrain strongly;
-        called once on the node coordinate arrays, like f and g, so it must
-        combine conditions with | and &, not `or` and `and`.
     """
 
     levelset: LevelSet
@@ -269,7 +264,6 @@ class ProblemSpec:
     gamma: float = 2.0
     lambda_mode: str = "local"
     alpha: float = 1.75
-    strong_predicate: Optional[Callable] = None
 
 
 @dataclass
@@ -313,12 +307,18 @@ class AssembledSystem:
         inside = np.repeat(free, counts)
         indices[inside], data[inside] = order[rows.indices], rows.data
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        return canonical_csr(sp.csr_matrix((data, indices, indptr), (N, N)))
+        A = sp.csr_matrix((data, indices, indptr), (N, N))
+        A.sort_indices()
+        return A
 
 
 def assemble(problem: ProblemSpec) -> AssembledSystem:
     """Snap, classify, extract cut geometry, size the penalties and build the
-    system from its cells, on its free DOFs."""
+    system from its cells, on its free DOFs.  Where the level set's params
+    hold a "strong_predicate", as the rectangle's do, the nodes (x, y) it
+    marks are constrained strongly.  It is called once on the node
+    coordinate arrays, like f and g, so it must combine conditions with |
+    and &, not `or` and `and`."""
     levelset = problem.levelset
     grid = levelset.grid(problem.h)
     h = grid.h
@@ -350,10 +350,11 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
 
     active = classification.active_nodes
     strong = np.zeros(grid.num_nodes, dtype=bool)
-    if problem.strong_predicate is not None:
+    predicate = levelset.params.get("strong_predicate")
+    if predicate is not None:
         X, Y = grid.node_coordinates()
-        strong = np.broadcast_to(np.asarray(problem.strong_predicate(X, Y),
-                                            dtype=bool), X.shape) & active
+        strong = np.broadcast_to(np.asarray(predicate(X, Y), dtype=bool),
+                                 X.shape) & active
     # The cells: every cut cell, and every internal cell with a strong
     # corner, which holds the reference stiffness on its free corners only.
     at = strong.reshape(grid.nodes_per_side, -1)
@@ -508,10 +509,13 @@ class PenaltyCells:
             counts.append(keep.sum(axis=1))
             data.append(values.T[keep])
             indices.append(cols.T[keep])
-        return canonical_csr(sp.csr_matrix(
+        # Distinct slots are distinct columns, so no entry repeats.
+        A = sp.csr_matrix(
             (np.concatenate(data), np.concatenate(indices),
              np.concatenate(([0], np.cumsum(np.concatenate(counts))))),
-            shape=(rows.size, dof.max(initial=-1) + 1)))
+            shape=(rows.size, dof.max(initial=-1) + 1))
+        A.sort_indices()
+        return A
 
 
 def number_dofs(free: np.ndarray, cut: np.ndarray,

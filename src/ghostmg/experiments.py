@@ -78,7 +78,6 @@ class ExperimentConfig:
     iterations: int = 0
     window: tuple = ()
     coarsest_n: int = 8
-    alpha: float = 0.0
     output: str = "results.csv"
 
     def __post_init__(self):
@@ -131,8 +130,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"window {first}..{last} does not fit in {self.iterations} "
                 "iterations")
-        if self.alpha == 0.0:
-            self.alpha = 2.0 if one_d else 1.75
         try:  # the cycle's own checks, before any point assembles
             mg.CycleConfig(self.nu1, self.nu2, min(self.eta, default=0),
                            coarsest_n=self.coarsest_n)
@@ -319,11 +316,9 @@ def _levelset_for(config: ExperimentConfig, h: float,
 
 
 def _system_2d(config: ExperimentConfig, row: ResultRow):
-    levelset = _levelset_for(config, row.h, row.theta1)
     return assemble(ProblemSpec(
-        levelset=levelset, h=row.h, gamma=row.gamma,
-        lambda_mode=config.lambda_mode, alpha=config.alpha,
-        strong_predicate=levelset.params.get("strong_predicate")))
+        levelset=_levelset_for(config, row.h, row.theta1), h=row.h,
+        gamma=row.gamma, lambda_mode=config.lambda_mode))
 
 
 def _solve_homogeneous(row: ResultRow, hierarchy: mg.Hierarchy,
@@ -467,9 +462,7 @@ def _accuracy_point_2d(config: ExperimentConfig, n: int) -> AccuracyRow:
                              else None)
     problem = ProblemSpec(
         levelset=levelset, h=h, f=source, g_dirichlet=exact,
-        g_neumann=None, gamma=config.gamma[0],
-        lambda_mode=config.lambda_mode, alpha=config.alpha,
-        strong_predicate=levelset.params.get("strong_predicate"))
+        gamma=config.gamma[0], lambda_mode=config.lambda_mode)
     system = assemble(problem)
     hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
                                                          config.eta[0]))

@@ -483,7 +483,7 @@ def domain_catalog(name: str, **params) -> LevelSet:
     Names: disk, annulus, flower, leaf, hourglass, rectangle.  The rectangle
     takes either x_cut directly or theta and h (cut line at 1 - (1-theta) h)
     and carries a strong-Dirichlet predicate for the grid-aligned edges in
-    its params.
+    its params, which `assembly.assemble` reads.
     """
     try:
         builder = _CATALOG[name]

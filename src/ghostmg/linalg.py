@@ -1,8 +1,5 @@
-"""Sparse linear-algebra kernels used by the solver stack.
-
-Sparse matrices are scipy CSR throughout; helpers here pin down the canonical
-form (sorted column indices, duplicates summed) and provide a CSR product
-into a caller's buffer.
+"""Sparse linear-algebra kernels used by the solver stack: a CSR product into
+a caller's buffer, and the errors of the factorizations and penalty pencils.
 """
 
 from __future__ import annotations
@@ -20,18 +17,6 @@ class NotSPDError(Exception):
 class DegeneratePencilError(Exception):
     """The reduced pencil has a direction with zero M-energy but nonzero
     K-energy, so the stabilization constant is unbounded."""
-
-
-def canonical_csr(matrix) -> sp.csr_matrix:
-    """Return `matrix` as CSR in canonical form.
-
-    Duplicate entries are summed (COO accumulation semantics) and column
-    indices are sorted within each row.
-    """
-    a = sp.csr_matrix(matrix)
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
 
 
 def matvec_into(A: sp.csr_matrix, x: np.ndarray,

@@ -1,18 +1,20 @@
-"""Closed-form 1D systems for the interval domain with unfitted ends.
+"""The 1D system of the interval domain with unfitted ends.
 
 The domain is (a, b) inside the unit artificial domain [0, 1] with n cells of
 width h = 1/n, where a = (1 - theta1) h lies in the first cell and
 b = 1 - (1 - theta2) h in the last.  A weak Dirichlet condition with penalty
-lambda is imposed at a and a Neumann condition at b.  The operator is
-assembled from its cells by `assembly.PenaltyCells.operator`, as every
-level is.  Summed over the cells it is the splitting
+lambda is imposed at a and a Neumann condition at b.  As on every level,
+the operator comes from the cells (`assembly.PenaltyCells.operator`), and so
+does F, gathered per node as `assembly.assemble` gathers the 2D one.  Summed
+over the cells they split as
 
-    A = A_I + A_B + A_B^T + A_lam,
+    A = A_I + A_B + A_B^T + A_lam,    F = F_f + F_B + F_lam + F_N,
 
 with A_I the P1 stiffness of the truncated mesh, A_B the Dirichlet
-consistency block and A_lam the penalty block.  This splitting is the tests'
-oracle of A: they build the blocks densely and check A against their sum.
-F = F_f + F_B + F_lam + F_N.
+consistency block, A_lam the penalty block, F_f the source and F_B, F_lam
+and F_N the flux, penalty and Neumann loads.  The splittings are only the
+tests' oracle: they build the blocks in closed form and check A and F
+against their sums.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ghostmg.assembly import PenaltyCells
+from ghostmg.assembly import _GAUSS_W, _GAUSS_X, PenaltyCells
 from ghostmg.geometry import CartesianGrid
 
 
 @dataclass
 class OneDimSystem:
     """Assembled 1D Nitsche system A u = F, operator canonical CSR on the
-    n + 1 nodes, and the cells the hierarchy pools from (`penalty`).
+    n + 1 nodes and F both gathered from the cells (`penalty`), which the
+    hierarchy pools from.
 
     The Dirichlet cell, cell 0, is the 2-node case of the 2D cut cells: the
     stiffness of its part of length theta1 h, the Gram of the flux u'(a),
@@ -93,53 +96,6 @@ def _check_params(n: int, theta1: float, theta2: float, lam: float) -> None:
         raise ValueError(f"need a finite penalty lam > 0, got {lam}")
 
 
-def source_vector(n: int, theta1: float, theta2: float,
-                  f: Optional[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
-    """Source load F_f, entries int_a^b f phi_i dx, 3-point Gauss per cell."""
-    m = n + 1
-    F = np.zeros(m)
-    if f is None:
-        return F
-    h = 1.0 / n
-    a = (1.0 - theta1) * h
-    b = 1.0 - (1.0 - theta2) * h
-    gauss_x = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-    gauss_w = np.array([5.0, 8.0, 5.0]) / 9.0
-    for c in range(n):
-        lo = max(c * h, a)
-        hi = min((c + 1) * h, b)
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        xq = mid + half * gauss_x
-        wq = half * gauss_w
-        fq = f(xq)
-        # Hat functions of nodes c and c+1 on this cell.
-        left = (c + 1) - xq / h
-        right = xq / h - c
-        F[c] += np.sum(wq * fq * left)
-        F[c + 1] += np.sum(wq * fq * right)
-    return F
-
-
-def rhs_blocks(n: int, theta1: float, theta2: float, lam: float,
-               g_a: float, g_b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F_B, F_lam, F_N boundary load vectors."""
-    m = n + 1
-    h = 1.0 / n
-    F_B = np.zeros(m)
-    F_B[0] = -g_a / h
-    F_B[1] = g_a / h
-    F_lam = np.zeros(m)
-    F_lam[0] = lam * theta1 * g_a
-    F_lam[1] = lam * (1.0 - theta1) * g_a
-    F_N = np.zeros(m)
-    F_N[n - 1] = (1.0 - theta2) * g_b
-    F_N[n] = theta2 * g_b
-    return F_B, F_lam, F_N
-
-
 def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
                 f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                 g_a: float = 0.0, g_b: float = 0.0) -> OneDimSystem:
@@ -175,9 +131,26 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
         M=np.stack([np.outer(trace, trace), zero]), lam=np.array([lam, 0.0]),
         full=full, reference=diff / h, gamma=lam * theta1 * h, mode="local",
         K0=np.stack([theta1 / h * diff + C + C.T, theta2 / h * diff]))
-    F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, g_a, g_b)
-    F = source_vector(n, theta1, theta2, f) + F_B + F_lam + F_N
-    nodes = np.arange(n + 1)
+    # Per cell: its 3-point Gauss source on its part of (a, b), nonempty by
+    # _check_params; then cell 0's flux and penalty loads and cell n - 1's
+    # Neumann load, summed per node in that order.
+    nodes = [[[0, 1], [0, 1], [n - 1, n]]]
+    loads = [[g_a / h * np.array([-1.0, 1.0]), lam * trace * g_a,
+              np.array([1.0 - theta2, theta2]) * g_b]]
+    if f is not None:
+        c = np.arange(n)[:, None]
+        lo = np.maximum(c * h, (1.0 - theta1) * h)
+        hi = np.minimum((c + 1) * h, 1.0 - (1.0 - theta2) * h)
+        half = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi) + half * _GAUSS_X
+        # The hat functions of nodes c and c + 1 at the cell's Gauss points.
+        hats = np.stack([(c + 1) - x / h, x / h - c], -1)
+        terms = (half * _GAUSS_W * f(x))[..., None] * hats
+        nodes.insert(0, c + np.array([0, 1]))
+        loads.insert(0, terms[:, 0] + terms[:, 1] + terms[:, 2])
+    F = np.bincount(np.concatenate(nodes).ravel(),
+                    np.concatenate(loads).ravel(), minlength=n + 1)
+    dofs = np.arange(n + 1)
     return OneDimSystem(n, theta1, theta2, lam, g_a, g_b, penalty.operator(
-        CartesianGrid(n, (0.0,), 1.0), nodes, nodes), F, penalty)
+        CartesianGrid(n, (0.0,), 1.0), dofs, dofs), F, penalty)
 

@@ -1,8 +1,9 @@
 """Reference implementations that the tests check the solver against.
 
-None of this runs when the package solves: a deflating dense generalized
-eigensolver, the global trace constants it gives, the four-way residual
-splitting of the 1D system and its coarse-grid identity, the
+None of this runs when the package solves: the canonical CSR form by
+summed duplicates, a deflating dense generalized eigensolver, the global
+trace constants it gives, the closed-form load blocks of the 1D system, its
+four-way residual splitting and that splitting's coarse-grid identity, the
 whole-grid refinement matrices, and the float-power forms of the flower
 and hourglass level sets.  The tests import these as
 ``from oracles import ...``; pytest puts this directory on ``sys.path``.
@@ -17,9 +18,21 @@ import scipy.sparse as sp
 from ghostmg import assembly
 from ghostmg.geometry import (_FLOWER_X0, _FLOWER_Y0, LevelSet, corner_nodes,
                               domain_catalog)
-from ghostmg.linalg import DegeneratePencilError, canonical_csr
-from ghostmg.one_dim import OneDimSystem, rhs_blocks
+from ghostmg.linalg import DegeneratePencilError
+from ghostmg.one_dim import OneDimSystem
 from ghostmg.stabilization import _sharp_constants
+
+
+def canonical_csr(matrix) -> sp.csr_matrix:
+    """Return `matrix` as CSR in canonical form.
+
+    Duplicate entries are summed (COO accumulation semantics) and column
+    indices are sorted within each row.
+    """
+    a = sp.csr_matrix(matrix)
+    a.sum_duplicates()
+    a.sort_indices()
+    return a
 
 
 @dataclass
@@ -201,6 +214,53 @@ def dense_blocks_oracle(n, theta1, theta2, lam):
     A_BN = np.zeros((m, m))
     A_BN[n - 1:, n - 1:] = -np.outer(s, q)
     return A_I, A_B, A_lam, A_BN
+
+
+def source_vector(n, theta1, theta2, f) -> np.ndarray:
+    """Source load F_f of the 1D system, entries int_a^b f phi_i dx, by
+    3-point Gauss on each cell's part of (a, b), one cell at a time."""
+    m = n + 1
+    F = np.zeros(m)
+    if f is None:
+        return F
+    h = 1.0 / n
+    a = (1.0 - theta1) * h
+    b = 1.0 - (1.0 - theta2) * h
+    gauss_x = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
+    gauss_w = np.array([5.0, 8.0, 5.0]) / 9.0
+    for c in range(n):
+        lo = max(c * h, a)
+        hi = min((c + 1) * h, b)
+        if hi <= lo:
+            continue
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        xq = mid + half * gauss_x
+        wq = half * gauss_w
+        fq = f(xq)
+        # Hat functions of nodes c and c+1 on this cell.
+        left = (c + 1) - xq / h
+        right = xq / h - c
+        F[c] += np.sum(wq * fq * left)
+        F[c + 1] += np.sum(wq * fq * right)
+    return F
+
+
+def rhs_blocks(n, theta1, theta2, lam, g_a, g_b):
+    """The closed-form boundary loads F_B, F_lam, F_N of the 1D system: the
+    flux and penalty loads of g_a at a and the Neumann load of g_b at b."""
+    m = n + 1
+    h = 1.0 / n
+    F_B = np.zeros(m)
+    F_B[0] = -g_a / h
+    F_B[1] = g_a / h
+    F_lam = np.zeros(m)
+    F_lam[0] = lam * theta1 * g_a
+    F_lam[1] = lam * (1.0 - theta1) * g_a
+    F_N = np.zeros(m)
+    F_N[n - 1] = (1.0 - theta2) * g_b
+    F_N[n] = theta2 * g_b
+    return F_B, F_lam, F_N
 
 
 def coarse_theta(theta: float) -> float:

@@ -308,8 +308,7 @@ def test_catalog_geometry_convergence_is_uniformly_bounded():
             n = round(levelset.art_extent * 2.0 ** exponent)
             h = levelset.art_extent / n
             system = assemble(ProblemSpec(
-                levelset=levelset, h=h, gamma=2.0,
-                strong_predicate=levelset.params.get("strong_predicate")))
+                levelset=levelset, h=h, gamma=2.0))
             hierarchy = mg.build_hierarchy(
                 system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=n // 2))
             m = system.A.shape[0]
@@ -399,8 +398,7 @@ def test_deep_v_cycle_converges_on_every_level_count():
         levelset = domain_catalog(name)
         for n in DEEP_NS:
             system = assemble(ProblemSpec(
-                levelset=levelset, h=levelset.art_extent / n, gamma=2.0,
-                strong_predicate=levelset.params.get("strong_predicate")))
+                levelset=levelset, h=levelset.art_extent / n, gamma=2.0))
             hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
                 nu1=2, nu2=1, eta=4, coarsest_n=8))
             rho = deep_v_rho(hierarchy)

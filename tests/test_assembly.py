@@ -158,8 +158,7 @@ def test_patch_linear_on_disk():
 def test_patch_linear_on_rectangle_with_strong_edges():
     ls = domain_catalog("rectangle", theta=0.37, h=1.0 / 32)
     system = assemble(ProblemSpec(
-        ls, 1.0 / 32, g_dirichlet=linear, gamma=2.0,
-        strong_predicate=ls.params["strong_predicate"]))
+        ls, 1.0 / 32, g_dirichlet=linear, gamma=2.0))
     assert int(system.strong_dofs.sum()) > 0
     u = spla.spsolve(system.A.tocsc(), system.F)
     X, Y = system.grid.node_coordinates()
@@ -176,7 +175,7 @@ def test_constant_is_reproduced(name):
     system = assemble(ProblemSpec(
         ls, ls.art_extent / 32,
         g_dirichlet=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        gamma=2.0, strong_predicate=ls.params.get("strong_predicate")))
+        gamma=2.0))
     r = system.F - system.A @ np.ones(system.A.shape[0])
     assert np.abs(r[system.free_dofs]).max() <= 1e-12
 
@@ -187,8 +186,7 @@ def test_assembled_operator_exactly_symmetric(name):
     kw = {"theta": 0.61, "h": 1.0 / 32} if name == "rectangle" else {}
     ls = domain_catalog(name, **kw)
     system = assemble(ProblemSpec(
-        ls, ls.art_extent / 32, gamma=2.0,
-        strong_predicate=ls.params.get("strong_predicate")))
+        ls, ls.art_extent / 32, gamma=2.0))
     asym = system.A - system.A.T
     assert asym.nnz == 0
 
@@ -204,8 +202,7 @@ def test_finest_penalty_cells_assemble_the_free_block(name):
     kw = {"theta": 0.55, "h": 1.0 / 64} if name == "rectangle" else {}
     ls = domain_catalog(name, **kw)
     system = assemble(ProblemSpec(
-        ls, ls.art_extent / 64, gamma=2.0,
-        strong_predicate=ls.params.get("strong_predicate")))
+        ls, ls.art_extent / 64, gamma=2.0))
     nodes = np.arange(system.grid.num_nodes)
     whole = system.penalty.operator(system.grid, nodes, nodes)
     order, free = system.order, np.flatnonzero(system.free_dofs)
@@ -223,8 +220,7 @@ def test_assembled_operator_positive_definite(name):
     kw = {"theta": 0.61, "h": 1.0 / 32} if name == "rectangle" else {}
     ls = domain_catalog(name, **kw)
     system = assemble(ProblemSpec(
-        ls, ls.art_extent / 32, gamma=2.0,
-        strong_predicate=ls.params.get("strong_predicate")))
+        ls, ls.art_extent / 32, gamma=2.0))
     free = np.flatnonzero(system.free_dofs)
     A_free = system.A[free][:, free].toarray()
     assert np.all(np.linalg.eigvalsh(A_free) > 0.0)
@@ -301,9 +297,7 @@ def test_scalar_data_matches_array_data(name):
 
 def test_free_dofs_exclude_strong():
     ls = domain_catalog("rectangle", theta=0.5, h=1.0 / 16)
-    system = assemble(ProblemSpec(ls, 1.0 / 16,
-                                  strong_predicate=ls.params[
-                                      "strong_predicate"]))
+    system = assemble(ProblemSpec(ls, 1.0 / 16))
     assert not np.any(system.free_dofs & system.strong_dofs)
     assert np.all(system.free_dofs | system.strong_dofs
                   | ~system.active_dofs)
@@ -400,8 +394,7 @@ def test_pattern_operator_matches_the_triplet_reference(name):
         ls, ls.art_extent / 32,
         f=lambda x, y: np.sin(3.0 * x) + y * y,
         g_dirichlet=lambda x, y: 1.0 + x * y,
-        g_neumann=lambda x, y: x - 0.5 * y,
-        strong_predicate=ls.params.get("strong_predicate")))
+        g_neumann=lambda x, y: x - 0.5 * y))
     assert system.strong_dofs.any() == (name == "rectangle")
     A, F = triplet_reference(system)
     assert system.A.has_canonical_format

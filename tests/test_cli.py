@@ -100,9 +100,8 @@ def test_run_with_a_directory_as_output_exits_two(tmp_path, capsys, no_work):
     ("window", "41, inf"),
     ("gamma", "nan"),
     ("gamma", "inf"),
-    ("alpha", "nan"),
 ], ids=["h-zero", "h-subnormal", "n-nan", "eta-nan", "n-inf", "window-inf",
-        "gamma-nan", "gamma-inf", "alpha-nan"])
+        "gamma-nan", "gamma-inf"])
 def test_run_with_a_bad_number_exits_two(tmp_path, capsys, no_work, key,
                                          value):
     # Each of these once escaped as a traceback, ran every point into a

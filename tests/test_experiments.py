@@ -101,9 +101,13 @@ def test_disk_extent_is_unit():
     ("experiment = x\ndimension = 1\nn = 8\neta = 1.5\n", "must be integers"),
     ("experiment = x\ndimension = 1\nn = 8\nwindow = 41\n", "two integers"),
     ("experiment = x\ndimension = two\nn = 8\n", "dimension"),
+    # The snapping exponent is ProblemSpec's alone; no sweep sets it.
+    ("experiment = x\ndimension = 2\ndomain = disk\nn = 8\nalpha = 1.5\n",
+     "unknown key 'alpha'"),
 ], ids=["unknown-key", "duplicate-key", "empty-value", "no-equals",
         "no-experiment", "no-dimension", "neither-n-nor-h", "both-n-and-h",
-        "fractional-n", "fractional-eta", "window-arity", "non-int-dim"])
+        "fractional-n", "fractional-eta", "window-arity", "non-int-dim",
+        "alpha-key"])
 def test_malformed_configs_raise(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
@@ -140,7 +144,6 @@ def test_one_dim_defaults():
     assert config.gamma == (1.1,)
     assert config.iterations == 50
     assert config.window == (41, 50)
-    assert config.alpha == 2.0
 
 
 def test_two_dim_defaults():
@@ -148,16 +151,14 @@ def test_two_dim_defaults():
     assert config.gamma == (2.0,)
     assert config.iterations == 30
     assert config.window == (21, 30)
-    assert config.alpha == 1.75
 
 
 def test_explicit_values_override_defaults():
     config = ExperimentConfig("x", 1, (16,), gamma=(2.5,), iterations=20,
-                              window=(11, 20), alpha=1.5)
+                              window=(11, 20))
     assert config.gamma == (2.5,)
     assert config.iterations == 20
     assert config.window == (11, 20)
-    assert config.alpha == 1.5
 
 
 @pytest.mark.parametrize("kwargs, fragment", [

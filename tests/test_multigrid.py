@@ -14,11 +14,11 @@ from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble, number_dofs
 from ghostmg.geometry import (CartesianGrid, corner_nodes, domain_catalog,
                               domain_names)
-from ghostmg.linalg import NotSPDError, canonical_csr
+from ghostmg.linalg import NotSPDError
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import pencil_max
-from oracles import (coarse_theta, pow_levelset, restriction_1d,
-                     restriction_2d, split_residual_coarse)
+from oracles import (canonical_csr, coarse_theta, pow_levelset,
+                     restriction_1d, restriction_2d, split_residual_coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +231,12 @@ def test_coarse_operators_skip_constrained_coarse_nodes():
     # leave coarse node (16, 16) without a free fine DOF: it is no coarse
     # DOF, though the coarse cells around it are active, and the coarse
     # operators drop its couplings.
-    levelset = domain_catalog("disk")
-    system = assemble(ProblemSpec(
-        levelset, 1.0 / 64, gamma=2.0,
-        strong_predicate=lambda x, y: ((np.abs(x - 0.5) < 1.5 / 64)
-                                       & (np.abs(y - 0.5) < 1.5 / 64))))
+    disk = domain_catalog("disk")
+    levelset = dataclasses.replace(disk, params={
+        **disk.params,
+        "strong_predicate": lambda x, y: ((np.abs(x - 0.5) < 1.5 / 64)
+                                          & (np.abs(y - 0.5) < 1.5 / 64))})
+    system = assemble(ProblemSpec(levelset, 1.0 / 64, gamma=2.0))
     assert system.strong_dofs.sum() == 9
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
     assert not hierarchy.levels[1].free[16 + 33 * 16]
@@ -272,8 +273,7 @@ def test_global_penalty_rule_holds_on_every_level(name):
     levelset = domain_catalog(name, **kw)
     system = assemble(ProblemSpec(
         levelset=levelset, gamma=2.0, h=levelset.art_extent / 64,
-        lambda_mode="global",
-        strong_predicate=levelset.params.get("strong_predicate")))
+        lambda_mode="global"))
     penalized = system.penalty.lam > 0.0
     assert penalized.all() == (name in ("flower", "disk"))
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
@@ -454,8 +454,7 @@ def test_set_up_never_builds_the_whole_grid_view():
     ls = domain_catalog("rectangle", theta=0.4, h=1.0 / 32)
     for system in (assemble_1d(32, 0.3, 0.6, 1.1 / (0.3 / 32)),
                    assemble(ProblemSpec(
-                       ls, 1.0 / 32, g_dirichlet=lambda x, y: x + y,
-                       strong_predicate=ls.params["strong_predicate"]))):
+                       ls, 1.0 / 32, g_dirichlet=lambda x, y: x + y))):
         hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
         mg.solve(hierarchy, system.F, max_iters=2)
         assert "A" not in vars(system)
@@ -673,8 +672,7 @@ def _catalog_system(name, n=64):
     params = {"theta": 0.5, "h": 1.0 / n} if name == "rectangle" else {}
     levelset = domain_catalog(name, **params)
     return assemble(ProblemSpec(
-        levelset=levelset, h=levelset.art_extent / n, gamma=2.0,
-        strong_predicate=levelset.params.get("strong_predicate")))
+        levelset=levelset, h=levelset.art_extent / n, gamma=2.0))
 
 
 @pytest.mark.parametrize("name", domain_names())
@@ -730,7 +728,7 @@ def test_solve_recovers_a_known_solution(name):
     hierarchy = mg.build_hierarchy(
         system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
     free = system.free_dofs
-    if system.problem.strong_predicate is not None:
+    if "strong_predicate" in system.problem.levelset.params:
         assert system.strong_dofs.any()
     w = np.random.default_rng(11).standard_normal(free.size)
     F = system.A @ w

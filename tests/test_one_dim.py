@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostmg.one_dim import assemble_1d, rhs_blocks, source_vector
+from ghostmg.one_dim import assemble_1d
 from oracles import (
     boundary_residuals,
     coarse_theta,
     dense_blocks_oracle,
     flux_at_b,
     restriction_1d,
+    rhs_blocks,
+    source_vector,
     split_residual_coarse,
     split_residual_fine,
     trace_at_a,
@@ -101,31 +103,64 @@ def test_penalty_must_be_finite_and_positive(lam):
 
 
 def test_rhs_blocks_entries():
+    # Without a source, F holds the flux and penalty loads of g_a on the
+    # Dirichlet cell's nodes and the Neumann load of g_b on the last cell's.
     n, theta1, theta2, lam = 8, 0.3, 0.9, 50.0
     g_a, g_b = 2.0, -1.5
     h = 1.0 / n
-    F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam, g_a, g_b)
-    np.testing.assert_allclose(F_B[:2], [-g_a / h, g_a / h], rtol=1e-15)
-    assert np.all(F_B[2:] == 0.0)
+    F = assemble_1d(n, theta1, theta2, lam, g_a=g_a, g_b=g_b).F
     np.testing.assert_allclose(
-        F_lam[:2], [lam * theta1 * g_a, lam * (1.0 - theta1) * g_a],
-        rtol=1e-15)
+        F[:2], [-g_a / h + lam * theta1 * g_a,
+                g_a / h + lam * (1.0 - theta1) * g_a], rtol=1e-15)
+    assert np.all(F[2:n - 1] == 0.0)
     np.testing.assert_allclose(
-        F_N[n - 1:], [(1.0 - theta2) * g_b, theta2 * g_b], rtol=1e-15)
+        F[n - 1:], [(1.0 - theta2) * g_b, theta2 * g_b], rtol=1e-15)
 
 
 def test_source_vector_integrates_exactly():
     # 3-point Gauss per cell part is exact for polynomial f; summing the hat
     # functions gives sum_i F_i = int_a^b f dx.
-    n, theta1, theta2 = 4, 0.6, 0.7
+    n, theta1, theta2, lam = 4, 0.6, 0.7, 10.0
     h = 1.0 / n
     a = (1.0 - theta1) * h
     b = 1.0 - (1.0 - theta2) * h
-    F1 = source_vector(n, theta1, theta2, lambda x: np.ones_like(x))
+    F1 = assemble_1d(n, theta1, theta2, lam, f=lambda x: np.ones_like(x)).F
     assert F1.sum() == pytest.approx(b - a, rel=1e-14)
-    Fx = source_vector(n, theta1, theta2, lambda x: x)
+    Fx = assemble_1d(n, theta1, theta2, lam, f=lambda x: x).F
     assert Fx.sum() == pytest.approx(0.5 * (b * b - a * a), rel=1e-14)
-    assert np.all(source_vector(n, theta1, theta2, None) == 0.0)
+    assert np.all(assemble_1d(n, theta1, theta2, lam).F == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1024])
+def test_loads_equal_the_closed_form_blocks_bitwise(n):
+    # F gathered from the cells is the closed-form splitting
+    # F_f + F_B + F_lam + F_N bit for bit, the source summed cell by cell.
+    sources = (None, lambda x: x * x, lambda x: np.sin(3.0 * x) + 1.0)
+    for theta1 in (0.0099, 0.3, 1.0):
+        for theta2 in (0.01, 1.0):
+            lam = 2.0 / (theta1 / n)
+            for f in sources:
+                for g_a, g_b in ((0.0, 0.0), (1.3, -0.4)):
+                    F = assemble_1d(n, theta1, theta2, lam, f=f, g_a=g_a,
+                                    g_b=g_b).F
+                    F_B, F_lam, F_N = rhs_blocks(n, theta1, theta2, lam,
+                                                 g_a, g_b)
+                    want = source_vector(n, theta1, theta2, f) + F_B \
+                        + F_lam + F_N
+                    np.testing.assert_array_equal(F.view(np.int64),
+                                                  want.view(np.int64))
+
+
+def test_assemble_1d_calls_f_once():
+    # The source is evaluated once, on every cell's Gauss points.
+    points = []
+
+    def f(x):
+        points.append(np.size(x))
+        return np.cos(x)
+
+    assemble_1d(64, 0.3, 0.6, 50.0, f=f)
+    assert points == [3 * 64]
 
 
 def test_trace_and_flux_of_linear_function():
@@ -213,5 +248,5 @@ def test_coarse_theta_halves_distance():
 def test_source_skips_cells_outside_domain():
     # With theta2 small, most of the last cell lies beyond b and contributes
     # almost nothing.
-    F = source_vector(8, 1.0, 0.01, lambda x: np.ones_like(x))
+    F = assemble_1d(8, 1.0, 0.01, 10.0, f=lambda x: np.ones_like(x)).F
     assert F[-1] < F[1]
