@@ -23,8 +23,8 @@ one_dim
     Neumann end, operator and right-hand side gathered from its cells.
 stabilization
     Penalty constants: closed forms for 1D, triangle and pentagon cuts, the
-    batched pencil solve for trapezoids and pooled coarse cells, penalty
-    sizing.
+    batched pencil solve for trapezoids and pooled coarse cells, and the one
+    penalty rule of every level.
 multigrid
     Transfer operators, one hierarchy builder for 1D and 2D with every
     level on its free DOFs and its own coarse penalty, Gauss-Seidel

@@ -248,7 +248,7 @@ class ProblemSpec:
         Source and boundary data, vectorized over (x, y); None means zero.
     gamma : float
         Safety factor: the penalty is lambda_K = gamma * C(K), with C(K)
-        from `stabilization.cell_constants`.
+        and the penalty rule from `stabilization.build_stabilization`.
     lambda_mode : str
         "local" sizes the penalty per cut cell; "global" uses the max of the
         local constants everywhere.

@@ -300,12 +300,17 @@ def _cycle_config(config: ExperimentConfig, n: int, eta: int) -> mg.CycleConfig:
                           coarsest_n=coarsest)
 
 
-def _system_1d(config: ExperimentConfig, row: ResultRow):
+def _lam_1d(config: ExperimentConfig, gamma: float, theta1: float,
+            h: float) -> float:
     # The 1D trace constant is 1/(theta1 h) whether sized per cell or
     # globally (a single Dirichlet cell), so local and global coincide.
-    lam = (1.0 / row.h ** 2 if config.lambda_mode == "inverse_h2"
-           else row.gamma / (row.theta1 * row.h))
-    return assemble_1d(row.n, row.theta1, config.theta2, lam)
+    return (1.0 / h ** 2 if config.lambda_mode == "inverse_h2"
+            else gamma / (theta1 * h))
+
+
+def _system_1d(config: ExperimentConfig, row: ResultRow):
+    return assemble_1d(row.n, row.theta1, config.theta2,
+                       _lam_1d(config, row.gamma, row.theta1, row.h))
 
 
 def _levelset_for(config: ExperimentConfig, h: float,
@@ -435,9 +440,9 @@ def run_accuracy_study(config: ExperimentConfig) -> list:
 def _accuracy_point_1d(config: ExperimentConfig, n: int) -> AccuracyRow:
     h = 1.0 / n
     t1 = config.theta1[0]
-    gamma = config.gamma[0]
     a = (1.0 - t1) * h
-    system = assemble_1d(n, t1, config.theta2, gamma / (t1 * h),
+    system = assemble_1d(n, t1, config.theta2,
+                         _lam_1d(config, config.gamma[0], t1, h),
                          f=None, g_a=a, g_b=1.0)
     hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
                                                          config.eta[0]))

@@ -17,11 +17,12 @@ penalty and, on a penalty cell, the trace mass M of its weak Dirichlet
 penalty lam M.  `_coarse_penalty` pools the list in one pass, and
 `PenaltyCells.operator`, which assembles every level's operator, the finest
 too, builds a coarse level from K0_c + lam_c M_c with the level's own
-penalty lam_c: gamma times the pooled cell's trace constant, floored by the
-largest penalty it pools over KAPPA, and under the global rule the largest
-of a level's penalty cells.  A Galerkin level would inherit the finest
-penalty, 102x to 708x each 1D coarse level's tuned value, and the deep
-V-cycle would degrade with depth.
+penalty lam_c, sized from the pooled cell's trace constant by the one rule
+of every level, `stabilization.penalties`: gamma times the constant,
+floored by the largest penalty the cell pools over `stabilization.KAPPA`,
+and under the global rule the largest of a level's penalty cells.  A
+Galerkin level would inherit the finest penalty, 102x to 708x each 1D
+coarse level's tuned value, and the deep V-cycle would degrade with depth.
 
 Constrained nodes (ghost exterior nodes, strong Dirichlet nodes) appear
 only at the API edge: ``solve`` takes and returns vectors on the whole
@@ -63,6 +64,7 @@ deeper hierarchies run V- or W-cycles depending on ``gamma_star``.
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -78,19 +80,12 @@ from ghostmg.assembly import AssembledSystem, PenaltyCells, number_dofs
 from ghostmg.geometry import CORNERS, CartesianGrid, corner_nodes
 from ghostmg.linalg import NotSPDError, matvec_into
 from ghostmg.one_dim import OneDimSystem
-from ghostmg.stabilization import pencil_max
+from ghostmg.stabilization import pencil_max, penalties
 
 #: Number of consecutive growing-residual cycles before a run is flagged
 #: diverged, and of cycles without a new lowest residual before a run with
 #: a target stops as stalled.
 DIVERGENCE_PATIENCE = 5
-
-#: A coarse cell's penalty is at least the largest penalty of the finer
-#: cells it pools over KAPPA.  Without that floor the coarse operators drift
-#: too far from the Galerkin ones (the V-cycle diverges on the hourglass at
-#: n = 1024); with KAPPA = 32 the 2D V-cycle diverges at eta = 0, and 16
-#: leaves the 1D V-cycle at a factor near 0.2 for theta1 = 0.0099.
-KAPPA = 8.0
 
 
 @dataclass
@@ -109,6 +104,10 @@ class CycleConfig:
     coarsest_n: int = 8
 
     def __post_init__(self):
+        for name in ("nu1", "nu2", "eta", "gamma_star", "coarsest_n"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.gamma_star not in (1, 2):
             raise ValueError(f"gamma_star must be 1 (V-cycle) or 2 (W-cycle), "
                              f"got {self.gamma_star}")
@@ -385,10 +384,9 @@ def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
     children, K0 and M masked to the free fine DOFs, as R is; K0 adds the
     reference stiffness of its other full children, and S, on a coarse cell
     with a penalty child, that of every full child.  Such a cell's penalty
-    is gamma times the trace constant of (B, S), floored by the largest
-    child penalty over KAPPA, and the largest child penalty where that
-    pencil is singular; under the global rule every such cell takes the
-    largest of these.  The other coarse cells keep S, B, M and lam zero.
+    comes from the trace constant of (B, S) and the largest child penalty
+    by `stabilization.penalties`, the rule of the finest level too.  The
+    other coarse cells keep S, B, M and lam zero.
     """
     dim = penalty.cells.shape[1]
     m, half = 2 ** dim, n // 2
@@ -431,12 +429,9 @@ def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
     K0 += (full[children] @ pooled_ref).reshape(-1, m, m)
     pen = floor > 0.0
     S[pen] += (penalty.full[children[pen]] @ pooled_ref).reshape(-1, m, m)
-    C = pencil_max(B[pen], S[pen])
     lam = np.zeros(coarse.size)
-    lam[pen] = np.where(np.isnan(C), floor[pen],
-                        np.maximum(penalty.gamma * C, floor[pen] / KAPPA))
-    if penalty.mode == "global":
-        lam[pen] = lam.max(initial=0.0)
+    lam[pen] = penalties(pencil_max(B[pen], S[pen]), floor[pen],
+                         penalty.gamma, penalty.mode)
     return PenaltyCells(
         cells=cells, S=S, B=B, M=M, lam=lam, full=full_c,
         reference=penalty.reference * 2.0 ** (dim - 2), gamma=penalty.gamma,
@@ -560,7 +555,7 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
         if vector is not None and np.shape(vector) != (nodes,):
             raise ValueError(f"{name} has shape {np.shape(vector)}; the grid "
                              f"has {nodes} nodes")
-    F_free = F[order]
+    F_free = np.asarray(F, dtype=float)[order]
     u_free = np.zeros(level0.num_dofs) if u0 is None \
         else np.asarray(u0, dtype=float)[order]
     gamma_star = hierarchy.config.gamma_star

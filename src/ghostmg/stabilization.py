@@ -26,7 +26,8 @@ quadrilateral          no closed form: the sharp value from `pencil_max`.
                        For the symmetric trapezoid (theta1 == theta2 ==
                        theta) it is exactly 1 / (theta h).
 
-`cell_constants` applies these rules, the one penalty rule of `assemble`.
+`build_stabilization` applies these rules to the finest 2D grid's Dirichlet
+cut cells, and `penalties` sizes every level's penalties from its constants.
 The multigrid hierarchy pools each level's cells (`assembly.PenaltyCells`)
 2x2 and solves the pooled pencils with `pencil_max`, which also takes the
 2x2 pencils of the 1D boundary cell.
@@ -122,76 +123,64 @@ def pencil_max(B: np.ndarray, S: np.ndarray) -> np.ndarray:
     return C
 
 
-def _sharp_constants(batch: "assembly.CutCellBatch",
-                     index: np.ndarray) -> np.ndarray:
-    """`pencil_max` over the batch cells `index`; raises
-    DegeneratePencilError naming the first cell whose pencil is singular."""
-    C = pencil_max(batch.B[index], batch.S[index])
-    bad = np.flatnonzero(np.isnan(C))
-    if bad.size:
-        raise DegeneratePencilError(
-            f"cut cell {batch.cut_cells.cell(index[bad[0]])}: the interior "
-            "stiffness is singular off the constants, so the stabilization "
-            "constant is unbounded"
-        )
-    return C
+#: A coarse cell's penalty is at least the largest penalty of the finer
+#: cells it pools over KAPPA.  Without that floor the coarse operators drift
+#: too far from the Galerkin ones (the V-cycle diverges on the hourglass at
+#: n = 1024); with KAPPA = 32 the 2D V-cycle diverges at eta = 0, and 16
+#: leaves the 1D V-cycle at a factor near 0.2 for theta1 = 0.0099.
+KAPPA = 8.0
+
+_MODES = ("local", "global")
 
 
-def cell_constants(batch: "assembly.CutCellBatch",
-                   index: np.ndarray) -> np.ndarray:
-    """Trace constants of the batch cells `index`: the closed forms for
-    triangles and pentagons, the sharp pencil value for quadrilaterals."""
-    cut_cells = batch.cut_cells
-    h = cut_cells.grid.h
-    vertices = cut_cells.vertices[index]
-    C = np.empty(index.size)
-    tri = vertices == 3
-    C[tri] = c_triangle(cut_cells.theta[index[tri], 0],
-                        cut_cells.theta[index[tri], 1], h)
-    C[vertices == 5] = c_pentagon(h)
-    quad = vertices == 4
-    C[quad] = _sharp_constants(batch, index[quad])
-    return C
+def penalties(C: np.ndarray, floor, gamma: float, mode: str) -> np.ndarray:
+    """Penalties of cells with trace constants C, the one rule of every
+    level: gamma * C, at least floor / KAPPA, and floor where C is NaN (a
+    singular pencil); under mode "global" every cell takes the largest.
+    floor is the largest penalty each cell pools; the finest level pools
+    none and passes 0, where the rule is gamma * C bit for bit."""
+    lam = np.where(np.isnan(C), floor, np.maximum(gamma * C, floor / KAPPA))
+    if mode == "global":
+        lam[:] = lam.max(initial=0.0)
+    return lam
 
 
 @dataclass(eq=False)
 class StabilizationField:
-    """Trace constants and penalties for the Dirichlet cut cells of a grid.
+    """Trace constants C (D,) and penalties lam (D,) of the Dirichlet cut
+    cells of a grid, in cut-cell order."""
 
-    cells (D, 2) holds the (i, j) of the Dirichlet cut cells in cut-cell
-    order; C (D,) their trace constants and lam (D,) the penalties used in
-    assembly.
-    """
-
-    gamma: float
-    mode: str
-    cells: np.ndarray
     C: np.ndarray
     lam: np.ndarray
-
-
-_MODES = ("local", "global")
 
 
 def build_stabilization(batch: "assembly.CutCellBatch", gamma: float = 2.0,
                         mode: str = "local") -> StabilizationField:
     """Size the chord penalty of every Dirichlet cut cell of the batch from
-    `assembly.cut_cell_batch`.
-
-    mode "local" sets lam(K) = gamma * C(K) per cell; "global" sets every
-    penalty to gamma * max_K C(K), with C(K) from `cell_constants`.  gamma
-    must exceed 1 for coercivity; smaller values are accepted for
-    experimentation but the system may become indefinite.
+    `assembly.cut_cell_batch` by `penalties`, from the closed-form trace
+    constants of triangles and pentagons and the sharp pencil value of
+    quadrilaterals.  gamma must exceed 1 for coercivity; smaller values are
+    accepted for experimentation but the system may become indefinite.
+    Raises DegeneratePencilError naming the first singular cell.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if gamma <= 0.0:
         raise ValueError(f"need gamma > 0, got {gamma}")
-    values = cell_constants(batch, np.flatnonzero(batch.dirichlet))
-    lam = gamma * values
-    if mode == "global" and values.size:
-        lam[:] = gamma * float(values.max())
-    return StabilizationField(gamma=gamma, mode=mode,
-                              cells=batch.cut_cells.cells[batch.dirichlet],
-                              C=values, lam=lam)
-
+    cut_cells = batch.cut_cells
+    h = cut_cells.grid.h
+    index = np.flatnonzero(batch.dirichlet)
+    vertices = cut_cells.vertices[index]
+    C = np.empty(index.size)
+    tri, quad = vertices == 3, vertices == 4
+    C[tri] = c_triangle(cut_cells.theta[index[tri], 0],
+                        cut_cells.theta[index[tri], 1], h)
+    C[vertices == 5] = c_pentagon(h)
+    C[quad] = pencil_max(batch.B[index[quad]], batch.S[index[quad]])
+    bad = np.flatnonzero(np.isnan(C))
+    if bad.size:
+        raise DegeneratePencilError(
+            f"cut cell {cut_cells.cell(index[bad[0]])}: the interior "
+            "stiffness is singular off the constants, so the stabilization "
+            "constant is unbounded")
+    return StabilizationField(C=C, lam=penalties(C, 0.0, gamma, mode))

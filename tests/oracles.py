@@ -20,7 +20,7 @@ from ghostmg.geometry import (_FLOWER_X0, _FLOWER_Y0, LevelSet, corner_nodes,
                               domain_catalog)
 from ghostmg.linalg import DegeneratePencilError
 from ghostmg.one_dim import OneDimSystem
-from ghostmg.stabilization import _sharp_constants
+from ghostmg.stabilization import pencil_max
 
 
 def canonical_csr(matrix) -> sp.csr_matrix:
@@ -118,7 +118,13 @@ def global_C(system) -> float:
         raise ValueError(
             "the domain has no weak Dirichlet chords, so the boundary trace "
             "constant is undefined")
-    return float(_sharp_constants(batch, dirichlet).max())
+    C = pencil_max(batch.B[dirichlet], batch.S[dirichlet])
+    bad = np.flatnonzero(np.isnan(C))
+    if bad.size:
+        raise DegeneratePencilError(
+            f"cut cell {system.cut_cells.cell(dirichlet[bad[0]])}: the "
+            "interior stiffness is singular off the constants")
+    return float(C.max())
 
 
 def dense_global_C_1d(n: int, theta1: float, theta2: float) -> float:

@@ -260,9 +260,10 @@ def test_dirichlet_cell_without_penalty_raises(monkeypatch):
     build = stabilization.build_stabilization
     dropped = []
 
-    def lossy(*args, **kwargs):
-        field = build(*args, **kwargs)
-        dropped.append(tuple(field.cells[0].tolist()))
+    def lossy(batch, **kwargs):
+        field = build(batch, **kwargs)
+        first = np.flatnonzero(batch.dirichlet)[0]
+        dropped.append(batch.cut_cells.cell(first))
         field.lam[0] = 0.0
         return field
 

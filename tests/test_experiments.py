@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ghostmg import experiments
 from ghostmg import multigrid as mg
 from ghostmg.experiments import (
     ACCURACY_CSV_HEADER,
@@ -407,6 +408,25 @@ def test_one_dim_accuracy_reproduces_the_linear_solution():
     assert rows[0].linf_ratio is None
     assert rows[0].l2_ratio is None
     assert rows[1].linf_ratio is not None
+
+
+@pytest.mark.parametrize("mode", ["local", "inverse_h2"])
+def test_one_dim_accuracy_study_sizes_lam_by_lambda_mode(monkeypatch, mode):
+    # The accuracy study sizes the penalty as the sweeps do: 1/h^2 under
+    # inverse_h2, gamma / (theta1 h) under the local and global rules.
+    seen, assemble = [], experiments.assemble_1d
+
+    def spy(n, theta1, theta2, lam, **data):
+        seen.append(lam)
+        return assemble(n, theta1, theta2, lam, **data)
+
+    monkeypatch.setattr(experiments, "assemble_1d", spy)
+    config = ExperimentConfig("accuracy", 1, (32, 64), theta1=(0.05,),
+                              lambda_mode=mode)
+    run_accuracy_study(config)
+    hs = [1.0 / n for n in config.ns]
+    assert seen == ([1.0 / h ** 2 for h in hs] if mode == "inverse_h2"
+                    else [1.1 / (0.05 * h) for h in hs])
 
 
 def test_two_dim_accuracy_errors_shrink_under_refinement():

@@ -8,15 +8,18 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
 from ghostmg import multigrid as mg
-from ghostmg.assembly import ProblemSpec, assemble, number_dofs
-from ghostmg.geometry import (CartesianGrid, corner_nodes, domain_catalog,
+from ghostmg.assembly import AssemblyError, ProblemSpec, assemble, number_dofs
+from ghostmg.geometry import (DIRICHLET, CartesianGrid, CheckerboardCellError,
+                              LevelSet, corner_nodes, domain_catalog,
                               domain_names)
-from ghostmg.linalg import NotSPDError
+from ghostmg.linalg import DegeneratePencilError, NotSPDError
 from ghostmg.one_dim import assemble_1d
-from ghostmg.stabilization import pencil_max
+from ghostmg.stabilization import KAPPA, pencil_max
 from oracles import (canonical_csr, coarse_theta, pow_levelset,
                      restriction_1d, restriction_2d, split_residual_coarse)
 
@@ -162,6 +165,26 @@ def test_cycle_config_validation():
         mg.CycleConfig(coarsest_n=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nu1", 1.5), ("eta", 1.5), ("coarsest_n", 8.0), ("gamma_star", 1.0)])
+def test_cycle_config_names_a_field_that_is_no_integer(field, value):
+    # Each would fail later, inside build_hierarchy or solve, with a bare
+    # TypeError; numpy integers stay accepted.
+    with pytest.raises(ValueError, match=field):
+        mg.CycleConfig(**{field: value})
+    mg.CycleConfig(**{field: np.int64(value)})
+
+
+def test_solve_reads_a_list_right_hand_side():
+    system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16), f=lambda x: x)
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
+    u, trace = mg.solve(hierarchy, system.F, max_iters=3)
+    u_list, trace_list = mg.solve(hierarchy, list(system.F), max_iters=3)
+    np.testing.assert_array_equal(u_list, u)
+    np.testing.assert_array_equal(trace_list.residual_norms,
+                                  trace.residual_norms)
+
+
 def test_depth_validation():
     system = assemble_1d(12, 0.5, 0.5, 100.0)
     with pytest.raises(ValueError):
@@ -283,12 +306,42 @@ def test_global_penalty_rule_holds_on_every_level(name):
         assert penalty.mode == "global" and pen.any()
         own = 2.0 * pencil_max(penalty.B[pen], penalty.S[pen])
         assert not np.isnan(own).any()
-        want = max(own.max(), fine.penalty.lam.max() / mg.KAPPA)
+        want = max(own.max(), fine.penalty.lam.max() / KAPPA)
         np.testing.assert_array_equal(penalty.lam[pen],
                                       np.full(pen.sum(), want))
         for zero in (penalty.S, penalty.B, penalty.M):
             assert not zero[~pen].any()
     _assert_compressed_galerkin(hierarchy)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.sampled_from([32, 64, 128]),
+       cx=st.floats(0.35, 0.65), cy=st.floats(0.35, 0.65),
+       radius=st.floats(0.1, 0.3), aspect=st.floats(0.5, 1.0),
+       ellipse=st.booleans(), mode=st.sampled_from(["local", "global"]))
+def test_random_disks_and_ellipses_keep_every_level_spd(n, cx, cy, radius,
+                                                        aspect, ellipse,
+                                                        mode):
+    """On random disks and axis-aligned ellipses, under both penalty rules,
+    the set-up either raises a named error or builds a hierarchy down to
+    n = 4 whose every level is bitwise symmetric and positive definite."""
+    rx, ry = radius, radius * aspect if ellipse else radius
+
+    def psi(x, y):
+        return ((x - cx) / rx) ** 2 + ((y - cy) / ry) ** 2 - 1.0
+
+    try:
+        system = assemble(ProblemSpec(LevelSet("ellipse", (psi,),
+                                               (DIRICHLET,)),
+                                      1.0 / n, lambda_mode=mode))
+        hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
+    except (CheckerboardCellError, AssemblyError, DegeneratePencilError,
+            NotSPDError):
+        return
+    assert hierarchy.levels[-1].n == 4
+    for level in hierarchy.levels:
+        assert (level.A != level.A.T).nnz == 0
+        level.prepare_coarse_solver()
 
 
 def _reversed(penalty):
@@ -335,8 +388,8 @@ def test_coarse_levels_1d_are_direct_assemblies_with_their_own_penalty(
     for level in hierarchy.levels[1:]:
         theta1, theta2 = coarse_theta(theta1), coarse_theta(theta2)
         own = gamma / (theta1 / level.n)
-        floored |= lam / mg.KAPPA > own
-        lam = max(own, lam / mg.KAPPA)
+        floored |= lam / KAPPA > own
+        lam = max(own, lam / KAPPA)
         assert level.penalty.lam[0] == pytest.approx(lam, rel=1e-12)
         direct = assemble_1d(level.n, theta1, theta2,
                              level.penalty.lam[0]).A.toarray()
