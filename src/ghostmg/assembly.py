@@ -25,6 +25,12 @@ triangle for stiffness and a degree-4 rule for sources; chord integrals use
 on all of their quadrature points.  The stabilization sizes its penalties
 from the same stiffness S and chord flux Gram B; `fan_kernels` and
 `chord_kernels` are the only cut-cell kernels.
+
+The internal cells' source is 3x3 tensor Gauss per cell, and those points
+lie on three lines per cell row and column: f is called once more, on that
+lattice over the internal cells' bounding box (a row of x and a column of
+y), each axis is contracted with the 1D weights times the 1D hats, and the
+loads land on the nodes by slice adds, with no per-cell arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from ghostmg.geometry import (
     CellClassification,
     CutCells,
     LevelSet,
-    corner_nodes,
     SnappedNodeField,
     classify_cells,
     extract_cut_geometry,
@@ -112,10 +117,19 @@ def _local(points: np.ndarray, origins: np.ndarray, h: float):
     return (points[..., 0] - o[..., 0]) / h, (points[..., 1] - o[..., 1]) / h
 
 
-def _at_points(fn: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """fn at the points (x, y), broadcast to their shape so that data
-    returning a scalar works too."""
-    return np.broadcast_to(np.asarray(fn(x, y), dtype=float), x.shape)
+def _at_points(fn: Callable, x: np.ndarray, y: np.ndarray,
+               name: str) -> np.ndarray:
+    """The datum `name`, fn, at the points (x, y), broadcast to their
+    broadcast shape so that data returning a scalar works too."""
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    value = np.asarray(fn(x, y), dtype=float)
+    try:
+        return np.broadcast_to(value, shape)
+    except ValueError:
+        raise AssemblyError(
+            f"{name} returned shape {value.shape} on points of shape {shape}; "
+            "data must broadcast like numpy ufuncs: return a scalar or an "
+            "array that broadcasts to the shape of x + y") from None
 
 
 def fan_kernels(polygons: np.ndarray, origins: np.ndarray, h: float):
@@ -191,19 +205,20 @@ class CutCellBatch:
         K = len(self.area)
         F = np.zeros((K, 4))
         if f is not None:
-            fq = _at_points(f, self.fan_points[:, 0], self.fan_points[:, 1])
+            p = self.fan_points
+            fq = _at_points(f, p[:, 0], p[:, 1], "f")
             slots = 4 * self.fan_cell[:, None] + np.arange(4)
             F = np.bincount(slots.ravel(), (fq[:, None] * self.fan_wN).ravel(),
                             minlength=4 * K).reshape(K, 4)
         d, n = self.dirichlet, self.neumann
         if g_dirichlet is not None and d.any():
             p = self.chord_points[d]
-            gq = _at_points(g_dirichlet, p[..., 0], p[..., 1])
+            gq = _at_points(g_dirichlet, p[..., 0], p[..., 1], "g_dirichlet")
             F[d] += (lam[:, None] * np.einsum("kq,kqi->ki", gq, self.chord_wN[d])
                      - np.einsum("kq,kqi->ki", gq, self.chord_wnd[d]))
         if g_neumann is not None and n.any():
             p = self.chord_points[n]
-            gq = _at_points(g_neumann, p[..., 0], p[..., 1])
+            gq = _at_points(g_neumann, p[..., 0], p[..., 1], "g_neumann")
             F[n] += np.einsum("kq,kqi->ki", gq, self.chord_wN[n])
         return F
 
@@ -245,7 +260,12 @@ class ProblemSpec:
     h : float
         Background grid spacing.
     f, g_dirichlet, g_neumann : callable or None
-        Source and boundary data, vectorized over (x, y); None means zero.
+        Source and boundary data; None means zero.  Each is called with
+        arrays x and y that broadcast against each other, and returns a
+        scalar or an array that broadcasts to their shape, as numpy ufuncs
+        do: for the internal cells, f gets a row of x and a column of y, the
+        Gauss lattice over the internal cells' bounding box, which reaches
+        off the domain, where its values are dropped.
     gamma : float
         Safety factor: the penalty is lambda_K = gamma * C(K), with C(K)
         and the penalty rule from `stabilization.build_stabilization`.
@@ -378,16 +398,13 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
     cut = classification.cut_nodes & free
     order, dof = number_dofs(free, cut, grid)
 
-    # Loads accumulate internal cells first, then cut cells, each in
-    # row-major cell order.
-    nodes, loads = [cut_cells.nodes], [batch.loads(
-        stab.lam, problem.f, problem.g_dirichlet, problem.g_neumann)]
-    in_js, in_is = np.nonzero(classification.internal)
-    if in_is.size and problem.f is not None:
-        nodes.insert(0, corner_nodes(np.stack((in_is, in_js), 1), grid.n))
-        loads.insert(0, _internal_source(problem.f, grid, in_is, in_js))
-    F = np.bincount(np.concatenate(nodes).ravel(), np.concatenate(loads).ravel(),
-                    minlength=grid.num_nodes)
+    # The cut cells' loads accumulate in row-major cell order; the
+    # internal cells' source, from the lattice, is added to them.
+    F = np.bincount(cut_cells.nodes.ravel(), batch.loads(
+        stab.lam, problem.f, problem.g_dirichlet, problem.g_neumann).ravel(),
+        minlength=grid.num_nodes)
+    if problem.f is not None:
+        F += _internal_source(problem.f, grid, classification.internal)
     F[~active] = 0.0
     if strong.any():
         # F - A g over the free rows, on the strong columns in node order.
@@ -395,7 +412,7 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         # nodes, so they are A's entries bit for bit.
         g = np.zeros(np.count_nonzero(strong))
         if problem.g_dirichlet is not None:
-            g = _at_points(problem.g_dirichlet, X, Y)[strong]
+            g = _at_points(problem.g_dirichlet, X, Y, "g_dirichlet")[strong]
         column = np.full(grid.num_nodes, -1, dtype=np.int32)
         column[strong] = np.arange(g.size, dtype=np.int32)
         F[order] -= penalty.operator(grid, order, column) @ g
@@ -535,21 +552,44 @@ def number_dofs(free: np.ndarray, cut: np.ndarray,
     return order, dof
 
 
-def _internal_source(f: Callable, grid: CartesianGrid, in_is: np.ndarray,
-                     in_js: np.ndarray) -> np.ndarray:
-    """Load vectors (cells, 4) of all internal cells, 3x3 tensor Gauss."""
-    h = grid.h
+def _internal_source(f: Callable, grid: CartesianGrid,
+                     internal: np.ndarray) -> np.ndarray:
+    """The source loads of the internal cells on every grid node, 3x3
+    tensor Gauss per cell.
+
+    The cells' Gauss points lie on three lines per cell column and per cell
+    row, so f is called once on the lattice over the cells' bounding box: a
+    row of x and a column of y.  Each axis is then contracted with the 1D
+    weights times the 1D hats of the cell's two corners, cells outside
+    `internal` (n, n) are dropped, and each corner's loads land on the
+    nodes by one shifted slice add.
+    """
+    n, h = grid.n, grid.h
+    F = np.zeros((n + 1, n + 1))
+    rows, cols = np.flatnonzero(internal.any(axis=1)), \
+        np.flatnonzero(internal.any(axis=0))
+    if not rows.size:
+        return F.ravel()
+    j0, j1, i0, i1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    xi = 0.5 + 0.5 * _GAUSS_X
     x0, y0 = grid.origin
-    xi_1d = 0.5 + 0.5 * _GAUSS_X
-    w_1d = 0.5 * _GAUSS_W
-    XI, ETA = np.meshgrid(xi_1d, xi_1d, indexing="ij")
-    xi_q = XI.ravel()
-    eta_q = ETA.ravel()
-    w_q = np.outer(w_1d, w_1d).ravel() * h * h
-    N = shape_values(xi_q, eta_q)  # (4, 9)
-    cx = x0 + in_is * h
-    cy = y0 + in_js * h
-    xq = cx[:, None] + xi_q[None, :] * h   # (cells, 9)
-    yq = cy[:, None] + eta_q[None, :] * h
-    fq = _at_points(f, xq, yq)
-    return (fq * w_q[None, :]) @ N.T
+    xs = ((x0 + h * np.arange(i0, i1))[:, None] + h * xi).reshape(1, -1)
+    ys = ((y0 + h * np.arange(j0, j1))[:, None] + h * xi).reshape(-1, 1)
+    # A datum that broadcasts, a scalar say, is laid out in full, so that
+    # the products below run as they do for its array form.
+    fq = np.ascontiguousarray(_at_points(f, xs, ys, "f"))    # (3 nj, 3 ni)
+    # Row q: the weight of Gauss point q times the hats of the left and
+    # right corner there, times h.
+    W = (0.5 * h * _GAUSS_W)[:, None] * np.stack((1.0 - xi, xi), axis=1)
+    nj, ni = j1 - j0, i1 - i0
+    # f may be anything off the domain, inf too: the other cells' loads are
+    # dropped, not scaled by zero, and the flags they raise are not news.
+    with np.errstate(invalid="ignore"):
+        loads = (fq.reshape(-1, 3) @ W).reshape(nj, 3, 2 * ni)
+        loads = (W.T @ loads).reshape(nj, 2, ni, 2)  # cell j, corner y, i, x
+    inside = internal[j0:j1, i0:i1]
+    for b in range(2):
+        for a in range(2):
+            corner = F[j0 + b:j1 + b, i0 + a:i1 + a]
+            np.add(corner, loads[:, b, :, a], out=corner, where=inside)
+    return F.ravel()

@@ -52,6 +52,12 @@ class ConfigError(ValueError):
     """A config file is malformed or inconsistent."""
 
 
+class AccuracyStudyError(RuntimeError):
+    """A manufactured-solution solve of an accuracy study did not reach its
+    target residual, so its nodal errors measure the solver, not the
+    discretization."""
+
+
 @dataclass
 class ExperimentConfig:
     """One sweep description: the domain, the parameter lists and the cycle.
@@ -437,6 +443,22 @@ def run_accuracy_study(config: ExperimentConfig) -> list:
     return rows
 
 
+def _accuracy_solve(hierarchy: mg.Hierarchy, F: np.ndarray,
+                    n: int) -> np.ndarray:
+    """Solve to a residual of 1e-10; raise AccuracyStudyError when the
+    cycles diverge, stall or run out first."""
+    target = 1e-10
+    u, trace = mg.solve(hierarchy, F, max_iters=200, target_residual=target)
+    final = trace.residual_norms[-1]
+    if trace.diverged or trace.stalled or not final <= target:
+        state = ("diverged" if trace.diverged else "stalled" if trace.stalled
+                 else "did not reach the target")
+        raise AccuracyStudyError(
+            f"n = {n}: the solve {state}: {trace.iterations} cycles, final "
+            f"residual {final:.3e} against a target of {target:g}")
+    return u
+
+
 def _accuracy_point_1d(config: ExperimentConfig, n: int) -> AccuracyRow:
     h = 1.0 / n
     t1 = config.theta1[0]
@@ -446,7 +468,7 @@ def _accuracy_point_1d(config: ExperimentConfig, n: int) -> AccuracyRow:
                          f=None, g_a=a, g_b=1.0)
     hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
                                                          config.eta[0]))
-    u, _ = mg.solve(hierarchy, system.F, max_iters=200, target_residual=1e-10)
+    u = _accuracy_solve(hierarchy, system.F, n)
     x = h * np.arange(n + 1)
     err = np.abs(u - x)
     return AccuracyRow(domain="interval", dim=1, n=n, h=h,
@@ -471,7 +493,7 @@ def _accuracy_point_2d(config: ExperimentConfig, n: int) -> AccuracyRow:
     system = assemble(problem)
     hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
                                                          config.eta[0]))
-    u, _ = mg.solve(hierarchy, system.F, max_iters=200, target_residual=1e-10)
+    u = _accuracy_solve(hierarchy, system.F, n)
     X, Y = system.grid.node_coordinates()
     interior = system.field.values < 0.0
     err = np.abs(u - exact(X, Y))[interior]

@@ -2,10 +2,11 @@
 
 None of this runs when the package solves: the canonical CSR form by
 summed duplicates, a deflating dense generalized eigensolver, the global
-trace constants it gives, the closed-form load blocks of the 1D system, its
-four-way residual splitting and that splitting's coarse-grid identity, the
-whole-grid refinement matrices, and the float-power forms of the flower
-and hourglass level sets.  The tests import these as
+trace constants it gives, the cell-by-cell Gauss source of the internal
+cells, the closed-form load blocks of the 1D system, its four-way residual
+splitting and that splitting's coarse-grid identity, the whole-grid
+refinement matrices, and the float-power forms of the flower and hourglass
+level sets.  The tests import these as
 ``from oracles import ...``; pytest puts this directory on ``sys.path``.
 """
 
@@ -169,6 +170,29 @@ def dense_global_C_2d(system) -> float:
     free = np.flatnonzero(system.free_dofs)
     return generalized_eig_max(B[np.ix_(free, free)],
                                S[np.ix_(free, free)]).value
+
+
+def internal_source(f, grid, internal) -> np.ndarray:
+    """Source loads of the internal cells (n, n) on every grid node, cell by
+    cell: the 3x3 tensor Gauss points of each cell as (cells, 9) arrays,
+    f on them, the weights times the four shape values, and the loads
+    added to each cell's corners in row-major cell order."""
+    in_js, in_is = np.nonzero(internal)
+    h = grid.h
+    x0, y0 = grid.origin
+    xi = 0.5 + 0.5 * assembly._GAUSS_X
+    XI, ETA = np.meshgrid(xi, xi, indexing="ij")
+    xi_q, eta_q = XI.ravel(), ETA.ravel()
+    w_q = np.outer(0.5 * assembly._GAUSS_W, 0.5 * assembly._GAUSS_W).ravel() \
+        * h * h
+    N = assembly.shape_values(xi_q, eta_q)  # (4, 9)
+    xq = (x0 + in_is * h)[:, None] + xi_q[None, :] * h   # (cells, 9)
+    yq = (y0 + in_js * h)[:, None] + eta_q[None, :] * h
+    fq = np.broadcast_to(np.asarray(f(xq, yq), dtype=float), xq.shape)
+    F = np.zeros(grid.num_nodes)
+    np.add.at(F, corner_nodes(np.stack((in_is, in_js), 1), grid.n),
+              (fq * w_q[None, :]) @ N.T)
+    return F
 
 
 def restriction_1d(n: int) -> sp.csr_matrix:

@@ -21,7 +21,9 @@ from ghostmg.assembly import (
     shape_gradients,
     shape_values,
 )
-from ghostmg.geometry import DIRICHLET, LevelSet, corner_nodes, domain_catalog
+from ghostmg.geometry import (DIRICHLET, LevelSet, corner_nodes,
+                              domain_catalog, domain_names)
+from oracles import internal_source
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +319,12 @@ def test_cut_dofs_are_active_free_cut_nodes():
 # ---------------------------------------------------------------------------
 
 def triplet_reference(system):
-    """Reference: A and F as triplet (COO) sums of every internal and cut
-    cell in row-major cell order, internal cells first, then the identity
-    rows, duplicates summed; strong DOFs then eliminated as
-    diag(keep) A diag(keep) + diag(strong) with stored zeros dropped."""
+    """Reference: A as triplet (COO) sums of every internal and cut cell in
+    row-major cell order, internal cells first, then the identity rows,
+    duplicates summed; F as the internal cells' source cell by cell
+    (`oracles.internal_source`) plus the cut cells' loads; strong DOFs then
+    eliminated as diag(keep) A diag(keep) + diag(strong) with stored zeros
+    dropped."""
     problem, grid, cls = system.problem, system.grid, system.classification
     batch = cut_cell_batch(system.cut_cells)
     d = np.flatnonzero(batch.dirichlet)
@@ -345,7 +349,7 @@ def triplet_reference(system):
     A.sort_indices()
     F = np.zeros(N)
     if problem.f is not None:
-        np.add.at(F, internal, _internal_source(problem.f, grid, in_is, in_js))
+        F = internal_source(problem.f, grid, cls.internal)
     np.add.at(F, system.cut_cells.nodes, batch.loads(
         lam, problem.f, problem.g_dirichlet, problem.g_neumann))
     F[~cls.active_nodes] = 0.0
@@ -361,6 +365,51 @@ def triplet_reference(system):
         A.sort_indices()
         F[strong] = g[strong]
     return A, F
+
+
+def _catalog_domain(name, n):
+    if name == "rectangle":
+        return domain_catalog(name, theta=0.3, h=1.0 / n)
+    return domain_catalog(name)
+
+
+@pytest.mark.parametrize("name", domain_names())
+@pytest.mark.parametrize("f", [
+    lambda x, y: np.exp(x * y),
+    lambda x, y: np.where(x + 0.3 * y > 0.1, 1.0 + x * x, -2.0 + y),
+], ids=["exp", "piecewise"])
+def test_lattice_source_matches_the_cell_by_cell_source(name, f):
+    # One call of f on the Gauss lattice of the internal cells' bounding
+    # box gives each cell's 3x3 Gauss load, summed in another order.
+    ls = _catalog_domain(name, 64)
+    system = assemble(ProblemSpec(ls, ls.art_extent / 64))
+    grid, internal = system.grid, system.classification.internal
+    expected = internal_source(f, grid, internal)
+    np.testing.assert_allclose(_internal_source(f, grid, internal), expected,
+                               rtol=0.0, atol=1e-14 * np.abs(expected).max())
+
+
+def test_source_off_the_domain_is_never_read():
+    # The annulus' lattice spans its hole; f = inf there must not reach F.
+    ls = domain_catalog("annulus")
+    h = ls.art_extent / 32
+    inf_in_hole = assemble(ProblemSpec(
+        ls, h, f=lambda x, y: np.where(x * x + y * y < 0.09, np.inf, 1.0)))
+    one = assemble(ProblemSpec(ls, h, f=lambda x, y: 1.0))
+    np.testing.assert_array_equal(inf_in_hole.F, one.F)
+
+
+@pytest.mark.parametrize("datum", ["f", "g_dirichlet", "g_neumann"])
+def test_data_that_does_not_broadcast_is_a_named_error(datum):
+    # The chord points are (cells, 3), so a flat result of their size does
+    # not broadcast; f's first points are flat, so it gets one value more.
+    ls = domain_catalog("annulus")
+    extra = int(datum == "f")
+    data = {datum: lambda x, y: np.ones(x.size + extra)}
+    with pytest.raises(AssemblyError, match=(
+            rf"{datum} returned shape \(\d+,\) on points of shape \(\d+,"
+            r"( 3)?\); data must broadcast like numpy ufuncs")):
+        assemble(ProblemSpec(ls, ls.art_extent / 32, **data))
 
 
 @pytest.mark.parametrize("name", ["disk", "flower", "hourglass"])
@@ -386,11 +435,11 @@ def test_a_build_reads_only_its_rows(name):
 @pytest.mark.parametrize("name", ["disk", "annulus", "flower", "leaf",
                                   "hourglass", "rectangle"])
 def test_pattern_operator_matches_the_triplet_reference(name):
-    # Bit for bit: the same pattern (inactive identity rows included), the
-    # same sums in the same order, the same loads; the rectangle also
-    # eliminates its strong edges.
-    ls = domain_catalog(name, theta=0.3, h=1.0 / 32) if name == "rectangle" \
-        else domain_catalog(name)
+    # A bit for bit: the same pattern (inactive identity rows included) and
+    # the same sums in the same order; the rectangle also eliminates its
+    # strong edges.  F sums the internal cells' Gauss points in another
+    # order than the cell-by-cell reference, so it agrees to rounding.
+    ls = _catalog_domain(name, 32)
     system = assemble(ProblemSpec(
         ls, ls.art_extent / 32,
         f=lambda x, y: np.sin(3.0 * x) + y * y,
@@ -402,4 +451,5 @@ def test_pattern_operator_matches_the_triplet_reference(name):
     np.testing.assert_array_equal(system.A.indptr, A.indptr)
     np.testing.assert_array_equal(system.A.indices, A.indices)
     np.testing.assert_array_equal(system.A.data, A.data)
-    np.testing.assert_array_equal(system.F, F)
+    np.testing.assert_allclose(system.F, F, rtol=0.0,
+                               atol=1e-14 * np.abs(F).max())

@@ -191,6 +191,22 @@ def test_run_accuracy_failure_is_reported_with_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_accuracy_divergence_exits_one(tmp_path, capsys):
+    # A diverged solve fails the study instead of writing its error.
+    out = tmp_path / "acc.csv"
+    config = write_config(
+        tmp_path,
+        "experiment = accuracy\ndimension = 1\nn = 8, 16\ntheta1 = 0.05\n"
+        "lambda_mode = inverse_h2\n",
+        out)
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "accuracy study failed: AccuracyStudyError: n = 8: the solve " \
+        "diverged" in err
+    assert not out.exists()
+
+
 def test_catalog_lists_the_interval_and_every_domain(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out

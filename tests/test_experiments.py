@@ -12,6 +12,7 @@ from ghostmg.experiments import (
     ACCURACY_CSV_HEADER,
     CSV_HEADER,
     THETA1_GRID,
+    AccuracyStudyError,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -427,6 +428,32 @@ def test_one_dim_accuracy_study_sizes_lam_by_lambda_mode(monkeypatch, mode):
     hs = [1.0 / n for n in config.ns]
     assert seen == ([1.0 / h ** 2 for h in hs] if mode == "inverse_h2"
                     else [1.1 / (0.05 * h) for h in hs])
+
+
+def test_accuracy_study_raises_when_a_solve_diverges():
+    # At n = 8 the penalty 1/h^2 = 64 lies below the trace constant
+    # 1/(theta1 h) = 160, so the cycles diverge; that point has no error to
+    # report.
+    config = ExperimentConfig("accuracy", 1, (8, 16, 32), theta1=(0.05,),
+                              lambda_mode="inverse_h2")
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(AccuracyStudyError,
+                          match=r"n = 8: the solve diverged: \d+ cycles, "
+                                r"final residual \S+e\+\d+"):
+        run_accuracy_study(config)
+
+
+def test_accuracy_study_raises_when_the_cycles_run_out(monkeypatch):
+    # Two cycles cannot reach 1e-10 on the disk; the study says so rather
+    # than report the error of an unfinished solve.
+    solve = mg.solve
+    monkeypatch.setattr(mg, "solve", lambda *args, **kwargs: solve(
+        *args, **{**kwargs, "max_iters": 2}))
+    config = ExperimentConfig("accuracy", 2, (16,), domain="disk")
+    with pytest.raises(AccuracyStudyError,
+                       match="n = 16: the solve did not reach the target: "
+                             "2 cycles"):
+        run_accuracy_study(config)
 
 
 def test_two_dim_accuracy_errors_shrink_under_refinement():
