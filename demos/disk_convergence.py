@@ -41,7 +41,7 @@ def convergence_factors(n: int, etas: tuple,
         _, trace = mg.solve(cycle, np.zeros(m), u0=np.ones(m), max_iters=30)
         rhos.append(trace.rho_mean(21, 30))
     free = int(system.free_dofs.sum())
-    cut = int(system.cut_dofs.sum())
+    cut = int(system.dofs.cut.sum())
     return rhos, free, cut
 
 

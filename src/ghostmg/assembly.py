@@ -267,8 +267,8 @@ class ProblemSpec:
         Gauss lattice over the internal cells' bounding box, which reaches
         off the domain, where its values are dropped.
     gamma : float
-        Safety factor: the penalty is lambda_K = gamma * C(K), with C(K)
-        and the penalty rule from `stabilization.build_stabilization`.
+        Safety factor: the penalty is lambda_K = gamma * C(K), C(K) the
+        cell's trace constant, by the rule `stabilization.penalties`.
     lambda_mode : str
         "local" sizes the penalty per cut cell; "global" uses the max of the
         local constants everywhere.
@@ -289,7 +289,7 @@ class ProblemSpec:
 @dataclass
 class AssembledSystem:
     """Assembled system A u = F with its geometry and DOF bookkeeping:
-    operator is A on the free DOFs in `order` (`number_dofs`), the
+    operator is A on the free DOFs numbered by `dofs` (`number_dofs`), the
     hierarchy's finest level, and penalty the cells it is assembled from
     and the hierarchy pools.  F is on every grid node: zero on the inactive
     ones, the boundary value on the strong ones."""
@@ -302,22 +302,21 @@ class AssembledSystem:
     stabilization: stabilization.StabilizationField
     penalty: PenaltyCells
     operator: sp.csr_matrix
-    order: np.ndarray
+    dofs: Dofs
     F: np.ndarray
     active_dofs: np.ndarray
     strong_dofs: np.ndarray
-    cut_dofs: np.ndarray
 
     @property
     def free_dofs(self) -> np.ndarray:
-        return self.active_dofs & ~self.strong_dofs
+        return self.dofs.free
 
     @cached_property
     def A(self) -> sp.csr_matrix:
         """The whole-grid view, built from `operator` on first use: canonical
         CSR in node order, with an identity row and column on each
         constrained node.  Neither assembly nor the hierarchy reads it."""
-        N, free, order = self.grid.num_nodes, self.free_dofs, self.order
+        N, free, order = self.grid.num_nodes, self.dofs.free, self.dofs.order
         rows = self.operator[np.argsort(order)]
         counts = np.ones(N, dtype=np.int32)
         counts[free] = np.diff(rows.indptr)
@@ -394,9 +393,7 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
         cells=cells, S=S, B=B, M=M, lam=lam,
         full=classification.internal.ravel(), reference=reference,
         gamma=problem.gamma, mode=problem.lambda_mode, K0=K0)
-    free = active & ~strong
-    cut = classification.cut_nodes & free
-    order, dof = number_dofs(free, cut, grid)
+    dofs = number_dofs(active & ~strong, classification.cut_nodes, grid)
 
     # The cut cells' loads accumulate in row-major cell order; the
     # internal cells' source, from the lattice, is added to them.
@@ -415,14 +412,14 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
             g = _at_points(problem.g_dirichlet, X, Y, "g_dirichlet")[strong]
         column = np.full(grid.num_nodes, -1, dtype=np.int32)
         column[strong] = np.arange(g.size, dtype=np.int32)
-        F[order] -= penalty.operator(grid, order, column) @ g
+        F[dofs.order] -= penalty.operator(grid, dofs.order, column) @ g
         F[strong] = g
 
     return AssembledSystem(
         problem=problem, grid=grid, field=field, classification=classification,
         cut_cells=cut_cells, stabilization=stab, penalty=penalty,
-        operator=penalty.operator(grid, order, dof), order=order, F=F,
-        active_dofs=active, strong_dofs=strong, cut_dofs=cut)
+        operator=penalty.operator(grid, dofs.order, dofs.dof), dofs=dofs,
+        F=F, active_dofs=active, strong_dofs=strong)
 
 
 # Stencil slot sum_d 3**d (offset_d + 1) of the coupling from cell corner a
@@ -535,21 +532,42 @@ class PenaltyCells:
         return A
 
 
+@dataclass(frozen=True, eq=False)
+class Dofs:
+    """The DOFs of a level, from `number_dofs`: the masks of the free nodes
+    and of the free cut nodes, the grid node of each DOF (order), the DOF
+    of each node (dof, -1 off the free nodes), the sorted DOFs of the cut
+    nodes (cut_at), and the first DOF of each colour class, then N
+    (bounds, (0, N) in 1D)."""
+
+    free: np.ndarray
+    cut: np.ndarray
+    order: np.ndarray
+    dof: np.ndarray
+    cut_at: np.ndarray
+    bounds: np.ndarray
+
+
 def number_dofs(free: np.ndarray, cut: np.ndarray,
-                grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The DOFs of a level: the grid node of each, and the DOF of each grid
-    node, -1 off the free nodes.  The DOFs are the free nodes, in 2D sorted
-    by colour class (i % 2) + 2 (j % 2), cut nodes first within a class and
-    node order after that; in 1D in node order."""
+                grid: CartesianGrid) -> Dofs:
+    """The DOFs of a level: the free nodes, in 2D sorted by colour class
+    (i % 2) + 2 (j % 2), cut nodes first within a class and node order after
+    that; in 1D in node order.  Cut nodes off `free` are no cut DOFs."""
+    cut = cut & free
     order = np.flatnonzero(free)
+    bounds = np.array([0, order.size])
     if grid.dim == 2:
         j, i = np.divmod(order, grid.n + 1)
         # A stable sort of small integers is a radix sort.
-        key = 2 * (i % 2 + 2 * (j % 2)) + ~cut[order]
-        order = order[np.argsort(key.astype(np.int8), kind="stable")]
+        key = (2 * (i % 2 + 2 * (j % 2)) + ~cut[order]).astype(np.int8)
+        order = order[np.argsort(key, kind="stable")]
+        # Keys 2 c and 2 c + 1 are class c's cut and other nodes.
+        counts = np.bincount(key, minlength=8).reshape(4, 2).sum(axis=1)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
     dof = np.full(grid.num_nodes, -1, dtype=np.int32)
     dof[order] = np.arange(order.size, dtype=np.int32)
-    return order, dof
+    return Dofs(free=free, cut=cut, order=order, dof=dof,
+                cut_at=np.flatnonzero(cut[order]), bounds=bounds)
 
 
 def _internal_source(f: Callable, grid: CartesianGrid,

@@ -213,7 +213,7 @@ def snap_nodes(grid: CartesianGrid, levelset: LevelSet, alpha: float) -> Snapped
 
     Every node with |psi| < h^alpha stores exactly 0, which removes the
     smallest cut fractions; `ProblemSpec` defaults to alpha = 1.75.  Only 2D
-    grids snap: the interval's system is built in closed form.
+    grids snap: the interval's ends are given by its cut fractions.
     """
     X, Y = grid.node_coordinates()
     values = np.asarray(levelset.evaluate(X, Y), dtype=float)

@@ -36,7 +36,8 @@ In 2D, Gauss-Seidel runs over four colour classes, (i % 2) + 2 (j % 2) of
 the grid node: the 9-point stencil, which the coarse operators of Q1 keep,
 couples no two nodes of one class, so each class is one row-block product
 and a diagonal scale.  Each 2D level numbers its free DOFs class by class,
-cut DOFs first within a class (``assembly.number_dofs``), so every class
+cut DOFs first within a class, and keeps the numbering with its class
+bounds and cut DOFs as one record (``assembly.number_dofs``), so every class
 step of the full sweep is one contiguous row range of A and every cut-sweep
 step that range's leading part: a step works on slice views of u, F and
 A's CSR arrays, with no gathers, scatters or copies of A.  Every operator,
@@ -76,7 +77,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtbsv
 
-from ghostmg.assembly import AssembledSystem, PenaltyCells, number_dofs
+from ghostmg.assembly import AssembledSystem, Dofs, PenaltyCells, number_dofs
 from ghostmg.geometry import CORNERS, CartesianGrid, corner_nodes
 from ghostmg.linalg import NotSPDError, matvec_into
 from ghostmg.one_dim import OneDimSystem
@@ -149,31 +150,31 @@ def _row_range(A: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
 
 
 class MgLevel:
-    """One level: its operator and transfers on its free DOFs, numbered as
-    in `order`, the order number_dofs gives the masks, the free and cut masks
-    over its grid's nodes, its solver caches and its cycle workspace.  The
-    operator, taken as is, must be canonical CSR and bitwise symmetric, as
-    `PenaltyCells.operator` builds every level's.  `scratch` holds every intermediate vector of the level's steps,
-    residual and prolongation; `iterate` and `rhs`, set on coarse levels
-    only, are the level's u and F within a cycle.  `penalty` holds the
-    cells the next coarser level is pooled from."""
+    """Level `index` on `grid`: its operator A and transfers R and P on its
+    free DOFs, numbered by `dofs` (`assembly.number_dofs`), its solver
+    caches and its cycle workspace.  A, taken as is, must be canonical CSR
+    and bitwise symmetric, as `PenaltyCells.operator` builds every level's,
+    and N x N for the N DOFs of `dofs`, else ValueError.  `scratch` holds
+    every intermediate vector of the level's steps, residual and
+    prolongation; `iterate` and `rhs`, set on coarse levels only, are the
+    level's u and F within a cycle.  `penalty` holds the cells the next
+    coarser level is pooled from."""
 
-    def __init__(self, A: sp.csr_matrix, free: np.ndarray, cut: np.ndarray,
-                 grid: CartesianGrid, order: np.ndarray, index: int = 0,
-                 penalty: Optional[PenaltyCells] = None):
+    def __init__(self, A: sp.csr_matrix, grid: CartesianGrid, dofs: Dofs,
+                 index: int = 0, penalty: Optional[PenaltyCells] = None):
+        if A.shape != (dofs.order.size,) * 2:
+            raise ValueError(f"level {index}: operator of shape {A.shape} "
+                             f"on {dofs.order.size} DOFs")
         self.A = A
         self.scratch = np.empty(self.num_dofs)
         self.iterate: Optional[np.ndarray] = None
         self.rhs: Optional[np.ndarray] = None
-        self.free = np.asarray(free, dtype=bool)
-        self.cut = np.asarray(cut, dtype=bool) & self.free
         self.grid = grid
+        self.dofs = dofs
         self.index = index
-        self.order = order
         self.R: Optional[sp.csr_matrix] = None
         self.P: Optional[sp.csr_matrix] = None
         self.penalty = penalty
-        self.idx_cut = np.flatnonzero(self.cut[self.order])
         self._free_steps: list = []
         self._cut_steps: list = []
         self._coarse_solve = None
@@ -181,6 +182,14 @@ class MgLevel:
     @property
     def n(self) -> int:
         return self.grid.n
+
+    @property
+    def free(self) -> np.ndarray:
+        return self.dofs.free
+
+    @property
+    def cut(self) -> np.ndarray:
+        return self.dofs.cut
 
     @property
     def num_dofs(self) -> int:
@@ -194,21 +203,14 @@ class MgLevel:
 
     # -- smoothing -----------------------------------------------------------
 
-    def colours(self) -> np.ndarray:
-        """Colour class (i % 2) + 2 (j % 2) of the grid node of each DOF of
-        a 2D level: the 9-point stencil couples no two nodes of one class."""
-        j, i = np.divmod(self.order, self.n + 1)
-        return i % 2 + 2 * (j % 2)
-
     def _colour_steps(self, dinv: np.ndarray) -> tuple:
         """Steps of the full and of the cut sweep, one per colour class in
         class order, each a scale by dinv = 1 / diag on a contiguous row
         range, in place in the step's scratch slice.  Raises ValueError if
         a class couples to itself, which an operator wider than the 9-point
         stencil would."""
-        colours = self.colours()
-        bounds = np.searchsorted(colours, np.arange(5))
-        ncut = np.bincount(colours[self.idx_cut], minlength=4)
+        bounds = self.dofs.bounds
+        ncut = np.diff(np.searchsorted(self.dofs.cut_at, bounds))
 
         def step(start, stop):
             y = self.scratch[:stop - start]
@@ -248,7 +250,7 @@ class MgLevel:
         sub = self.A.diagonal(-1)
         self._free_steps = [(slice(None), self.A, self.scratch,
                              _triangle_solve(diag, sub))]
-        cut = self.idx_cut
+        cut = self.dofs.cut_at
         if cut.size:
             # The cut block couples two cut DOFs only where they are adjacent.
             sub_cut = np.where(np.diff(cut) == 1, sub[cut[:-1]], 0.0)
@@ -325,9 +327,8 @@ def _parent_steps(dim: int, nodes_per_side: int) -> tuple:
 
 
 def _transfers(fine: MgLevel, grid_c: CartesianGrid) -> tuple:
-    """R and P of a level in its and the coarser level's DOF numbering, the
-    coarser level's free and cut masks and DOF order, and the coarse DOF
-    of each coarse node (-1 off the coarse free nodes).
+    """R and P of a level in its and the coarser level's DOF numbering, and
+    the coarser level's DOFs.
 
     Each fine DOF interpolates from its 1, 2 or 4 coarse parents (1 or 2 in
     1D), the coarse nodes at x // 2 and (x + 1) // 2 along each axis, with
@@ -337,7 +338,7 @@ def _transfers(fine: MgLevel, grid_c: CartesianGrid) -> tuple:
     """
     dim, nps, ncs = fine.grid.dim, fine.n + 1, grid_c.nodes_per_side
     count_of, steps = _parent_steps(dim, ncs)
-    rest, first, odd = fine.order, 0, 0
+    rest, first, odd = fine.dofs.order, 0, 0
     for d in range(dim):
         rest, x = np.divmod(rest, nps)
         first = first + (x >> 1) * ncs ** d
@@ -351,15 +352,15 @@ def _transfers(fine: MgLevel, grid_c: CartesianGrid) -> tuple:
         + np.arange(indptr[-1])]
     free_c = np.zeros(grid_c.num_nodes, dtype=bool)
     free_c[parents] = True
-    cut = fine.idx_cut
+    cut = fine.dofs.cut_at
     cut_c = np.zeros(grid_c.num_nodes, dtype=bool)
     cut_c[(first[cut, None] + steps[odd[cut]])
           [np.arange(steps.shape[1]) < count[cut, None]]] = True
-    order_c, dof_c = number_dofs(free_c, cut_c, grid_c)
-    P = sp.csr_matrix((np.repeat(1.0 / count, count), dof_c[parents], indptr),
-                      shape=(fine.num_dofs, order_c.size))
+    dofs_c = number_dofs(free_c, cut_c, grid_c)
+    P = sp.csr_matrix((np.repeat(1.0 / count, count), dofs_c.dof[parents],
+                       indptr), shape=(fine.num_dofs, dofs_c.order.size))
     P.sort_indices()
-    return P.T.tocsr(), P, free_c, cut_c, order_c, dof_c
+    return P.T.tocsr(), P, dofs_c
 
 
 @lru_cache(maxsize=None)
@@ -442,29 +443,28 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
                     config: CycleConfig) -> Hierarchy:
     """Hierarchy for an assembled 1D or 2D system.
 
-    Both system types supply the finest operator on their free DOFs in
-    their order, taken as is, the free and cut masks over their nodes, and
-    the cells that the coarser levels are pooled from.  A level's P takes
-    each fine free DOF from its coarse parents, whose union is the coarse
-    free DOFs, and R = P^T, both numbered by `number_dofs`.  The
-    coarse cut DOFs, which only steer the extra smoothing sweeps and the
-    numbering, are the parents of the fine cut DOFs.  A coarse operator is
-    assembled from the pooled cells' K0_c + lam_c M_c, with the coarse
-    level's own penalty (`_coarse_penalty`), by `PenaltyCells.operator`.
+    Both system types supply the finest operator on their free DOFs, taken
+    as is, those DOFs (`dofs`, from `number_dofs`), and the cells that the
+    coarser levels are pooled from.  A level's P takes each fine free DOF
+    from its coarse parents, whose union is the coarse free DOFs, and
+    R = P^T, both numbered by `number_dofs`, once per level.  The coarse
+    cut DOFs, which only steer the extra smoothing sweeps and the numbering,
+    are the parents of the fine cut DOFs.  A coarse operator is assembled
+    from the pooled cells' K0_c + lam_c M_c, with the coarse level's own
+    penalty (`_coarse_penalty`), by `PenaltyCells.operator`.
     """
     grid = system.grid
     _validate_depth(grid.n, config.coarsest_n)
-    levels = [MgLevel(system.operator, system.free_dofs, system.cut_dofs,
-                      grid, system.order, penalty=system.penalty)]
+    levels = [MgLevel(system.operator, grid, system.dofs,
+                      penalty=system.penalty)]
     while levels[-1].n > config.coarsest_n:
         fine = levels[-1]
         grid_c = fine.grid.coarsen()
-        fine.R, fine.P, free_c, cut_c, order_c, dof_c = _transfers(fine,
-                                                                   grid_c)
+        fine.R, fine.P, dofs_c = _transfers(fine, grid_c)
         penalty = _coarse_penalty(fine.penalty, fine.free, fine.n)
-        levels.append(MgLevel(penalty.operator(grid_c, order_c, dof_c),
-                              free_c, cut_c, grid_c, order_c,
-                              index=len(levels), penalty=penalty))
+        levels.append(MgLevel(
+            penalty.operator(grid_c, dofs_c.order, dofs_c.dof), grid_c,
+            dofs_c, index=len(levels), penalty=penalty))
     return _finalize(levels, config)
 
 
@@ -549,7 +549,7 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     """
     levels = hierarchy.levels
     level0 = levels[0]
-    order = level0.order
+    order = level0.dofs.order
     nodes = level0.grid.num_nodes
     for name, vector in (("F", F), ("u0", u0)):
         if vector is not None and np.shape(vector) != (nodes,):

@@ -25,14 +25,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ghostmg.assembly import _GAUSS_W, _GAUSS_X, PenaltyCells
+from ghostmg.assembly import (_GAUSS_W, _GAUSS_X, Dofs, PenaltyCells,
+                              number_dofs)
 from ghostmg.geometry import CartesianGrid
 
 
 @dataclass
 class OneDimSystem:
-    """Assembled 1D Nitsche system A u = F, operator canonical CSR on the
-    n + 1 nodes and F both gathered from the cells (`penalty`), which the
+    """Assembled 1D Nitsche system A u = F on grid, the unit artificial
+    domain with n cells.  Every node is a DOF, in node order, and the nodes
+    of the two boundary cells are the cut DOFs (`dofs`); operator,
+    canonical CSR, and F are gathered from the cells (`penalty`), which the
     hierarchy pools from.
 
     The Dirichlet cell, cell 0, is the 2-node case of the 2D cut cells: the
@@ -51,39 +54,15 @@ class OneDimSystem:
     lam: float
     g_a: float
     g_b: float
+    grid: CartesianGrid
     operator: object
     F: np.ndarray
     penalty: PenaltyCells
+    dofs: Dofs
 
     @property
     def h(self) -> float:
         return 1.0 / self.n
-
-    @property
-    def grid(self) -> CartesianGrid:
-        """The unit artificial domain with n cells."""
-        return CartesianGrid(self.n, (0.0,), 1.0)
-
-    @property
-    def free_dofs(self) -> np.ndarray:
-        return np.ones(self.n + 1, dtype=bool)
-
-    @property
-    def order(self) -> np.ndarray:
-        """Every node is a DOF, in node order."""
-        return np.arange(self.n + 1)
-
-    @property
-    def A(self):
-        """The whole-grid view, which in 1D is the operator itself."""
-        return self.operator
-
-    @property
-    def cut_dofs(self) -> np.ndarray:
-        """The nodes of the two boundary cells."""
-        mask = np.zeros(self.n + 1, dtype=bool)
-        mask[[0, 1, -2, -1]] = True
-        return mask
 
 
 def _check_params(n: int, theta1: float, theta2: float, lam: float) -> None:
@@ -150,7 +129,10 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
         loads.insert(0, terms[:, 0] + terms[:, 1] + terms[:, 2])
     F = np.bincount(np.concatenate(nodes).ravel(),
                     np.concatenate(loads).ravel(), minlength=n + 1)
-    dofs = np.arange(n + 1)
-    return OneDimSystem(n, theta1, theta2, lam, g_a, g_b, penalty.operator(
-        CartesianGrid(n, (0.0,), 1.0), dofs, dofs), F, penalty)
+    grid = CartesianGrid(n, (0.0,), 1.0)
+    dofs = number_dofs(np.ones(n + 1, dtype=bool),
+                       np.isin(np.arange(n + 1), (0, 1, n - 1, n)), grid)
+    return OneDimSystem(n, theta1, theta2, lam, g_a, g_b, grid,
+                        penalty.operator(grid, dofs.order, dofs.dof), F,
+                        penalty, dofs)
 

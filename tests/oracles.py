@@ -221,6 +221,14 @@ def restriction_2d(n: int) -> sp.csr_matrix:
     return canonical_csr(sp.kron(R1, R1, format="csr"))
 
 
+def colours(level) -> np.ndarray:
+    """Colour class (i % 2) + 2 (j % 2) of the grid node of each DOF of a
+    2D level, from its DOF order: the 9-point stencil couples no two nodes
+    of one class."""
+    j, i = np.divmod(level.dofs.order, level.n + 1)
+    return i % 2 + 2 * (j % 2)
+
+
 def dense_blocks_oracle(n, theta1, theta2, lam):
     """Hand-built dense A_I, A_B and A_lam of the 1D system, and the flux
     block A_BN, whose action is -u'(b) times the Neumann trace weights."""

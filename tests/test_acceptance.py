@@ -246,7 +246,7 @@ def test_residual_splitting_is_equivalent_to_plain_restriction():
         system = assemble_1d(n, 0.3, 0.7, 1.1 / (0.3 / n))
         R = restriction_1d(n)
         worst = max(
-            np.max(np.abs(R @ (system.F - system.A @ u)
+            np.max(np.abs(R @ (system.F - system.operator @ u)
                           - split_residual_coarse(system, u, R)))
             for u in (rng.standard_normal(n + 1) for _ in range(20)))
         assert worst <= 1e-12, f"splitting defect {worst:.2e} at n={n}"
@@ -261,11 +261,11 @@ def test_coarse_operator_equals_direct_coarse_assembly():
     for theta1 in (0.1, 0.5, 1.0):
         for theta2 in (0.1, 0.5, 1.0):
             fine = assemble_1d(n, theta1, theta2, lam)
-            rap = (R @ fine.A @ R.T).toarray()
+            rap = (R @ fine.operator @ R.T).toarray()
             direct = assemble_1d(n // 2, coarse_theta(theta1),
                                  coarse_theta(theta2), lam)
             np.testing.assert_allclose(
-                rap, direct.A.toarray(), rtol=0.0, atol=1e-13,
+                rap, direct.operator.toarray(), rtol=0.0, atol=1e-13,
                 err_msg=f"theta1={theta1} theta2={theta2}")
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostmg import stabilization
 from ghostmg.assembly import (
@@ -21,8 +23,8 @@ from ghostmg.assembly import (
     shape_gradients,
     shape_values,
 )
-from ghostmg.geometry import (DIRICHLET, LevelSet, corner_nodes,
-                              domain_catalog, domain_names)
+from ghostmg.geometry import (DIRICHLET, CartesianGrid, LevelSet,
+                              corner_nodes, domain_catalog, domain_names)
 from oracles import internal_source
 
 
@@ -207,7 +209,7 @@ def test_finest_penalty_cells_assemble_the_free_block(name):
         ls, ls.art_extent / 64, gamma=2.0))
     nodes = np.arange(system.grid.num_nodes)
     whole = system.penalty.operator(system.grid, nodes, nodes)
-    order, free = system.order, np.flatnonzero(system.free_dofs)
+    order, free = system.dofs.order, np.flatnonzero(system.free_dofs)
     block = whole[order][:, order]
     block.sort_indices()
     for a, b in ((system.operator, block),
@@ -311,7 +313,45 @@ def test_cut_dofs_are_active_free_cut_nodes():
     system = assemble(ProblemSpec(ls, 2.0 / 32))
     expected = (system.classification.cut_nodes & system.active_dofs
                 & ~system.strong_dofs)
-    np.testing.assert_array_equal(system.cut_dofs, expected)
+    np.testing.assert_array_equal(system.dofs.cut, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(min_value=1, max_value=12),
+       seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_number_dofs_is_one_consistent_record(dim, n, seed):
+    # On random masks, with cut nodes off the free ones too: order and dof
+    # are inverses, bounds splits order into classes 0 to 3 in turn, each
+    # class lists its cut nodes first and keeps node order otherwise, and
+    # cut_at is the sorted DOFs of the free cut nodes.  In 1D the DOFs are
+    # the free nodes in node order, one class.
+    rng = np.random.default_rng(seed)
+    grid = CartesianGrid(n, (0.0,) * dim, 1.0)
+    free = rng.random(grid.num_nodes) < rng.random()
+    cut = rng.random(grid.num_nodes) < rng.random()
+    dofs = number_dofs(free, cut, grid)
+    N = np.count_nonzero(free)
+    np.testing.assert_array_equal(dofs.free, free)
+    np.testing.assert_array_equal(dofs.cut, cut & free)
+    np.testing.assert_array_equal(np.sort(dofs.order), np.flatnonzero(free))
+    np.testing.assert_array_equal(dofs.dof[dofs.order], np.arange(N))
+    np.testing.assert_array_equal(dofs.dof[~free], -1)
+    np.testing.assert_array_equal(dofs.cut_at, np.sort(dofs.dof[cut & free]))
+    if dim == 1:
+        np.testing.assert_array_equal(dofs.order, np.flatnonzero(free))
+        np.testing.assert_array_equal(dofs.bounds, [0, N])
+        return
+    assert dofs.bounds.size == 5 and dofs.bounds[0] == 0
+    assert dofs.bounds[-1] == N and np.all(np.diff(dofs.bounds) >= 0)
+    j, i = np.divmod(dofs.order, n + 1)
+    classes = i % 2 + 2 * (j % 2)
+    for c, (start, stop) in enumerate(zip(dofs.bounds, dofs.bounds[1:])):
+        nodes = dofs.order[start:stop]
+        assert np.all(classes[start:stop] == c)
+        first = np.count_nonzero(dofs.cut[nodes])
+        assert dofs.cut[nodes[:first]].all()
+        assert np.all(np.diff(nodes[:first]) > 0)
+        assert np.all(np.diff(nodes[first:]) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +459,7 @@ def test_a_build_reads_only_its_rows(name):
     # the cells around its rows.
     ls = domain_catalog(name)
     system = assemble(ProblemSpec(ls, ls.art_extent / 512))
-    order, dof = number_dofs(system.free_dofs, system.cut_dofs, system.grid)
+    order, dof = system.dofs.order, system.dofs.dof
     tracemalloc.start()
     try:
         rows = system.penalty.operator(system.grid, order[:100], dof)

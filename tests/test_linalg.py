@@ -13,7 +13,7 @@ from ghostmg import linalg
 from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble, number_dofs
 from ghostmg.geometry import CartesianGrid, domain_catalog
-from oracles import canonical_csr, generalized_eig_max
+from oracles import canonical_csr, colours, generalized_eig_max
 
 
 def two_by_two():
@@ -39,7 +39,7 @@ def bare_level(A, cut=None):
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool) if cut is None else cut
     grid = CartesianGrid(m - 1, (0.0,), 1.0)
-    return mg.MgLevel(A, free, cut, grid, number_dofs(free, cut, grid)[0])
+    return mg.MgLevel(A, grid, number_dofs(free, cut, grid))
 
 
 def level_for(A, cut=None):
@@ -88,9 +88,9 @@ def test_colour_sweep_is_class_major_gauss_seidel():
     # colour classes in turn, so the sweep is lexicographic Gauss-Seidel in
     # that numbering: a solve with tril(A).
     level = disk_level()
-    colours = level.colours()
-    assert np.unique(colours).tolist() == [0, 1, 2, 3]
-    assert np.all(np.diff(colours) >= 0)
+    classes = colours(level)
+    assert np.unique(classes).tolist() == [0, 1, 2, 3]
+    assert np.all(np.diff(classes) >= 0)
     rng = np.random.default_rng(17)
     A = level.A.toarray()
     F = rng.standard_normal(level.num_dofs)
@@ -105,9 +105,9 @@ def test_colour_cut_sweep_changes_only_cut_dofs():
     # rows, tril(A_cc) in the class-major numbering, and leaves every other
     # DOF alone.
     level = disk_level()
-    cut = level.idx_cut
+    cut = level.dofs.cut_at
     assert 0 < cut.size < level.num_dofs
-    assert np.unique(level.colours()[cut]).size == 4
+    assert np.unique(colours(level)[cut]).size == 4
     rng = np.random.default_rng(19)
     A = level.A.toarray()
     F = rng.standard_normal(level.num_dofs)
@@ -131,8 +131,7 @@ def test_colour_sweep_rejects_in_class_coupling():
     A = sp.csr_matrix(random_spd(np.random.default_rng(23), 9))
     free, cut = np.ones(9, dtype=bool), np.zeros(9, dtype=bool)
     grid = CartesianGrid(2, (0.0, 0.0), 1.0)
-    level = mg.MgLevel(A, free, cut, grid, number_dofs(free, cut, grid)[0],
-                       index=3)
+    level = mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=3)
     with pytest.raises(ValueError, match="level 3: colour class 0"):
         level.prepare_smoothers()
 

@@ -20,7 +20,7 @@ from ghostmg.geometry import (DIRICHLET, CartesianGrid, CheckerboardCellError,
 from ghostmg.linalg import DegeneratePencilError, NotSPDError
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import KAPPA, pencil_max
-from oracles import (canonical_csr, coarse_theta, pow_levelset,
+from oracles import (canonical_csr, coarse_theta, colours, pow_levelset,
                      restriction_1d, restriction_2d, split_residual_coarse)
 
 
@@ -106,7 +106,7 @@ def test_masked_transfers_zero_constrained_columns():
     assert (~fine.free).any()
     raw = restriction_2d(16).toarray()
     full = np.zeros_like(raw)
-    full[np.ix_(coarse.order, fine.order)] = fine.R.toarray()
+    full[np.ix_(coarse.dofs.order, fine.dofs.order)] = fine.R.toarray()
     assert np.all(full[:, ~fine.free] == 0.0)
     np.testing.assert_array_equal(full[:, fine.free][coarse.free],
                                   raw[:, fine.free][coarse.free])
@@ -118,12 +118,12 @@ def test_masked_transfers_flag_dead_coarse_rows():
     # every other coarse node has no free fine support and is left out.
     # Rows and columns follow the coarse and the fine DOF order.
     system, fine, coarse = _disk_two_levels()
-    raw = restriction_2d(16)[:, fine.order]
+    raw = restriction_2d(16)[:, fine.dofs.order]
     reached = np.diff(raw.indptr) > 0
     np.testing.assert_array_equal(coarse.free, reached)
     assert 0 < reached.sum() < reached.size
     np.testing.assert_array_equal(fine.R.toarray(),
-                                  raw[coarse.order].toarray())
+                                  raw[coarse.dofs.order].toarray())
     assert np.all(np.diff(fine.R.indptr) > 0)
 
 
@@ -143,7 +143,7 @@ def test_transfers_equal_the_sliced_refinement_matrix_bitwise(name):
     assert len(hierarchy.levels) == 5
     for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
         expected = canonical_csr(
-            restriction(fine.n)[:, fine.order][coarse.order])
+            restriction(fine.n)[:, fine.dofs.order][coarse.dofs.order])
         transposed = canonical_csr(expected.T)
         for got, want in ((fine.R, expected), (fine.P, transposed)):
             for part in ("data", "indices", "indptr"):
@@ -198,7 +198,7 @@ def _penalty_operator(level):
     """sum lam M over the penalty cells of a level, on its DOFs, dense."""
     penalty = level.penalty
     dof = np.full(level.grid.num_nodes, -1)
-    dof[level.order] = np.arange(level.num_dofs)
+    dof[level.dofs.order] = np.arange(level.num_dofs)
     nodes = dof[corner_nodes(penalty.cells, level.n)]
     m = nodes.shape[1]
     rows = np.repeat(nodes, m, axis=1).ravel()
@@ -273,7 +273,7 @@ def test_hierarchy_1d_structure():
     for lvl in hierarchy.levels:
         assert lvl.free.all()
         m = lvl.num_dofs
-        np.testing.assert_array_equal(lvl.order, np.arange(m))
+        np.testing.assert_array_equal(lvl.dofs.order, np.arange(m))
         np.testing.assert_array_equal(np.flatnonzero(lvl.cut),
                                       [0, 1, m - 2, m - 1])
     # Level 0 is the system's operator, not a copy.
@@ -392,7 +392,7 @@ def test_coarse_levels_1d_are_direct_assemblies_with_their_own_penalty(
         lam = max(own, lam / KAPPA)
         assert level.penalty.lam[0] == pytest.approx(lam, rel=1e-12)
         direct = assemble_1d(level.n, theta1, theta2,
-                             level.penalty.lam[0]).A.toarray()
+                             level.penalty.lam[0]).operator.toarray()
         np.testing.assert_allclose(level.A.toarray(), direct, rtol=0.0,
                                    atol=1e-14 * np.abs(direct).max(),
                                    err_msg=f"level {level.index}")
@@ -407,10 +407,11 @@ def test_galerkin_equals_direct_coarse_assembly_1d(theta1, theta2):
     n, lam = 8, 64.0
     fine = assemble_1d(n, theta1, theta2, lam)
     R = restriction_1d(n)
-    rap = (R @ fine.A @ R.T).toarray()
+    rap = (R @ fine.operator @ R.T).toarray()
     coarse = assemble_1d(n // 2, coarse_theta(theta1), coarse_theta(theta2),
                          lam)
-    np.testing.assert_allclose(rap, coarse.A.toarray(), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(rap, coarse.operator.toarray(), rtol=0.0,
+                               atol=1e-13)
 
 
 @pytest.mark.parametrize("theta1", [0.0099, 0.5, 0.99])
@@ -425,7 +426,7 @@ def test_triangle_solve_is_the_forward_substitution_in_place(theta1):
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
     rng = np.random.default_rng(31)
     for level in hierarchy.levels[:-1]:
-        cut = level.idx_cut
+        cut = level.dofs.cut_at
         (full,), (cut_step,) = level._free_steps, level._cut_steps
         for (_, _, y, solve), block in ((full, level.A),
                                         (cut_step, level.A[cut][:, cut])):
@@ -469,10 +470,28 @@ def test_one_dimensional_smoother_rejects_a_wider_operator():
                  shape=(m, m), format="csr")
     grid = CartesianGrid(m - 1, (0.0,), 1.0)
     free, cut = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
-    level = mg.MgLevel(A, free, cut, grid, number_dofs(free, cut, grid)[0],
-                       index=2)
+    level = mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=2)
     with pytest.raises(ValueError, match="level 2: the 1D operator"):
         level.prepare_smoothers()
+
+
+def test_level_rejects_an_operator_not_on_its_dofs():
+    # A level's operator is N x N for the N DOFs of its record; any other
+    # shape raises, naming the level, when the level is made.
+    grid = CartesianGrid(8, (0.0,), 1.0)
+    dofs = number_dofs(np.ones(9, dtype=bool), np.zeros(9, dtype=bool), grid)
+    assert mg.MgLevel(sp.identity(9, format="csr"), grid, dofs).num_dofs == 9
+    for shape in ((5, 5), (9, 5), (5, 9)):
+        with pytest.raises(ValueError,
+                           match=r"level 1: operator of shape .* on 9 DOFs"):
+            mg.MgLevel(sp.csr_matrix(shape), grid, dofs, index=1)
+    # A fine operator with the record of the coarser grid.
+    system = assemble(ProblemSpec(domain_catalog("disk"), 1.0 / 16))
+    coarse = system.grid.coarsen()
+    dofs_c = number_dofs(np.ones(coarse.num_nodes, dtype=bool),
+                         np.zeros(coarse.num_nodes, dtype=bool), coarse)
+    with pytest.raises(ValueError, match="level 2: operator of shape"):
+        mg.MgLevel(system.operator, coarse, dofs_c, index=2)
 
 
 def test_hierarchy_2d_structure():
@@ -481,7 +500,7 @@ def test_hierarchy_2d_structure():
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
     assert [lvl.n for lvl in hierarchy.levels] == [16, 8, 4]
     free = system.free_dofs
-    order = hierarchy.levels[0].order
+    order = hierarchy.levels[0].dofs.order
     np.testing.assert_array_equal(np.sort(order), np.flatnonzero(free))
     # Level 0 is the system's operator, not a copy, and the free block of
     # the whole-grid view, permuted, bitwise and in CSR order.
@@ -579,8 +598,8 @@ def one_cycle(hierarchy, F, u):
 def test_one_level_hierarchy_solves_exactly():
     # With no coarser level the cycle is the exact coarsest solve.
     system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16))
-    free, cut, order = system.free_dofs, system.cut_dofs, system.order
-    level = mg.MgLevel(system.A, free, cut, system.grid, order)
+    order = system.dofs.order
+    level = mg.MgLevel(system.operator, system.grid, system.dofs)
     single = mg._finalize([level], mg.CycleConfig(coarsest_n=16))
     u, trace = mg.solve(single, system.F, max_iters=1)
     np.testing.assert_array_equal(u[order], level.coarse_solve(system.F[order]))
@@ -624,7 +643,7 @@ def test_cycle_is_linear():
 def test_smooth_preserves_exact_solution():
     system, hierarchy = small_1d_hierarchy()
     level = hierarchy.levels[0]
-    x = np.linalg.solve(system.A.toarray(), system.F)
+    x = np.linalg.solve(system.operator.toarray(), system.F)
     u = x.copy()
     level.smooth(u, system.F, 2)
     np.testing.assert_allclose(u, x, rtol=0.0, atol=1e-10)
@@ -634,19 +653,18 @@ def test_identity_transfers_solve_in_one_cycle():
     # With identity transfers the coarse level IS the fine operator, so the
     # exact coarse solve finishes the job in a single cycle.
     system = assemble_1d(8, 0.5, 0.5, 1.1 / (0.5 / 8))
-    m = system.A.shape[0]
+    m = system.operator.shape[0]
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool)
-    order = system.order
-    level0 = mg.MgLevel(system.A, free, cut, system.grid, order)
-    level1 = mg.MgLevel(system.A, free, cut, system.grid.coarsen(), order,
-                        index=1)
+    dofs = number_dofs(free, cut, system.grid)
+    level0 = mg.MgLevel(system.operator, system.grid, dofs)
+    level1 = mg.MgLevel(system.operator, system.grid, dofs, index=1)
     eye = sp.identity(m, format="csr")
     level0.R, level0.P = eye, eye
     config = mg.CycleConfig(coarsest_n=4)
     hierarchy = mg._finalize([level0, level1], config)
     u = one_cycle(hierarchy, system.F, np.zeros(m))
-    r = system.F - system.A @ u
+    r = system.F - system.operator @ u
     assert np.abs(r).max() <= 1e-10
 
 
@@ -672,7 +690,7 @@ def test_solve_1d_converges_to_direct_solution():
     system, hierarchy = small_1d_hierarchy(n=64, coarsest=8)
     u, trace = mg.solve(hierarchy, system.F, max_iters=40,
                         target_residual=1e-12)
-    direct = np.linalg.solve(system.A.toarray(), system.F)
+    direct = np.linalg.solve(system.operator.toarray(), system.F)
     np.testing.assert_allclose(u, direct, rtol=0.0, atol=1e-9)
     assert trace.residual_norms[-1] <= 1e-12
     assert not trace.diverged and not trace.stalled
@@ -751,17 +769,17 @@ def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
     assert len(hierarchy.levels) == 4
     assert factored == [hierarchy.levels[-1].A.shape]
     assert hierarchy.levels[0]._cut_steps
-    np.testing.assert_array_equal(np.sort(hierarchy.levels[0].order),
+    np.testing.assert_array_equal(np.sort(hierarchy.levels[0].dofs.order),
                                   np.flatnonzero(system.free_dofs))
     for level in hierarchy.levels:
-        order = level.order
+        order = level.dofs.order
         assert np.unique(order).size == order.size == level.num_dofs
         assert np.all(level.free[order])
-        colours = level.colours()
-        assert np.all(np.diff(colours) >= 0)
+        classes = colours(level)
+        assert np.all(np.diff(classes) >= 0)
         cut = level.cut[order]
         for c in range(4):
-            assert np.all(np.diff(cut[colours == c].astype(int)) <= 0)
+            assert np.all(np.diff(cut[classes == c].astype(int)) <= 0)
     for level in hierarchy.levels[:-1]:
         assert len(level._free_steps) == 4
         for sel, rows, y, _ in level._free_steps + level._cut_steps:
@@ -823,7 +841,7 @@ def test_cycle_allocates_nothing_on_smoothed_levels(name):
     hierarchy = mg.build_hierarchy(
         system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
     levels, config = hierarchy.levels, hierarchy.config
-    order = hierarchy.levels[0].order
+    order = hierarchy.levels[0].dofs.order
     F = system.F[order]
     u = np.zeros(order.size)
     mg._cycle(levels, 0, u, F, config, 1)
@@ -882,7 +900,7 @@ def _reference_residual_norms(hierarchy, F, target, max_iters=100):
             smooth(k, u, F)
 
     level0 = levels[0]
-    F0 = F[level0.order]
+    F0 = F[level0.dofs.order]
     u = np.zeros(level0.num_dofs)
     norms = [np.abs(F0 - level0.A @ u).max()]
     while norms[-1] > target and len(norms) <= max_iters:
@@ -1019,7 +1037,7 @@ def test_cut_dofs_are_lower_dimensional_on_disk():
     ls = domain_catalog("disk")
     system = assemble(ProblemSpec(ls, 1.0 / 64, gamma=2.0))
     free = int(system.free_dofs.sum())
-    cut = int(system.cut_dofs.sum())
+    cut = int(system.dofs.cut.sum())
     assert cut / free < 0.2
 
 
@@ -1039,9 +1057,9 @@ def test_product_level_sets_move_the_solve_only_at_roundoff(name):
 
     system, trace = setup(domain_catalog(name))
     reference, ref_trace = setup(pow_levelset(name))
-    for mask in ("free_dofs", "cut_dofs"):
-        np.testing.assert_array_equal(getattr(system, mask),
-                                      getattr(reference, mask))
+    for mask in ("free", "cut"):
+        np.testing.assert_array_equal(getattr(system.dofs, mask),
+                                      getattr(reference.dofs, mask))
     np.testing.assert_array_equal(system.A.indptr, reference.A.indptr)
     np.testing.assert_array_equal(system.A.indices, reference.A.indices)
     assert (np.abs(system.A.data - reference.A.data).max()
@@ -1063,7 +1081,7 @@ def test_splitting_equivalence_random_states(n):
     R = restriction_1d(n)
     rng = np.random.default_rng(42)
     worst = max(
-        np.max(np.abs(R @ (system.F - system.A @ u)
+        np.max(np.abs(R @ (system.F - system.operator @ u)
                       - split_residual_coarse(system, u, R)))
         for u in (rng.standard_normal(n + 1) for _ in range(20)))
     assert worst <= 1e-12

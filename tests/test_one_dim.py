@@ -31,7 +31,7 @@ def _dense_sum(n, theta1, theta2, lam):
 def test_blocks_match_dense_oracle(theta1, theta2):
     # The operator assembled from the cells is the sum of the blocks.
     n, lam = 8, 37.0
-    A = assemble_1d(n, theta1, theta2, lam).A.toarray()
+    A = assemble_1d(n, theta1, theta2, lam).operator.toarray()
     np.testing.assert_allclose(A, _dense_sum(n, theta1, theta2, lam),
                                atol=1e-13)
 
@@ -43,7 +43,7 @@ def test_block_corner_entries():
     # Neumann corner: the last cell shortened to theta2 h.
     n, theta1, theta2, lam = 16, 0.3, 0.8, 11.0
     h = 1.0 / n
-    A = assemble_1d(n, theta1, theta2, lam).A.toarray()
+    A = assemble_1d(n, theta1, theta2, lam).operator.toarray()
     np.testing.assert_allclose(
         A[:2, :2],
         [[-theta1 / h + lam * theta1 ** 2,
@@ -69,7 +69,7 @@ def test_operator_is_the_symmetric_tridiagonal_block_sum(log_n, theta1,
     block sum to roundoff."""
     n = 2 ** log_n
     lam = gamma / (theta1 / n)
-    A = assemble_1d(n, theta1, theta2, lam).A
+    A = assemble_1d(n, theta1, theta2, lam).operator
     assert (A - A.T).nnz == 0
     rows = np.repeat(np.arange(n + 1), np.diff(A.indptr))
     assert np.all(np.abs(A.indices - rows) <= 1)
@@ -80,7 +80,7 @@ def test_operator_is_the_symmetric_tridiagonal_block_sum(log_n, theta1,
 
 def test_assembled_operator_is_symmetric():
     system = assemble_1d(32, 0.25, 0.6, 120.0)
-    asym = (system.A - system.A.T)
+    asym = (system.operator - system.operator.T)
     assert abs(asym).max() == 0.0
 
 
@@ -186,7 +186,7 @@ def test_linear_solution_is_exact():
     a = (1.0 - theta1) * h
     lam = 1.1 / (theta1 * h)
     system = assemble_1d(n, theta1, theta2, lam, g_a=a, g_b=1.0)
-    u = np.linalg.solve(system.A.toarray(), system.F)
+    u = np.linalg.solve(system.operator.toarray(), system.F)
     np.testing.assert_allclose(u, np.linspace(0.0, 1.0, n + 1),
                                rtol=0.0, atol=1e-11)
 
@@ -203,7 +203,7 @@ def test_fine_splitting_sums_to_full_residual():
             parts = split_residual_fine(system, u)
             total = (parts["interior"] + parts["dirichlet_flux"]
                      + parts["penalty"] + parts["neumann"])
-            full = system.F - system.A @ u
+            full = system.F - system.operator @ u
             np.testing.assert_allclose(total, full, rtol=0.0, atol=1e-11)
 
 
@@ -219,7 +219,7 @@ def test_coarse_splitting_equals_restricted_residual(theta1, theta2):
     for _ in range(5):
         u = rng.standard_normal(n + 1)
         split = split_residual_coarse(system, u, R)
-        direct = R @ (system.F - system.A @ u)
+        direct = R @ (system.F - system.operator @ u)
         np.testing.assert_allclose(split, direct, rtol=0.0, atol=1e-10)
 
 
@@ -234,8 +234,8 @@ def test_system_supplies_level_grid_and_masks():
     # of each boundary cell.
     system = assemble_1d(16, 0.3, 0.6, 50.0)
     assert system.grid.dim == 1 and system.grid.n == 16
-    assert system.free_dofs.shape == (17,) and system.free_dofs.all()
-    np.testing.assert_array_equal(np.flatnonzero(system.cut_dofs),
+    assert system.dofs.free.shape == (17,) and system.dofs.free.all()
+    np.testing.assert_array_equal(np.flatnonzero(system.dofs.cut),
                                   [0, 1, 15, 16])
 
 
