@@ -42,20 +42,24 @@ step of the full sweep is one contiguous row range of A and every cut-sweep
 step that range's leading part: a step works on slice views of u, F and
 A's CSR arrays, with no gathers, scatters or copies of A.  Every operator,
 R and P is built in this numbering; only ``solve`` maps to and from grid
-order.  In 1D the DOFs keep node order, one lexicographic class: the
-operator is tridiagonal, so its lower triangle is bidiagonal and a step is
-one banded forward substitution, in place in the step's scratch slice.
+order.  In 1D the DOFs keep node order, one lexicographic class, and
+the operator D + L + U is tridiagonal: the full step is the direct form
+u = D^-1 (I + L D^-1)^-1 (F - U u), a unit-diagonal banded forward
+substitution in the scratch that divides nowhere, then a multiply by the
+stored 1 / D into u; the cut step corrects the cut DOFs by the same solve
+on their block.
 SuperLU factors only the coarsest level, in 1D as in 2D.  Two colours in 1D
 (red-black) would turn the V(2,1) cycle into a near-direct solve, at
 theta1 = 0.99 and n = 1024 from a factor of 0.085 to 0.017 (eta = 0) and
 0.00018 (eta = 4), and so erase the 1D theta1 study.
 
-Each smoothing step, residual and transfer is one call of the CSR kernel
+Each step is one callable, step(u, F), made once by ``prepare_smoothers``.
+Each 2D or cut step, residual and transfer is one call of the CSR kernel
 (``matvec_into``) into the level's workspace: a scratch vector of its size,
 plus the iterate and right-hand side of each coarse level, all allocated
 once by ``build_hierarchy``.  A cycle therefore allocates nothing on the
-smoothed levels, and computes what the plain ``A @ u`` expressions would,
-bit for bit.
+smoothed levels, and computes what the plain sparse products would, bit
+for bit.
 
 The number of levels is set by ``coarsest_n``: coarsening halves n until it
 reaches that size, so the finest n must equal ``coarsest_n * 2**L`` for some
@@ -128,14 +132,24 @@ def _validate_depth(n: int, coarsest_n: int):
 
 
 def _triangle_solve(diag: np.ndarray, sub: np.ndarray) -> Callable:
-    """Solve with the lower bidiagonal triangle of diagonal diag and first
-    sub-diagonal sub, one forward Gauss-Seidel step of a tridiagonal
-    operator: BLAS banded forward substitution (dtbsv, bandwidth 1), in
-    place in the vector it is given.  The band is Fortran-ordered, since
-    f2py would copy a C-ordered one on every call."""
+    """Solve with I + L D^-1, the unit lower factor of the triangle
+    D + L = (I + L D^-1) D of diagonal diag and sub-diagonal sub: BLAS
+    banded forward substitution (dtbsv) with a unit diagonal, dividing
+    nowhere, in place in the vector it is given.  The band is
+    Fortran-ordered, since f2py would copy a C-ordered one on every call."""
     band = np.zeros((2, diag.size), order="F")
-    band[0], band[1, :-1] = diag, sub
-    return partial(dtbsv, 1, band, lower=1, overwrite_x=1)
+    np.divide(sub, diag[:-1], out=band[1, :-1])
+    return partial(dtbsv, 1, band, lower=1, diag=1, overwrite_x=1)
+
+
+def _correction_step(rows: sp.csr_matrix, sel, y: np.ndarray,
+                     solve: Callable) -> Callable:
+    """The step u[sel] += solve(F[sel] - rows u), the residual formed in y
+    and solved in place."""
+    def step(u, F):
+        np.subtract(F[sel], matvec_into(rows, u, y), out=y)
+        u[sel] += solve(y)
+    return step
 
 
 def _row_range(A: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
@@ -206,16 +220,17 @@ class MgLevel:
     def _colour_steps(self, dinv: np.ndarray) -> tuple:
         """Steps of the full and of the cut sweep, one per colour class in
         class order, each a scale by dinv = 1 / diag on a contiguous row
-        range, in place in the step's scratch slice.  Raises ValueError if
-        a class couples to itself, which an operator wider than the 9-point
-        stencil would."""
+        range, its residual formed in the leading slice of the scratch.
+        Raises ValueError if a class couples to itself, which an operator
+        wider than the 9-point stencil would."""
         bounds = self.dofs.bounds
         ncut = np.diff(np.searchsorted(self.dofs.cut_at, bounds))
 
         def step(start, stop):
             y = self.scratch[:stop - start]
-            return (slice(start, stop), _row_range(self.A, start, stop), y,
-                    partial(np.multiply, dinv[start:stop], out=y))
+            return _correction_step(
+                _row_range(self.A, start, stop), slice(start, stop), y,
+                partial(np.multiply, dinv[start:stop], out=y))
 
         full, cut = [], []
         for c, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -237,8 +252,9 @@ class MgLevel:
             raise ZeroDivisionError(
                 "smoother hit a zero diagonal; the operator is missing a "
                 "stabilization contribution")
+        dinv = 1.0 / diag
         if self.grid.dim == 2:
-            self._free_steps, self._cut_steps = self._colour_steps(1.0 / diag)
+            self._free_steps, self._cut_steps = self._colour_steps(dinv)
             return
         # 1D: one lexicographic step, solved by the lower triangle.
         below = self.A.indices < np.repeat(np.arange(-1, self.num_dofs - 1),
@@ -247,24 +263,30 @@ class MgLevel:
             raise ValueError(
                 f"level {self.index}: the 1D operator has entries below its "
                 "first sub-diagonal; the smoother needs a tridiagonal one")
-        sub = self.A.diagonal(-1)
-        self._free_steps = [(slice(None), self.A, self.scratch,
-                             _triangle_solve(diag, sub))]
+        sub, sup, y = self.A.diagonal(-1), self.A.diagonal(1), self.scratch
+        solve = _triangle_solve(diag, sub)
+
+        def full(u, F):
+            # Direct form: u = D^-1 (I + L D^-1)^-1 (F - U u), U u in y.
+            np.multiply(sup, u[1:], out=y[:-1])
+            y[-1] = 0.0
+            np.multiply(solve(np.subtract(F, y, out=y)), dinv, out=u)
+
+        self._free_steps = [full]
         cut = self.dofs.cut_at
         if cut.size:
-            # The cut block couples two cut DOFs only where they are adjacent.
-            sub_cut = np.where(np.diff(cut) == 1, sub[cut[:-1]], 0.0)
-            self._cut_steps = [(cut, self.A[cut], self.scratch[:cut.size],
-                                _triangle_solve(diag[cut], sub_cut))]
+            # Correction form on the cut block, which couples two cut DOFs
+            # only where they are adjacent.
+            scale, solve_cut = dinv[cut], _triangle_solve(
+                diag[cut], np.where(np.diff(cut) == 1, sub[cut[:-1]], 0.0))
+            self._cut_steps = [_correction_step(
+                self.A[cut], cut, self.scratch[:cut.size],
+                lambda r: np.multiply(solve_cut(r), scale, out=r))]
 
     def smooth(self, u: np.ndarray, F: np.ndarray, eta: int):
-        """One full sweep plus eta extra cut-DOF sweeps, in place.  A step
-        (sel, rows, y, solve) updates u[sel] by solve(F[sel] - rows u), the
-        residual formed in y, its scratch slice."""
-        for sel, rows, y, solve in self._free_steps + eta * self._cut_steps:
-            matvec_into(rows, u, y)
-            np.subtract(F[sel], y, out=y)
-            u[sel] += solve(y)
+        """One full sweep plus eta extra cut-DOF sweeps, in place."""
+        for step in self._free_steps + eta * self._cut_steps:
+            step(u, F)
 
     # -- exact coarsest solve ------------------------------------------------
 
@@ -545,7 +567,8 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     stalled, with a warning that names that floor.  A residual that grows for
     DIVERGENCE_PATIENCE consecutive cycles flags the trace as diverged
     (with a warning) but the run is preserved.  Raises ValueError if F or
-    u0 is not one value per grid node.
+    u0 is not one value per grid node, or is not finite on a free DOF;
+    constrained entries are not checked.
     """
     levels = hierarchy.levels
     level0 = levels[0]
@@ -558,6 +581,11 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     F_free = np.asarray(F, dtype=float)[order]
     u_free = np.zeros(level0.num_dofs) if u0 is None \
         else np.asarray(u0, dtype=float)[order]
+    for name, vector in (("F", F_free), ("u0", u_free)):
+        bad = np.flatnonzero(~np.isfinite(vector))
+        if bad.size:
+            raise ValueError(f"{name} is {vector[bad[0]]} at grid node "
+                             f"{order[bad[0]]}, a free DOF")
     gamma_star = hierarchy.config.gamma_star
 
     def residual_norm() -> float:

@@ -3,14 +3,13 @@
 import dataclasses
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.linalg import solve_triangular
 
 from ghostmg import multigrid as mg
 from ghostmg.assembly import AssemblyError, ProblemSpec, assemble, number_dofs
@@ -416,27 +415,31 @@ def test_galerkin_equals_direct_coarse_assembly_1d(theta1, theta2):
 
 @pytest.mark.parametrize("theta1", [0.0099, 0.5, 0.99])
 def test_triangle_solve_is_the_forward_substitution_in_place(theta1):
-    # A 1D step solves with the lower triangle of its block, A for the full
-    # step and A's cut block for the cut step, by banded forward
-    # substitution.  On every smoothed level it agrees with a sparse
-    # triangular solve to roundoff, and it solves in the step's scratch
-    # slice.
+    # A 1D full sweep is one lexicographic Gauss-Seidel step, the forward
+    # substitution u = tril(A)^-1 (F - triu(A, 1) u), and a cut sweep one
+    # such step on the cut block in correction form.  On every smoothed
+    # level and at every scale, smooth agrees in place with the dense
+    # substitution to roundoff.
     n = 1024
     system = assemble_1d(n, theta1, 0.01, 1.1 / (theta1 / n))
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
     rng = np.random.default_rng(31)
     for level in hierarchy.levels[:-1]:
-        cut = level.dofs.cut_at
-        (full,), (cut_step,) = level._free_steps, level._cut_steps
-        for (_, _, y, solve), block in ((full, level.A),
-                                        (cut_step, level.A[cut][:, cut])):
-            lower = sp.tril(block, format="csr")
-            for scale in (1e-8, 1.0, 1e8):
-                y[:] = scale * rng.standard_normal(block.shape[0])
-                expected = spsolve_triangular(lower, y, lower=True)
-                assert solve(y) is y
-                assert np.abs(y - expected).max() \
-                    <= 1e-13 * np.abs(expected).max()
+        A, cut = level.A.toarray(), level.dofs.cut_at
+        block = A[np.ix_(cut, cut)]
+        for scale in (1e-8, 1.0, 1e8):
+            u0 = scale * rng.standard_normal(level.num_dofs)
+            F = scale * rng.standard_normal(level.num_dofs)
+            full = solve_triangular(np.tril(A), F - np.triu(A, 1) @ u0,
+                                    lower=True)
+            swept = full.copy()
+            swept[cut] += solve_triangular(
+                np.tril(block), (F - A @ full)[cut], lower=True)
+            for eta, expected in ((0, full), (1, swept)):
+                u = u0.copy()
+                level.smooth(u, F, eta)
+                assert np.abs(u - expected).max() \
+                    <= 1e-13 * np.abs(expected).max(), (level.index, scale)
 
 
 def test_one_dimensional_sweeps_factor_only_the_coarsest_level(monkeypatch):
@@ -753,9 +756,12 @@ def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
     # full and the cut sweeps is a diagonal scale: building the hierarchy
     # factors the coarsest operator and no Gauss-Seidel triangle.  Every
     # level numbers its free nodes class by class, cut nodes leading each
-    # class, so each step smooths a contiguous row range through slice
-    # views of u, F and A's CSR arrays: no index array, no copy of A.  Its
-    # residual is formed in the leading slice of the level's scratch.
+    # class, so each step smooths a contiguous row range, bit for bit
+    # u[sel] += dinv[sel] * (F[sel] - A[sel] @ u), through views of A's CSR
+    # arrays, not copies: scaling A's values after the steps are made
+    # scales every product they form.  A step's residual is formed in the
+    # leading slice of the level's scratch; past the widest class, no step
+    # writes to it.
     system = _catalog_system(name)
     factored = []
     splu = mg.spla.splu
@@ -780,14 +786,32 @@ def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
         cut = level.cut[order]
         for c in range(4):
             assert np.all(np.diff(cut[classes == c].astype(int)) <= 0)
+    rng = np.random.default_rng(37)
     for level in hierarchy.levels[:-1]:
         assert len(level._free_steps) == 4
-        for sel, rows, y, _ in level._free_steps + level._cut_steps:
-            assert isinstance(sel, slice)
-            assert np.shares_memory(rows.data, level.A.data)
-            assert np.shares_memory(rows.indices, level.A.indices)
-            assert (rows - level.A[sel]).nnz == 0
-            assert y.base is level.scratch and y.size == rows.shape[0]
+        bounds = level.dofs.bounds
+        ncut = np.diff(np.searchsorted(level.dofs.cut_at, bounds))
+        full = list(zip(bounds[:-1], bounds[1:]))
+        cut = [(start, start + k) for start, k in zip(bounds[:-1], ncut) if k]
+        widest = max(stop - start for start, stop in full)
+        dinv = 1.0 / level.A.diagonal()
+        level.A.data *= 2.0
+        try:
+            for eta in (0, 2):
+                u = rng.standard_normal(level.num_dofs)
+                F = rng.standard_normal(level.num_dofs)
+                expected = u.copy()
+                for start, stop in full + eta * cut:
+                    sel = slice(start, stop)
+                    y = dinv[sel] * (F[sel] - level.A[sel] @ expected)
+                    expected[sel] += y
+                level.scratch.fill(np.nan)
+                level.smooth(u, F, eta)
+                np.testing.assert_array_equal(u, expected)
+                np.testing.assert_array_equal(level.scratch[:y.size], y)
+                assert np.isnan(level.scratch[widest:]).all()
+        finally:
+            level.A.data /= 2.0
 
 
 @pytest.mark.parametrize("name", domain_names())
@@ -831,13 +855,42 @@ def test_solve_returns_a_start_that_meets_the_target():
     assert trace.iterations > 0
 
 
-@pytest.mark.parametrize("name", ["flower", "disk"])
+@pytest.mark.parametrize("name", ["F", "u0"])
+def test_solve_rejects_a_non_finite_value_on_a_free_dof(name):
+    # A NaN in F or an inf in u0 on a free DOF raises before any cycle,
+    # naming the vector and the grid node, with or without a target.  The
+    # constrained nodes are not checked: there u is F's entry, as given.
+    system = _catalog_system("disk")
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
+    free = system.free_dofs
+    node, constrained = np.flatnonzero(free)[7], np.flatnonzero(~free)[0]
+    vectors = {"F": np.ones(free.size), "u0": np.zeros(free.size)}
+    vectors[name][node] = np.nan if name == "F" else np.inf
+    for target in (None, 1e-10):
+        with pytest.raises(ValueError, match=rf"^{name} is (nan|inf) at "
+                           rf"grid node {node}, a free DOF"):
+            mg.solve(hierarchy, vectors["F"], u0=vectors["u0"], max_iters=3,
+                     target_residual=target)
+    vectors[name][node], vectors[name][constrained] = 1.0, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, trace = mg.solve(hierarchy, vectors["F"], u0=vectors["u0"],
+                            max_iters=3)
+    assert np.isfinite(trace.residual_norms).all()
+    assert np.isfinite(u[free]).all()
+    assert np.isnan(u[constrained]) == (name == "F")
+
+
+@pytest.mark.parametrize("name", ["flower", "disk", "interval"])
 def test_cycle_allocates_nothing_on_smoothed_levels(name):
     # Every step, residual and transfer writes into the level workspace
     # that build_hierarchy allocated, so after a warm-up a cycle's traced
     # allocations stay far below one finest-level vector: the coarsest
     # level's direct solve allocates its result, and little else does.
-    system = _catalog_system(name)
+    if name == "interval":
+        system = assemble_1d(1024, 0.5, 0.01, 1.1 / (0.5 / 1024))
+    else:
+        system = _catalog_system(name)
     hierarchy = mg.build_hierarchy(
         system, mg.CycleConfig(nu1=2, nu2=1, eta=4, coarsest_n=8))
     levels, config = hierarchy.levels, hierarchy.config
@@ -856,33 +909,56 @@ def test_cycle_allocates_nothing_on_smoothed_levels(name):
 
 def _reference_residual_norms(hierarchy, F, target, max_iters=100):
     """mg.solve from zero, written with plain products as the oracle of its
-    workspace form: a step is u[sel] += solve(F[sel] - rows @ u), the
-    coarse right-hand side R @ (F - A u) and the correction u += P @ u_c.
-    The oracle takes each step's rows from the level; its solve is the
-    diagonal scale in 2D and, in 1D, the lower-triangle solve built from
-    the diagonals of the step's block."""
+    workspace form: the coarse right-hand side R @ (F - A u), the
+    correction u += P @ u_c and the smoothing steps, each built here from
+    the level's operator and DOF record.  In 2D a step is
+    u[sel] += dinv[sel] * (F[sel] - rows @ u) on the row range sel of one
+    colour class, or of its leading cut DOFs in a cut sweep.  In 1D the
+    full step is the direct form u = dinv * T(F - triu(A, 1) @ u), T the
+    unit-diagonal solve with I + L D^-1 (`mg._triangle_solve`), and the cut
+    step u[cut] += dinv[cut] * T_cut(F[cut] - A[cut] @ u), T_cut that of
+    the cut block."""
     levels, config = hierarchy.levels, hierarchy.config
 
-    def oracle_steps(level, steps):
-        out = []
-        for sel, rows, *_ in steps:
-            if level.grid.dim == 2:
-                dinv = 1.0 / level.A.diagonal()[sel]
-                solve = partial(np.multiply, dinv)
-            else:
-                block = rows[:, sel]
-                solve = mg._triangle_solve(block.diagonal(),
-                                           block.diagonal(-1))
-            out.append((sel, rows, solve))
-        return out
+    def oracle_steps(level):
+        A, dinv = level.A, 1.0 / level.A.diagonal()
+        if level.grid.dim == 2:
+            def step(sel):
+                rows = A[sel]
 
-    smoothers = [oracle_steps(level, level._free_steps)
-                 + config.eta * oracle_steps(level, level._cut_steps)
-                 for level in levels[:-1]]
+                def run(u, F):
+                    u[sel] += dinv[sel] * (F[sel] - rows @ u)
+                return run
+
+            bounds = level.dofs.bounds
+            ncut = np.diff(np.searchsorted(level.dofs.cut_at, bounds))
+            starts = bounds[:-1]
+            return ([step(slice(a, b)) for a, b in zip(starts, bounds[1:])],
+                    [step(slice(a, a + k)) for a, k in zip(starts, ncut) if k])
+        upper = sp.triu(A, 1, format="csr")
+        solve = mg._triangle_solve(A.diagonal(), A.diagonal(-1))
+
+        def full(u, F):
+            u[:] = dinv * solve(F - upper @ u)
+
+        cut = level.dofs.cut_at
+        if not cut.size:
+            return [full], []
+        rows, block = A[cut], A[cut][:, cut]
+        solve_cut = mg._triangle_solve(block.diagonal(), block.diagonal(-1))
+
+        def cut_step(u, F):
+            u[cut] += dinv[cut] * solve_cut(F[cut] - rows @ u)
+        return [full], [cut_step]
+
+    smoothers = []
+    for level in levels[:-1]:
+        full, cut = oracle_steps(level)
+        smoothers.append(full + config.eta * cut)
 
     def smooth(k, u, F):
-        for sel, rows, solve in smoothers[k]:
-            u[sel] += solve(F[sel] - rows @ u)
+        for step in smoothers[k]:
+            step(u, F)
 
     def cycle(k, u, F):
         level = levels[k]
