@@ -25,9 +25,8 @@ import scipy.linalg
 from ghostmg import multigrid as mg
 from ghostmg import stabilization as stab
 from ghostmg.assembly import ProblemSpec, assemble
-from ghostmg.experiments import (ConfigError, load_config, emit_accuracy,
-                                 emit_results, run_accuracy_study,
-                                 run_experiment)
+from ghostmg.experiments import (ConfigError, load_config, emit_results,
+                                 run_accuracy_study, run_experiment)
 from ghostmg.geometry import domain_catalog, domain_names
 from ghostmg.linalg import NotSPDError
 from ghostmg.one_dim import assemble_1d
@@ -52,7 +51,7 @@ def _cmd_run(config_path: str) -> int:
             print(f"accuracy study failed: {type(err).__name__}: {err}",
                   file=sys.stderr)
             return 1
-        path = emit_accuracy(rows, config.output)
+        path = emit_results(rows, config.output)
         for row in rows:
             ratio = "" if row.linf_ratio is None \
                 else f"  ratio={row.linf_ratio:.3f}"

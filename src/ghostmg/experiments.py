@@ -3,9 +3,11 @@
 An experiment is described by a flat text config (one ``key = value`` per
 line, lists comma-separated, ``#`` starts a comment) and expands into a
 deterministic cartesian sweep over grid size, boundary position, penalty
-factor and extra cut-cell sweeps.  Points that differ only in eta share one
-assembly and one hierarchy: eta enters only the cycle, and a solve
-overwrites every workspace vector before reading it, so each point's
+factor and extra cut-cell sweeps.  One point builder, `_system`, assembles
+every point of both studies: it sets the 1D penalty, the rectangle's cut
+and, for an accuracy study, the manufactured data.  Points that differ only
+in eta share one assembly and one hierarchy: eta enters only the cycle, and
+a solve overwrites every workspace vector before reading it, so each point's
 residual history is bitwise what a build of its own gives.  Every point runs
 the homogeneous problem (zero data, all-ones initial iterate, so the
 iteration contracts toward the zero solution and the residual never collides
@@ -13,12 +15,13 @@ with a nonzero solution's rounding floor) and records the windowed mean
 convergence factor.  Failures at one point are recorded on that row and do
 not abort the sweep; a failed assembly or build fails every eta of it.
 
-Results serialize to CSV with a fixed column set; wall-clock time is the
-only nondeterministic column.  A row's wall_ms is the shared set-up plus its
+Each row writes its own CSV columns, its dataclass fields in order, under a
+header made of the same names; wall-clock time is the only
+nondeterministic column.  A row's wall_ms is the shared set-up plus its
 own cycles, the cost of its point alone, so the column sums to more than the
-sweep's wall time.  Accuracy studies replace the homogeneous
-problem with a manufactured solution and report nodal errors and refinement
-ratios instead.
+sweep's wall time.  Accuracy studies replace the homogeneous problem with a
+manufactured solution on a pure-Dirichlet domain and report nodal errors
+and refinement ratios instead.
 """
 
 from __future__ import annotations
@@ -33,13 +36,8 @@ import numpy as np
 
 from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble
-from ghostmg.geometry import LevelSet, domain_catalog, domain_names
+from ghostmg.geometry import NEUMANN, LevelSet, domain_catalog, domain_names
 from ghostmg.one_dim import assemble_1d
-
-CSV_HEADER = ("experiment,domain,dim,n,h,theta1,theta2,gamma,eta,cycle,"
-              "lambda_mode,rho_mean,final_residual,iters,wall_ms")
-
-ACCURACY_CSV_HEADER = "domain,dim,n,h,linf_error,l2_error,linf_ratio,l2_ratio"
 
 _CYCLES = ("two_grid", "v", "w")
 _LAMBDA_MODES = ("local", "global", "inverse_h2")
@@ -147,6 +145,12 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"an accuracy study takes one {key!r} value, got "
                         f"{getattr(self, key)}")
+            levelset = None if one_d else _catalog_levelset(self.domain)
+            if levelset is not None and (NEUMANN in levelset.bc_tags or
+                                         levelset.bc_predicate is not None):
+                raise ConfigError(
+                    f"an accuracy study needs a pure-Dirichlet domain; "
+                    f"{self.domain!r} has a Neumann boundary")
 
 
 # The config keys are ExperimentConfig's fields, n and h standing for ns,
@@ -171,14 +175,18 @@ def _parse_number(token: str) -> float:
     return value
 
 
+def _catalog_levelset(domain: str) -> LevelSet:
+    """The catalog level set of a 2D domain; the rectangle's at a sample cut,
+    which sets neither its extent nor its boundary conditions."""
+    sample = {"theta": 0.5, "h": 0.125} if domain == "rectangle" else {}
+    return domain_catalog(domain, **sample)
+
+
 def _artificial_extent(domain: str) -> float:
     """Extent of the domain's background grid; 1 for the interval and for
     a domain that ExperimentConfig then rejects."""
-    if domain == "rectangle":
-        return domain_catalog("rectangle", theta=0.5, h=0.125).art_extent
-    if domain in domain_names():
-        return domain_catalog(domain).art_extent
-    return 1.0
+    return (_catalog_levelset(domain).art_extent if domain in domain_names()
+            else 1.0)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -261,10 +269,26 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
+class _CsvRow:
+    """A CSV row: its columns are its dataclass fields in order, less the
+    error text, which is not serialized."""
+
+    @classmethod
+    def header(cls) -> str:
+        return ",".join(f.name for f in fields(cls) if f.name != "error")
+
+    def csv_line(self) -> str:
+        """Floats as repr, so they read back exactly; None as empty."""
+        values = (getattr(self, f.name) for f in fields(self)
+                  if f.name != "error")
+        return ",".join("" if v is None else repr(v) if isinstance(v, float)
+                        else str(v) for v in values)
+
+
 @dataclass
-class ResultRow:
+class ResultRow(_CsvRow):
     """One parameter point of a sweep; metric fields are None on failure and
-    the error text is kept on the row (it is not serialized)."""
+    the error text is kept on the row."""
 
     experiment: str
     domain: str
@@ -283,20 +307,37 @@ class ResultRow:
     wall_ms: Optional[float] = None
     error: Optional[str] = None
 
-    def csv_line(self) -> str:
-        fields = (self.experiment, self.domain, self.dim, self.n, self.h,
-                  self.theta1, self.theta2, self.gamma, self.eta, self.cycle,
-                  self.lambda_mode, self.rho_mean, self.final_residual,
-                  self.iters, self.wall_ms)
-        return ",".join(_format_field(v) for v in fields)
+
+@dataclass
+class AccuracyRow(_CsvRow):
+    """Nodal errors of a manufactured-solution solve at one grid size.
+
+    Ratios compare against the previous (coarser) row and are None on the
+    first row.
+    """
+
+    domain: str
+    dim: int
+    n: int
+    h: float
+    linf_error: float
+    l2_error: float
+    linf_ratio: Optional[float] = None
+    l2_ratio: Optional[float] = None
 
 
-def _format_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+CSV_HEADER = ResultRow.header()
+ACCURACY_CSV_HEADER = AccuracyRow.header()
+
+
+def _exact(x, y):
+    """The 2D accuracy study's solution."""
+    return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def _source(x, y):
+    """-laplace(_exact)."""
+    return 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
 def _cycle_config(config: ExperimentConfig, n: int, eta: int) -> mg.CycleConfig:
@@ -306,30 +347,27 @@ def _cycle_config(config: ExperimentConfig, n: int, eta: int) -> mg.CycleConfig:
                           coarsest_n=coarsest)
 
 
-def _lam_1d(config: ExperimentConfig, gamma: float, theta1: float,
-            h: float) -> float:
-    # The 1D trace constant is 1/(theta1 h) whether sized per cell or
-    # globally (a single Dirichlet cell), so local and global coincide.
-    return (1.0 / h ** 2 if config.lambda_mode == "inverse_h2"
-            else gamma / (theta1 * h))
-
-
-def _system_1d(config: ExperimentConfig, row: ResultRow):
-    return assemble_1d(row.n, row.theta1, config.theta2,
-                       _lam_1d(config, row.gamma, row.theta1, row.h))
-
-
-def _levelset_for(config: ExperimentConfig, h: float,
-                  theta: Optional[float]) -> LevelSet:
-    if config.domain == "rectangle":
-        return domain_catalog("rectangle", theta=theta, h=h)
-    return domain_catalog(config.domain)
-
-
-def _system_2d(config: ExperimentConfig, row: ResultRow):
-    return assemble(ProblemSpec(
-        levelset=_levelset_for(config, row.h, row.theta1), h=row.h,
-        gamma=row.gamma, lambda_mode=config.lambda_mode))
+def _system(config: ExperimentConfig, n: int, position: Optional[float],
+            gamma: Optional[float], manufactured: bool = False):
+    """Assemble the point of grid size n, boundary position (theta1 in 1D,
+    the rectangle's theta, else None) and penalty factor gamma: with zero
+    data, or with manufactured set the accuracy study's data, whose exact
+    solution is u = x in 1D and _exact in 2D."""
+    h = _artificial_extent(config.domain) / n
+    if config.dimension == 1:
+        # The 1D trace constant is 1/(theta1 h) whether sized per cell or
+        # globally (a single Dirichlet cell), so local and global coincide.
+        lam = (1.0 / h ** 2 if config.lambda_mode == "inverse_h2"
+               else gamma / (position * h))
+        data = {"g_a": (1.0 - position) * h, "g_b": 1.0} if manufactured \
+            else {}
+        return assemble_1d(n, position, config.theta2, lam, **data)
+    levelset = (domain_catalog("rectangle", theta=position, h=h)
+                if config.domain == "rectangle"
+                else domain_catalog(config.domain))
+    data = {"f": _source, "g_dirichlet": _exact} if manufactured else {}
+    return assemble(ProblemSpec(levelset=levelset, h=h, gamma=gamma,
+                                lambda_mode=config.lambda_mode, **data))
 
 
 def _solve_homogeneous(row: ResultRow, hierarchy: mg.Hierarchy,
@@ -350,8 +388,7 @@ def _run_group(config: ExperimentConfig, rows: list):
     first = rows[0]
     start = time.perf_counter()
     try:
-        system = (_system_1d if config.dimension == 1 else _system_2d)(
-            config, first)
+        system = _system(config, first.n, first.theta1, first.gamma)
         hierarchy = mg.build_hierarchy(
             system, _cycle_config(config, first.n, first.eta))
     except Exception as err:  # noqa: BLE001 - sweep isolation
@@ -401,54 +438,37 @@ def run_experiment(config: ExperimentConfig) -> list:
     return rows
 
 
-@dataclass
-class AccuracyRow:
-    """Nodal errors of a manufactured-solution solve at one grid size.
-
-    Ratios compare against the previous (coarser) row and are None on the
-    first row.
-    """
-
-    domain: str
-    dim: int
-    n: int
-    h: float
-    linf_error: float
-    l2_error: float
-    linf_ratio: Optional[float] = None
-    l2_ratio: Optional[float] = None
-
-    def csv_line(self) -> str:
-        fields = (self.domain, self.dim, self.n, self.h, self.linf_error,
-                  self.l2_error, self.linf_ratio, self.l2_ratio)
-        return ",".join(_format_field(v) for v in fields)
-
-
 def run_accuracy_study(config: ExperimentConfig) -> list:
     """Solve a manufactured problem at each grid size to a residual of
     1e-10 and report errors.
 
     1D uses u(x) = x on the cut interval (reproduced exactly by the linear
     elements, so errors sit at roundoff); 2D uses u = sin(pi x) sin(pi y) on
-    a pure-Dirichlet catalog domain.  Errors are measured at the nodes
-    strictly inside the domain: ghost values approximate an extension of the
-    solution rather than the solution itself, so their deviation from the
-    manufactured formula says nothing about the order of the method.
+    a pure-Dirichlet catalog domain, the only kind ExperimentConfig admits.
+    Errors are measured at the nodes strictly inside the domain: ghost
+    values approximate an extension of the solution rather than the
+    solution itself, so their deviation from the manufactured formula says
+    nothing about the order of the method.
     """
-    point = _accuracy_point_1d if config.dimension == 1 else _accuracy_point_2d
-    rows = [point(config, n) for n in config.ns]
+    rows = [_accuracy_point(config, n) for n in config.ns]
     for prev, cur in zip(rows, rows[1:]):
         cur.linf_ratio = prev.linf_error / cur.linf_error
         cur.l2_ratio = prev.l2_error / cur.l2_error
     return rows
 
 
-def _accuracy_solve(hierarchy: mg.Hierarchy, F: np.ndarray,
-                    n: int) -> np.ndarray:
-    """Solve to a residual of 1e-10; raise AccuracyStudyError when the
-    cycles diverge, stall or run out first."""
+def _accuracy_point(config: ExperimentConfig, n: int) -> AccuracyRow:
+    """The nodal errors at grid size n; raise AccuracyStudyError when the
+    cycles diverge, stall or run out before the target residual."""
+    h = _artificial_extent(config.domain) / n
+    position = (config.theta1 if config.dimension == 1 else config.theta
+                or (None,))[0]
+    system = _system(config, n, position, config.gamma[0], manufactured=True)
+    hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
+                                                         config.eta[0]))
     target = 1e-10
-    u, trace = mg.solve(hierarchy, F, max_iters=200, target_residual=target)
+    u, trace = mg.solve(hierarchy, system.F, max_iters=200,
+                        target_residual=target)
     final = trace.residual_norms[-1]
     if trace.diverged or trace.stalled or not final <= target:
         state = ("diverged" if trace.diverged else "stalled" if trace.stalled
@@ -456,63 +476,22 @@ def _accuracy_solve(hierarchy: mg.Hierarchy, F: np.ndarray,
         raise AccuracyStudyError(
             f"n = {n}: the solve {state}: {trace.iterations} cycles, final "
             f"residual {final:.3e} against a target of {target:g}")
-    return u
-
-
-def _accuracy_point_1d(config: ExperimentConfig, n: int) -> AccuracyRow:
-    h = 1.0 / n
-    t1 = config.theta1[0]
-    a = (1.0 - t1) * h
-    system = assemble_1d(n, t1, config.theta2,
-                         _lam_1d(config, config.gamma[0], t1, h),
-                         f=None, g_a=a, g_b=1.0)
-    hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
-                                                         config.eta[0]))
-    u = _accuracy_solve(hierarchy, system.F, n)
-    x = h * np.arange(n + 1)
-    err = np.abs(u - x)
-    return AccuracyRow(domain="interval", dim=1, n=n, h=h,
+    if config.dimension == 1:
+        err, weight = np.abs(u - h * np.arange(n + 1)), h
+    else:
+        X, Y = system.grid.node_coordinates()
+        err = np.abs(u - _exact(X, Y))[system.field.values < 0.0]
+        weight = h * h
+    return AccuracyRow(domain=config.domain, dim=config.dimension, n=n, h=h,
                        linf_error=float(err.max()),
-                       l2_error=float(np.sqrt(h * np.sum(err ** 2))))
+                       l2_error=float(np.sqrt(weight * np.sum(err ** 2))))
 
 
-def _accuracy_point_2d(config: ExperimentConfig, n: int) -> AccuracyRow:
-    def exact(x, y):
-        return np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    def source(x, y):
-        return 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    extent = _artificial_extent(config.domain)
-    h = extent / n
-    levelset = _levelset_for(config, h, config.theta[0] if config.theta
-                             else None)
-    problem = ProblemSpec(
-        levelset=levelset, h=h, f=source, g_dirichlet=exact,
-        gamma=config.gamma[0], lambda_mode=config.lambda_mode)
-    system = assemble(problem)
-    hierarchy = mg.build_hierarchy(system, _cycle_config(config, n,
-                                                         config.eta[0]))
-    u = _accuracy_solve(hierarchy, system.F, n)
-    X, Y = system.grid.node_coordinates()
-    interior = system.field.values < 0.0
-    err = np.abs(u - exact(X, Y))[interior]
-    return AccuracyRow(domain=config.domain, dim=2, n=n, h=h,
-                       linf_error=float(err.max()),
-                       l2_error=float(np.sqrt(h * h * np.sum(err ** 2))))
-
-
-def emit_results(rows: list, path: Union[str, Path],
-                 header: str = CSV_HEADER) -> Path:
-    """Write rows as CSV under `header`, one line per row."""
+def emit_results(rows: list, path: Union[str, Path]) -> Path:
+    """Write rows as CSV under their type's header, one line per row."""
     if not rows:
         raise ValueError("no rows to write")
     path = Path(path)
-    path.write_text("\n".join([header] + [row.csv_line() for row in rows])
-                    + "\n")
+    path.write_text("\n".join([type(rows[0]).header()]
+                              + [row.csv_line() for row in rows]) + "\n")
     return path
-
-
-def emit_accuracy(rows: list, path: Union[str, Path]) -> Path:
-    """Write accuracy-study rows as CSV."""
-    return emit_results(rows, path, ACCURACY_CSV_HEADER)

@@ -70,7 +70,6 @@ deeper hierarchies run V- or W-cycles depending on ``gamma_star``.
 from __future__ import annotations
 
 import numbers
-import time
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -523,7 +522,6 @@ class ConvergenceTrace:
     """
 
     residual_norms: np.ndarray
-    wall_ms: float
     diverged: bool = False
     stalled: bool = False
 
@@ -592,7 +590,6 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
         r = level0.residual(u_free, F_free)
         return float(np.max(np.abs(r, out=r), initial=0.0))
 
-    start = time.perf_counter()
     norms = [residual_norm()]
     growing = stagnant = 0
     diverged = stalled = False
@@ -621,10 +618,8 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
                 f"{target_residual:g}: no lower residual in "
                 f"{DIVERGENCE_PATIENCE} cycles; stopping", RuntimeWarning)
             break
-    wall_ms = 1e3 * (time.perf_counter() - start)
     u = np.array(F, dtype=float, copy=True)
     u[order] = u_free
     return u, ConvergenceTrace(residual_norms=np.array(norms),
-                               wall_ms=wall_ms, diverged=diverged,
-                               stalled=stalled)
+                               diverged=diverged, stalled=stalled)
 

@@ -162,6 +162,18 @@ def test_run_accuracy_with_several_values_exits_two(tmp_path, capsys, no_work,
         in capsys.readouterr().err
 
 
+def test_run_accuracy_on_a_neumann_domain_exits_two(tmp_path, capsys,
+                                                    no_work):
+    # The manufactured data carry no Neumann values, so the errors would
+    # measure another problem.
+    config = write_config(tmp_path, "experiment = accuracy\ndimension = 2\n"
+                          "domain = annulus\nn = 32, 64\n", tmp_path / "a.csv")
+    assert main(["run", str(config)]) == 2
+    assert "config error: an accuracy study needs a pure-Dirichlet domain" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_run_accuracy_experiment_writes_ratio_table(tmp_path, capsys):
     out = tmp_path / "acc.csv"
     config = write_config(

@@ -16,13 +16,14 @@ from ghostmg.experiments import (
     ConfigError,
     ExperimentConfig,
     ResultRow,
-    emit_accuracy,
     emit_results,
     load_config,
     parse_config,
     run_accuracy_study,
     run_experiment,
 )
+from ghostmg.assembly import ProblemSpec, assemble
+from ghostmg.geometry import domain_catalog
 from ghostmg.one_dim import assemble_1d
 
 MINIMAL_1D = """
@@ -185,11 +186,19 @@ def test_explicit_values_override_defaults():
     (dict(nu1=-1), "nonnegative"),
     (dict(nu2=-1), "nonnegative"),
     (dict(coarsest_n=0), "coarsest_n must be at least 1"),
+    # The accuracy study sets f and the Dirichlet data of sin(pi x)
+    # sin(pi y) only, so on the annulus's outer circle (a Neumann tag) and
+    # the leaf's left part (a bc_predicate) it would solve another problem.
+    (dict(experiment="accuracy", dimension=2, domain="annulus"),
+     "pure-Dirichlet domain; 'annulus' has a Neumann boundary"),
+    (dict(experiment="accuracy", dimension=2, domain="leaf"),
+     "pure-Dirichlet domain; 'leaf' has a Neumann boundary"),
 ], ids=["bad-dim", "1d-domain", "2d-domain", "empty-ns", "odd-n", "tiny-n",
         "theta-off-rectangle", "rectangle-sans-theta", "theta1-high",
         "theta1-zero", "theta2-zero", "bad-lambda-mode", "inverse-h2-2d",
         "bad-cycle", "window-overflow", "window-underflow", "negative-eta",
-        "negative-nu1", "negative-nu2", "zero-coarsest-n"])
+        "negative-nu1", "negative-nu2", "zero-coarsest-n",
+        "accuracy-annulus", "accuracy-leaf"])
 def test_inconsistent_configs_raise(kwargs, fragment):
     base = dict(experiment="x", dimension=1, ns=(16,))
     base.update(kwargs)
@@ -350,7 +359,13 @@ def test_two_dim_sweep_smoke():
 
 
 def test_csv_header_matches_the_row_layout():
-    assert len(CSV_HEADER.split(",")) == 15
+    # The headers are the rows' field names, and perfbench reads the sweep
+    # CSV by column name: a field renamed, reordered or added fails here.
+    assert CSV_HEADER == ("experiment,domain,dim,n,h,theta1,theta2,gamma,eta,"
+                          "cycle,lambda_mode,rho_mean,final_residual,iters,"
+                          "wall_ms")
+    assert ACCURACY_CSV_HEADER == ("domain,dim,n,h,linf_error,l2_error,"
+                                   "linf_ratio,l2_ratio")
     row = run_experiment(small_sweep(ns=(8,), theta1=(0.5,)))[0]
     assert len(row.csv_line().split(",")) == 15
 
@@ -388,11 +403,6 @@ def test_emit_results_writes_header_and_rows(tmp_path):
 def test_emit_results_rejects_an_empty_sweep(tmp_path):
     with pytest.raises(ValueError, match="no rows"):
         emit_results([], tmp_path / "out.csv")
-
-
-def test_emit_accuracy_rejects_an_empty_study(tmp_path):
-    with pytest.raises(ValueError, match="no rows"):
-        emit_accuracy([], tmp_path / "out.csv")
 
 
 # -- accuracy studies ----------------------------------------------------------
@@ -471,13 +481,60 @@ def test_two_dim_accuracy_errors_shrink_under_refinement():
 def test_accuracy_rows_serialize_with_their_own_header(tmp_path):
     config = ExperimentConfig("accuracy", 1, (8, 16), theta1=(0.5,))
     rows = run_accuracy_study(config)
-    path = emit_accuracy(rows, tmp_path / "acc.csv")
+    path = emit_results(rows, tmp_path / "acc.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == ACCURACY_CSV_HEADER
     assert len(lines[0].split(",")) == 8
     first = lines[1].split(",")
     assert first[6:] == ["", ""]  # no ratios on the coarsest row
     assert float(lines[2].split(",")[6]) == rows[1].linf_ratio
+
+
+def test_rectangle_rows_equal_a_direct_build_of_their_point():
+    # The rectangle is the one domain whose cut position enters the point
+    # builder; each row of both studies is that of its own build.
+    rows = run_experiment(ExperimentConfig(
+        "smoke", 2, (16,), domain="rectangle", theta=(0.3, 0.7), eta=(0, 4),
+        iterations=8, window=(5, 8)))
+    reference = []
+    for theta in (0.3, 0.7):
+        system = assemble(ProblemSpec(
+            levelset=domain_catalog("rectangle", theta=theta, h=1.0 / 16),
+            h=1.0 / 16, gamma=2.0, lambda_mode="local"))
+        for eta in (0, 4):
+            hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
+                nu1=2, nu2=1, eta=eta, coarsest_n=8))
+            m = system.grid.num_nodes
+            _, trace = mg.solve(hierarchy, np.zeros(m), u0=np.ones(m),
+                                max_iters=8)
+            reference.append((theta, theta, eta, trace.rho_mean(5, 8),
+                              float(trace.residual_norms[-1]),
+                              trace.iterations))
+    assert [(r.theta1, r.theta2, r.eta, r.rho_mean, r.final_residual, r.iters)
+            for r in rows] == reference
+
+    def exact(x, y):
+        return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+    def source(x, y):
+        return 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+    rows = run_accuracy_study(ExperimentConfig(
+        "accuracy", 2, (16, 32), domain="rectangle", theta=(0.3,)))
+    for row, n in zip(rows, (16, 32)):
+        h = 1.0 / n
+        system = assemble(ProblemSpec(
+            levelset=domain_catalog("rectangle", theta=0.3, h=h), h=h,
+            f=source, g_dirichlet=exact, gamma=2.0, lambda_mode="local"))
+        hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
+            nu1=2, nu2=1, eta=0, coarsest_n=n // 2))
+        u, _ = mg.solve(hierarchy, system.F, max_iters=200,
+                        target_residual=1e-10)
+        X, Y = system.grid.node_coordinates()
+        err = np.abs(u - exact(X, Y))[system.field.values < 0.0]
+        assert (row.domain, row.n, row.h, row.linf_error, row.l2_error) == (
+            "rectangle", n, h, float(err.max()),
+            float(np.sqrt(h * h * np.sum(err ** 2))))
 
 
 def test_accuracy_study_state_is_per_row():

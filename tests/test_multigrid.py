@@ -1002,8 +1002,7 @@ def test_workspace_cycle_equals_the_plain_products_bitwise(name, gamma_star):
 
 
 def test_trace_bookkeeping():
-    trace = mg.ConvergenceTrace(residual_norms=np.array([1.0, 0.1, 0.01]),
-                                wall_ms=1.0)
+    trace = mg.ConvergenceTrace(residual_norms=np.array([1.0, 0.1, 0.01]))
     assert trace.iterations == 2
     np.testing.assert_array_equal(trace.rho_per_iter, [0.1, 0.01 / 0.1])
     assert trace.rho_mean(1, 2) == pytest.approx(0.1, rel=1e-12)
