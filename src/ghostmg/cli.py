@@ -25,8 +25,9 @@ import scipy.linalg
 from ghostmg import multigrid as mg
 from ghostmg import stabilization as stab
 from ghostmg.assembly import ProblemSpec, assemble
-from ghostmg.experiments import (ConfigError, load_config, emit_results,
-                                 run_accuracy_study, run_experiment)
+from ghostmg.experiments import (ConfigError, catalog_levelset, load_config,
+                                 emit_results, run_accuracy_study,
+                                 run_experiment)
 from ghostmg.geometry import domain_catalog, domain_names
 from ghostmg.linalg import NotSPDError
 from ghostmg.one_dim import assemble_1d
@@ -75,10 +76,7 @@ def _cmd_run(config_path: str) -> int:
 def _cmd_catalog() -> int:
     print("interval  (1D: cut cell at each end of (a, b) in [0, 1])")
     for name in domain_names():
-        if name == "rectangle":
-            ls = domain_catalog(name, theta=0.5, h=0.125)
-        else:
-            ls = domain_catalog(name)
+        ls = catalog_levelset(name)
         origin = ls.art_origin
         top = (origin[0] + ls.art_extent, origin[1] + ls.art_extent)
         bcs = ("dirichlet/neumann by region" if ls.bc_predicate is not None

@@ -145,7 +145,7 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"an accuracy study takes one {key!r} value, got "
                         f"{getattr(self, key)}")
-            levelset = None if one_d else _catalog_levelset(self.domain)
+            levelset = None if one_d else catalog_levelset(self.domain)
             if levelset is not None and (NEUMANN in levelset.bc_tags or
                                          levelset.bc_predicate is not None):
                 raise ConfigError(
@@ -175,7 +175,7 @@ def _parse_number(token: str) -> float:
     return value
 
 
-def _catalog_levelset(domain: str) -> LevelSet:
+def catalog_levelset(domain: str) -> LevelSet:
     """The catalog level set of a 2D domain; the rectangle's at a sample cut,
     which sets neither its extent nor its boundary conditions."""
     sample = {"theta": 0.5, "h": 0.125} if domain == "rectangle" else {}
@@ -185,7 +185,7 @@ def _catalog_levelset(domain: str) -> LevelSet:
 def _artificial_extent(domain: str) -> float:
     """Extent of the domain's background grid; 1 for the interval and for
     a domain that ExperimentConfig then rejects."""
-    return (_catalog_levelset(domain).art_extent if domain in domain_names()
+    return (catalog_levelset(domain).art_extent if domain in domain_names()
             else 1.0)
 
 

@@ -34,6 +34,6 @@ def matvec_into(A: sp.csr_matrix, x: np.ndarray,
             f"CSR index arrays differ in dtype: indptr {A.indptr.dtype}, "
             f"indices {A.indices.dtype}")
     out.fill(0.0)
-    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+    csr_matvec(*A.shape, A.indptr, A.indices, A.data, x, out)
     return out
 

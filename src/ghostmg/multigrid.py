@@ -46,14 +46,17 @@ order.  In 1D the DOFs keep node order, one lexicographic class, and
 the operator D + L + U is tridiagonal: the full step is the direct form
 u = D^-1 (I + L D^-1)^-1 (F - U u), a unit-diagonal banded forward
 substitution in the scratch that divides nowhere, then a multiply by the
-stored 1 / D into u; the cut step corrects the cut DOFs by the same solve
-on their block.
+stored 1 / D into u.  With the other DOFs held, eta cut sweeps are an
+affine map of the cut DOFs, so 1D applies them in closed form: one
+correction u[cut] += Q_eta (F - A u)[cut] by a matrix of the cut block made
+once per eta (`_cut_sweeps`).
 SuperLU factors only the coarsest level, in 1D as in 2D.  Two colours in 1D
 (red-black) would turn the V(2,1) cycle into a near-direct solve, at
 theta1 = 0.99 and n = 1024 from a factor of 0.085 to 0.017 (eta = 0) and
 0.00018 (eta = 4), and so erase the 1D theta1 study.
 
-Each step is one callable, step(u, F), made once by ``prepare_smoothers``.
+Each step is one callable, step(u, F), made once by ``prepare_smoothers``
+or, for the cut sweeps of each eta, at their first use.
 Each 2D or cut step, residual and transfer is one call of the CSR kernel
 (``matvec_into``) into the level's workspace: a scratch vector of its size,
 plus the iterate and right-hand side of each coarse level, all allocated
@@ -97,7 +100,8 @@ class CycleConfig:
     """Cycle shape and smoothing parameters.
 
     nu1 / nu2 pre- and post-smoothing Gauss-Seidel sweeps; eta extra cut-DOF
-    sweeps appended to every full sweep; gamma_star recursion count
+    sweeps appended to every full sweep, in 1D applied as their closed form,
+    one correction of the cut DOFs; gamma_star recursion count
     (1 = V-cycle, 2 = W-cycle); coarsest_n the grid size solved exactly.
     """
 
@@ -141,10 +145,21 @@ def _triangle_solve(diag: np.ndarray, sub: np.ndarray) -> Callable:
     return partial(dtbsv, 1, band, lower=1, diag=1, overwrite_x=1)
 
 
+def _cut_sweeps(lower: np.ndarray, upper: np.ndarray, eta: int) -> np.ndarray:
+    """Q for which u_c += Q (F - A u)_c is eta >= 1 lexicographic
+    Gauss-Seidel sweeps on the cut block T + U, lower triangle T and strict
+    upper U, with the other DOFs held: Q = sum over m < eta of G^m T^-1,
+    G = -T^-1 U, summed as Q <- T^-1 + G Q from Q = T^-1."""
+    solve = np.linalg.inv(lower)
+    G, Q = solve @ -upper, solve
+    for _ in range(eta - 1):
+        Q = solve + G @ Q
+    return Q
+
+
 def _correction_step(rows: sp.csr_matrix, sel, y: np.ndarray,
                      solve: Callable) -> Callable:
-    """The step u[sel] += solve(F[sel] - rows u), the residual formed in y
-    and solved in place."""
+    """The step u[sel] += solve(F[sel] - rows u), the residual formed in y."""
     def step(u, F):
         np.subtract(F[sel], matvec_into(rows, u, y), out=y)
         u[sel] += solve(y)
@@ -159,6 +174,19 @@ def _row_range(A: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
     rows = sp.csr_matrix((stop - start, A.shape[1]), dtype=A.dtype)
     rows.data, rows.indices = A.data[lo:hi], A.indices[lo:hi]
     rows.indptr = A.indptr[start:stop + 1] - lo
+    return rows
+
+
+def _rows(A: sp.csr_matrix, sel: np.ndarray) -> sp.csr_matrix:
+    """Rows sel of a CSR matrix, gathered from its arrays and set after
+    construction as in `_row_range`: scipy's indexing costs more."""
+    count = A.indptr[sel + 1] - A.indptr[sel]
+    rows = sp.csr_matrix((sel.size, A.shape[1]), dtype=A.dtype)
+    rows.indptr = np.zeros(sel.size + 1, dtype=A.indptr.dtype)
+    np.cumsum(count, out=rows.indptr[1:])
+    at = np.repeat(A.indptr[sel] - rows.indptr[:-1], count) \
+        + np.arange(rows.indptr[-1])
+    rows.data, rows.indices = A.data[at], A.indices[at]
     return rows
 
 
@@ -189,7 +217,8 @@ class MgLevel:
         self.P: Optional[sp.csr_matrix] = None
         self.penalty = penalty
         self._free_steps: list = []
-        self._cut_steps: list = []
+        self._cut_sweep: Callable = lambda eta: []
+        self._sweeps: dict = {}
         self._coarse_solve = None
 
     @property
@@ -251,9 +280,10 @@ class MgLevel:
             raise ZeroDivisionError(
                 "smoother hit a zero diagonal; the operator is missing a "
                 "stabilization contribution")
-        dinv = 1.0 / diag
+        dinv, self._sweeps = 1.0 / diag, {}
         if self.grid.dim == 2:
-            self._free_steps, self._cut_steps = self._colour_steps(dinv)
+            self._free_steps, cut = self._colour_steps(dinv)
+            self._cut_sweep = lambda eta: eta * cut
             return
         # 1D: one lexicographic step, solved by the lower triangle.
         below = self.A.indices < np.repeat(np.arange(-1, self.num_dofs - 1),
@@ -274,17 +304,26 @@ class MgLevel:
         self._free_steps = [full]
         cut = self.dofs.cut_at
         if cut.size:
-            # Correction form on the cut block, which couples two cut DOFs
+            # The eta cut sweeps in closed form, one correction by Q_eta
+            # (`_cut_sweeps`) on the cut block, which couples two cut DOFs
             # only where they are adjacent.
-            scale, solve_cut = dinv[cut], _triangle_solve(
-                diag[cut], np.where(np.diff(cut) == 1, sub[cut[:-1]], 0.0))
-            self._cut_steps = [_correction_step(
-                self.A[cut], cut, self.scratch[:cut.size],
-                lambda r: np.multiply(solve_cut(r), scale, out=r))]
+            near = np.diff(cut) == 1
+            lower = np.diag(diag[cut]) \
+                + np.diag(np.where(near, sub[cut[:-1]], 0.0), -1)
+            upper = np.diag(np.where(near, sup[cut[:-1]], 0.0), 1)
+            rows, r, out = _rows(self.A, cut), y[:cut.size], np.empty(cut.size)
+            # Q.dot, since np.matmul allocates even with out=.
+            self._cut_sweep = lambda eta: [_correction_step(
+                rows, cut, r, partial(_cut_sweeps(lower, upper, eta).dot,
+                                      out=out))] if eta else []
 
     def smooth(self, u: np.ndarray, F: np.ndarray, eta: int):
-        """One full sweep plus eta extra cut-DOF sweeps, in place."""
-        for step in self._free_steps + eta * self._cut_steps:
+        """One full sweep plus eta extra cut-DOF sweeps, in place, in 1D
+        as one closed-form correction; the steps are made at first use."""
+        steps = self._sweeps.get(eta)
+        if steps is None:
+            steps = self._sweeps[eta] = self._free_steps + self._cut_sweep(eta)
+        for step in steps:
             step(u, F)
 
     # -- exact coarsest solve ------------------------------------------------

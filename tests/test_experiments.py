@@ -130,7 +130,7 @@ def test_load_config_reads_a_file(tmp_path):
 
 @pytest.mark.parametrize("name", [
     "accuracy_disk.cfg", "disk_eta_sweep.cfg", "geometry_suite.cfg",
-    "theta_sweep_1d.cfg"])
+    "interval_eta_sweep.cfg", "theta_sweep_1d.cfg"])
 def test_shipped_configs_parse(name):
     # Every config under demos/configs is accepted as it ships.
     path = Path(__file__).resolve().parents[1] / "demos" / "configs" / name

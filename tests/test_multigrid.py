@@ -1,8 +1,10 @@
 """Transfers, hierarchies, cycles and the convergence bookkeeping."""
 
 import dataclasses
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from ghostmg.assembly import AssemblyError, ProblemSpec, assemble, number_dofs
 from ghostmg.geometry import (DIRICHLET, CartesianGrid, CheckerboardCellError,
                               LevelSet, corner_nodes, domain_catalog,
                               domain_names)
-from ghostmg.linalg import DegeneratePencilError, NotSPDError
+from ghostmg.linalg import DegeneratePencilError, NotSPDError, matvec_into
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import KAPPA, pencil_max
 from oracles import (canonical_csr, coarse_theta, colours, pow_levelset,
@@ -414,12 +416,14 @@ def test_galerkin_equals_direct_coarse_assembly_1d(theta1, theta2):
 
 
 @pytest.mark.parametrize("theta1", [0.0099, 0.5, 0.99])
-def test_triangle_solve_is_the_forward_substitution_in_place(theta1):
+def test_triangle_solve_is_the_forward_substitution_in_place(theta1,
+                                                              monkeypatch):
     # A 1D full sweep is one lexicographic Gauss-Seidel step, the forward
-    # substitution u = tril(A)^-1 (F - triu(A, 1) u), and a cut sweep one
-    # such step on the cut block in correction form.  On every smoothed
+    # substitution u = tril(A)^-1 (F - triu(A, 1) u), and each of the eta
+    # cut sweeps one such step on the cut block in correction form, which
+    # smooth applies in closed form, as one correction.  On every smoothed
     # level and at every scale, smooth agrees in place with the dense
-    # substitution to roundoff.
+    # substitutions to roundoff, and its eta cut sweeps form one product.
     n = 1024
     system = assemble_1d(n, theta1, 0.01, 1.1 / (theta1 / n))
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
@@ -430,16 +434,28 @@ def test_triangle_solve_is_the_forward_substitution_in_place(theta1):
         for scale in (1e-8, 1.0, 1e8):
             u0 = scale * rng.standard_normal(level.num_dofs)
             F = scale * rng.standard_normal(level.num_dofs)
-            full = solve_triangular(np.tril(A), F - np.triu(A, 1) @ u0,
-                                    lower=True)
-            swept = full.copy()
-            swept[cut] += solve_triangular(
-                np.tril(block), (F - A @ full)[cut], lower=True)
-            for eta, expected in ((0, full), (1, swept)):
+            expected = solve_triangular(np.tril(A), F - np.triu(A, 1) @ u0,
+                                        lower=True)
+            for eta in range(9):
+                if eta:
+                    expected[cut] += solve_triangular(
+                        np.tril(block), (F - A @ expected)[cut], lower=True)
+                if eta not in (0, 1, 2, 3, 4, 8):
+                    continue
                 u = u0.copy()
                 level.smooth(u, F, eta)
                 assert np.abs(u - expected).max() \
-                    <= 1e-13 * np.abs(expected).max(), (level.index, scale)
+                    <= 1e-13 * np.abs(expected).max(), (level.index, scale,
+                                                        eta)
+    products = []
+
+    def counting_matvec_into(*args):
+        products.append(args[0].shape)
+        return matvec_into(*args)
+
+    monkeypatch.setattr(mg, "matvec_into", counting_matvec_into)
+    level.smooth(u, F, 8)
+    assert products == [(cut.size, level.num_dofs)]
 
 
 def test_one_dimensional_sweeps_factor_only_the_coarsest_level(monkeypatch):
@@ -461,7 +477,8 @@ def test_one_dimensional_sweeps_factor_only_the_coarsest_level(monkeypatch):
     assert factored == [hierarchy.levels[-1].A.shape]
     assert incomplete == []
     for level in hierarchy.levels[:-1]:
-        assert len(level._free_steps) == len(level._cut_steps) == 1
+        assert len(level._free_steps) == 1
+        assert [len(level._cut_sweep(eta)) for eta in (0, 1, 4)] == [0, 1, 1]
 
 
 def test_one_dimensional_smoother_rejects_a_wider_operator():
@@ -774,7 +791,7 @@ def test_two_dimensional_sweeps_scale_by_the_diagonal(name, monkeypatch):
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
     assert len(hierarchy.levels) == 4
     assert factored == [hierarchy.levels[-1].A.shape]
-    assert hierarchy.levels[0]._cut_steps
+    assert hierarchy.levels[0]._cut_sweep(1)
     np.testing.assert_array_equal(np.sort(hierarchy.levels[0].dofs.order),
                                   np.flatnonzero(system.free_dofs))
     for level in hierarchy.levels:
@@ -907,6 +924,27 @@ def test_cycle_allocates_nothing_on_smoothed_levels(name):
     assert peak < 0.25 * 8 * order.size
 
 
+@pytest.mark.parametrize("name", ["interval", "disk"])
+def test_a_solved_hierarchy_is_freed_by_reference_counting(name):
+    # The steps a level keeps, the 1D closed-form cut sweep among them, hold
+    # arrays and never the level, so a hierarchy that has solved is freed
+    # when its last reference goes, without waiting for the garbage
+    # collector.
+    if name == "interval":
+        system = assemble_1d(64, 0.3, 0.01, 1.1 / (0.3 / 64))
+    else:
+        system = _catalog_system(name)
+    hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
+    mg.solve(hierarchy, system.F, max_iters=2)
+    level0 = weakref.ref(hierarchy.levels[0])
+    gc.disable()
+    try:
+        del hierarchy
+        assert level0() is None
+    finally:
+        gc.enable()
+
+
 def _reference_residual_norms(hierarchy, F, target, max_iters=100):
     """mg.solve from zero, written with plain products as the oracle of its
     workspace form: the coarse right-hand side R @ (F - A u), the
@@ -915,9 +953,10 @@ def _reference_residual_norms(hierarchy, F, target, max_iters=100):
     u[sel] += dinv[sel] * (F[sel] - rows @ u) on the row range sel of one
     colour class, or of its leading cut DOFs in a cut sweep.  In 1D the
     full step is the direct form u = dinv * T(F - triu(A, 1) @ u), T the
-    unit-diagonal solve with I + L D^-1 (`mg._triangle_solve`), and the cut
-    step u[cut] += dinv[cut] * T_cut(F[cut] - A[cut] @ u), T_cut that of
-    the cut block."""
+    unit-diagonal solve with I + L D^-1 (`mg._triangle_solve`), and the eta
+    cut sweeps are one step u[cut] += Q @ (F[cut] - A[cut] @ u), Q the sum
+    over m < eta of G^m T_c^-1, G = -T_c^-1 U_c, for the lower triangle
+    T_c and the strict upper triangle U_c of the dense cut block."""
     levels, config = hierarchy.levels, hierarchy.config
 
     def oracle_steps(level):
@@ -933,8 +972,9 @@ def _reference_residual_norms(hierarchy, F, target, max_iters=100):
             bounds = level.dofs.bounds
             ncut = np.diff(np.searchsorted(level.dofs.cut_at, bounds))
             starts = bounds[:-1]
-            return ([step(slice(a, b)) for a, b in zip(starts, bounds[1:])],
-                    [step(slice(a, a + k)) for a, k in zip(starts, ncut) if k])
+            return ([step(slice(a, b)) for a, b in zip(starts, bounds[1:])]
+                    + config.eta * [step(slice(a, a + k))
+                                    for a, k in zip(starts, ncut) if k])
         upper = sp.triu(A, 1, format="csr")
         solve = mg._triangle_solve(A.diagonal(), A.diagonal(-1))
 
@@ -942,19 +982,20 @@ def _reference_residual_norms(hierarchy, F, target, max_iters=100):
             u[:] = dinv * solve(F - upper @ u)
 
         cut = level.dofs.cut_at
-        if not cut.size:
-            return [full], []
-        rows, block = A[cut], A[cut][:, cut]
-        solve_cut = mg._triangle_solve(block.diagonal(), block.diagonal(-1))
+        if not cut.size or not config.eta:
+            return [full]
+        rows = A[cut]
+        block = rows[:, cut].toarray()
+        T_inv = np.linalg.inv(np.tril(block))
+        G, Q = T_inv @ -np.triu(block, 1), T_inv
+        for _ in range(config.eta - 1):
+            Q = T_inv + G @ Q
 
         def cut_step(u, F):
-            u[cut] += dinv[cut] * solve_cut(F[cut] - rows @ u)
-        return [full], [cut_step]
+            u[cut] += Q @ (F[cut] - rows @ u)
+        return [full, cut_step]
 
-    smoothers = []
-    for level in levels[:-1]:
-        full, cut = oracle_steps(level)
-        smoothers.append(full + config.eta * cut)
+    smoothers = [oracle_steps(level) for level in levels[:-1]]
 
     def smooth(k, u, F):
         for step in smoothers[k]:
