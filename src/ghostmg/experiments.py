@@ -137,6 +137,9 @@ class ExperimentConfig:
         try:  # the cycle's own checks, before any point assembles
             mg.CycleConfig(self.nu1, self.nu2, min(self.eta, default=0),
                            coarsest_n=self.coarsest_n)
+            if self.cycle != "two_grid":  # a two-grid cycle coarsens once
+                for n in self.ns:
+                    mg._validate_depth(n, self.coarsest_n)
         except ValueError as err:
             raise ConfigError(str(err)) from None
         if self.experiment == "accuracy":

@@ -60,7 +60,7 @@ or, for the cut sweeps of each eta, at their first use.
 Each 2D or cut step, residual and transfer is one call of the CSR kernel
 (``matvec_into``) into the level's workspace: a scratch vector of its size,
 plus the iterate and right-hand side of each coarse level, all allocated
-once by ``build_hierarchy``.  A cycle therefore allocates nothing on the
+once when the level is made.  A cycle therefore allocates nothing on the
 smoothed levels, and computes what the plain sparse products would, bit
 for bit.
 
@@ -191,39 +191,34 @@ def _rows(A: sp.csr_matrix, sel: np.ndarray) -> sp.csr_matrix:
 
 
 class MgLevel:
-    """Level `index` on `grid`: its operator A and transfers R and P on its
-    free DOFs, numbered by `dofs` (`assembly.number_dofs`), its solver
-    caches and its cycle workspace.  A, taken as is, must be canonical CSR
-    and bitwise symmetric, as `PenaltyCells.operator` builds every level's,
-    and N x N for the N DOFs of `dofs`, else ValueError.  `scratch` holds
-    every intermediate vector of the level's steps, residual and
-    prolongation; `iterate` and `rhs`, set on coarse levels only, are the
-    level's u and F within a cycle.  `penalty` holds the cells the next
-    coarser level is pooled from."""
+    """Level `index` on `grid`, complete when made: its operator A on the
+    free DOFs of `dofs` (`assembly.number_dofs`) and its transfers R = P^T
+    and smoother or, made without P, the coarsest level's factor; `smooth`
+    or `coarse_solve` in the other role raises RuntimeError.  A, taken as
+    is, must be canonical CSR and bitwise symmetric, as
+    `PenaltyCells.operator` builds every level's, and N x N for its N DOFs,
+    else ValueError.  `scratch` holds every intermediate vector of its
+    steps, residual and prolongation; `iterate` and `rhs`, below the finest
+    level, are its u and F in a cycle.  `penalty` holds the cells the next
+    level is pooled from."""
 
     def __init__(self, A: sp.csr_matrix, grid: CartesianGrid, dofs: Dofs,
-                 index: int = 0, penalty: Optional[PenaltyCells] = None):
+                 index: int = 0, penalty: Optional[PenaltyCells] = None,
+                 R: Optional[sp.csr_matrix] = None,
+                 P: Optional[sp.csr_matrix] = None):
         if A.shape != (dofs.order.size,) * 2:
             raise ValueError(f"level {index}: operator of shape {A.shape} "
                              f"on {dofs.order.size} DOFs")
-        self.A = A
+        self.A, self.grid, self.dofs, self.index = A, grid, dofs, index
+        self.R, self.P, self.penalty = R, P, penalty
         self.scratch = np.empty(self.num_dofs)
-        self.iterate: Optional[np.ndarray] = None
-        self.rhs: Optional[np.ndarray] = None
-        self.grid = grid
-        self.dofs = dofs
-        self.index = index
-        self.R: Optional[sp.csr_matrix] = None
-        self.P: Optional[sp.csr_matrix] = None
-        self.penalty = penalty
-        self._free_steps: list = []
-        self._cut_sweep: Callable = lambda eta: []
+        self.iterate = np.empty(self.num_dofs) if index else None
+        self.rhs = np.empty(self.num_dofs) if index else None
         self._sweeps: dict = {}
-        self._coarse_solve = None
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
+        if P is None:
+            self.prepare_coarse_solver()
+        else:
+            self.prepare_smoothers()
 
     @property
     def free(self) -> np.ndarray:
@@ -278,9 +273,9 @@ class MgLevel:
         diag = self.A.diagonal()
         if np.any(diag == 0.0):
             raise ZeroDivisionError(
-                "smoother hit a zero diagonal; the operator is missing a "
-                "stabilization contribution")
-        dinv, self._sweeps = 1.0 / diag, {}
+                f"level {self.index}: smoother hit a zero diagonal; the "
+                "operator is missing a stabilization contribution")
+        dinv = 1.0 / diag
         if self.grid.dim == 2:
             self._free_steps, cut = self._colour_steps(dinv)
             self._cut_sweep = lambda eta: eta * cut
@@ -301,8 +296,8 @@ class MgLevel:
             y[-1] = 0.0
             np.multiply(solve(np.subtract(F, y, out=y)), dinv, out=u)
 
-        self._free_steps = [full]
-        cut = self.dofs.cut_at
+        self._free_steps, cut = [full], self.dofs.cut_at
+        self._cut_sweep = lambda eta: []  # with no cut DOFs, eta adds none
         if cut.size:
             # The eta cut sweeps in closed form, one correction by Q_eta
             # (`_cut_sweeps`) on the cut block, which couples two cut DOFs
@@ -322,6 +317,9 @@ class MgLevel:
         as one closed-form correction; the steps are made at first use."""
         steps = self._sweeps.get(eta)
         if steps is None:
+            if self.P is None:
+                raise RuntimeError(f"level {self.index}: the coarsest level "
+                                   "is solved exactly, not smoothed")
             steps = self._sweeps[eta] = self._free_steps + self._cut_sweep(eta)
         for step in steps:
             step(u, F)
@@ -342,12 +340,15 @@ class MgLevel:
         except RuntimeError:  # exactly singular
             spd = False
         if not spd:
-            raise NotSPDError(
-                "coarsest operator is not positive definite; a penalty "
-                "below the trace constant (gamma <= 1) can cause this")
+            raise NotSPDError(f"level {self.index}: coarsest operator is not "
+                              "positive definite; a penalty below the trace "
+                              "constant (gamma <= 1) can cause this")
         self._coarse_solve = lu.solve
 
     def coarse_solve(self, F: np.ndarray) -> np.ndarray:
+        if self.P is not None:
+            raise RuntimeError(f"level {self.index}: only the coarsest level "
+                               "is factored; this one is smoothed")
         return self._coarse_solve(F)
 
 
@@ -357,16 +358,6 @@ class Hierarchy:
 
     levels: list
     config: CycleConfig
-
-
-def _finalize(levels: list, config: CycleConfig) -> Hierarchy:
-    for level in levels[:-1]:
-        level.prepare_smoothers()
-    for level in levels[1:]:
-        level.iterate = np.empty(level.num_dofs)
-        level.rhs = np.empty(level.num_dofs)
-    levels[-1].prepare_coarse_solver()
-    return Hierarchy(levels=levels, config=config)
 
 
 @lru_cache(maxsize=None)
@@ -386,9 +377,10 @@ def _parent_steps(dim: int, nodes_per_side: int) -> tuple:
     return count.astype(np.int32), steps
 
 
-def _transfers(fine: MgLevel, grid_c: CartesianGrid) -> tuple:
-    """R and P of a level in its and the coarser level's DOF numbering, and
-    the coarser level's DOFs.
+def _transfers(dofs: Dofs, grid: CartesianGrid,
+               grid_c: CartesianGrid) -> tuple:
+    """R and P of the level of `dofs` on `grid` in its and the coarser
+    level's DOF numbering, and the coarser level's DOFs.
 
     Each fine DOF interpolates from its 1, 2 or 4 coarse parents (1 or 2 in
     1D), the coarse nodes at x // 2 and (x + 1) // 2 along each axis, with
@@ -396,15 +388,15 @@ def _transfers(fine: MgLevel, grid_c: CartesianGrid) -> tuple:
     are the parents of the fine DOFs, the coarse cut DOFs the parents of
     the fine cut DOFs.
     """
-    dim, nps, ncs = fine.grid.dim, fine.n + 1, grid_c.nodes_per_side
+    dim, nps, ncs = grid.dim, grid.nodes_per_side, grid_c.nodes_per_side
     count_of, steps = _parent_steps(dim, ncs)
-    rest, first, odd = fine.dofs.order, 0, 0
+    rest, first, odd = dofs.order, 0, 0
     for d in range(dim):
         rest, x = np.divmod(rest, nps)
         first = first + (x >> 1) * ncs ** d
         odd = odd | (x & 1) << d
     count = count_of[odd]
-    indptr = np.zeros(fine.num_dofs + 1, dtype=np.int32)
+    indptr = np.zeros(dofs.order.size + 1, dtype=np.int32)
     np.cumsum(count, out=indptr[1:])
     # Entry k of row r takes step k of the row's code from its first parent.
     parents = np.repeat(first, count) + steps.ravel()[
@@ -412,13 +404,13 @@ def _transfers(fine: MgLevel, grid_c: CartesianGrid) -> tuple:
         + np.arange(indptr[-1])]
     free_c = np.zeros(grid_c.num_nodes, dtype=bool)
     free_c[parents] = True
-    cut = fine.dofs.cut_at
+    cut = dofs.cut_at
     cut_c = np.zeros(grid_c.num_nodes, dtype=bool)
     cut_c[(first[cut, None] + steps[odd[cut]])
           [np.arange(steps.shape[1]) < count[cut, None]]] = True
     dofs_c = number_dofs(free_c, cut_c, grid_c)
     P = sp.csr_matrix((np.repeat(1.0 / count, count), dofs_c.dof[parents],
-                       indptr), shape=(fine.num_dofs, dofs_c.order.size))
+                       indptr), shape=(dofs.order.size, dofs_c.order.size))
     P.sort_indices()
     return P.T.tocsr(), P, dofs_c
 
@@ -501,38 +493,37 @@ def _coarse_penalty(penalty: PenaltyCells, free: np.ndarray,
 
 def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
                     config: CycleConfig) -> Hierarchy:
-    """Hierarchy for an assembled 1D or 2D system.
+    """Hierarchy for an assembled 1D or 2D system, one level per pass.
 
     Both system types supply the finest operator on their free DOFs, taken
     as is, those DOFs (`dofs`, from `number_dofs`), and the cells that the
     coarser levels are pooled from.  A level's P takes each fine free DOF
     from its coarse parents, whose union is the coarse free DOFs, and
-    R = P^T, both numbered by `number_dofs`, once per level.  The coarse
-    cut DOFs, which only steer the extra smoothing sweeps and the numbering,
-    are the parents of the fine cut DOFs.  A coarse operator is assembled
-    from the pooled cells' K0_c + lam_c M_c, with the coarse level's own
-    penalty (`_coarse_penalty`), by `PenaltyCells.operator`.
+    R = P^T, both numbered by `number_dofs` (`_transfers`).  The coarse cut
+    DOFs, which only steer the extra smoothing sweeps and the numbering,
+    are the parents of the fine cut DOFs.  The next level's operator is
+    assembled from the pooled cells' K0_c + lam_c M_c, with its own penalty
+    (`_coarse_penalty`), by `PenaltyCells.operator`.
     """
-    grid = system.grid
+    grid, dofs, penalty = system.grid, system.dofs, system.penalty
     _validate_depth(grid.n, config.coarsest_n)
-    levels = [MgLevel(system.operator, grid, system.dofs,
-                      penalty=system.penalty)]
-    while levels[-1].n > config.coarsest_n:
-        fine = levels[-1]
-        grid_c = fine.grid.coarsen()
-        fine.R, fine.P, dofs_c = _transfers(fine, grid_c)
-        penalty = _coarse_penalty(fine.penalty, fine.free, fine.n)
-        levels.append(MgLevel(
-            penalty.operator(grid_c, dofs_c.order, dofs_c.dof), grid_c,
-            dofs_c, index=len(levels), penalty=penalty))
-    return _finalize(levels, config)
+    A, levels = system.operator, []
+    while grid.n > config.coarsest_n:
+        grid_c = grid.coarsen()
+        R, P, dofs_c = _transfers(dofs, grid, grid_c)
+        levels.append(MgLevel(A, grid, dofs, len(levels), penalty, R, P))
+        penalty = _coarse_penalty(penalty, dofs.free, grid.n)
+        A = penalty.operator(grid_c, dofs_c.order, dofs_c.dof)
+        grid, dofs = grid_c, dofs_c
+    levels.append(MgLevel(A, grid, dofs, len(levels), penalty))
+    return Hierarchy(levels=levels, config=config)
 
 
 def _cycle(levels: list, k: int, u: np.ndarray, F: np.ndarray,
-           config: CycleConfig, gamma_star: int):
+           config: CycleConfig):
     """One multigrid cycle at level k, updating u in place.  The coarse
-    problem lives in level k+1's iterate and rhs; the prolongation is formed
-    in level k's scratch before it is added, as u += P u_c would."""
+    problem, cycled config.gamma_star times, lives in level k+1's iterate
+    and rhs; u += P u_c adds a prolongation formed in level k's scratch."""
     level = levels[k]
     if k == len(levels) - 1:
         u[:] = level.coarse_solve(F)
@@ -542,8 +533,8 @@ def _cycle(levels: list, k: int, u: np.ndarray, F: np.ndarray,
     coarse = levels[k + 1]
     matvec_into(level.R, level.residual(u, F), coarse.rhs)
     coarse.iterate.fill(0.0)
-    for _ in range(gamma_star):
-        _cycle(levels, k + 1, coarse.iterate, coarse.rhs, config, gamma_star)
+    for _ in range(config.gamma_star):
+        _cycle(levels, k + 1, coarse.iterate, coarse.rhs, config)
     u += matvec_into(level.P, coarse.iterate, level.scratch)
     for _ in range(config.nu2):
         level.smooth(u, F, config.eta)
@@ -623,7 +614,6 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
         if bad.size:
             raise ValueError(f"{name} is {vector[bad[0]]} at grid node "
                              f"{order[bad[0]]}, a free DOF")
-    gamma_star = hierarchy.config.gamma_star
 
     def residual_norm() -> float:
         r = level0.residual(u_free, F_free)
@@ -638,7 +628,7 @@ def solve(hierarchy: Hierarchy, F: np.ndarray,
     for _ in range(max_iters):
         if target_residual is not None and norms[-1] <= target_residual:
             break
-        _cycle(levels, 0, u_free, F_free, hierarchy.config, gamma_star)
+        _cycle(levels, 0, u_free, F_free, hierarchy.config)
         norms.append(residual_norm())
         growing = growing + 1 if norms[-1] > norms[-2] > 0.0 else 0
         if growing >= DIVERGENCE_PATIENCE and not diverged:

@@ -225,7 +225,7 @@ def colours(level) -> np.ndarray:
     """Colour class (i % 2) + 2 (j % 2) of the grid node of each DOF of a
     2D level, from its DOF order: the 9-point stencil couples no two nodes
     of one class."""
-    j, i = np.divmod(level.dofs.order, level.n + 1)
+    j, i = np.divmod(level.dofs.order, level.grid.nodes_per_side)
     return i % 2 + 2 * (j % 2)
 
 

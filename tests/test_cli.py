@@ -40,16 +40,18 @@ def test_run_writes_the_csv_and_exits_zero(tmp_path, capsys):
 
 
 def test_run_reports_failed_points_with_exit_one(tmp_path, capsys):
-    # n = 4 cannot reach the V-cycle's coarsest size 8; the other point runs.
+    # The flower at n = 8 has a checkerboard cell, so that point fails when
+    # it assembles; the other point runs.
     out = tmp_path / "rows.csv"
     config = write_config(
         tmp_path,
-        "experiment = smoke\ndimension = 1\nn = 4, 16\ntheta1 = 0.5\n"
-        "cycle = v\niterations = 12\nwindow = 9, 12\n",
+        "experiment = smoke\ndimension = 2\ndomain = flower\nn = 8, 16\n"
+        "cycle = v\ncoarsest_n = 4\niterations = 12\nwindow = 9, 12\n",
         out)
     assert main(["run", str(config)]) == 1
     captured = capsys.readouterr()
-    assert "point failed (n=4" in captured.err
+    assert "point failed (n=8" in captured.err
+    assert "CheckerboardCellError" in captured.err
     assert "(1 failed)" in captured.out
     assert len(out.read_text().splitlines()) == 3  # both rows still written
 
@@ -81,6 +83,21 @@ def test_run_with_a_missing_output_directory_exits_two(tmp_path, capsys,
     assert main(["run", str(config)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "absent" in err
+
+
+def test_run_with_an_unreachable_coarsest_size_exits_two(tmp_path, capsys,
+                                                          no_work):
+    # n = 96 is not coarsest_n = 8 times a power of two, so no V-cycle
+    # hierarchy reaches the coarsest size; that point used to fail at run
+    # time with exit 1.
+    out = tmp_path / "rows.csv"
+    config = write_config(
+        tmp_path, "experiment = smoke\ndimension = 1\nn = 16, 96\n"
+        "cycle = v\niterations = 12\nwindow = 9, 12\n", out)
+    assert main(["run", str(config)]) == 2
+    assert "config error: finest n = 96 is not coarsest_n = 8" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_with_a_directory_as_output_exits_two(tmp_path, capsys, no_work):

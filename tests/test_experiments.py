@@ -186,6 +186,13 @@ def test_explicit_values_override_defaults():
     (dict(nu1=-1), "nonnegative"),
     (dict(nu2=-1), "nonnegative"),
     (dict(coarsest_n=0), "coarsest_n must be at least 1"),
+    # A V- or W-cycle needs every n to be coarsest_n times a power of two.
+    (dict(cycle="v", ns=(96,)), "finest n = 96 is not coarsest_n = 8"),
+    (dict(cycle="w", ns=(16, 4)), "finest n = 4 is not coarsest_n = 8"),
+    (dict(cycle="v", ns=(16,), coarsest_n=16),
+     "finest n = 16 is not coarsest_n = 16"),
+    (dict(experiment="accuracy", dimension=2, domain="disk", cycle="v",
+          ns=(48,)), "finest n = 48 is not coarsest_n = 8"),
     # The accuracy study sets f and the Dirichlet data of sin(pi x)
     # sin(pi y) only, so on the annulus's outer circle (a Neumann tag) and
     # the leaf's left part (a bc_predicate) it would solve another problem.
@@ -197,7 +204,8 @@ def test_explicit_values_override_defaults():
         "theta-off-rectangle", "rectangle-sans-theta", "theta1-high",
         "theta1-zero", "theta2-zero", "bad-lambda-mode", "inverse-h2-2d",
         "bad-cycle", "window-overflow", "window-underflow", "negative-eta",
-        "negative-nu1", "negative-nu2", "zero-coarsest-n",
+        "negative-nu1", "negative-nu2", "zero-coarsest-n", "v-depth",
+        "w-depth", "v-no-coarsening", "accuracy-depth",
         "accuracy-annulus", "accuracy-leaf"])
 def test_inconsistent_configs_raise(kwargs, fragment):
     base = dict(experiment="x", dimension=1, ns=(16,))
@@ -257,16 +265,18 @@ def test_sweep_is_deterministic_up_to_wall_time():
 
 
 def test_a_failing_point_is_recorded_without_aborting_the_sweep():
-    # n = 4 cannot reach the default coarsest size 8 of a V-cycle hierarchy,
-    # so that one point fails while the n = 16 points still run.  The
-    # failed build is shared by both eta values of each n = 4 point, so
-    # every one of their rows carries its error.
-    rows = run_experiment(small_sweep(ns=(4, 16), cycle="v", eta=(0, 4)))
+    # A penalty of a tenth of the trace constant leaves the coarsest
+    # operator indefinite, so the gamma = 0.1 points fail at run time while
+    # the gamma = 1.1 points still run.  The failed build is shared by both
+    # eta values of each gamma = 0.1 point, so every one of their rows
+    # carries its error.
+    rows = run_experiment(small_sweep(ns=(16,), gamma=(0.1, 1.1), cycle="v",
+                                      eta=(0, 4)))
     failed = [row for row in rows if row.error is not None]
     passed = [row for row in rows if row.error is None]
     assert len(rows) == 8
-    assert [(row.n, row.eta) for row in failed] == [(4, 0), (4, 4)] * 2
-    assert {row.n for row in passed} == {16}
+    assert [(row.gamma, row.eta) for row in failed] == [(0.1, 0), (0.1, 4)] * 2
+    assert {row.gamma for row in passed} == {1.1}
     assert len({row.error for row in failed}) == 1
     for row in failed:
         assert row.rho_mean is None
@@ -280,12 +290,14 @@ def test_a_failing_point_is_recorded_without_aborting_the_sweep():
 def test_failure_rows_follow_the_success_row_convention():
     # A failing point's row is the same row the sweep would have filled:
     # same h, positions and blank gamma under inverse_h2, no metrics.
-    rows = run_experiment(small_sweep(ns=(4, 16), theta1=(0.5,), cycle="v",
+    # At n = 4 the penalty 1/h^2 is a fifth of the trace constant
+    # 1/(theta1 h), and the coarsest operator is indefinite.
+    rows = run_experiment(small_sweep(ns=(4, 16), theta1=(0.05,),
                                       lambda_mode="inverse_h2"))
     failed, passed = rows
     assert failed.error is not None and passed.error is None
     assert failed.gamma is None and passed.gamma is None
-    assert (failed.h, failed.theta1, failed.theta2) == (0.25, 0.5, 0.01)
+    assert (failed.h, failed.theta1, failed.theta2) == (0.25, 0.05, 0.01)
     assert failed.wall_ms is None and failed.rho_mean is None
 
 

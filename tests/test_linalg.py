@@ -33,20 +33,16 @@ def random_tridiagonal_spd(rng, m):
     return B @ B.T + m * np.eye(m)
 
 
-def bare_level(A, cut=None):
-    """A 1D level on every row of A (all DOFs free), nothing prepared."""
+def level_for(A, cut=None, coarsest=False):
+    """A 1D level on every row of A (all DOFs free), made complete: a
+    smoothed level, whose identity transfers no test applies, or the
+    coarsest level, which factors A."""
     m = A.shape[0]
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool) if cut is None else cut
     grid = CartesianGrid(m - 1, (0.0,), 1.0)
-    return mg.MgLevel(A, grid, number_dofs(free, cut, grid))
-
-
-def level_for(A, cut=None):
-    """A 1D level on every row of a tridiagonal A, smoothers prepared."""
-    level = bare_level(A, cut)
-    level.prepare_smoothers()
-    return level
+    eye = None if coarsest else sp.identity(m, format="csr")
+    return mg.MgLevel(A, grid, number_dofs(free, cut, grid), R=eye, P=eye)
 
 
 def test_gauss_seidel_oracle():
@@ -131,9 +127,10 @@ def test_colour_sweep_rejects_in_class_coupling():
     A = sp.csr_matrix(random_spd(np.random.default_rng(23), 9))
     free, cut = np.ones(9, dtype=bool), np.zeros(9, dtype=bool)
     grid = CartesianGrid(2, (0.0, 0.0), 1.0)
-    level = mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=3)
+    eye = sp.identity(9, format="csr")
     with pytest.raises(ValueError, match="level 3: colour class 0"):
-        level.prepare_smoothers()
+        mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=3, R=eye,
+                   P=eye)
 
 
 def test_gauss_seidel_empty_mask_is_noop():
@@ -218,17 +215,15 @@ def test_coarse_solve_dense_spd():
     rng = np.random.default_rng(1)
     A = random_spd(rng, 10)
     b = rng.standard_normal(10)
-    level = bare_level(sp.csr_matrix(A))
-    level.prepare_coarse_solver()
-    x = level.coarse_solve(b)
+    x = level_for(sp.csr_matrix(A), coarsest=True).coarse_solve(b)
     np.testing.assert_allclose(A @ x, b, rtol=0.0, atol=1e-10)
 
 
 def test_dense_solve_indefinite_raises():
     A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    level = bare_level(sp.csr_matrix(A))
-    with pytest.raises(linalg.NotSPDError):
-        level.prepare_coarse_solver()
+    with pytest.raises(linalg.NotSPDError,
+                       match="level 0: coarsest operator is not positive"):
+        level_for(sp.csr_matrix(A), coarsest=True)
 
 
 def test_generalized_eig_standard_problem():

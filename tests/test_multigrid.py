@@ -144,7 +144,7 @@ def test_transfers_equal_the_sliced_refinement_matrix_bitwise(name):
     assert len(hierarchy.levels) == 5
     for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
         expected = canonical_csr(
-            restriction(fine.n)[:, fine.dofs.order][coarse.dofs.order])
+            restriction(fine.grid.n)[:, fine.dofs.order][coarse.dofs.order])
         transposed = canonical_csr(expected.T)
         for got, want in ((fine.R, expected), (fine.P, transposed)):
             for part in ("data", "indices", "indptr"):
@@ -200,7 +200,7 @@ def _penalty_operator(level):
     penalty = level.penalty
     dof = np.full(level.grid.num_nodes, -1)
     dof[level.dofs.order] = np.arange(level.num_dofs)
-    nodes = dof[corner_nodes(penalty.cells, level.n)]
+    nodes = dof[corner_nodes(penalty.cells, level.grid.n)]
     m = nodes.shape[1]
     rows = np.repeat(nodes, m, axis=1).ravel()
     cols = np.tile(nodes, m).ravel()
@@ -267,10 +267,35 @@ def test_coarse_operators_skip_constrained_coarse_nodes():
     _assert_compressed_galerkin(hierarchy)
 
 
+def _assert_levels_complete(hierarchy, colours):
+    """Every level is complete when built: each level but the last holds R
+    and P, R == P^T bitwise, and its smoother's `colours` full-sweep steps;
+    the last holds a factor that solves its operator and no transfers; and
+    every level but the first holds an iterate and a right-hand side of its
+    size."""
+    *smoothed, last = hierarchy.levels
+    for lvl in smoothed:
+        transposed = lvl.P.T.tocsr()
+        assert lvl.R.shape == transposed.shape
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(lvl.R, part),
+                                          getattr(transposed, part),
+                                          strict=True)
+        assert len(lvl._free_steps) == colours
+    assert last.R is None and last.P is None
+    assert not hasattr(last, "_free_steps")
+    x = np.linspace(1.0, 2.0, last.num_dofs)
+    np.testing.assert_allclose(last.coarse_solve(last.A @ x), x, rtol=1e-12)
+    assert hierarchy.levels[0].iterate is None
+    for lvl in hierarchy.levels[1:]:
+        assert lvl.iterate.shape == lvl.rhs.shape == (lvl.num_dofs,)
+        assert not np.shares_memory(lvl.iterate, lvl.rhs)
+
+
 def test_hierarchy_1d_structure():
     system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16))
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
-    assert [lvl.n for lvl in hierarchy.levels] == [16, 8, 4]
+    assert [lvl.grid.n for lvl in hierarchy.levels] == [16, 8, 4]
     for lvl in hierarchy.levels:
         assert lvl.free.all()
         m = lvl.num_dofs
@@ -281,8 +306,9 @@ def test_hierarchy_1d_structure():
     assert np.shares_memory(hierarchy.levels[0].A.data, system.operator.data)
     for lvl in hierarchy.levels[:-1]:
         np.testing.assert_array_equal(lvl.R.toarray(),
-                                      restriction_1d(lvl.n).toarray())
+                                      restriction_1d(lvl.grid.n).toarray())
     _assert_compressed_galerkin(hierarchy)
+    _assert_levels_complete(hierarchy, colours=1)
 
 
 @pytest.mark.parametrize("name", ["flower", "disk", "annulus", "leaf",
@@ -339,7 +365,7 @@ def test_random_disks_and_ellipses_keep_every_level_spd(n, cx, cy, radius,
     except (CheckerboardCellError, AssemblyError, DegeneratePencilError,
             NotSPDError):
         return
-    assert hierarchy.levels[-1].n == 4
+    assert hierarchy.levels[-1].grid.n == 4
     for level in hierarchy.levels:
         assert (level.A != level.A.T).nnz == 0
         level.prepare_coarse_solver()
@@ -388,11 +414,11 @@ def test_coarse_levels_1d_are_direct_assemblies_with_their_own_penalty(
     lam, floored = system.lam, False
     for level in hierarchy.levels[1:]:
         theta1, theta2 = coarse_theta(theta1), coarse_theta(theta2)
-        own = gamma / (theta1 / level.n)
+        own = gamma / (theta1 / level.grid.n)
         floored |= lam / KAPPA > own
         lam = max(own, lam / KAPPA)
         assert level.penalty.lam[0] == pytest.approx(lam, rel=1e-12)
-        direct = assemble_1d(level.n, theta1, theta2,
+        direct = assemble_1d(level.grid.n, theta1, theta2,
                              level.penalty.lam[0]).operator.toarray()
         np.testing.assert_allclose(level.A.toarray(), direct, rtol=0.0,
                                    atol=1e-14 * np.abs(direct).max(),
@@ -490,9 +516,10 @@ def test_one_dimensional_smoother_rejects_a_wider_operator():
                  shape=(m, m), format="csr")
     grid = CartesianGrid(m - 1, (0.0,), 1.0)
     free, cut = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
-    level = mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=2)
+    eye = sp.identity(m, format="csr")
     with pytest.raises(ValueError, match="level 2: the 1D operator"):
-        level.prepare_smoothers()
+        mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=2, R=eye,
+                   P=eye)
 
 
 def test_level_rejects_an_operator_not_on_its_dofs():
@@ -518,7 +545,7 @@ def test_hierarchy_2d_structure():
     ls = domain_catalog("disk")
     system = assemble(ProblemSpec(ls, 1.0 / 16, gamma=2.0))
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
-    assert [lvl.n for lvl in hierarchy.levels] == [16, 8, 4]
+    assert [lvl.grid.n for lvl in hierarchy.levels] == [16, 8, 4]
     free = system.free_dofs
     order = hierarchy.levels[0].dofs.order
     np.testing.assert_array_equal(np.sort(order), np.flatnonzero(free))
@@ -538,6 +565,7 @@ def test_hierarchy_2d_structure():
     for lvl in hierarchy.levels:
         assert lvl.free.size == lvl.grid.num_nodes
         assert not np.any(lvl.cut & ~lvl.free)
+    _assert_levels_complete(hierarchy, colours=4)
 
 
 def test_set_up_never_builds_the_whole_grid_view():
@@ -596,7 +624,7 @@ def test_coarsest_indefinite_raises():
     # operator indefinite; the exact solver reports it instead of silently
     # returning garbage.
     system = assemble_1d(8, 1.0, 0.5, 0.1 / (1.0 / 8))
-    with pytest.raises(NotSPDError):
+    with pytest.raises(NotSPDError, match=r"level 1: "):
         mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
 
 
@@ -620,10 +648,36 @@ def test_one_level_hierarchy_solves_exactly():
     system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16))
     order = system.dofs.order
     level = mg.MgLevel(system.operator, system.grid, system.dofs)
-    single = mg._finalize([level], mg.CycleConfig(coarsest_n=16))
+    single = mg.Hierarchy([level], mg.CycleConfig(coarsest_n=16))
     u, trace = mg.solve(single, system.F, max_iters=1)
     np.testing.assert_array_equal(u[order], level.coarse_solve(system.F[order]))
     assert trace.residual_norms[-1] <= 1e-12 * trace.residual_norms[0]
+
+
+@pytest.mark.parametrize("name", ["interval", "disk"])
+def test_a_level_used_in_the_wrong_role_raises(name):
+    # A level is made either smoothed, with transfers, or the coarsest,
+    # factored; smoothing the coarsest level or solving on a smoothed one
+    # raises, naming the level, instead of leaving u as it was or calling a
+    # factor that is not there.
+    if name == "interval":
+        system = assemble_1d(32, 0.3, 0.6, 1.1 / (0.3 / 32))
+    else:
+        system = _catalog_system(name)
+    levels = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8)).levels
+    coarsest = levels[-1]
+    u = np.ones(coarsest.num_dofs)
+    with pytest.raises(RuntimeError, match=rf"level {len(levels) - 1}: the "
+                       "coarsest level is solved exactly, not smoothed"):
+        coarsest.smooth(u, np.zeros_like(u), 4)
+    for level in levels[:-1]:
+        with pytest.raises(RuntimeError, match=rf"level {level.index}: only "
+                           "the coarsest level is factored"):
+            level.coarse_solve(np.zeros(level.num_dofs))
+    # A level made alone, without transfers, is a coarsest level.
+    alone = mg.MgLevel(system.operator, system.grid, system.dofs, index=5)
+    with pytest.raises(RuntimeError, match="level 5: the coarsest level"):
+        alone.smooth(np.ones(alone.num_dofs), np.zeros(alone.num_dofs), 0)
 
 
 def test_w_and_v_cycles_coincide_on_two_levels():
@@ -677,12 +731,10 @@ def test_identity_transfers_solve_in_one_cycle():
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool)
     dofs = number_dofs(free, cut, system.grid)
-    level0 = mg.MgLevel(system.operator, system.grid, dofs)
-    level1 = mg.MgLevel(system.operator, system.grid, dofs, index=1)
     eye = sp.identity(m, format="csr")
-    level0.R, level0.P = eye, eye
-    config = mg.CycleConfig(coarsest_n=4)
-    hierarchy = mg._finalize([level0, level1], config)
+    level0 = mg.MgLevel(system.operator, system.grid, dofs, R=eye, P=eye)
+    level1 = mg.MgLevel(system.operator, system.grid, dofs, index=1)
+    hierarchy = mg.Hierarchy([level0, level1], mg.CycleConfig(coarsest_n=4))
     u = one_cycle(hierarchy, system.F, np.zeros(m))
     r = system.F - system.operator @ u
     assert np.abs(r).max() <= 1e-10
@@ -914,10 +966,10 @@ def test_cycle_allocates_nothing_on_smoothed_levels(name):
     order = hierarchy.levels[0].dofs.order
     F = system.F[order]
     u = np.zeros(order.size)
-    mg._cycle(levels, 0, u, F, config, 1)
+    mg._cycle(levels, 0, u, F, config)
     tracemalloc.start()
     try:
-        mg._cycle(levels, 0, u, F, config, 1)
+        mg._cycle(levels, 0, u, F, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
