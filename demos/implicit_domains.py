@@ -36,7 +36,8 @@ def main():
         m = system.grid.num_nodes
         _, trace = mg.solve(hierarchy, np.zeros(m), u0=np.ones(m),
                             max_iters=30)
-        active = int(system.classification.active.sum())
+        cells = system.classification
+        active = int((cells.internal | cells.cut).sum())
         cut = len(system.cut_cells)
         free = int(system.free_dofs.sum())
         print(f"{name:>10s} {extent:7.1f} {active:7d} {cut:9d} "

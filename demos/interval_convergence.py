@@ -16,15 +16,17 @@ import numpy as np
 
 from ghostmg import multigrid as mg
 from ghostmg.one_dim import assemble_1d
+from ghostmg.stabilization import c_one_dim
 
 N = 256
 THETA1 = (0.0099, 0.05, 0.1, 0.3, 0.5, 0.75, 1.0)
 THETA2 = 0.01
 
 
-def convergence_factor(n: int, theta1: float, lam: float) -> float:
-    """Windowed mean factor of a homogeneous two-grid run."""
-    system = assemble_1d(n, theta1, THETA2, lam)
+def convergence_factor(n: int, theta1: float, gamma: float) -> float:
+    """Windowed mean factor of a homogeneous two-grid run with penalty
+    gamma C."""
+    system = assemble_1d(n, theta1, THETA2, gamma=gamma)
     config = mg.CycleConfig(nu1=2, nu2=1, gamma_star=1, coarsest_n=n // 2)
     hierarchy = mg.build_hierarchy(system, config)
     _, trace = mg.solve(hierarchy, np.zeros(n + 1), u0=np.ones(n + 1),
@@ -38,8 +40,9 @@ def main():
     print(f"{'theta1':>8s} {'rho (lambda = 1.1/(theta1 h))':>30s} "
           f"{'rho (lambda = 1/h^2)':>22s}")
     for t1 in THETA1:
-        rho_opt = convergence_factor(N, t1, 1.1 / (t1 * h))
-        rho_stiff = convergence_factor(N, t1, 1.0 / h ** 2)
+        rho_opt = convergence_factor(N, t1, 1.1)
+        rho_stiff = convergence_factor(N, t1,
+                                       (1.0 / h ** 2) / c_one_dim(t1, h))
         print(f"{t1:8.4f} {rho_opt:30.4f} {rho_stiff:22.4f}")
 
 

@@ -90,7 +90,7 @@ def _cmd_catalog() -> int:
 
 
 def _check_transpose() -> tuple:
-    interval = mg.build_hierarchy(assemble_1d(8, 0.3, 0.7, 2.0 / (0.3 / 8)),
+    interval = mg.build_hierarchy(assemble_1d(8, 0.3, 0.7, gamma=2.0),
                                   mg.CycleConfig(coarsest_n=4))
     disk = mg.build_hierarchy(
         assemble(ProblemSpec(levelset=domain_catalog("disk"), h=1.0 / 16)),
@@ -142,7 +142,7 @@ def _check_constants() -> tuple:
 
     # The 2x2 pencil of the 1D Dirichlet cell, as build_hierarchy pools it.
     want = stab.c_one_dim(0.3, h)
-    cell = assemble_1d(64, 0.3, 0.5, 2.0 * want).penalty
+    cell = assemble_1d(64, 0.3, 0.5, gamma=2.0).penalty
     val = stab.pencil_max(cell.B, cell.S)[0]
     rel = abs(val - want) / want
     ok &= rel < 1e-10
@@ -165,7 +165,7 @@ def _check_constants() -> tuple:
 
 
 def _check_linearity() -> tuple:
-    system = assemble_1d(16, 0.3, 0.7, 2.0 / (0.3 / 16))
+    system = assemble_1d(16, 0.3, 0.7, gamma=2.0)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal((2, 17))

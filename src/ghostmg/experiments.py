@@ -38,6 +38,7 @@ from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble
 from ghostmg.geometry import NEUMANN, LevelSet, domain_catalog, domain_names
 from ghostmg.one_dim import assemble_1d
+from ghostmg.stabilization import c_one_dim
 
 _CYCLES = ("two_grid", "v", "w")
 _LAMBDA_MODES = ("local", "global", "inverse_h2")
@@ -358,13 +359,13 @@ def _system(config: ExperimentConfig, n: int, position: Optional[float],
     solution is u = x in 1D and _exact in 2D."""
     h = _artificial_extent(config.domain) / n
     if config.dimension == 1:
-        # The 1D trace constant is 1/(theta1 h) whether sized per cell or
-        # globally (a single Dirichlet cell), so local and global coincide.
-        lam = (1.0 / h ** 2 if config.lambda_mode == "inverse_h2"
-               else gamma / (position * h))
+        # One Dirichlet cell, so the local and global rules coincide;
+        # inverse_h2 asks for the factor that makes its penalty 1/h^2.
+        if config.lambda_mode == "inverse_h2":
+            gamma = (1.0 / h ** 2) / c_one_dim(position, h)
         data = {"g_a": (1.0 - position) * h, "g_b": 1.0} if manufactured \
             else {}
-        return assemble_1d(n, position, config.theta2, lam, **data)
+        return assemble_1d(n, position, config.theta2, gamma=gamma, **data)
     levelset = (domain_catalog("rectangle", theta=position, h=h)
                 if config.domain == "rectangle"
                 else domain_catalog(config.domain))

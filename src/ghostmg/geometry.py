@@ -129,8 +129,6 @@ class LevelSet:
         if self.bc_predicate is not None:
             dirichlet = np.broadcast_to(self.bc_predicate(x, y), np.shape(x))
             tags = np.where(dirichlet, DIRICHLET, NEUMANN)
-        elif len(self.components) == 1:
-            tags = np.full(np.shape(x), self.bc_tags[0])
         else:
             distance = np.abs(np.broadcast_arrays(
                 *(comp(x, y) for comp in self.components)))
@@ -172,10 +170,6 @@ class CellClassification:
     external: np.ndarray
     active_nodes: np.ndarray
     cut_nodes: np.ndarray
-
-    @property
-    def active(self) -> np.ndarray:
-        return self.internal | self.cut
 
 
 @dataclass(eq=False)

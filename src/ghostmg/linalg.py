@@ -26,9 +26,13 @@ def matvec_into(A: sp.csr_matrix, x: np.ndarray,
     This is what scipy's `A @ x` computes, a zeroed vector accumulated by
     the CSR kernel, without the dispatch and the fresh vector, so the result
     is bitwise equal.  The kernel is private to scipy; this is the one place
-    it is called.  Raises ValueError if A's indptr and indices differ in
-    dtype, since the kernel would then work on upcast copies.
+    it is called.  Raises ValueError if x or out is not of A's size, which
+    the kernel would read or write out of bounds, or if A's indptr and
+    indices differ in dtype, since it would then work on upcast copies.
     """
+    if x.shape != (A.shape[1],) or out.shape != (A.shape[0],):
+        raise ValueError(f"A of shape {A.shape} takes no x of shape "
+                         f"{x.shape} into out of shape {out.shape}")
     if A.indptr.dtype != A.indices.dtype:
         raise ValueError(
             f"CSR index arrays differ in dtype: indptr {A.indptr.dtype}, "

@@ -197,10 +197,11 @@ class MgLevel:
     or `coarse_solve` in the other role raises RuntimeError.  A, taken as
     is, must be canonical CSR and bitwise symmetric, as
     `PenaltyCells.operator` builds every level's, and N x N for its N DOFs,
-    else ValueError.  `scratch` holds every intermediate vector of its
-    steps, residual and prolongation; `iterate` and `rhs`, below the finest
-    level, are its u and F in a cycle.  `penalty` holds the cells the next
-    level is pooled from."""
+    with P N x M and R M x N for the M coarser DOFs, else ValueError.
+    `scratch` holds every intermediate vector of its steps, residual and
+    prolongation; `iterate` and `rhs`, below the finest level, are its u
+    and F in a cycle.  `penalty` holds the cells the next level is pooled
+    from."""
 
     def __init__(self, A: sp.csr_matrix, grid: CartesianGrid, dofs: Dofs,
                  index: int = 0, penalty: Optional[PenaltyCells] = None,
@@ -209,6 +210,10 @@ class MgLevel:
         if A.shape != (dofs.order.size,) * 2:
             raise ValueError(f"level {index}: operator of shape {A.shape} "
                              f"on {dofs.order.size} DOFs")
+        if P is not None and not (P.shape[0] == A.shape[0]
+                                  and np.shape(R) == P.shape[::-1]):
+            raise ValueError(f"level {index}: P of shape {P.shape} and R of "
+                             f"shape {np.shape(R)} on {A.shape[0]} DOFs")
         self.A, self.grid, self.dofs, self.index = A, grid, dofs, index
         self.R, self.P, self.penalty = R, P, penalty
         self.scratch = np.empty(self.num_dofs)

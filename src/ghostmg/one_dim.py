@@ -3,10 +3,10 @@
 The domain is (a, b) inside the unit artificial domain [0, 1] with n cells of
 width h = 1/n, where a = (1 - theta1) h lies in the first cell and
 b = 1 - (1 - theta2) h in the last.  A weak Dirichlet condition with penalty
-lambda is imposed at a and a Neumann condition at b.  As on every level,
-the operator comes from the cells (`assembly.PenaltyCells.operator`), and so
-does F, gathered per node as `assembly.assemble` gathers the 2D one.  Summed
-over the cells they split as
+lambda = gamma / (theta1 h) is imposed at a and a Neumann condition at b.
+As on every level, the operator comes from the cells
+(`assembly.PenaltyCells.operator`), and so does F, gathered per node as
+`assembly.assemble` gathers the 2D one.  Summed over the cells they split as
 
     A = A_I + A_B + A_B^T + A_lam,    F = F_f + F_B + F_lam + F_N,
 
@@ -28,6 +28,7 @@ import numpy as np
 from ghostmg.assembly import (_GAUSS_W, _GAUSS_X, Dofs, PenaltyCells,
                               number_dofs)
 from ghostmg.geometry import CartesianGrid
+from ghostmg.stabilization import c_one_dim, penalties
 
 
 @dataclass
@@ -40,18 +41,17 @@ class OneDimSystem:
 
     The Dirichlet cell, cell 0, is the 2-node case of the 2D cut cells: the
     stiffness of its part of length theta1 h, the Gram of the flux u'(a),
-    the trace mass at a and the penalty lam.  The system knows lam, not the
-    rule that chose it, so gamma is lam over the cell's trace constant
-    1 / (theta1 h), and the coarse levels size their penalties with that
-    gamma under the local rule.  Cells 1 to n - 2 are full; the listed
-    cells are 0 and n - 1, K0 the stiffness of their parts, cell 0's plus
-    A_B + A_B^T, and cell n - 1 carries no penalty.
+    the trace mass at a and the penalty lam, sized like every level's by
+    `stabilization.penalties` from gamma and the cell's trace constant
+    1 / (theta1 h) (`stabilization.c_one_dim`); the coarse levels take the
+    same gamma.  Cells 1 to n - 2 are full; the listed cells are 0 and
+    n - 1, K0 the stiffness of their parts, cell 0's plus A_B + A_B^T, and
+    cell n - 1 carries no penalty.
     """
 
     n: int
     theta1: float
     theta2: float
-    lam: float
     g_a: float
     g_b: float
     grid: CartesianGrid
@@ -64,40 +64,35 @@ class OneDimSystem:
     def h(self) -> float:
         return 1.0 / self.n
 
+    @property
+    def lam(self) -> float:
+        """The Dirichlet cell's penalty, as its cells hold it."""
+        return float(self.penalty.lam[0])
 
-def _check_params(n: int, theta1: float, theta2: float, lam: float) -> None:
+
+def _check_params(n: int, theta1: float, theta2: float) -> None:
     if n < 2:
         raise ValueError("need at least two cells")
     for name, t in (("theta1", theta1), ("theta2", theta2)):
         if not (0.0 < t <= 1.0):
             raise ValueError(f"{name} must lie in (0, 1], got {t}")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"need a finite penalty lam > 0, got {lam}")
 
 
-def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
+def assemble_1d(n: int, theta1: float, theta2: float, *, gamma: float,
                 f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                 g_a: float = 0.0, g_b: float = 0.0) -> OneDimSystem:
-    """Assemble the full 1D system A u = F.
-
-    Parameters
-    ----------
-    n : int
-        Number of background cells; h = 1/n.
-    theta1, theta2 : float
-        Cut fractions of the first (Dirichlet) and last (Neumann) cells,
-        in (0, 1].
-    lam : float
-        Nitsche penalty, finite and positive.
-    f : callable or None
-        Source term f(x), vectorized; None means zero.
-    g_a : float
-        Dirichlet datum at a.
-    g_b : float
-        Neumann datum u'(b) at b.
-    """
-    _check_params(n, theta1, theta2, lam)
+    """Assemble the 1D system A u = F on n cells of width h = 1/n, the
+    first (Dirichlet) and last (Neumann) cut to the fractions theta1 and
+    theta2 in (0, 1].  The Dirichlet cell's penalty is gamma / (theta1 h),
+    finite and positive, with gamma keyword-only; f(x), vectorized, is the
+    source (None: zero), g_a the Dirichlet datum at a and g_b the Neumann
+    datum u'(b)."""
+    _check_params(n, theta1, theta2)
     h = 1.0 / n
+    lam = penalties(c_one_dim(theta1, h), 0.0, gamma, "local")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"need a factor gamma > 0 that makes the penalty "
+                         f"gamma / (theta1 h) finite, got {gamma}")
     diff = np.array([[1.0, -1.0], [-1.0, 1.0]])
     trace = np.array([theta1, 1.0 - theta1])
     C = np.outer(trace, [-1.0 / h, 1.0 / h])
@@ -108,7 +103,7 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
         cells=np.array([[0], [n - 1]]), S=np.stack([theta1 / h * diff, zero]),
         B=np.stack([diff / h ** 2, zero]),
         M=np.stack([np.outer(trace, trace), zero]), lam=np.array([lam, 0.0]),
-        full=full, reference=diff / h, gamma=lam * theta1 * h, mode="local",
+        full=full, reference=diff / h, gamma=gamma, mode="local",
         K0=np.stack([theta1 / h * diff + C + C.T, theta2 / h * diff]))
     # Per cell: its 3-point Gauss source on its part of (a, b), nonempty by
     # _check_params; then cell 0's flux and penalty loads and cell n - 1's
@@ -132,7 +127,7 @@ def assemble_1d(n: int, theta1: float, theta2: float, lam: float,
     grid = CartesianGrid(n, (0.0,), 1.0)
     dofs = number_dofs(np.ones(n + 1, dtype=bool),
                        np.isin(np.arange(n + 1), (0, 1, n - 1, n)), grid)
-    return OneDimSystem(n, theta1, theta2, lam, g_a, g_b, grid,
+    return OneDimSystem(n, theta1, theta2, g_a, g_b, grid,
                         penalty.operator(grid, dofs.order, dofs.dof), F,
                         penalty, dofs)
 

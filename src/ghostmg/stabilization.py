@@ -16,7 +16,7 @@ batch at once.
 
 Constants by shape
 ------------------
-one-dimensional cell   C = 1 / (theta1 h), exact.
+one-dimensional cell   C = 1 / (theta1 h), `c_one_dim`, exact.
 triangle               corner triangle with legs theta1 h and theta2 h;
                        `c_triangle`, exact and symmetric in the fractions.
 pentagon               fixed constant 3 sqrt(2) / h, the supremum of the
@@ -27,7 +27,8 @@ quadrilateral          no closed form: the sharp value from `pencil_max`.
                        theta) it is exactly 1 / (theta h).
 
 `build_stabilization` applies these rules to the finest 2D grid's Dirichlet
-cut cells, and `penalties` sizes every level's penalties from its constants.
+cut cells, `one_dim.assemble_1d` the 1D one to the interval's Dirichlet
+cell, and `penalties` sizes every level's penalties from its constants.
 The multigrid hierarchy pools each level's cells (`assembly.PenaltyCells`)
 2x2 and solves the pooled pencils with `pencil_max`, which also takes the
 2x2 pencils of the 1D boundary cell.

@@ -21,7 +21,7 @@ from ghostmg.geometry import (_FLOWER_X0, _FLOWER_Y0, LevelSet, corner_nodes,
                               domain_catalog)
 from ghostmg.linalg import DegeneratePencilError
 from ghostmg.one_dim import OneDimSystem
-from ghostmg.stabilization import pencil_max
+from ghostmg.stabilization import c_one_dim, pencil_max
 
 
 def canonical_csr(matrix) -> sp.csr_matrix:
@@ -227,6 +227,12 @@ def colours(level) -> np.ndarray:
     of one class."""
     j, i = np.divmod(level.dofs.order, level.grid.nodes_per_side)
     return i % 2 + 2 * (j % 2)
+
+
+def gamma_for(lam, theta1, n):
+    """The penalty factor that gives the Dirichlet cell of the 1D system
+    with n cells and fraction theta1 the penalty lam, to roundoff."""
+    return lam / c_one_dim(theta1, 1.0 / n)
 
 
 def dense_blocks_oracle(n, theta1, theta2, lam):

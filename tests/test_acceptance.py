@@ -28,29 +28,29 @@ from ghostmg.geometry import (
 )
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import c_one_dim, c_triangle, pencil_max
-from oracles import (coarse_theta, dense_global_C_1d, restriction_1d,
-                     split_residual_coarse)
+from oracles import (coarse_theta, dense_global_C_1d, gamma_for,
+                     restriction_1d, split_residual_coarse)
 
 NS_1D = (128, 256, 512, 1024)          # h = 2^-7 ... 2^-10
 NS_DISK = (64, 128, 256)               # h = 2^-6 ... 2^-8 on the unit square
 THETA2 = 0.01
 
 
-def tuned_penalty(theta1, h):
-    return 1.1 / (theta1 * h)
+TUNED_GAMMA = 1.1
 
 
-def grid_scaled_penalty(h):
-    return 1.0 / h ** 2
+def grid_scaled_gamma(theta1, h):
+    """The penalty factor that makes the Dirichlet cell's penalty 1/h^2."""
+    return (1.0 / h ** 2) / c_one_dim(theta1, h)
 
 
 @lru_cache(maxsize=None)
 def interval_rho(theta1, n, penalty="tuned", cycle="two_grid", eta=0):
     """Windowed mean convergence factor of the homogeneous 1D problem."""
     h = 1.0 / n
-    lam = tuned_penalty(theta1, h) if penalty == "tuned" \
-        else grid_scaled_penalty(h)
-    system = assemble_1d(n, theta1, THETA2, lam)
+    gamma = TUNED_GAMMA if penalty == "tuned" \
+        else grid_scaled_gamma(theta1, h)
+    system = assemble_1d(n, theta1, THETA2, gamma=gamma)
     if cycle == "two_grid":
         config = mg.CycleConfig(nu1=2, nu2=1, eta=eta, coarsest_n=n // 2)
     else:
@@ -106,18 +106,18 @@ def test_grid_scaled_penalty_degrades_small_fraction_convergence():
     # 0.0403 vs 0.0401), so no doubling is possible and the two factors must
     # agree instead.  At fixed theta1 the mismatch grows with n, and so must
     # the grid-scaled factor (0.040 -> 0.226 -> 0.521 -> 0.733 at
-    # theta1 = 0.0099).  A 1D system carries its penalty, not the rule that
-    # chose it, so the coarse level sizes its own from gamma = lam theta1 h;
-    # for theta1 <= 0.1 that gives the floor lam / KAPPA = 1/(8 h^2), half
-    # the coarse grid-scaled 1/H^2.  The test thus compares a hierarchy
-    # scaled by 1/h^2 on both levels with the tuned one.
+    # theta1 = 0.0099).  The coarse level sizes its own penalty with the
+    # same gamma; for theta1 <= 0.1 that gives the floor
+    # lam / KAPPA = 1/(8 h^2), half the coarse grid-scaled 1/H^2.  The test
+    # thus compares a hierarchy scaled by 1/h^2 on both levels with the
+    # tuned one.
     violations = []
     for theta1 in (t for t in THETA1_GRID if t <= 0.1):
         degraded = [interval_rho(theta1, n, penalty="grid_scaled")
                     for n in NS_1D]
         for n, rho in zip(NS_1D, degraded):
             h = 1.0 / n
-            mismatch = grid_scaled_penalty(h) / tuned_penalty(theta1, h)
+            mismatch = grid_scaled_gamma(theta1, h) / TUNED_GAMMA
             tuned = interval_rho(theta1, n)
             if mismatch >= 2.0:
                 if not rho >= 2.0 * tuned:
@@ -243,7 +243,7 @@ def test_triangle_constant_agrees_with_the_eigensolver():
 def test_residual_splitting_is_equivalent_to_plain_restriction():
     rng = np.random.default_rng(2024)
     for n in (8, 64):
-        system = assemble_1d(n, 0.3, 0.7, 1.1 / (0.3 / n))
+        system = assemble_1d(n, 0.3, 0.7, gamma=1.1)
         R = restriction_1d(n)
         worst = max(
             np.max(np.abs(R @ (system.F - system.operator @ u)
@@ -260,10 +260,12 @@ def test_coarse_operator_equals_direct_coarse_assembly():
     R = restriction_1d(n)
     for theta1 in (0.1, 0.5, 1.0):
         for theta2 in (0.1, 0.5, 1.0):
-            fine = assemble_1d(n, theta1, theta2, lam)
+            fine = assemble_1d(n, theta1, theta2,
+                               gamma=gamma_for(lam, theta1, n))
             rap = (R @ fine.operator @ R.T).toarray()
             direct = assemble_1d(n // 2, coarse_theta(theta1),
-                                 coarse_theta(theta2), lam)
+                                 coarse_theta(theta2), gamma=gamma_for(
+                                     lam, coarse_theta(theta1), n // 2))
             np.testing.assert_allclose(
                 rap, direct.operator.toarray(), rtol=0.0, atol=1e-13,
                 err_msg=f"theta1={theta1} theta2={theta2}")
@@ -412,8 +414,7 @@ def test_deep_v_cycle_converges_on_every_level_count():
             violations.append(measured[-1] + f" > {DEEP_ETA0_BARS[name]}")
     for theta1 in THETA1_GRID:
         for n in NS_1D:
-            system = assemble_1d(n, theta1, THETA2,
-                                 tuned_penalty(theta1, 1.0 / n))
+            system = assemble_1d(n, theta1, THETA2, gamma=TUNED_GAMMA)
             hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
                 nu1=2, nu2=1, eta=0, coarsest_n=8))
             rho = deep_v_rho(hierarchy, iterations=50, window=(41, 50))
@@ -433,8 +434,7 @@ def test_pooled_1d_trace_constant_is_the_coarse_cell_constant():
     worst = 0.0
     for theta1 in THETA1_GRID:
         for n in NS_1D:
-            system = assemble_1d(n, theta1, THETA2,
-                                 tuned_penalty(theta1, 1.0 / n))
+            system = assemble_1d(n, theta1, THETA2, gamma=TUNED_GAMMA)
             hierarchy = mg.build_hierarchy(system,
                                            mg.CycleConfig(coarsest_n=n // 2))
             penalty = hierarchy.levels[1].penalty

@@ -25,6 +25,7 @@ from ghostmg.experiments import (
 from ghostmg.assembly import ProblemSpec, assemble
 from ghostmg.geometry import domain_catalog
 from ghostmg.one_dim import assemble_1d
+from ghostmg.stabilization import c_one_dim, penalties
 
 MINIMAL_1D = """
 experiment = smoke
@@ -320,7 +321,7 @@ def test_points_that_differ_only_in_eta_share_one_build(monkeypatch):
     for theta1 in config.theta1:
         for eta in config.eta:
             system = assemble_1d(16, theta1, config.theta2,
-                                 1.1 / (theta1 / 16))
+                                 gamma=1.1)
             hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
                 nu1=2, nu2=1, eta=eta, coarsest_n=8))
             _, trace = mg.solve(hierarchy, np.zeros(17), u0=np.ones(17),
@@ -436,20 +437,27 @@ def test_one_dim_accuracy_reproduces_the_linear_solution():
 @pytest.mark.parametrize("mode", ["local", "inverse_h2"])
 def test_one_dim_accuracy_study_sizes_lam_by_lambda_mode(monkeypatch, mode):
     # The accuracy study sizes the penalty as the sweeps do: 1/h^2 under
-    # inverse_h2, gamma / (theta1 h) under the local and global rules.
-    seen, assemble = [], experiments.assemble_1d
+    # inverse_h2, gamma / (theta1 h) under the local and global rules.  It
+    # hands assemble_1d the factor, which the one rule turns into lam.
+    seen, built, assemble = [], [], experiments.assemble_1d
 
-    def spy(n, theta1, theta2, lam, **data):
-        seen.append(lam)
-        return assemble(n, theta1, theta2, lam, **data)
+    def spy(n, theta1, theta2, *, gamma, **data):
+        seen.append(gamma)
+        built.append(assemble(n, theta1, theta2, gamma=gamma, **data))
+        return built[-1]
 
     monkeypatch.setattr(experiments, "assemble_1d", spy)
     config = ExperimentConfig("accuracy", 1, (32, 64), theta1=(0.05,),
                               lambda_mode=mode)
     run_accuracy_study(config)
     hs = [1.0 / n for n in config.ns]
-    assert seen == ([1.0 / h ** 2 for h in hs] if mode == "inverse_h2"
-                    else [1.1 / (0.05 * h) for h in hs])
+    assert seen == ([(1.0 / h ** 2) / c_one_dim(0.05, h) for h in hs]
+                    if mode == "inverse_h2" else [1.1, 1.1])
+    for h, gamma, system in zip(hs, seen, built):
+        assert system.lam == penalties(c_one_dim(0.05, h), 0.0, gamma,
+                                       "local")
+        if mode == "inverse_h2":
+            assert system.lam == pytest.approx(1.0 / h ** 2, rel=1e-15)
 
 
 def test_accuracy_study_raises_when_a_solve_diverges():

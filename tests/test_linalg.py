@@ -3,6 +3,12 @@ through ``MgLevel``, their one implementation), the CSR product into a
 buffer, triple products, and the generalized eigensolver of the test
 oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -208,6 +214,47 @@ def test_matvec_into_rejects_mixed_index_dtypes():
     A.indptr = A.indptr.astype(np.int32)
     with pytest.raises(ValueError, match="indptr int32, indices int64"):
         linalg.matvec_into(A, np.ones(2), np.empty(2))
+
+
+def test_matvec_into_rejects_mis_sized_vectors():
+    # Unchecked, scipy's kernel reads x and writes out past their ends: a
+    # 10-entry x and a 5-entry out on this A killed the interpreter with a
+    # segmentation fault (signal 11, exit 139 in a shell).  So the calls
+    # run in a subprocess, which such a crash cannot take pytest down with.
+    script = textwrap.dedent("""
+        import numpy as np
+        import scipy.sparse as sp
+        from ghostmg.linalg import matvec_into
+        A = sp.random(2000, 2000, density=0.01, format="csr", random_state=0)
+        for x, out in ((10, 2000), (2000, 5), (10, 5)):
+            try:
+                matvec_into(A, np.ones(x), np.empty(out))
+            except ValueError as err:
+                print(err)
+    """)
+    src = Path(linalg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        f"A of shape (2000, 2000) takes no x of shape ({x},) into out of "
+        f"shape ({out},)" for x, out in ((10, 2000), (2000, 5), (10, 5))]
+
+
+@pytest.mark.parametrize("r_shape, p_shape", [
+    ((5, 9), (8, 5)), ((4, 9), (9, 5)), ((5, 8), (9, 5)), (None, (9, 5))],
+    ids=["short-P", "R-of-fewer-rows", "short-R", "no-R"])
+def test_a_level_rejects_transfers_that_do_not_fit(r_shape, p_shape):
+    # P maps some coarse DOFs to the level's 9, and R = P^T back; a P or R
+    # of another shape would reach the CSR kernel in the first cycle.
+    A = sp.csr_matrix(random_tridiagonal_spd(np.random.default_rng(3), 9))
+    grid = CartesianGrid(8, (0.0,), 1.0)
+    dofs = number_dofs(np.ones(9, dtype=bool), np.zeros(9, dtype=bool), grid)
+    R = None if r_shape is None else sp.csr_matrix(r_shape)
+    with pytest.raises(ValueError, match=r"level 2: P of shape"):
+        mg.MgLevel(A, grid, dofs, 2, R=R, P=sp.csr_matrix(p_shape))
 
 
 def test_coarse_solve_dense_spd():

@@ -21,8 +21,9 @@ from ghostmg.geometry import (DIRICHLET, CartesianGrid, CheckerboardCellError,
 from ghostmg.linalg import DegeneratePencilError, NotSPDError, matvec_into
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import KAPPA, pencil_max
-from oracles import (canonical_csr, coarse_theta, colours, pow_levelset,
-                     restriction_1d, restriction_2d, split_residual_coarse)
+from oracles import (canonical_csr, coarse_theta, colours, gamma_for,
+                     pow_levelset, restriction_1d, restriction_2d,
+                     split_residual_coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ def test_transfers_equal_the_sliced_refinement_matrix_bitwise(name):
     # (columns) and the coarse DOFs (rows), canonical and bit for bit; P is
     # its canonical transpose.
     if name == "interval":
-        system = assemble_1d(64, 0.3, 0.6, 1.1 / (0.3 / 64))
+        system = assemble_1d(64, 0.3, 0.6, gamma=1.1)
         restriction = restriction_1d
     else:
         system = _catalog_system(name)
@@ -177,7 +178,7 @@ def test_cycle_config_names_a_field_that_is_no_integer(field, value):
 
 
 def test_solve_reads_a_list_right_hand_side():
-    system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16), f=lambda x: x)
+    system = assemble_1d(16, 0.3, 0.6, gamma=1.1, f=lambda x: x)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
     u, trace = mg.solve(hierarchy, system.F, max_iters=3)
     u_list, trace_list = mg.solve(hierarchy, list(system.F), max_iters=3)
@@ -187,10 +188,10 @@ def test_solve_reads_a_list_right_hand_side():
 
 
 def test_depth_validation():
-    system = assemble_1d(12, 0.5, 0.5, 100.0)
+    system = assemble_1d(12, 0.5, 0.5, gamma=2.0)
     with pytest.raises(ValueError):
         mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8))
-    system8 = assemble_1d(8, 0.5, 0.5, 100.0)
+    system8 = assemble_1d(8, 0.5, 0.5, gamma=2.0)
     with pytest.raises(ValueError):
         mg.build_hierarchy(system8, mg.CycleConfig(coarsest_n=8))
 
@@ -242,7 +243,7 @@ def test_coarse_operators_are_the_exchanged_galerkin_products(name):
     # with the penalty exchanged: with Neumann cut cells (annulus, leaf),
     # with the rectangle's strong DOFs, and in 1D.
     if name == "interval":
-        system = assemble_1d(64, 0.3, 0.6, 1.1 / (0.3 / 64))
+        system = assemble_1d(64, 0.3, 0.6, gamma=1.1)
     else:
         system = _catalog_system(name)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
@@ -293,7 +294,7 @@ def _assert_levels_complete(hierarchy, colours):
 
 
 def test_hierarchy_1d_structure():
-    system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16))
+    system = assemble_1d(16, 0.3, 0.6, gamma=1.1)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
     assert [lvl.grid.n for lvl in hierarchy.levels] == [16, 8, 4]
     for lvl in hierarchy.levels:
@@ -409,7 +410,7 @@ def test_coarse_levels_1d_are_direct_assemblies_with_their_own_penalty(
     # with its own penalty, gamma / (theta_k h_k), floored by the finer
     # level's over KAPPA; the Galerkin product would keep the finest one.
     n, theta2, gamma = 256, 0.6, 1.1
-    system = assemble_1d(n, theta1, theta2, gamma / (theta1 / n))
+    system = assemble_1d(n, theta1, theta2, gamma=gamma)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
     lam, floored = system.lam, False
     for level in hierarchy.levels[1:]:
@@ -418,8 +419,8 @@ def test_coarse_levels_1d_are_direct_assemblies_with_their_own_penalty(
         floored |= lam / KAPPA > own
         lam = max(own, lam / KAPPA)
         assert level.penalty.lam[0] == pytest.approx(lam, rel=1e-12)
-        direct = assemble_1d(level.grid.n, theta1, theta2,
-                             level.penalty.lam[0]).operator.toarray()
+        direct = assemble_1d(level.grid.n, theta1, theta2, gamma=gamma_for(
+            level.penalty.lam[0], theta1, level.grid.n)).operator.toarray()
         np.testing.assert_allclose(level.A.toarray(), direct, rtol=0.0,
                                    atol=1e-14 * np.abs(direct).max(),
                                    err_msg=f"level {level.index}")
@@ -432,11 +433,11 @@ def test_galerkin_equals_direct_coarse_assembly_1d(theta1, theta2):
     # Restricting the fine operator reproduces direct assembly on the coarse
     # grid with halved resolution, pulled-in fractions and the same penalty.
     n, lam = 8, 64.0
-    fine = assemble_1d(n, theta1, theta2, lam)
+    fine = assemble_1d(n, theta1, theta2, gamma=gamma_for(lam, theta1, n))
     R = restriction_1d(n)
     rap = (R @ fine.operator @ R.T).toarray()
     coarse = assemble_1d(n // 2, coarse_theta(theta1), coarse_theta(theta2),
-                         lam)
+                         gamma=gamma_for(lam, coarse_theta(theta1), n // 2))
     np.testing.assert_allclose(rap, coarse.operator.toarray(), rtol=0.0,
                                atol=1e-13)
 
@@ -451,7 +452,7 @@ def test_triangle_solve_is_the_forward_substitution_in_place(theta1,
     # level and at every scale, smooth agrees in place with the dense
     # substitutions to roundoff, and its eta cut sweeps form one product.
     n = 1024
-    system = assemble_1d(n, theta1, 0.01, 1.1 / (theta1 / n))
+    system = assemble_1d(n, theta1, 0.01, gamma=1.1)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
     rng = np.random.default_rng(31)
     for level in hierarchy.levels[:-1]:
@@ -498,7 +499,7 @@ def test_one_dimensional_sweeps_factor_only_the_coarsest_level(monkeypatch):
     monkeypatch.setattr(mg.spla, "splu", counting_splu)
     monkeypatch.setattr(mg.spla, "spilu",
                         lambda A, **options: incomplete.append(A.shape))
-    system = assemble_1d(1024, 0.5, 0.01, 1.1 / (0.5 / 1024))
+    system = assemble_1d(1024, 0.5, 0.01, gamma=1.1)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
     assert factored == [hierarchy.levels[-1].A.shape]
     assert incomplete == []
@@ -572,7 +573,7 @@ def test_set_up_never_builds_the_whole_grid_view():
     # The hierarchy takes the finest operator as is: neither assembly nor
     # build_hierarchy reads system.A, which is built on first use only.
     ls = domain_catalog("rectangle", theta=0.4, h=1.0 / 32)
-    for system in (assemble_1d(32, 0.3, 0.6, 1.1 / (0.3 / 32)),
+    for system in (assemble_1d(32, 0.3, 0.6, gamma=1.1),
                    assemble(ProblemSpec(
                        ls, 1.0 / 32, g_dirichlet=lambda x, y: x + y))):
         hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
@@ -604,7 +605,7 @@ def test_coarse_cut_dofs_are_corners_of_the_pooled_cut_cells(name):
     # The coarse nodes the fine cut DOFs restrict to are the corners of the
     # coarse cells that hold a fine cut cell, on every level.
     if name == "interval":
-        system = assemble_1d(64, 0.3, 0.6, 1.1 / (0.3 / 64))
+        system = assemble_1d(64, 0.3, 0.6, gamma=1.1)
         cells = np.zeros(64, dtype=bool)
         cells[[0, -1]] = True
     else:
@@ -623,7 +624,7 @@ def test_coarsest_indefinite_raises():
     # A penalty far below the trace constant leaves even the coarsest
     # operator indefinite; the exact solver reports it instead of silently
     # returning garbage.
-    system = assemble_1d(8, 1.0, 0.5, 0.1 / (1.0 / 8))
+    system = assemble_1d(8, 1.0, 0.5, gamma=0.1)
     with pytest.raises(NotSPDError, match=r"level 1: "):
         mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=4))
 
@@ -633,7 +634,7 @@ def test_coarsest_indefinite_raises():
 # ---------------------------------------------------------------------------
 
 def small_1d_hierarchy(n=16, coarsest=8, **cfg):
-    system = assemble_1d(n, 0.3, 0.6, 1.1 / (0.3 / n))
+    system = assemble_1d(n, 0.3, 0.6, gamma=1.1)
     config = mg.CycleConfig(coarsest_n=coarsest, **cfg)
     return system, mg.build_hierarchy(system, config)
 
@@ -645,7 +646,7 @@ def one_cycle(hierarchy, F, u):
 
 def test_one_level_hierarchy_solves_exactly():
     # With no coarser level the cycle is the exact coarsest solve.
-    system = assemble_1d(16, 0.3, 0.6, 1.1 / (0.3 / 16))
+    system = assemble_1d(16, 0.3, 0.6, gamma=1.1)
     order = system.dofs.order
     level = mg.MgLevel(system.operator, system.grid, system.dofs)
     single = mg.Hierarchy([level], mg.CycleConfig(coarsest_n=16))
@@ -661,7 +662,7 @@ def test_a_level_used_in_the_wrong_role_raises(name):
     # raises, naming the level, instead of leaving u as it was or calling a
     # factor that is not there.
     if name == "interval":
-        system = assemble_1d(32, 0.3, 0.6, 1.1 / (0.3 / 32))
+        system = assemble_1d(32, 0.3, 0.6, gamma=1.1)
     else:
         system = _catalog_system(name)
     levels = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=8)).levels
@@ -726,7 +727,7 @@ def test_smooth_preserves_exact_solution():
 def test_identity_transfers_solve_in_one_cycle():
     # With identity transfers the coarse level IS the fine operator, so the
     # exact coarse solve finishes the job in a single cycle.
-    system = assemble_1d(8, 0.5, 0.5, 1.1 / (0.5 / 8))
+    system = assemble_1d(8, 0.5, 0.5, gamma=1.1)
     m = system.operator.shape[0]
     free = np.ones(m, dtype=bool)
     cut = np.zeros(m, dtype=bool)
@@ -957,7 +958,7 @@ def test_cycle_allocates_nothing_on_smoothed_levels(name):
     # allocations stay far below one finest-level vector: the coarsest
     # level's direct solve allocates its result, and little else does.
     if name == "interval":
-        system = assemble_1d(1024, 0.5, 0.01, 1.1 / (0.5 / 1024))
+        system = assemble_1d(1024, 0.5, 0.01, gamma=1.1)
     else:
         system = _catalog_system(name)
     hierarchy = mg.build_hierarchy(
@@ -983,7 +984,7 @@ def test_a_solved_hierarchy_is_freed_by_reference_counting(name):
     # when its last reference goes, without waiting for the garbage
     # collector.
     if name == "interval":
-        system = assemble_1d(64, 0.3, 0.01, 1.1 / (0.3 / 64))
+        system = assemble_1d(64, 0.3, 0.01, gamma=1.1)
     else:
         system = _catalog_system(name)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
@@ -1082,7 +1083,7 @@ def _reference_residual_norms(hierarchy, F, target, max_iters=100):
 @pytest.mark.parametrize("name", domain_names() + ["interval"])
 def test_workspace_cycle_equals_the_plain_products_bitwise(name, gamma_star):
     if name == "interval":
-        system = assemble_1d(64, 0.05, 0.6, 1.1 / (0.05 / 64))
+        system = assemble_1d(64, 0.05, 0.6, gamma=1.1)
     else:
         system = _catalog_system(name)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(
@@ -1134,7 +1135,7 @@ def test_divergent_run_is_flagged_but_kept():
     # A wrong-sign coarse correction (P -> -P) makes the cycle grow the
     # error, by a factor near 1.8 per cycle after the first few; the run
     # must flag divergence, warn once and keep the trace.
-    system = assemble_1d(32, 0.5, 0.5, 1.1 / (0.5 / 32))
+    system = assemble_1d(32, 0.5, 0.5, gamma=1.1)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(coarsest_n=16))
     fine = hierarchy.levels[0]
     fine.P = -fine.P
@@ -1151,7 +1152,7 @@ def test_a_run_stuck_above_its_target_stops_as_stalled():
     # near 5e-10, above the target 1e-10; the run stops once five cycles
     # bring no new lowest residual, and names the floor it reached.
     n = 16384
-    system = assemble_1d(n, 0.5, 0.01, 1.1 / (0.5 / n))
+    system = assemble_1d(n, 0.5, 0.01, gamma=1.1)
     hierarchy = mg.build_hierarchy(system, mg.CycleConfig(eta=4))
     F = np.random.default_rng(0).standard_normal(n + 1)
     with pytest.warns(RuntimeWarning, match="stalled at") as record:
@@ -1244,7 +1245,7 @@ def test_product_level_sets_move_the_solve_only_at_roundoff(name):
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_splitting_equivalence_random_states(n):
-    system = assemble_1d(n, 0.3, 0.7, 1.1 / (0.3 / n), f=lambda x: x,
+    system = assemble_1d(n, 0.3, 0.7, gamma=1.1, f=lambda x: x,
                          g_a=0.5, g_b=-1.0)
     R = restriction_1d(n)
     rng = np.random.default_rng(42)
