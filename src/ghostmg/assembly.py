@@ -59,8 +59,8 @@ from ghostmg.geometry import (
 
 
 class AssemblyError(Exception):
-    """Geometry handed to the assembler is unusable (degenerate polygon or a
-    Dirichlet cut cell without a stabilization value)."""
+    """Input handed to the assembler is unusable: a degenerate polygon, a
+    chord of unknown boundary condition, or data of the wrong shape."""
 
 
 _GAUSS_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -268,7 +268,9 @@ class ProblemSpec:
         off the domain, where its values are dropped.
     gamma : float
         Safety factor: the penalty is lambda_K = gamma * C(K), C(K) the
-        cell's trace constant, by the rule `stabilization.penalties`.
+        cell's trace constant, by the rule `stabilization.penalties`, which
+        raises ValueError unless gamma and every penalty are finite and
+        positive.
     lambda_mode : str
         "local" sizes the penalty per cut cell; "global" uses the max of the
         local constants everywhere.
@@ -361,11 +363,6 @@ def assemble(problem: ProblemSpec) -> AssembledSystem:
     stab = stabilization.build_stabilization(
         batch, gamma=problem.gamma, mode=problem.lambda_mode)
     dirichlet = np.flatnonzero(batch.dirichlet)
-    unpenalized = ~(stab.lam > 0.0)
-    if unpenalized.any():
-        k = dirichlet[np.argmax(unpenalized)]
-        raise AssemblyError(
-            f"Dirichlet cut cell {cut_cells.cell(k)} lacks a positive penalty")
 
     active = classification.active_nodes
     strong = np.zeros(grid.num_nodes, dtype=bool)

@@ -38,13 +38,10 @@ from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble
 from ghostmg.geometry import NEUMANN, LevelSet, domain_catalog, domain_names
 from ghostmg.one_dim import assemble_1d
-from ghostmg.stabilization import c_one_dim
+from ghostmg.stabilization import MODES, c_one_dim
 
 _CYCLES = ("two_grid", "v", "w")
-_LAMBDA_MODES = ("local", "global", "inverse_h2")
-
-#: The eleven Dirichlet-cell fractions of the standard 1D sweep.
-THETA1_GRID = (0.0099, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 0.9, 0.99, 1.0)
+_LAMBDA_MODES = (*MODES, "inverse_h2")
 
 
 class ConfigError(ValueError):
@@ -115,9 +112,9 @@ class ExperimentConfig:
             raise ConfigError(f"theta2 must be in (0, 1], got {self.theta2}")
         if not self.gamma:
             self.gamma = (1.1,) if one_d else (2.0,)
-        if any(not g > 0.0 for g in self.gamma):
-            raise ConfigError(f"gamma: penalty factors must be positive, got "
-                              f"{self.gamma}")
+        if any(not (math.isfinite(g) and g > 0.0) for g in self.gamma):
+            raise ConfigError(f"gamma: penalty factors must be finite and "
+                              f"positive, got {self.gamma}")
         if self.lambda_mode not in _LAMBDA_MODES:
             raise ConfigError(f"lambda_mode must be one of {_LAMBDA_MODES}, "
                               f"got {self.lambda_mode!r}")
@@ -328,10 +325,6 @@ class AccuracyRow(_CsvRow):
     l2_error: float
     linf_ratio: Optional[float] = None
     l2_ratio: Optional[float] = None
-
-
-CSV_HEADER = ResultRow.header()
-ACCURACY_CSV_HEADER = AccuracyRow.header()
 
 
 def _exact(x, y):

@@ -137,10 +137,11 @@ class LevelSet:
 
     def grid(self, h: float) -> CartesianGrid:
         """Background grid of spacing h covering the artificial domain."""
-        n = self.art_extent / h
-        n_int = int(round(n))
+        n = self.art_extent / h if math.isfinite(h) and h > 0.0 else math.nan
+        n_int = int(round(n)) if math.isfinite(n) else 0
         if abs(n - n_int) > 1e-12 or n_int < 1:
-            raise ValueError(f"h = {h} does not tile extent {self.art_extent}")
+            raise ValueError(f"h = {h} is no finite spacing > 0 that tiles "
+                             f"extent {self.art_extent}")
         return CartesianGrid(n_int, self.art_origin, self.art_extent)
 
 
@@ -441,10 +442,11 @@ def _hourglass(params: dict) -> LevelSet:
 def _rectangle(params: dict) -> LevelSet:
     if "x_cut" in params:
         x_cut = params["x_cut"]
+    elif "theta" in params and "h" in params:
+        x_cut = 1.0 - (1.0 - params["theta"]) * params["h"]
     else:
-        theta = params["theta"]
-        h = params["h"]
-        x_cut = 1.0 - (1.0 - theta) * h
+        raise ValueError(f"the rectangle takes x_cut, or theta and h; got "
+                         f"{sorted(params)}")
 
     def psi(x, y):
         return x - x_cut + 0.0 * y

@@ -192,12 +192,12 @@ def _rows(A: sp.csr_matrix, sel: np.ndarray) -> sp.csr_matrix:
 
 class MgLevel:
     """Level `index` on `grid`, complete when made: its operator A on the
-    free DOFs of `dofs` (`assembly.number_dofs`) and its transfers R = P^T
-    and smoother or, made without P, the coarsest level's factor; `smooth`
-    or `coarse_solve` in the other role raises RuntimeError.  A, taken as
-    is, must be canonical CSR and bitwise symmetric, as
-    `PenaltyCells.operator` builds every level's, and N x N for its N DOFs,
-    with P N x M and R M x N for the M coarser DOFs, else ValueError.
+    free DOFs of `dofs` (`assembly.number_dofs`), its transfers P and
+    R = P^T, which it forms, and smoother or, made without P, the coarsest
+    level's factor; `smooth` or `coarse_solve` in the other role raises
+    RuntimeError.  A, taken as is, must be canonical CSR and bitwise
+    symmetric, as `PenaltyCells.operator` builds every level's, and N x N
+    for its N DOFs, with P N x M for the M coarser DOFs, else ValueError.
     `scratch` holds every intermediate vector of its steps, residual and
     prolongation; `iterate` and `rhs`, below the finest level, are its u
     and F in a cycle.  `penalty` holds the cells the next level is pooled
@@ -205,17 +205,16 @@ class MgLevel:
 
     def __init__(self, A: sp.csr_matrix, grid: CartesianGrid, dofs: Dofs,
                  index: int = 0, penalty: Optional[PenaltyCells] = None,
-                 R: Optional[sp.csr_matrix] = None,
                  P: Optional[sp.csr_matrix] = None):
         if A.shape != (dofs.order.size,) * 2:
             raise ValueError(f"level {index}: operator of shape {A.shape} "
                              f"on {dofs.order.size} DOFs")
-        if P is not None and not (P.shape[0] == A.shape[0]
-                                  and np.shape(R) == P.shape[::-1]):
-            raise ValueError(f"level {index}: P of shape {P.shape} and R of "
-                             f"shape {np.shape(R)} on {A.shape[0]} DOFs")
+        if P is not None and P.shape[0] != A.shape[0]:
+            raise ValueError(f"level {index}: P of shape {P.shape} on "
+                             f"{A.shape[0]} DOFs")
         self.A, self.grid, self.dofs, self.index = A, grid, dofs, index
-        self.R, self.P, self.penalty = R, P, penalty
+        self.R = None if P is None else P.T.tocsr()
+        self.P, self.penalty = P, penalty
         self.scratch = np.empty(self.num_dofs)
         self.iterate = np.empty(self.num_dofs) if index else None
         self.rhs = np.empty(self.num_dofs) if index else None
@@ -384,8 +383,8 @@ def _parent_steps(dim: int, nodes_per_side: int) -> tuple:
 
 def _transfers(dofs: Dofs, grid: CartesianGrid,
                grid_c: CartesianGrid) -> tuple:
-    """R and P of the level of `dofs` on `grid` in its and the coarser
-    level's DOF numbering, and the coarser level's DOFs.
+    """P of the level of `dofs` on `grid` in its and the coarser level's
+    DOF numbering, and the coarser level's DOFs.
 
     Each fine DOF interpolates from its 1, 2 or 4 coarse parents (1 or 2 in
     1D), the coarse nodes at x // 2 and (x + 1) // 2 along each axis, with
@@ -417,7 +416,7 @@ def _transfers(dofs: Dofs, grid: CartesianGrid,
     P = sp.csr_matrix((np.repeat(1.0 / count, count), dofs_c.dof[parents],
                        indptr), shape=(dofs.order.size, dofs_c.order.size))
     P.sort_indices()
-    return P.T.tocsr(), P, dofs_c
+    return P, dofs_c
 
 
 @lru_cache(maxsize=None)
@@ -503,20 +502,20 @@ def build_hierarchy(system: Union[AssembledSystem, OneDimSystem],
     Both system types supply the finest operator on their free DOFs, taken
     as is, those DOFs (`dofs`, from `number_dofs`), and the cells that the
     coarser levels are pooled from.  A level's P takes each fine free DOF
-    from its coarse parents, whose union is the coarse free DOFs, and
-    R = P^T, both numbered by `number_dofs` (`_transfers`).  The coarse cut
-    DOFs, which only steer the extra smoothing sweeps and the numbering,
-    are the parents of the fine cut DOFs.  The next level's operator is
-    assembled from the pooled cells' K0_c + lam_c M_c, with its own penalty
-    (`_coarse_penalty`), by `PenaltyCells.operator`.
+    from its coarse parents, whose union is the coarse free DOFs, numbered
+    by `number_dofs` (`_transfers`), and the level forms R = P^T.  The
+    coarse cut DOFs, which only steer the extra smoothing sweeps and the
+    numbering, are the parents of the fine cut DOFs.  The next level's
+    operator is assembled from the pooled cells' K0_c + lam_c M_c, with its
+    own penalty (`_coarse_penalty`), by `PenaltyCells.operator`.
     """
     grid, dofs, penalty = system.grid, system.dofs, system.penalty
     _validate_depth(grid.n, config.coarsest_n)
     A, levels = system.operator, []
     while grid.n > config.coarsest_n:
         grid_c = grid.coarsen()
-        R, P, dofs_c = _transfers(dofs, grid, grid_c)
-        levels.append(MgLevel(A, grid, dofs, len(levels), penalty, R, P))
+        P, dofs_c = _transfers(dofs, grid, grid_c)
+        levels.append(MgLevel(A, grid, dofs, len(levels), penalty, P))
         penalty = _coarse_penalty(penalty, dofs.free, grid.n)
         A = penalty.operator(grid_c, dofs_c.order, dofs_c.dof)
         grid, dofs = grid_c, dofs_c

@@ -19,7 +19,6 @@ against their sums.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,15 +83,13 @@ def assemble_1d(n: int, theta1: float, theta2: float, *, gamma: float,
     """Assemble the 1D system A u = F on n cells of width h = 1/n, the
     first (Dirichlet) and last (Neumann) cut to the fractions theta1 and
     theta2 in (0, 1].  The Dirichlet cell's penalty is gamma / (theta1 h),
-    finite and positive, with gamma keyword-only; f(x), vectorized, is the
-    source (None: zero), g_a the Dirichlet datum at a and g_b the Neumann
-    datum u'(b)."""
+    with gamma keyword-only, by `stabilization.penalties`, which raises
+    ValueError unless both are finite and positive; f(x), vectorized, is
+    the source (None: zero), g_a the Dirichlet datum at a and g_b the
+    Neumann datum u'(b)."""
     _check_params(n, theta1, theta2)
     h = 1.0 / n
     lam = penalties(c_one_dim(theta1, h), 0.0, gamma, "local")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"need a factor gamma > 0 that makes the penalty "
-                         f"gamma / (theta1 h) finite, got {gamma}")
     diff = np.array([[1.0, -1.0], [-1.0, 1.0]])
     trace = np.array([theta1, 1.0 - theta1])
     C = np.outer(trace, [-1.0 / h, 1.0 / h])

@@ -28,7 +28,7 @@ quadrilateral          no closed form: the sharp value from `pencil_max`.
 
 `build_stabilization` applies these rules to the finest 2D grid's Dirichlet
 cut cells, `one_dim.assemble_1d` the 1D one to the interval's Dirichlet
-cell, and `penalties` sizes every level's penalties from its constants.
+cell, and `penalties` sizes and checks every level's penalties.
 The multigrid hierarchy pools each level's cells (`assembly.PenaltyCells`)
 2x2 and solves the pooled pencils with `pencil_max`, which also takes the
 2x2 pencils of the 1D boundary cell.
@@ -131,7 +131,7 @@ def pencil_max(B: np.ndarray, S: np.ndarray) -> np.ndarray:
 #: leaves the 1D V-cycle at a factor near 0.2 for theta1 = 0.0099.
 KAPPA = 8.0
 
-_MODES = ("local", "global")
+MODES = ("local", "global")
 
 
 def penalties(C: np.ndarray, floor, gamma: float, mode: str) -> np.ndarray:
@@ -139,10 +139,22 @@ def penalties(C: np.ndarray, floor, gamma: float, mode: str) -> np.ndarray:
     level: gamma * C, at least floor / KAPPA, and floor where C is NaN (a
     singular pencil); under mode "global" every cell takes the largest.
     floor is the largest penalty each cell pools; the finest level pools
-    none and passes 0, where the rule is gamma * C bit for bit."""
-    lam = np.where(np.isnan(C), floor, np.maximum(gamma * C, floor / KAPPA))
+    none and passes 0, where the rule is gamma * C bit for bit.  ValueError,
+    naming gamma, for a mode not in MODES, or for a gamma or any penalty
+    (an overflowing gamma * C, say) that is not finite and positive."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r} for "
+                         f"gamma = {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"need a finite gamma > 0, got {gamma}")
+    with np.errstate(over="ignore"):  # an infinite product raises below
+        lam = np.where(np.isnan(C), floor,
+                       np.maximum(gamma * C, floor / KAPPA))
     if mode == "global":
         lam[:] = lam.max(initial=0.0)
+    if not ((0.0 < lam) & (lam < np.inf)).all():
+        raise ValueError(f"gamma = {gamma} gives a penalty that is not "
+                         "finite and positive")
     return lam
 
 
@@ -160,14 +172,10 @@ def build_stabilization(batch: "assembly.CutCellBatch", gamma: float = 2.0,
     """Size the chord penalty of every Dirichlet cut cell of the batch from
     `assembly.cut_cell_batch` by `penalties`, from the closed-form trace
     constants of triangles and pentagons and the sharp pencil value of
-    quadrilaterals.  gamma must exceed 1 for coercivity; smaller values are
-    accepted for experimentation but the system may become indefinite.
-    Raises DegeneratePencilError naming the first singular cell.
+    quadrilaterals.  gamma > 1 makes the form coercive; smaller values are
+    accepted for experimentation.  Raises DegeneratePencilError naming the
+    first singular cell, and ValueError as `penalties` does.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if gamma <= 0.0:
-        raise ValueError(f"need gamma > 0, got {gamma}")
     cut_cells = batch.cut_cells
     h = cut_cells.grid.h
     index = np.flatnonzero(batch.dirichlet)

@@ -23,6 +23,9 @@ from ghostmg.linalg import DegeneratePencilError
 from ghostmg.one_dim import OneDimSystem
 from ghostmg.stabilization import c_one_dim, pencil_max
 
+#: The eleven Dirichlet-cell fractions of the standard 1D sweep.
+THETA1_GRID = (0.0099, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 0.9, 0.99, 1.0)
+
 
 def canonical_csr(matrix) -> sp.csr_matrix:
     """Return `matrix` as CSR in canonical form.

@@ -17,7 +17,6 @@ import pytest
 from ghostmg import multigrid as mg
 from ghostmg.assembly import ProblemSpec, assemble, cut_cell_batch
 from ghostmg.cli import main as cli_main
-from ghostmg.experiments import THETA1_GRID
 from ghostmg.geometry import (
     DIRICHLET,
     CartesianGrid,
@@ -28,7 +27,7 @@ from ghostmg.geometry import (
 )
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import c_one_dim, c_triangle, pencil_max
-from oracles import (coarse_theta, dense_global_C_1d, gamma_for,
+from oracles import (THETA1_GRID, coarse_theta, dense_global_C_1d, gamma_for,
                      restriction_1d, split_residual_coarse)
 
 NS_1D = (128, 256, 512, 1024)          # h = 2^-7 ... 2^-10

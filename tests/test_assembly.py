@@ -9,9 +9,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostmg import stabilization
 from ghostmg.assembly import (
     AssemblyError,
+    PenaltyCells,
     ProblemSpec,
     _internal_source,
     assemble,
@@ -258,23 +258,20 @@ def test_degenerate_sliver_raises():
         assemble(ProblemSpec(ls, 0.5, alpha=30.0))
 
 
-def test_dirichlet_cell_without_penalty_raises(monkeypatch):
-    # A stabilization field that drops one Dirichlet cell is caught, and the
-    # error names the first cell without a positive penalty.
-    build = stabilization.build_stabilization
-    dropped = []
-
-    def lossy(batch, **kwargs):
-        field = build(batch, **kwargs)
-        first = np.flatnonzero(batch.dirichlet)[0]
-        dropped.append(batch.cut_cells.cell(first))
-        field.lam[0] = 0.0
-        return field
-
-    monkeypatch.setattr(stabilization, "build_stabilization", lossy)
-    with pytest.raises(AssemblyError, match="lacks a positive penalty") as err:
-        assemble(ProblemSpec(domain_catalog("disk"), 1.0 / 16))
-    assert str(dropped[0]) in str(err.value)
+@pytest.mark.parametrize("gamma", [np.inf, np.nan, 0.0, -1.0, 1e308])
+def test_assemble_rejects_a_penalty_factor_that_is_not_finite_and_positive(
+        gamma, monkeypatch):
+    # An infinite or overflowing factor once gave an operator with
+    # non-finite entries and no error, and NaN an AssemblyError about one
+    # cell; stabilization.penalties now names gamma before any operator is
+    # built.
+    built = []
+    operator = PenaltyCells.operator
+    monkeypatch.setattr(PenaltyCells, "operator",
+                        lambda *args: built.append(1) or operator(*args))
+    with pytest.raises(ValueError, match="gamma"):
+        assemble(ProblemSpec(domain_catalog("disk"), 1.0 / 16, gamma=gamma))
+    assert not built
 
 
 def test_degenerate_sliver_error_names_the_cell():

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from ghostmg import cli
 from ghostmg.cli import main
-from ghostmg.experiments import CSV_HEADER
+from ghostmg.experiments import ResultRow
 
 SMOKE_CONFIG = """
 experiment = smoke
@@ -34,7 +34,7 @@ def test_run_writes_the_csv_and_exits_zero(tmp_path, capsys):
     config = write_config(tmp_path, SMOKE_CONFIG, out)
     assert main(["run", str(config)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == ResultRow.header()
     assert len(lines) == 3
     assert f"wrote 2 rows to {out}" in capsys.readouterr().out
 

@@ -1,5 +1,6 @@
 """Tests for the sweep config format, the sweep runner and CSV output."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,9 +10,7 @@ import pytest
 from ghostmg import experiments
 from ghostmg import multigrid as mg
 from ghostmg.experiments import (
-    ACCURACY_CSV_HEADER,
-    CSV_HEADER,
-    THETA1_GRID,
+    AccuracyRow,
     AccuracyStudyError,
     ConfigError,
     ExperimentConfig,
@@ -26,6 +25,7 @@ from ghostmg.assembly import ProblemSpec, assemble
 from ghostmg.geometry import domain_catalog
 from ghostmg.one_dim import assemble_1d
 from ghostmg.stabilization import c_one_dim, penalties
+from oracles import THETA1_GRID
 
 MINIMAL_1D = """
 experiment = smoke
@@ -215,6 +215,15 @@ def test_inconsistent_configs_raise(kwargs, fragment):
         ExperimentConfig(**base)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_a_built_config_rejects_a_gamma_that_is_not_finite_and_positive(gamma):
+    # The text parser rejects non-finite numbers; a config built directly
+    # takes the same check, so no sweep starts with an infinite factor.
+    with pytest.raises(ConfigError, match="gamma: penalty factors must be "
+                                          "finite and positive"):
+        ExperimentConfig("x", 1, (16,), gamma=(1.1, gamma))
+
+
 def test_theta1_grid_contents():
     assert THETA1_GRID == (0.0099, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5,
                            0.75, 0.9, 0.99, 1.0)
@@ -374,11 +383,11 @@ def test_two_dim_sweep_smoke():
 def test_csv_header_matches_the_row_layout():
     # The headers are the rows' field names, and perfbench reads the sweep
     # CSV by column name: a field renamed, reordered or added fails here.
-    assert CSV_HEADER == ("experiment,domain,dim,n,h,theta1,theta2,gamma,eta,"
-                          "cycle,lambda_mode,rho_mean,final_residual,iters,"
-                          "wall_ms")
-    assert ACCURACY_CSV_HEADER == ("domain,dim,n,h,linf_error,l2_error,"
-                                   "linf_ratio,l2_ratio")
+    assert ResultRow.header() == (
+        "experiment,domain,dim,n,h,theta1,theta2,gamma,eta,cycle,lambda_mode,"
+        "rho_mean,final_residual,iters,wall_ms")
+    assert AccuracyRow.header() == (
+        "domain,dim,n,h,linf_error,l2_error,linf_ratio,l2_ratio")
     row = run_experiment(small_sweep(ns=(8,), theta1=(0.5,)))[0]
     assert len(row.csv_line().split(",")) == 15
 
@@ -408,7 +417,7 @@ def test_emit_results_writes_header_and_rows(tmp_path):
     rows = run_experiment(small_sweep())
     path = emit_results(rows, tmp_path / "out.csv")
     lines = path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == ResultRow.header()
     assert len(lines) == 1 + len(rows)
     assert path.read_text().endswith("\n")
 
@@ -503,7 +512,7 @@ def test_accuracy_rows_serialize_with_their_own_header(tmp_path):
     rows = run_accuracy_study(config)
     path = emit_results(rows, tmp_path / "acc.csv")
     lines = path.read_text().splitlines()
-    assert lines[0] == ACCURACY_CSV_HEADER
+    assert lines[0] == AccuracyRow.header()
     assert len(lines[0].split(",")) == 8
     first = lines[1].split(",")
     assert first[6:] == ["", ""]  # no ratios on the coarsest row

@@ -72,6 +72,14 @@ def test_levelset_grid_requires_tiling_spacing():
         ls.grid(0.3)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.25, math.nan, math.inf, 1e-320])
+def test_levelset_grid_rejects_a_spacing_that_is_not_finite_and_positive(h):
+    # Zero once divided by zero, NaN failed in int(), and a spacing so small
+    # that extent / h overflows gives no grid either; each is one named error.
+    with pytest.raises(ValueError, match=r"h = .* is no finite spacing > 0"):
+        domain_catalog("disk").grid(h)
+
+
 # ---------------------------------------------------------------------------
 # Snapping
 # ---------------------------------------------------------------------------
@@ -312,6 +320,13 @@ def test_rectangle_cut_line_from_theta():
     assert ls.params["x_cut"] == pytest.approx(1.0 - 0.7 * 0.125, rel=1e-15)
     assert ls.params["strong_predicate"](0.0, 0.4)
     assert not ls.params["strong_predicate"](0.5, 0.4)
+
+
+@pytest.mark.parametrize("params", [{}, {"theta": 0.3}, {"h": 0.125}],
+                         ids=["nothing", "theta-only", "h-only"])
+def test_rectangle_without_its_cut_names_the_parameters(params):
+    with pytest.raises(ValueError, match="takes x_cut, or theta and h"):
+        domain_catalog("rectangle", **params)
 
 
 def test_annulus_assigns_bc_by_nearest_component():

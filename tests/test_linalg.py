@@ -48,7 +48,7 @@ def level_for(A, cut=None, coarsest=False):
     cut = np.zeros(m, dtype=bool) if cut is None else cut
     grid = CartesianGrid(m - 1, (0.0,), 1.0)
     eye = None if coarsest else sp.identity(m, format="csr")
-    return mg.MgLevel(A, grid, number_dofs(free, cut, grid), R=eye, P=eye)
+    return mg.MgLevel(A, grid, number_dofs(free, cut, grid), P=eye)
 
 
 def test_gauss_seidel_oracle():
@@ -135,8 +135,7 @@ def test_colour_sweep_rejects_in_class_coupling():
     grid = CartesianGrid(2, (0.0, 0.0), 1.0)
     eye = sp.identity(9, format="csr")
     with pytest.raises(ValueError, match="level 3: colour class 0"):
-        mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=3, R=eye,
-                   P=eye)
+        mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=3, P=eye)
 
 
 def test_gauss_seidel_empty_mask_is_noop():
@@ -243,18 +242,16 @@ def test_matvec_into_rejects_mis_sized_vectors():
         f"shape ({out},)" for x, out in ((10, 2000), (2000, 5), (10, 5))]
 
 
-@pytest.mark.parametrize("r_shape, p_shape", [
-    ((5, 9), (8, 5)), ((4, 9), (9, 5)), ((5, 8), (9, 5)), (None, (9, 5))],
-    ids=["short-P", "R-of-fewer-rows", "short-R", "no-R"])
-def test_a_level_rejects_transfers_that_do_not_fit(r_shape, p_shape):
-    # P maps some coarse DOFs to the level's 9, and R = P^T back; a P or R
-    # of another shape would reach the CSR kernel in the first cycle.
+@pytest.mark.parametrize("p_shape", [(8, 5)], ids=["short-P"])
+def test_a_level_rejects_transfers_that_do_not_fit(p_shape):
+    # P maps some coarse DOFs to the level's 9, and the level forms R = P^T
+    # from it; a P of another shape would reach the CSR kernel in the first
+    # cycle.
     A = sp.csr_matrix(random_tridiagonal_spd(np.random.default_rng(3), 9))
     grid = CartesianGrid(8, (0.0,), 1.0)
     dofs = number_dofs(np.ones(9, dtype=bool), np.zeros(9, dtype=bool), grid)
-    R = None if r_shape is None else sp.csr_matrix(r_shape)
     with pytest.raises(ValueError, match=r"level 2: P of shape"):
-        mg.MgLevel(A, grid, dofs, 2, R=R, P=sp.csr_matrix(p_shape))
+        mg.MgLevel(A, grid, dofs, 2, P=sp.csr_matrix(p_shape))
 
 
 def test_coarse_solve_dense_spd():

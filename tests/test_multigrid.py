@@ -519,8 +519,7 @@ def test_one_dimensional_smoother_rejects_a_wider_operator():
     free, cut = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
     eye = sp.identity(m, format="csr")
     with pytest.raises(ValueError, match="level 2: the 1D operator"):
-        mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=2, R=eye,
-                   P=eye)
+        mg.MgLevel(A, grid, number_dofs(free, cut, grid), index=2, P=eye)
 
 
 def test_level_rejects_an_operator_not_on_its_dofs():
@@ -733,7 +732,7 @@ def test_identity_transfers_solve_in_one_cycle():
     cut = np.zeros(m, dtype=bool)
     dofs = number_dofs(free, cut, system.grid)
     eye = sp.identity(m, format="csr")
-    level0 = mg.MgLevel(system.operator, system.grid, dofs, R=eye, P=eye)
+    level0 = mg.MgLevel(system.operator, system.grid, dofs, P=eye)
     level1 = mg.MgLevel(system.operator, system.grid, dofs, index=1)
     hierarchy = mg.Hierarchy([level0, level1], mg.CycleConfig(coarsest_n=4))
     u = one_cycle(hierarchy, system.F, np.zeros(m))

@@ -224,6 +224,17 @@ def test_penalties_rule():
     for mode in ("local", "global"):
         assert penalties(np.empty(0), 0.0, gamma, mode).shape == (0,)
         assert penalties(np.empty(0), np.empty(0), gamma, mode).shape == (0,)
+        # The rule is the one check of a valid penalty: a factor that is not
+        # finite and positive raises, with or without cells, and so does a
+        # finite factor whose product with C overflows.
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            for cells in (C, np.empty(0)):
+                with pytest.raises(ValueError, match="gamma"):
+                    penalties(cells, floor[:cells.size], bad, mode)
+        with pytest.raises(ValueError, match="gamma = 1e"):
+            penalties(np.array([1.0, 1e10]), 0.0, 1e308, mode)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        penalties(C, floor, gamma, "other")
 
 
 def test_build_stabilization_skips_neumann_chords():
@@ -238,10 +249,12 @@ def test_build_stabilization_skips_neumann_chords():
 
 
 def test_build_stabilization_validation():
-    with pytest.raises(ValueError):
-        build_stabilization([], mode="other")
-    with pytest.raises(ValueError):
-        build_stabilization([], gamma=0.0)
+    system = assemble(ProblemSpec(domain_catalog("disk"), 1.0 / 16))
+    batch = cut_cell_batch(system.cut_cells)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        build_stabilization(batch, mode="other")
+    with pytest.raises(ValueError, match="gamma"):
+        build_stabilization(batch, gamma=0.0)
 
 
 def test_eigensolve_method_matches_closed_form_on_disk():
